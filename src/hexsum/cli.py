@@ -353,10 +353,10 @@ def run_bernstein(cfg: ExperimentConfig):
 
 
 def run_approximate(cfg: ExperimentConfig):
-    spectral_exact = cfg.p == 2.0 and cfg.grid_n == "auto"
-    if not spectral_exact and cfg.grid_n == "auto":
-        raise ConfigError("p != 2 requires an explicit --grid N")
     grid = _explicit_grid(cfg)
+    spectral_exact = grid is None
+    if spectral_exact and cfg.p != 2.0:
+        raise ConfigError("p != 2 requires an explicit --grid N")
     rows = []
     assertions = []
     for fam in _sweep_families(cfg):
@@ -365,12 +365,7 @@ def run_approximate(cfg: ExperimentConfig):
         devs = []
         for k, rho in rho_ladder(cfg):
             params = SummationParams(rho, cfg.r)
-            if spectral_exact:
-                dev = deviation_l2_spectral(fam.function, params)
-                gn = 0
-            else:
-                dev = deviation_norm(fam.function, params, cfg.p, grid)
-                gn = grid.n
+            dev = deviation_norm(fam.function, params, cfg.p, grid)
             if prev is not None and dev > prev * (1.0 + 1e-12):
                 monotone = False
             prev = dev
@@ -384,7 +379,7 @@ def run_approximate(cfg: ExperimentConfig):
                     "r": cfg.r,
                     "p": cfg.p,
                     "deviation": dev,
-                    "grid_n": gn,
+                    "grid_n": 0 if spectral_exact else grid.n,
                     "tail_l2": fam.tail_l2,
                 }
             )
@@ -495,10 +490,10 @@ def run_rates(cfg: ExperimentConfig):
 
 
 def run_kfun(cfg: ExperimentConfig):
-    spectral_exact = cfg.p == 2.0 and cfg.grid_n == "auto"
-    if not spectral_exact and cfg.grid_n == "auto":
-        raise ConfigError("p != 2 requires an explicit --grid N")
     grid = _explicit_grid(cfg)
+    spectral_exact = grid is None
+    if spectral_exact and cfg.p != 2.0:
+        raise ConfigError("p != 2 requires an explicit --grid N")
     rows = []
     assertions = []
     for fam in _sweep_families(cfg):
@@ -506,9 +501,7 @@ def run_kfun(cfg: ExperimentConfig):
         violated = False
         for k in range(cfg.k_min, cfg.k_max + 1):
             delta = 2.0**-k
-            est = kfun_estimate(
-                fam.function, delta, cfg.n, cfg.p, None if spectral_exact else grid
-            )
+            est = kfun_estimate(fam.function, delta, cfg.n, cfg.p, grid)
             if est.upper == 0.0:
                 if est.lower_proxy > 1e-13:
                     violated = True

@@ -271,10 +271,16 @@ def scale_shells(
     multiplier: Callable[[int], complex],
     max_degree: int | None = None,
 ) -> SpectralFunction:
-    """Apply a shell-dependent multiplier; entries scaled to exactly 0 drop."""
+    """Apply a shell-dependent multiplier; entries scaled to exactly 0 drop.
+
+    ``multiplier`` is called once per shell present in the support.
+    """
     out: dict[HexIndex, complex] = {}
-    for idx, c in f.items():
-        m = multiplier(idx.degree())
+    shell, m = -1, 0.0
+    for idx, c in f.items():  # shell-major order
+        nu = idx.degree()
+        if nu != shell:
+            shell, m = nu, multiplier(nu)
         v = m * c
         if v != 0:
             out[idx] = v
@@ -385,6 +391,21 @@ def save_spectral(f: SpectralFunction, path) -> None:
         fh.write("\n")
 
 
+def _is_int(value) -> bool:
+    """JSON integer: ``bool`` is an ``int`` subclass but not a number here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    """JSON number that converts to a finite float (``json`` accepts NaN)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer literal beyond the float range
+        return False
+
+
 def spectral_from_json_dict(doc: dict) -> SpectralFunction:
     if not isinstance(doc, dict):
         raise SpectralFormatError("spectral document must be a JSON object")
@@ -395,7 +416,7 @@ def spectral_from_json_dict(doc: dict) -> SpectralFunction:
     if missing:
         raise SpectralFormatError(f"missing top-level fields: {sorted(missing)}")
     max_degree = doc["max_degree"]
-    if not isinstance(max_degree, int) or max_degree < 0:
+    if not _is_int(max_degree) or max_degree < 0:
         raise SpectralFormatError(f"max_degree must be a nonnegative integer, got {max_degree!r}")
     entries = doc["entries"]
     if not isinstance(entries, list):
@@ -414,7 +435,7 @@ def spectral_from_json_dict(doc: dict) -> SpectralFunction:
         if (
             not isinstance(k, list)
             or len(k) != 3
-            or not all(isinstance(v, int) for v in k)
+            or not all(_is_int(v) for v in k)
         ):
             raise SpectralFormatError(f"entry {pos}: k must be a list of 3 integers, got {k!r}")
         if sum(k) != 0:
@@ -430,8 +451,8 @@ def spectral_from_json_dict(doc: dict) -> SpectralFunction:
             raise SpectralFormatError(f"entry {pos}: duplicate frequency {tuple(k)}")
         re = entry["re"]
         im = entry["im"]
-        if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
-            raise SpectralFormatError(f"entry {pos}: re/im must be numbers")
+        if not (_is_finite_number(re) and _is_finite_number(im)):
+            raise SpectralFormatError(f"entry {pos}: re/im must be finite numbers")
         coeffs[idx] = complex(re, im)
     return SpectralFunction(coeffs, max_degree=max_degree)
 
@@ -440,6 +461,6 @@ def load_spectral(path) -> SpectralFunction:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise SpectralFormatError(f"invalid JSON: {exc}") from exc
     return spectral_from_json_dict(doc)

@@ -8,35 +8,34 @@ the shell-nu coefficients by
                          sum_{j<r} C(nu,j) (1-rho)^j rho^{nu-j}  nu >= r,
 
 so polynomials of degree below r are fixed points and every higher
-shell is strictly damped.  The same operator arises as
-sum_{k<r} (1-rho)^k/k! times the k-th rho-derivative of the Poisson
-integral, which this module also implements as an independent float
-path for cross-checking.
+shell is strictly damped.  For nu >= r the multiplier and its complement
+are regularised incomplete beta values (DLMF 8.17.5), one betainc call
+each: lambda = I_rho(nu-r+1, r) and 1 - lambda = I_{1-rho}(r, nu-r+1).
+No binomial coefficient is formed, so no degree overflows, and the
+complement needs no 1 - lambda cancellation as rho -> 1.  Below r they
+are exactly 1.0 and 0.0.  The same operator arises as sum_{k<r}
+(1-rho)^k/k! times the k-th rho-derivative of the Poisson integral,
+which this module also implements as an independent float path for
+cross-checking.
 
-Deviations f - A_{rho,r}(f) are evaluated through the complement sum
-sum_{j>=r} C(nu,j)(1-rho)^j rho^{nu-j} (all terms positive — no
-cancellation as rho -> 1), and admit an exact integral representation
-integrating the r-th derivative of the Poisson integral against
-(1-zeta)^{r-1} from rho to 1.
+Every mean, deviation, derivative norm and K-functional candidate is a
+shell multiplier applied to f; _shell_norm alone chooses between the
+exact L2 norm from shell masses and the grid p-norm.  Deviations admit
+an exact integral representation integrating the r-th derivative of the
+Poisson integral against (1-zeta)^{r-1} from rho to 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import betainc
 
-from .fourier import (
-    HexGrid,
-    SpectralFunction,
-    lp_norm,
-    scale_shells,
-    subtract,
-    synthesize,
-    truncate_spectrum,
-)
+from .fourier import HexGrid, SpectralFunction, lp_norm, scale_shells, synthesize
 from .kernels import hex_kernel_closed_values
 
 
@@ -58,53 +57,53 @@ class SummationParams:
 # multipliers
 # --------------------------------------------------------------------------
 
-def lambda_coeff(nu: int, r: int, rho: float) -> float:
-    """Shell multiplier of the order-r mean; always in [0, 1].
-
-    Each binomial term is evaluated independently (exact integer
-    C(nu,j) times two real powers), so no underflowing term can poison
-    its successors, and the positive terms are combined with fsum.
-    """
+def _check_multiplier_args(nu: int, r: int, rho: float) -> None:
     if nu < 0:
         raise ValueError("shell index must be nonnegative")
     if r < 1:
         raise ValueError("order r must be positive")
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
+
+
+def lambda_coeff(nu: int, r: int, rho: float) -> float:
+    """Shell multiplier of the order-r mean, I_rho(nu-r+1, r); always in [0, 1]."""
+    _check_multiplier_args(nu, r, rho)
     if nu < r:
         return 1.0
-    # the exact sum is <= 1; per-term power roundings can overshoot by an
-    # ulp, so clamp to keep the documented range
-    return min(
-        1.0,
-        math.fsum(
-            math.comb(nu, j) * (1.0 - rho) ** j * rho ** (nu - j) for j in range(r)
-        ),
-    )
+    return float(betainc(nu - r + 1, r, rho))
 
 
 def lambda_complement(nu: int, r: int, rho: float) -> float:
-    """1 - lambda_coeff, evaluated as the complementary binomial sum.
+    """1 - lambda_coeff, evaluated directly as I_{1-rho}(r, nu-r+1).
 
-    For nu >= r this is sum_{j=r}^{nu} C(nu,j)(1-rho)^j rho^{nu-j} —
-    positive terms only, so the value stays accurate even when it is
-    exponentially small as rho -> 1.
+    No subtraction is involved, so the value stays accurate even when it
+    is exponentially small as rho -> 1.
     """
-    if nu < 0:
-        raise ValueError("shell index must be nonnegative")
-    if r < 1:
-        raise ValueError("order r must be positive")
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"rho must lie in [0, 1), got {rho}")
+    _check_multiplier_args(nu, r, rho)
     if nu < r:
         return 0.0
-    return min(
-        1.0,
-        math.fsum(
-            math.comb(nu, j) * (1.0 - rho) ** j * rho ** (nu - j)
-            for j in range(r, nu + 1)
-        ),
-    )
+    return float(betainc(r, nu - r + 1, 1.0 - rho))
+
+
+def _lambda_shells(
+    top: int, r: int, rho: float, complement: bool = False
+) -> np.ndarray:
+    """lambda_coeff (or lambda_complement) over shells 0..top, bit for bit."""
+    out = np.full(top + 1, 0.0 if complement else 1.0)
+    a = np.arange(1, top - r + 2)  # nu - r + 1 for nu = r..top
+    out[r:] = betainc(r, a, 1.0 - rho) if complement else betainc(a, r, rho)
+    return out
+
+
+def _perm_shells(top: int, n: int) -> np.ndarray:
+    """Radial-derivative multipliers nu!/(nu-n)! over shells 0..top (0 below n)."""
+    return np.array([float(math.perm(nu, n)) for nu in range(top + 1)])
+
+
+def _poisson_derivative_shells(top: int, r: int, rho: float) -> np.ndarray:
+    """Multipliers of the order-r radial derivative of the Poisson integral at rho."""
+    return _perm_shells(top, r) * rho ** np.arange(top + 1)
 
 
 # --------------------------------------------------------------------------
@@ -117,7 +116,8 @@ def apply_operator(f: SpectralFunction, params: SummationParams) -> SpectralFunc
     Shells with multiplier exactly 1 pass through bitwise unchanged;
     rho=0 zeroes every shell nu >= r, leaving the partial sum S_{r-1}.
     """
-    return scale_shells(f, lambda nu: lambda_coeff(nu, params.r, params.rho))
+    lam = _lambda_shells(f.max_degree, params.r, params.rho)
+    return scale_shells(f, lam.tolist().__getitem__)
 
 
 def apply_operator_derivative_form(
@@ -147,9 +147,7 @@ def radial_derivative(f: SpectralFunction, n: int) -> SpectralFunction:
     """Order-n radial derivative: shell nu scaled by nu!/(nu-n)!, low shells dropped."""
     if n < 1:
         raise ValueError(f"derivative order must be positive, got {n}")
-    return scale_shells(
-        f, lambda nu: float(math.perm(nu, n)) if nu >= n else 0.0
-    )
+    return scale_shells(f, _perm_shells(f.max_degree, n).tolist().__getitem__)
 
 
 def poisson_integral_spectral(f: SpectralFunction, rho: float) -> SpectralFunction:
@@ -183,72 +181,60 @@ def poisson_integral_convolution(g, rho: float):
 
 
 # --------------------------------------------------------------------------
-# deviation and derivative functionals
+# norms of shell-scaled functions
 # --------------------------------------------------------------------------
 
+def _shell_norm(
+    f: SpectralFunction, p: float, grid: HexGrid | None
+) -> Callable[[np.ndarray], float]:
+    """mult -> ||f with shell nu scaled by mult[nu]||_p (shells 0..max_degree).
+
+    The only place that chooses how a norm is evaluated.  grid=None is
+    the exact L2 norm from the shell masses, computed once here rather
+    than per call; otherwise the scaled function is synthesized on the
+    grid and its grid p-norm taken.
+    """
+    if grid is None:
+        if p != 2:
+            raise ValueError("a grid is required for p != 2")
+        masses = f.shell_masses()
+        return lambda mult: math.sqrt(math.fsum((mult * mult * masses).tolist()))
+    return lambda mult: lp_norm(
+        synthesize(scale_shells(f, mult.tolist().__getitem__), grid), p
+    )
+
+
 def deviation_norm(
-    f: SpectralFunction, params: SummationParams, p: float, grid: HexGrid
+    f: SpectralFunction, params: SummationParams, p: float, grid: HexGrid | None
 ) -> float:
-    """||f - A_{rho,r}(f)||_p, synthesized on the grid.
+    """||f - A_{rho,r}(f)||_p; exact L2 when grid is None, else on the grid.
 
     The difference is formed spectrally with the complement multipliers,
     avoiding the 1 - lambda cancellation entirely.
     """
-    comp = scale_shells(f, lambda nu: lambda_complement(nu, params.r, params.rho))
-    return lp_norm(synthesize(comp, grid), p)
+    comp = _lambda_shells(f.max_degree, params.r, params.rho, complement=True)
+    return _shell_norm(f, p, grid)(comp)
 
 
 def deviation_l2_spectral(f: SpectralFunction, params: SummationParams) -> float:
     """Exact L2 deviation from the shell masses (no grid involved)."""
-    masses = f.shell_masses()
-    return math.sqrt(
-        math.fsum(
-            lambda_complement(nu, params.r, params.rho) ** 2 * float(masses[nu])
-            for nu in range(len(masses))
-        )
-    )
+    return deviation_norm(f, params, 2.0, None)
 
 
-def m_p(f: SpectralFunction, rho: float, r: int, p: float, grid: HexGrid) -> float:
+def m_p(
+    f: SpectralFunction, rho: float, r: int, p: float, grid: HexGrid | None
+) -> float:
     """||radial derivative of order r of the Poisson integral||_p at radius rho.
 
-    Spectral multipliers nu!/(nu-n)! rho^nu (equal to rho^r times the r-th
-    rho-derivative multipliers), then the grid p-norm.
+    Spectral multipliers nu!/(nu-r)! rho^nu (equal to rho^r times the r-th
+    rho-derivative multipliers); exact L2 when grid is None, else on the
+    grid.
     """
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
     if r < 1:
         raise ValueError(f"order r must be positive, got {r}")
-    scaled = scale_shells(
-        f, lambda nu: math.perm(nu, r) * rho**nu if nu >= r else 0.0
-    )
-    return lp_norm(synthesize(scaled, grid), p)
-
-
-def _m2_spectral(f: SpectralFunction, rho: float, r: int) -> float:
-    """Exact L2 instance of m_p via shell masses."""
-    masses = f.shell_masses()
-    return math.sqrt(
-        math.fsum(
-            (math.perm(nu, r) * rho**nu) ** 2 * float(masses[nu])
-            for nu in range(r, len(masses))
-        )
-    )
-
-
-def _difference_norm(
-    f: SpectralFunction, h: SpectralFunction, p: float, grid: HexGrid | None
-) -> float:
-    diff = subtract(f, h)
-    if p == 2 and grid is None:
-        return diff.l2_norm()
-    return lp_norm(synthesize(diff, grid), p)
-
-
-def _function_norm(h: SpectralFunction, p: float, grid: HexGrid | None) -> float:
-    if p == 2 and grid is None:
-        return h.l2_norm()
-    return lp_norm(synthesize(h, grid), p)
+    return _shell_norm(f, p, grid)(_poisson_derivative_shells(f.max_degree, r, rho))
 
 
 # --------------------------------------------------------------------------
@@ -264,6 +250,30 @@ class KfunEstimate:
     upper: float
     lower_proxy: float
     argmin_candidate: str
+
+
+def _kfun_candidates(
+    top: int, delta: float, n: int
+) -> Iterator[tuple[str, np.ndarray, np.ndarray]]:
+    """(name, error multiplier, roughness multiplier) of each candidate h.
+
+    f scaled by the error multiplier is f - h, and f scaled by the
+    roughness multiplier is the order-n radial derivative of h.
+    """
+    perm = _perm_shells(top, n)
+    yield "zero", np.ones(top + 1), np.zeros(top + 1)
+    yield "identity", np.zeros(top + 1), perm
+    for j in range(-2, 3):
+        zeta = 1.0 - delta * 2.0**j
+        if 0.0 <= zeta < 1.0:
+            yield (
+                f"mean(zeta={zeta:.17g})",
+                _lambda_shells(top, n, zeta, complement=True),
+                perm * _lambda_shells(top, n, zeta),
+            )
+    shells = np.arange(top + 1)
+    for m in range(top + 1):
+        yield f"partial_sum({m})", (shells > m) * 1.0, perm * (shells <= m)
 
 
 def kfun_estimate(
@@ -294,81 +304,17 @@ def kfun_estimate(
         raise ValueError(f"delta must lie in (0, 1/2], got {delta}")
     if n < 1:
         raise ValueError(f"order n must be positive, got {n}")
-    if grid is None and p != 2:
-        raise ValueError("a grid is required for p != 2")
-
-    zetas = [1.0 - delta * 2.0**j for j in range(-2, 3)]
-    zetas = [z for z in zetas if 0.0 <= z < 1.0]
+    norm = _shell_norm(f, p, grid)
     dn = delta**n
-
-    if p == 2 and grid is None:
-        # Exact L2 path: every candidate's error and roughness reduce to
-        # weighted shell-mass sums, so no coefficient tables are built.
-        masses = [float(m) for m in f.shell_masses()]
-        top = len(masses) - 1
-        perm_sq = [
-            float(math.perm(nu, n)) ** 2 if nu >= n else 0.0
-            for nu in range(top + 1)
-        ]
-        scored: list[tuple[str, float, float]] = [
-            ("zero", math.sqrt(math.fsum(masses)), 0.0),
-            (
-                "identity",
-                0.0,
-                math.sqrt(math.fsum(q * m for q, m in zip(perm_sq, masses))),
-            ),
-        ]
-        for zeta in zetas:
-            comp = [lambda_complement(nu, n, zeta) for nu in range(top + 1)]
-            lam = [lambda_coeff(nu, n, zeta) for nu in range(top + 1)]
-            err = math.sqrt(math.fsum(c * c * m for c, m in zip(comp, masses)))
-            rough = math.sqrt(
-                math.fsum(q * l * l * m for q, l, m in zip(perm_sq, lam, masses))
-            )
-            scored.append((f"mean(zeta={zeta:.17g})", err, rough))
-        for m_deg in range(f.max_degree + 1):
-            err = math.sqrt(math.fsum(masses[m_deg + 1 :]))
-            rough = math.sqrt(
-                math.fsum(
-                    perm_sq[nu] * masses[nu] for nu in range(min(m_deg, top) + 1)
-                )
-            )
-            scored.append((f"partial_sum({m_deg})", err, rough))
-
-        upper = math.inf
-        winner = "none"
-        for name, err, rough in scored:
-            score = err + dn * rough
-            if score < upper:
-                upper = score
-                winner = name
-        lower = dn * _m2_spectral(f, 1.0 - delta, n)
-        return KfunEstimate(
-            delta=delta, n=n, upper=upper, lower_proxy=lower, argmin_candidate=winner
-        )
-
-    candidates: list[tuple[str, SpectralFunction]] = [
-        ("zero", SpectralFunction({}, max_degree=0)),
-        ("identity", f),
-    ]
-    for zeta in zetas:
-        candidates.append(
-            (f"mean(zeta={zeta:.17g})", apply_operator(f, SummationParams(zeta, n)))
-        )
-    for m in range(f.max_degree + 1):
-        candidates.append((f"partial_sum({m})", truncate_spectrum(f, m)))
 
     upper = math.inf
     winner = "none"
-    for name, h in candidates:
-        err = _difference_norm(f, h, p, grid)
-        rough = _function_norm(radial_derivative(h, n), p, grid)
-        score = err + dn * rough
+    for name, err, rough in _kfun_candidates(f.max_degree, delta, n):
+        score = norm(err) + dn * norm(rough)
         if score < upper:
             upper = score
             winner = name
-
-    lower = dn * m_p(f, 1.0 - delta, n, p, grid)
+    lower = dn * norm(_poisson_derivative_shells(f.max_degree, n, 1.0 - delta))
     return KfunEstimate(
         delta=delta, n=n, upper=upper, lower_proxy=lower, argmin_candidate=winner
     )
@@ -381,8 +327,8 @@ def kfun_estimate(
 def remainder_coefficient_check(nu: int, r: int, rho: float) -> tuple[float, float]:
     """Both sides of the shell-wise deviation identity.
 
-    lhs: the complement multiplier 1 - lambda_{nu,r}(rho) in its
-    cancellation-free binomial form.  rhs: the integral
+    lhs: the complement multiplier 1 - lambda_{nu,r}(rho) as an incomplete
+    beta value.  rhs: the integral
     (nu!/(nu-r)!)/(r-1)! * int_rho^1 zeta^{nu-r} (1-zeta)^{r-1} dzeta by
     adaptive quadrature.  The two agree to 1e-10 or better.
     """
@@ -418,15 +364,19 @@ def remainder_integral_norm(
     against (1-zeta)^{r-1}/(r-1)! over [rho, 1], shell by shell, with
     Gauss-Legendre nodes after the substitution zeta = 1 - (1-rho) u
     (u in [0, 1]).  The integrand is then a polynomial of degree nu - 1
-    in u, so 64 nodes are exact for every shell nu <= 128.  Requires
-    r >= 2 (at r = 1 the identity degenerates to the plain Poisson
-    deviation).
+    in u, so N nodes are exact for every shell nu <= 2 N; a nonzero
+    coefficient on a higher shell raises ValueError.  Requires r >= 2
+    (at r = 1 the identity degenerates to the plain Poisson deviation).
     """
     rho, r = params.rho, params.r
     if r < 2:
         raise ValueError(f"order r must be at least 2, got {r}")
     if zeta_nodes < 16:
         raise ValueError(f"at least 16 nodes required, got {zeta_nodes}")
+    top = max((idx.degree() for idx, c in f.items() if c != 0), default=0)
+    if top > 2 * zeta_nodes:
+        raise ValueError(f"{zeta_nodes} nodes are exact up to shell "
+                         f"{2 * zeta_nodes}, f reaches shell {top}")
     x, w = np.polynomial.legendre.leggauss(zeta_nodes)
     u = 0.5 * (x + 1.0)
     wu = 0.5 * w

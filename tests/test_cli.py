@@ -18,7 +18,7 @@ from hexsum.cli import (
     validate_config,
 )
 from hexsum.families import random_spectrum
-from hexsum.fourier import save_spectral
+from hexsum.fourier import SpectralFunction, save_spectral
 
 
 def _cfg(argv):
@@ -200,6 +200,39 @@ def test_main_rejects_bad_input_file(tmp_path, monkeypatch, capsys):
     assert rc == 2
     assert "invalid spectral input" in err
     assert "(1, 1, 0)" in err
+
+
+def test_main_rejects_nan_coefficient(tmp_path, monkeypatch, capsys):
+    # json.load accepts a bare NaN; it must not reach the sweeps
+    monkeypatch.chdir(tmp_path)
+    bad = tmp_path / "nan.json"
+    bad.write_text(
+        '{"max_degree": 1, "entries": [{"k": [1, 0, -1], "re": NaN, "im": 0.0}]}'
+    )
+    rc = main(["rates", "--input", str(bad)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "invalid spectral input" in captured.err and "finite" in captured.err
+
+
+def test_main_high_degree_input(tmp_path, monkeypatch):
+    # one coefficient per shell up to 1100, past the degree (~1030) where the
+    # binomial coefficients C(nu, j) of the multipliers no longer fit a float
+    monkeypatch.chdir(tmp_path)
+    degree = 1100
+    f = SpectralFunction({(nu, -nu, 0): 1.0 / (1 + nu) for nu in range(degree + 1)})
+    inp = tmp_path / "high.json"
+    save_spectral(f, inp)
+    for command in ("rates", "approximate"):
+        out = f"{command}.json"
+        argv = [command, "--input", str(inp), "--r", "2", "--format", "json"]
+        assert main(argv + ["--out", out]) == 0
+        rows = json.loads((tmp_path / out).read_text())["rows"]
+        devs = [row["deviation"] for row in rows if row["row_type"] == "point"]
+        assert len(devs) == 7
+        assert all(isinstance(d, float) and math.isfinite(d) and d > 0.0 for d in devs)
 
 
 def test_main_argparse_error_is_exit_2():

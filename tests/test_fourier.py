@@ -204,7 +204,9 @@ def test_is_real_symmetric():
 
 def test_scale_shells_drops_zeros():
     f = _sample_spectrum(3)
-    g = scale_shells(f, lambda nu: 0.0 if nu == 2 else 1.0)
+    calls = []
+    g = scale_shells(f, lambda nu: calls.append(nu) or (0.0 if nu == 2 else 1.0))
+    assert calls == [0, 1, 2, 3]  # once per shell, not per coefficient
     assert g.support_size == f.support_size - len(index_shell(2))
     for k, c in f.items():
         if k.degree() != 2:
@@ -344,9 +346,34 @@ def test_json_rejects_bad_payloads():
     with pytest.raises(SpectralFormatError):
         spectral_from_json_dict(notnum)
 
+    for field, value in (
+        ("re", math.nan),
+        ("im", math.inf),
+        ("re", -math.inf),
+        ("re", 10**400),
+        ("im", True),
+    ):
+        nonfinite = json.loads(json.dumps(good))
+        nonfinite["entries"][0][field] = value
+        with pytest.raises(SpectralFormatError, match="finite"):
+            spectral_from_json_dict(nonfinite)
+
+    bool_degree = json.loads(json.dumps(good))
+    bool_degree["max_degree"] = True
+    with pytest.raises(SpectralFormatError, match="max_degree"):
+        spectral_from_json_dict(bool_degree)
+
+    bool_k = json.loads(json.dumps(good))
+    bool_k["entries"][0]["k"] = [True, 0, -1]
+    with pytest.raises(SpectralFormatError, match="k must be"):
+        spectral_from_json_dict(bool_k)
+
 
 def test_load_spectral_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
+    with pytest.raises(SpectralFormatError):
+        load_spectral(path)
+    path.write_bytes(b'{"max_degree": 0, "entries": [\xff]}')
     with pytest.raises(SpectralFormatError):
         load_spectral(path)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +68,36 @@ def test_lambda_identity_and_range(nu, r, rho):
     assert 0.0 <= lam <= 1.0
     assert 0.0 <= comp <= 1.0
     assert lam + comp == pytest.approx(1.0, abs=1e-12)
+
+
+def _binomial_terms(nu, rho):
+    """C(nu,j) (1-rho)^j rho^(nu-j) for j = 0..nu at the working precision."""
+    x = mpmath.mpf(rho)
+    if x == 0:
+        return [mpmath.mpf(0)] * nu + [mpmath.mpf(1)]
+    terms = [x**nu]
+    ratio = (1 - x) / x
+    for j in range(nu):
+        terms.append(terms[-1] * ratio * (nu - j) / (j + 1))
+    return terms
+
+
+def test_lambda_matches_high_precision_binomial_sums():
+    # the defining binomial sums at 50 digits, against the betainc values
+    worst = 0.0
+    with mpmath.workdps(50):
+        for nu in (1, 2, 3, 7, 20, 61, 200, 777, 1031, 2000):
+            for rho in (0.0, 0.01, 0.2, 0.5, 0.75, 0.9, 0.99, 0.999):
+                terms = _binomial_terms(nu, rho)
+                for r in range(1, 7):
+                    for got, ref in (
+                        (lambda_coeff(nu, r, rho), mpmath.fsum(terms[:r])),
+                        (lambda_complement(nu, r, rho), mpmath.fsum(terms[r:])),
+                    ):
+                        assert 0.0 <= got <= 1.0
+                        if ref >= 1e-300:
+                            worst = max(worst, float(abs(got - ref) / ref))
+    assert worst <= 1e-13
 
 
 def test_lambda_validation():
@@ -169,6 +200,9 @@ def test_deviation_on_single_shell():
     want = lambda_complement(4, 2, 0.3)
     assert deviation_norm(f, params, 2.0, grid) == pytest.approx(want, rel=1e-10)
     assert deviation_l2_spectral(f, params) == pytest.approx(want, rel=1e-13)
+    assert deviation_norm(f, params, 2.0, None) == deviation_l2_spectral(f, params)
+    with pytest.raises(ValueError, match="grid"):
+        deviation_norm(f, params, 3.0, None)
 
 
 def test_m_p_on_single_shell():
@@ -176,6 +210,7 @@ def test_m_p_on_single_shell():
     grid = make_grid(32)
     want = math.perm(5, 2) * 0.6**5
     assert m_p(f, 0.6, 2, 2.0, grid) == pytest.approx(want, rel=1e-10)
+    assert m_p(f, 0.6, 2, 2.0, None) == pytest.approx(want, rel=1e-13)
     with pytest.raises(ValueError):
         m_p(f, 1.0, 2, 2.0, grid)
     with pytest.raises(ValueError):
@@ -226,6 +261,19 @@ def test_remainder_integral_validation():
     with pytest.raises(ValueError):
         remainder_integral_norm(
             f, SummationParams(0.5, 2), 2.0, grid, zeta_nodes=8
+        )
+
+
+def test_remainder_integral_exact_shells_only():
+    # N Gauss-Legendre nodes are exact up to shell 2N and refuse above it
+    params = SummationParams(0.5, 2)
+    grid = make_grid(16)
+    edge = basis_family(32).function
+    got = remainder_integral_norm(edge, params, 2.0, grid, zeta_nodes=16)
+    assert got == pytest.approx(lambda_complement(32, 2, 0.5), rel=1e-12)
+    with pytest.raises(ValueError, match="shell 40"):
+        remainder_integral_norm(
+            basis_family(40).function, params, 2.0, grid, zeta_nodes=16
         )
 
 
