@@ -52,6 +52,11 @@ COMMANDS = ("verify", "kernel", "bernstein", "approximate", "rates", "kfun")
 #: series cutoff used by the kernel command's closed-vs-series cross check
 KERNEL_CUTOFF = 400
 
+#: largest k with rho = 1 - 2^-k < 1.0 in binary64; 1 - 2^-54 rounds to 1.0
+RHO_KMAX = sys.float_info.mant_dig
+#: largest k with kfun's delta = 2^-k > 0.0; 2^-1074 is the smallest subnormal
+DELTA_KMAX = 1074
+
 
 class ConfigError(Exception):
     """Invalid configuration, flag value, or config file."""
@@ -180,8 +185,18 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(
                 "kfun needs rho-kmin >= 1 so every delta = 2^-k stays in (0, 1/2]"
             )
+        if cfg.k_max > DELTA_KMAX:
+            raise ConfigError(
+                f"kfun needs rho-kmax <= {DELTA_KMAX} so delta = 2^-k stays "
+                f"positive, got {cfg.k_max}"
+            )
     if cfg.command == "rates" and cfg.p != 2.0:
         raise ConfigError("rates uses the exact spectral L2 deviation; p must be 2")
+    if cfg.command in ("kernel", "bernstein", "approximate", "rates") and cfg.k_max > RHO_KMAX:
+        raise ConfigError(
+            f"{cfg.command} needs rho-kmax <= {RHO_KMAX} so rho = 1 - 2^-k stays "
+            f"below 1, got {cfg.k_max}"
+        )
 
 
 def build_config(ns: argparse.Namespace) -> ExperimentConfig:

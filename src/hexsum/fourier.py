@@ -10,8 +10,9 @@ Omega exactly for trigonometric polynomials of degree d whenever 4 d < n,
 because frequency differences in the (t1, t2)-dual chart are bounded by
 2 d per component.
 
-All reductions run through a fixed pairwise tree so results do not depend
-on scheduling.
+The transforms are 2-D DFTs, since phi_k(m) = exp(2 pi i ((k1 - k3) m1 +
+(k2 - k3) m2) / n) on the grid (Li, Sun and Xu, SIAM J. Numer. Anal. 46,
+2008); numpy's pocketfft is deterministic, so reruns agree bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .lattice import HexIndex, HexPoint, fold_arrays, indices_up_to
+from .lattice import HexIndex, HexPoint, fold_arrays
 
 TWO_PI_OVER_3 = 2.0 * math.pi / 3.0
 
@@ -101,8 +102,8 @@ class HexGrid:
     """Uniform n x n sampling of Omega with equal weights 1/n^2.
 
     Sample (m1, m2) sits at (t1, t2) = (3 m1 / n, 3 m2 / n), folded into
-    Omega.  Points are stored row-major in (m1, m2).  Folded coordinate
-    arrays are materialised lazily; streaming consumers should iterate
+    Omega.  Points are stored row-major in (m1, m2).  ``t_arrays`` folds
+    all n^2 points on each access; streaming consumers should iterate
     ``iter_chunks`` instead, which yields unfolded coordinates (periodic
     evaluations are unaffected by folding).
     """
@@ -112,7 +113,6 @@ class HexGrid:
             raise ValueError(f"grid resolution must be at least 4, got {n}")
         self.n = int(n)
         self.weight = 1.0 / (self.n * self.n)
-        self._folded: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def size(self) -> int:
@@ -129,10 +129,8 @@ class HexGrid:
     @property
     def t_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Folded homogeneous coordinates of all n^2 points."""
-        if self._folded is None:
-            t1, t2, _ = self._raw_coords(0, self.size)
-            self._folded = fold_arrays(t1, t2)
-        return self._folded
+        t1, t2, _ = self._raw_coords(0, self.size)
+        return fold_arrays(t1, t2)
 
     def iter_chunks(
         self, max_points: int = 1 << 19
@@ -216,14 +214,21 @@ class SpectralFunction:
         idx = k if isinstance(k, HexIndex) else HexIndex(*k)
         return self._coeffs.get((idx.k1, idx.k2), 0.0 + 0.0j)
 
+    def _support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """k1, k2, shell and coefficient arrays in canonical order."""
+        k1, k2 = np.array(list(self._coeffs), dtype=np.int64).reshape(-1, 2).T
+        shell = np.maximum(np.maximum(np.abs(k1), np.abs(k2)), np.abs(k1 + k2))
+        order = np.lexsort((k2, k1, shell))
+        coeffs = np.array(list(self._coeffs.values()), dtype=complex)
+        return k1[order], k2[order], shell[order], coeffs[order]
+
     def items(self) -> list[tuple[HexIndex, complex]]:
         """Coefficients in canonical (shell-major, lexicographic) order."""
-        keyed = []
-        for (k1, k2), c in self._coeffs.items():
-            idx = HexIndex(k1, k2, -k1 - k2)
-            keyed.append(((idx.degree(), k1, k2), idx, c))
-        keyed.sort(key=lambda rec: rec[0])
-        return [(idx, c) for _, idx, c in keyed]
+        k1, k2, _, coeffs = self._support()
+        return [
+            (HexIndex(a, b, -a - b), c)
+            for a, b, c in zip(k1.tolist(), k2.tolist(), coeffs.tolist())
+        ]
 
     @property
     def support_size(self) -> int:
@@ -231,33 +236,26 @@ class SpectralFunction:
 
     def degree(self) -> int:
         """Largest shell actually carrying a coefficient (0 if empty)."""
-        deg = 0
-        for (k1, k2) in self._coeffs:
-            deg = max(deg, max(abs(k1), abs(k2), abs(k1 + k2)))
-        return deg
+        return int(self._support()[2].max(initial=0))
 
     # -- diagnostics ---------------------------------------------------------
 
     def shell_masses(self) -> np.ndarray:
         """Sum of |coeff|^2 per shell, indexed 0..max_degree."""
-        masses = np.zeros(self.max_degree + 1)
-        for idx, c in self.items():
-            masses[idx.degree()] += (c.real * c.real + c.imag * c.imag)
-        return masses
+        _, _, shell, c = self._support()
+        return np.bincount(shell, c.real * c.real + c.imag * c.imag, self.max_degree + 1)
 
     def l2_norm(self) -> float:
         """Exact L2 norm over Omega via the coefficient sums."""
-        return math.sqrt(math.fsum(
-            c.real * c.real + c.imag * c.imag for _, c in self.items()
-        ))
+        masses = (c.real * c.real + c.imag * c.imag for c in self._coeffs.values())
+        return math.sqrt(math.fsum(masses))  # fsum is exact, so order is irrelevant
 
     def is_real_symmetric(self, tol: float = 1e-12) -> bool:
         """True when coeff(-k) agrees with conj(coeff(k)) within tol."""
-        for idx, c in self.items():
-            mirror = self.coeff(idx.negate())
-            if abs(mirror - c.conjugate()) > tol:
-                return False
-        return True
+        return not any(
+            abs(self._coeffs.get((-a, -b), 0j) - c.conjugate()) > tol
+            for (a, b), c in self._coeffs.items()
+        )
 
     def __repr__(self) -> str:
         return (
@@ -275,15 +273,13 @@ def scale_shells(
 
     ``multiplier`` is called once per shell present in the support.
     """
-    out: dict[HexIndex, complex] = {}
-    shell, m = -1, 0.0
-    for idx, c in f.items():  # shell-major order
-        nu = idx.degree()
-        if nu != shell:
-            shell, m = nu, multiplier(nu)
-        v = m * c
+    k1, k2, shell, coeffs = f._support()
+    mult = {nu: multiplier(nu) for nu in dict.fromkeys(shell.tolist())}  # increasing
+    out = {}
+    for a, b, nu, c in zip(k1.tolist(), k2.tolist(), shell.tolist(), coeffs.tolist()):
+        v = mult[nu] * c
         if v != 0:
-            out[idx] = v
+            out[(a, b, -a - b)] = v
     return SpectralFunction(out, max_degree=f.max_degree if max_degree is None else max_degree)
 
 
@@ -305,31 +301,34 @@ def subtract(f: SpectralFunction, g: SpectralFunction) -> SpectralFunction:
 
 def max_coeff_diff(f: SpectralFunction, g: SpectralFunction) -> float:
     """Largest coefficientwise difference over the union of supports."""
-    keys = {idx for idx, _ in f.items()} | {idx for idx, _ in g.items()}
-    if not keys:
-        return 0.0
-    return max(abs(f.coeff(k) - g.coeff(k)) for k in keys)
+    a, b = f._coeffs, g._coeffs
+    return max((abs(a.get(k, 0j) - b.get(k, 0j)) for k in a.keys() | b.keys()), default=0.0)
 
 
 # --------------------------------------------------------------------------
 # transforms
 # --------------------------------------------------------------------------
 
-def synthesize(f: SpectralFunction, grid: HexGrid) -> GridFunction:
-    """Evaluate f on every grid point.
+def _dft_bins(k1: np.ndarray, k2: np.ndarray, n: int) -> np.ndarray:
+    """Row-major n x n DFT bin ((k1 - k3) mod n, (k2 - k3) mod n) of phi_k."""
+    return ((2 * k1 + k2) % n) * n + (k1 + 2 * k2) % n
 
-    Accumulation runs shell by shell in increasing degree, lexicographic
-    within each shell, so rounding is reproducible.
-    """
-    t1, t2, t3 = grid.t_arrays
-    vals = np.zeros(grid.size, dtype=complex)
-    for idx, c in f.items():
-        vals += c * phi_values(idx, t1, t2, t3)
-    return GridFunction(grid, vals)
+
+def _grid_function(grid: HexGrid, bins: np.ndarray, coeffs: np.ndarray) -> GridFunction:
+    """sum_j coeffs[j] phi_(k_j) on grid; coefficients sharing a bin add up in order."""
+    spectrum = np.zeros(grid.size, dtype=complex)
+    np.add.at(spectrum, bins, coeffs)
+    return GridFunction(grid, np.fft.ifft2(spectrum.reshape(grid.n, -1), norm="forward").ravel())
+
+
+def synthesize(f: SpectralFunction, grid: HexGrid) -> GridFunction:
+    """Evaluate f on every grid point with one inverse 2-D FFT."""
+    k1, k2, _, coeffs = f._support()
+    return _grid_function(grid, _dft_bins(k1, k2, grid.n), coeffs)
 
 
 def analyze(g: GridFunction, max_degree: int) -> SpectralFunction:
-    """Grid-average Fourier coefficients for all degrees <= max_degree.
+    """Grid-average Fourier coefficients for all degrees <= max_degree, by one FFT.
 
     Exact for inputs sampled from polynomials of degree d when the grid
     satisfies 4 d < n; otherwise aliasing corrupts coefficients and a
@@ -346,12 +345,12 @@ def analyze(g: GridFunction, max_degree: int) -> SpectralFunction:
             ResolutionWarning,
             stacklevel=2,
         )
-    t1, t2, t3 = g.grid.t_arrays
-    coeffs: dict[HexIndex, complex] = {}
-    for idx in indices_up_to(max_degree):
-        prod = g.values * np.conj(phi_values(idx, t1, t2, t3))
-        coeffs[idx] = complex(pairwise_sum(prod) * g.grid.weight)
-    return SpectralFunction(coeffs, max_degree=max_degree)
+    spectrum = np.fft.fft2(g.values.reshape(n, n), norm="forward").ravel()
+    k1, k2 = np.mgrid[-max_degree:max_degree + 1, -max_degree:max_degree + 1].reshape(2, -1)
+    k1, k2 = np.compress(np.abs(k1 + k2) <= max_degree, [k1, k2], axis=1)
+    coeffs = spectrum[_dft_bins(k1, k2, n)].tolist()
+    keys = zip(k1.tolist(), k2.tolist(), (-k1 - k2).tolist())  # indices_up_to's set
+    return SpectralFunction(zip(keys, coeffs), max_degree=max_degree)
 
 
 def lp_norm(g: GridFunction, p: float) -> float:
@@ -416,8 +415,8 @@ def spectral_from_json_dict(doc: dict) -> SpectralFunction:
     if missing:
         raise SpectralFormatError(f"missing top-level fields: {sorted(missing)}")
     max_degree = doc["max_degree"]
-    if not _is_int(max_degree) or max_degree < 0:
-        raise SpectralFormatError(f"max_degree must be a nonnegative integer, got {max_degree!r}")
+    if not _is_int(max_degree) or not 0 <= max_degree < 2**62:  # int64 store arithmetic
+        raise SpectralFormatError(f"max_degree must be an integer in [0, 2^62): {max_degree!r}")
     entries = doc["entries"]
     if not isinstance(entries, list):
         raise SpectralFormatError("entries must be a list")

@@ -35,7 +35,15 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import betainc
 
-from .fourier import HexGrid, SpectralFunction, lp_norm, scale_shells, synthesize
+from .fourier import (
+    HexGrid,
+    SpectralFunction,
+    _dft_bins,
+    _grid_function,
+    lp_norm,
+    scale_shells,
+    synthesize,
+)
 from .kernels import hex_kernel_closed_values
 
 
@@ -116,7 +124,7 @@ def apply_operator(f: SpectralFunction, params: SummationParams) -> SpectralFunc
     Shells with multiplier exactly 1 pass through bitwise unchanged;
     rho=0 zeroes every shell nu >= r, leaving the partial sum S_{r-1}.
     """
-    lam = _lambda_shells(f.max_degree, params.r, params.rho)
+    lam = _lambda_shells(f.degree(), params.r, params.rho)
     return scale_shells(f, lam.tolist().__getitem__)
 
 
@@ -147,7 +155,7 @@ def radial_derivative(f: SpectralFunction, n: int) -> SpectralFunction:
     """Order-n radial derivative: shell nu scaled by nu!/(nu-n)!, low shells dropped."""
     if n < 1:
         raise ValueError(f"derivative order must be positive, got {n}")
-    return scale_shells(f, _perm_shells(f.max_degree, n).tolist().__getitem__)
+    return scale_shells(f, _perm_shells(f.degree(), n).tolist().__getitem__)
 
 
 def poisson_integral_spectral(f: SpectralFunction, rho: float) -> SpectralFunction:
@@ -187,21 +195,23 @@ def poisson_integral_convolution(g, rho: float):
 def _shell_norm(
     f: SpectralFunction, p: float, grid: HexGrid | None
 ) -> Callable[[np.ndarray], float]:
-    """mult -> ||f with shell nu scaled by mult[nu]||_p (shells 0..max_degree).
+    """mult -> ||f with shell nu scaled by mult[nu]||_p (shells 0..f.degree()).
 
     The only place that chooses how a norm is evaluated.  grid=None is
-    the exact L2 norm from the shell masses, computed once here rather
-    than per call; otherwise the scaled function is synthesized on the
-    grid and its grid p-norm taken.
+    the exact L2 norm from the shell masses; otherwise the scaled
+    coefficients go into their DFT bins and the grid p-norm of one inverse
+    FFT is taken.  Shells, masses and bins are computed once here rather
+    than per call.
     """
+    k1, k2, shell, coeffs = f._support()
     if grid is None:
         if p != 2:
             raise ValueError("a grid is required for p != 2")
-        masses = f.shell_masses()
+        weights = coeffs.real * coeffs.real + coeffs.imag * coeffs.imag
+        masses = np.bincount(shell, weights)  # shells 0..f.degree()
         return lambda mult: math.sqrt(math.fsum((mult * mult * masses).tolist()))
-    return lambda mult: lp_norm(
-        synthesize(scale_shells(f, mult.tolist().__getitem__), grid), p
-    )
+    bins = _dft_bins(k1, k2, grid.n)
+    return lambda mult: lp_norm(_grid_function(grid, bins, mult[shell] * coeffs), p)
 
 
 def deviation_norm(
@@ -212,7 +222,7 @@ def deviation_norm(
     The difference is formed spectrally with the complement multipliers,
     avoiding the 1 - lambda cancellation entirely.
     """
-    comp = _lambda_shells(f.max_degree, params.r, params.rho, complement=True)
+    comp = _lambda_shells(f.degree(), params.r, params.rho, complement=True)
     return _shell_norm(f, p, grid)(comp)
 
 
@@ -234,7 +244,7 @@ def m_p(
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
     if r < 1:
         raise ValueError(f"order r must be positive, got {r}")
-    return _shell_norm(f, p, grid)(_poisson_derivative_shells(f.max_degree, r, rho))
+    return _shell_norm(f, p, grid)(_poisson_derivative_shells(f.degree(), r, rho))
 
 
 # --------------------------------------------------------------------------
@@ -306,15 +316,16 @@ def kfun_estimate(
         raise ValueError(f"order n must be positive, got {n}")
     norm = _shell_norm(f, p, grid)
     dn = delta**n
+    top = f.degree()
 
     upper = math.inf
     winner = "none"
-    for name, err, rough in _kfun_candidates(f.max_degree, delta, n):
+    for name, err, rough in _kfun_candidates(top, delta, n):
         score = norm(err) + dn * norm(rough)
         if score < upper:
             upper = score
             winner = name
-    lower = dn * norm(_poisson_derivative_shells(f.max_degree, n, 1.0 - delta))
+    lower = dn * norm(_poisson_derivative_shells(top, n, 1.0 - delta))
     return KfunEstimate(
         delta=delta, n=n, upper=upper, lower_proxy=lower, argmin_candidate=winner
     )

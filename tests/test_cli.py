@@ -235,6 +235,52 @@ def test_main_high_degree_input(tmp_path, monkeypatch):
         assert all(isinstance(d, float) and math.isfinite(d) and d > 0.0 for d in devs)
 
 
+def test_main_declared_degree_far_above_data(tmp_path, monkeypatch):
+    # shell arrays follow the data, not the declared bound (3e9 shells would
+    # need 22 GiB per array)
+    monkeypatch.chdir(tmp_path)
+    sweeps = (
+        ["rates", "--r", "2"],
+        ["approximate", "--r", "2"],
+        ["kfun", "--n", "2"],
+        ["approximate", "--grid", "16", "--p", "inf"],
+        ["kfun", "--grid", "16", "--p", "3", "--rho-kmax", "3"],
+    )
+    entry = {"k": [1, 0, -1], "re": 1.0, "im": 0.0}
+    reports = {}
+    for declared in (1, 3_000_000_000):
+        inp = tmp_path / f"declared{declared}.json"
+        inp.write_text(json.dumps({"max_degree": declared, "entries": [entry]}))
+        for i, args in enumerate(sweeps):
+            assert main(args + ["--input", str(inp), "--format", "json", "--out", "r.json"]) == 0
+            rows = json.loads((tmp_path / "r.json").read_text())["rows"]
+            reports[declared, i] = [{k: v for k, v in r.items() if k != "family"} for r in rows]
+    for i, args in enumerate(sweeps):
+        assert reports[3_000_000_000, i] == reports[1, i], args
+
+
+@pytest.mark.parametrize("command", ["kernel", "bernstein", "approximate", "rates"])
+def test_main_rho_ladder_beyond_float_precision_is_exit_2(tmp_path, monkeypatch, capsys, command):
+    # rho = 1 - 2^-54 rounds to 1.0
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--rho-kmin", "59", "--rho-kmax", "60"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {command} needs rho-kmax <= 53 so rho = 1 - 2^-k stays below 1, got 60"
+    ]
+    validate_config(ExperimentConfig(command, k_min=53, k_max=53))
+
+
+def test_main_kfun_delta_underflow_is_exit_2(tmp_path, monkeypatch, capsys):
+    # delta = 2^-1075 underflows to 0.0; 2^-1074 is the smallest subnormal
+    monkeypatch.chdir(tmp_path)
+    inp = _write_input(tmp_path)
+    assert main(["kfun", "--input", inp, "--rho-kmin", "1074", "--rho-kmax", "1074"]) == 0
+    assert main(["kfun", "--input", inp, "--rho-kmin", "1075", "--rho-kmax", "1075"]) == 2
+    assert "rho-kmax <= 1074" in capsys.readouterr().err
+
+
 def test_main_argparse_error_is_exit_2():
     assert main(["frobnicate"]) == 2
 
@@ -341,13 +387,18 @@ def test_main_verify_with_input_roundtrip(tmp_path, monkeypatch, capsys):
 def test_reports_are_byte_identical_across_reruns(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     inp = _write_input(tmp_path, degree=4, seed=3)
-    argv = ["rates", "--input", inp, "--out", "rep.csv", "--r", "2"]
-    assert main(argv) == 0
-    first = (tmp_path / "rep.csv").read_bytes()
-    assert main(argv) == 0
-    second = (tmp_path / "rep.csv").read_bytes()
-    assert first == second
-    assert b"\r" not in first
+    for args in (
+        ["rates", "--r", "2"],
+        ["approximate", "--r", "2", "--grid", "40", "--p", "inf"],
+        ["kfun", "--grid", "40", "--p", "3"],
+    ):
+        argv = args + ["--input", inp, "--out", "rep.csv"]
+        assert main(argv) == 0
+        first = (tmp_path / "rep.csv").read_bytes()
+        assert main(argv) == 0
+        second = (tmp_path / "rep.csv").read_bytes()
+        assert first == second, args
+        assert b"\r" not in first
 
 
 def test_default_report_name_uses_format(tmp_path, monkeypatch):

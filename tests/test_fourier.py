@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -243,6 +244,50 @@ def test_analyze_roundtrip_and_parseval():
     assert abs(mass - mean_sq) < 1e-10
 
 
+def _oracle_degrees(n):
+    """A degree below n/4, one at n/4 (aliasing), and one at which bins collide.
+
+    (k1, k2) -> ((k1 - k3) mod n, (k2 - k3) mod n) is one-to-one on degrees
+    below n/2, or below n/3 when 3 divides n.
+    """
+    return sorted({(n - 1) // 4, -(-n // 4), n // 3 if n % 3 == 0 else n // 2})
+
+
+@pytest.mark.parametrize("n", [4, 9, 56, 81])
+def test_synthesize_matches_direct_sum(n):
+    g = make_grid(n)
+    t1, t2, t3 = g.t_arrays
+    for degree in _oracle_degrees(n):
+        f = _sample_spectrum(degree, seed=n)
+        want = np.zeros(g.size, dtype=complex)
+        for k, c in f.items():
+            want += c * phi_values(k, t1, t2, t3)
+        got = synthesize(f, g).values
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (n, degree)
+    k1, k2 = np.array([(k.k1, k.k2) for k, _ in f.items()]).T
+    bins = {((2 * a + b) % n, (a + 2 * b) % n) for a, b in zip(k1, k2)}
+    assert len(bins) < f.support_size  # the top degree puts two frequencies in one bin
+
+
+@pytest.mark.parametrize("n", [4, 9, 56, 81])
+def test_analyze_matches_grid_average(n):
+    g = make_grid(n)
+    t1, t2, t3 = g.t_arrays
+    rng = np.random.default_rng(n)
+    samples = GridFunction(g, rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size))
+    for degree in _oracle_degrees(n):
+        keys = indices_up_to(degree)
+        want = np.array(
+            [np.mean(samples.values * np.conj(phi_values(k, t1, t2, t3))) for k in keys]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            back = analyze(samples, degree)
+        assert back.support_size == len(keys)
+        got = np.array([back.coeff(k) for k in keys])
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (n, degree)
+
+
 def test_analyze_warns_below_threshold():
     f = _sample_spectrum(4, seed=1)
     g = make_grid(16)
@@ -358,10 +403,11 @@ def test_json_rejects_bad_payloads():
         with pytest.raises(SpectralFormatError, match="finite"):
             spectral_from_json_dict(nonfinite)
 
-    bool_degree = json.loads(json.dumps(good))
-    bool_degree["max_degree"] = True
-    with pytest.raises(SpectralFormatError, match="max_degree"):
-        spectral_from_json_dict(bool_degree)
+    for value in (True, 2**62):  # 2^62 is beyond the store's int64 arithmetic
+        bad_degree = json.loads(json.dumps(good))
+        bad_degree["max_degree"] = value
+        with pytest.raises(SpectralFormatError, match="max_degree"):
+            spectral_from_json_dict(bad_degree)
 
     bool_k = json.loads(json.dumps(good))
     bool_k["entries"][0]["k"] = [True, 0, -1]
