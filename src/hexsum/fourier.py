@@ -21,7 +21,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -103,9 +103,8 @@ class HexGrid:
 
     Sample (m1, m2) sits at (t1, t2) = (3 m1 / n, 3 m2 / n), folded into
     Omega.  Points are stored row-major in (m1, m2).  ``t_arrays`` folds
-    all n^2 points on each access; streaming consumers should iterate
-    ``iter_chunks`` instead, which yields unfolded coordinates (periodic
-    evaluations are unaffected by folding).
+    all n^2 points on each access; the transforms and the kernel integrals
+    work from (m1, m2) directly and build no coordinate arrays.
     """
 
     def __init__(self, n: int):
@@ -131,13 +130,6 @@ class HexGrid:
         """Folded homogeneous coordinates of all n^2 points."""
         t1, t2, _ = self._raw_coords(0, self.size)
         return fold_arrays(t1, t2)
-
-    def iter_chunks(
-        self, max_points: int = 1 << 19
-    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Yield unfolded coordinate chunks of at most ``max_points`` points."""
-        for start in range(0, self.size, max_points):
-            yield self._raw_coords(start, min(start + max_points, self.size))
 
     def points(self) -> list[HexPoint]:
         """Folded sample points as HexPoint objects (small grids only)."""

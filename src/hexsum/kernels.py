@@ -17,6 +17,14 @@ W2 = rho/(1 + rho)^2.  High-order rho-derivatives come from the general
 Leibniz rule: the circle-kernel derivatives have the closed form
 2 r! Re(e^{irz} / (1 - rho e^{iz})^{r+1}) and the weight derivatives are
 computed exactly by integer-coefficient quotient-rule differentiation.
+The expansion is one coefficient tensor C[i, j, k] over the factor orders.
+
+Grid sample (m1, m2) has z1 = 2 pi a / n, z3 = 2 pi b / n and
+z2 = -2 pi (a + b) / n, (a, b) = ((m1 + 2 m2) mod n, (m1 - m2) mod n) (Li,
+Sun and Xu, SIAM J. Numer. Anal. 46, 2008).  So grid integrals need the
+circle-kernel tables only at the n roots of unity, and the kernel is a few
+small matrix products in a and b times a Hankel factor in a + b.  The map
+m -> (a, b) is onto Z_n^2 unless 3 | n, when it covers a = b (mod 3) thrice.
 
 The truncated shell series serves as an independent oracle, with the
 tail sum_{nu > c} 6 nu rho^nu available in closed form.
@@ -49,18 +57,6 @@ def _check_rho(rho: float) -> None:
 def _check_order(r: int) -> None:
     if not 0 <= r <= R_MAX:
         raise ValueError(f"derivative order must lie in 0..{R_MAX}, got {r}")
-
-
-@dataclass(frozen=True)
-class KernelEval:
-    """Validated (rho, r) parameter pair for kernel-derivative sweeps."""
-
-    rho: float
-    r: int
-
-    def __post_init__(self) -> None:
-        _check_rho(self.rho)
-        _check_order(self.r)
 
 
 # --------------------------------------------------------------------------
@@ -199,14 +195,8 @@ def _classical_deriv_table(rho: float, z: np.ndarray, r_max: int) -> list[np.nda
 # --------------------------------------------------------------------------
 
 def _z_arrays(t1, t2, t3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
-    t3 = np.asarray(t3, dtype=float)
-    return (
-        TWO_PI_OVER_3 * (t2 - t3),
-        TWO_PI_OVER_3 * (t3 - t1),
-        TWO_PI_OVER_3 * (t1 - t2),
-    )
+    t1, t2, t3 = (np.asarray(t, dtype=float) for t in (t1, t2, t3))
+    return TWO_PI_OVER_3 * (t2 - t3), TWO_PI_OVER_3 * (t3 - t1), TWO_PI_OVER_3 * (t1 - t2)
 
 
 def hex_kernel_closed(rho: float, t: HexPoint) -> float:
@@ -223,10 +213,7 @@ def hex_kernel_closed(rho: float, t: HexPoint) -> float:
 def hex_kernel_closed_values(rho: float, t1, t2, t3) -> np.ndarray:
     """Closed-form lattice kernel on coordinate arrays."""
     _check_rho(rho)
-    z1, z2, z3 = _z_arrays(t1, t2, t3)
-    p1 = _classical_deriv_table(rho, z1, 0)[0]
-    p2 = _classical_deriv_table(rho, z2, 0)[0]
-    p3 = _classical_deriv_table(rho, z3, 0)[0]
+    p1, p2, p3 = (_classical_deriv_table(rho, z, 0)[0] for z in _z_arrays(t1, t2, t3))
     w3 = TRIPLE_WEIGHT.evaluate(rho)
     w2 = PAIR_WEIGHT.evaluate(rho)
     return w3 * (p1 * p2 * p3) + w2 * (p1 * p2 + p1 * p3 + p2 * p3)
@@ -313,35 +300,25 @@ def hex_deriv_series_values(rho: float, t1, t2, t3, r: int, cutoff: int) -> np.n
 # hexagonal kernel derivatives (Leibniz over the closed form)
 # --------------------------------------------------------------------------
 
-def _leibniz_combine(rho: float, r: int, d1, d2, d3):
-    """General Leibniz expansion of the weighted products at order r.
+def _leibniz_tensor(rho: float, r: int) -> np.ndarray:
+    """C[i, j, k]: coefficient of d1[i] d2[j] d3[k] in the r-th rho-derivative.
 
-    d1, d2, d3 are derivative tables (order 0..r) of the three circle
-    factors; entries may be scalars or arrays.
+    d1, d2, d3 are the derivative tables of the three circle factors; index
+    r + 1 stands for an absent factor, whose table row is all ones.
     """
     fact = math.factorial
-    w3 = [triple_weight_deriv(s).evaluate(rho) for s in range(r + 1)]
-    w2 = [pair_weight_deriv(s).evaluate(rho) for s in range(r + 1)]
-    total = None
-
-    def add(term):
-        nonlocal total
-        total = term if total is None else total + term
-
-    r_fact = fact(r)
+    coeffs = np.zeros((r + 2, r + 2, r + 2))
     for s in range(r + 1):
+        w3 = triple_weight_deriv(s).evaluate(rho)
+        w2 = pair_weight_deriv(s).evaluate(rho)
         for i in range(r - s + 1):
             for j in range(r - s - i + 1):
                 k = r - s - i - j
-                c = r_fact // (fact(s) * fact(i) * fact(j) * fact(k))
-                add((c * w3[s]) * (d1[i] * d2[j] * d3[k]))
-    for da, db in ((d1, d2), (d1, d3), (d2, d3)):
-        for s in range(r + 1):
-            for i in range(r - s + 1):
-                j = r - s - i
-                c = r_fact // (fact(s) * fact(i) * fact(j))
-                add((c * w2[s]) * (da[i] * db[j]))
-    return total
+                coeffs[i, j, k] = (fact(r) // (fact(s) * fact(i) * fact(j) * fact(k))) * w3
+            j = r - s - i
+            pair = (fact(r) // (fact(s) * fact(i) * fact(j))) * w2
+            coeffs[i, j, r + 1] = coeffs[i, r + 1, j] = coeffs[r + 1, i, j] = pair
+    return coeffs
 
 
 def hex_kernel_deriv_values(rho: float, t1, t2, t3, r: int) -> np.ndarray:
@@ -350,11 +327,11 @@ def hex_kernel_deriv_values(rho: float, t1, t2, t3, r: int) -> np.ndarray:
     _check_order(r)
     if r == 0:
         return hex_kernel_closed_values(rho, t1, t2, t3)
-    z1, z2, z3 = _z_arrays(t1, t2, t3)
-    d1 = _classical_deriv_table(rho, z1, r)
-    d2 = _classical_deriv_table(rho, z2, r)
-    d3 = _classical_deriv_table(rho, z3, r)
-    return _leibniz_combine(rho, r, d1, d2, d3)
+    d1, d2, d3 = (
+        np.array(_classical_deriv_table(rho, z, r) + [np.ones_like(z)])
+        for z in _z_arrays(t1, t2, t3)
+    )
+    return np.einsum("ijk,i...,j...,k...->...", _leibniz_tensor(rho, r), d1, d2, d3)
 
 
 def hex_kernel_deriv(rho: float, t: HexPoint, r: int) -> float:
@@ -367,8 +344,7 @@ def hex_kernel_deriv(rho: float, t: HexPoint, r: int) -> float:
     _check_order(r)
     if r == 0:
         return hex_kernel_closed(rho, t)
-    vals = hex_kernel_deriv_values(rho, [t.t1], [t.t2], [t.t3], r)
-    return float(vals[0])
+    return float(hex_kernel_deriv_values(rho, [t.t1], [t.t2], [t.t3], r)[0])
 
 
 # --------------------------------------------------------------------------
@@ -409,6 +385,38 @@ def _resolve_grid(rho: float, grid: HexGrid | None) -> HexGrid:
     return grid
 
 
+def _grid_mean_abs(rho: float, coeffs: np.ndarray, grid: HexGrid) -> float:
+    """Grid mean of |sum_ijk C[i, j, k] T[i](z1) T[j](z2) T[k](z3)| over (a, b).
+
+    T holds orders 0..r at the n roots of unity plus a row of ones.  Rows of
+    a go in blocks of at most 2^19 points, each reduced by pairwise_sum and
+    combined by fsum, so reruns agree bit for bit.
+    """
+    n, r = grid.n, coeffs.shape[0] - 2
+    roots = (2.0 * math.pi / n) * np.arange(n)
+    table = np.array(_classical_deriv_table(rho, roots, r) + [np.ones(n)])
+    slices = [j for j in range(r + 2) if np.any(coeffs[:, j, :])]
+    step = 3 if n % 3 == 0 else 1
+    span = np.arange(0, n, step)
+    rows = max(1, (1 << 19) // len(span))
+    totals = []
+    for c in range(step):
+        b_table = table[:, c + span]
+        for start in range(0, len(span), rows):
+            a = c + span[start:start + rows]
+            a_table = table[:, a].T
+            # T[j][-(a[p] + b[q]) mod n] with a[p] + b[q] = a[0] + c + step (p + q)
+            sums = (-(a[0] + c + step * np.arange(len(a) + len(span) - 1))) % n
+            vals = 0.0
+            for j in slices:
+                term = (a_table @ coeffs[:, j, :]) @ b_table
+                if j <= r:
+                    term *= np.lib.stride_tricks.sliding_window_view(table[j][sums], len(span))
+                vals += term
+            totals.append(float(pairwise_sum(np.abs(vals))))
+    return math.fsum(totals) * step * grid.weight
+
+
 class BernsteinResult(NamedTuple):
     value: float
     grid_n: int
@@ -427,11 +435,7 @@ def bernstein_integral(
     _check_rho(rho)
     _check_order(r)
     grid = _resolve_grid(rho, grid)
-    chunk_totals = []
-    for c1, c2, c3 in grid.iter_chunks():
-        vals = hex_kernel_deriv_values(rho, c1, c2, c3, r)
-        chunk_totals.append(float(pairwise_sum(np.abs(vals))))
-    value = math.fsum(chunk_totals) * grid.weight
+    value = _grid_mean_abs(rho, _leibniz_tensor(rho, r), grid)
     return BernsteinResult(value, grid.n, grid.n >= min_resolution(rho))
 
 
@@ -462,12 +466,7 @@ def product_integral(
     for o in orders:
         _check_order(o)
     grid = _resolve_grid(rho, grid)
-    chunk_totals = []
-    for c1, c2, c3 in grid.iter_chunks():
-        zs = _z_arrays(c1, c2, c3)
-        prod = None
-        for z, order in zip(zs, orders):
-            factor = _classical_deriv_table(rho, z, order)[order]
-            prod = factor if prod is None else prod * factor
-        chunk_totals.append(float(pairwise_sum(np.abs(prod))))
-    return math.fsum(chunk_totals) * grid.weight
+    r = max(orders)
+    coeffs = np.zeros((r + 2, r + 2, r + 2))
+    coeffs[tuple(orders + [r + 1] * (3 - len(orders)))] = 1.0
+    return _grid_mean_abs(rho, coeffs, grid)

@@ -105,8 +105,19 @@ def _lambda_shells(
 
 
 def _perm_shells(top: int, n: int) -> np.ndarray:
-    """Radial-derivative multipliers nu!/(nu-n)! over shells 0..top (0 below n)."""
-    return np.array([float(math.perm(nu, n)) for nu in range(top + 1)])
+    """Radial-derivative multipliers nu!/(nu-n)! over shells 0..top (0 below n).
+
+    Raises ValueError when a multiplier leaves the float range.
+    """
+    out = np.zeros(top + 1)
+    for nu in range(n, top + 1):
+        try:
+            out[nu] = float(math.perm(nu, n))
+        except OverflowError:
+            raise ValueError(
+                f"order n={n}: nu!/(nu-n)! exceeds the float range at degree {nu}"
+            ) from None
+    return out
 
 
 def _poisson_derivative_shells(top: int, r: int, rho: float) -> np.ndarray:

@@ -90,18 +90,6 @@ def test_grid_points_are_folded():
         assert abs(t1[i] + t2[i] + t3[i]) < 1e-12
 
 
-def test_grid_chunks_cover_raw_points():
-    g = make_grid(16)
-    r1, r2, r3 = g._raw_coords(0, g.size)
-    chunks = list(g.iter_chunks(max_points=50))
-    c1 = np.concatenate([a for a, _, _ in chunks])
-    c2 = np.concatenate([b for _, b, _ in chunks])
-    c3 = np.concatenate([c for _, _, c in chunks])
-    np.testing.assert_array_equal(c1, r1)
-    np.testing.assert_array_equal(c2, r2)
-    np.testing.assert_array_equal(c3, r3)
-
-
 def test_grid_points_list():
     g = make_grid(4)
     pts = g.points()

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexsum.fourier import make_grid, phi_values
+from hexsum.fourier import TWO_PI_OVER_3, make_grid, phi_values
 from hexsum.kernels import (
     GRID_CAP,
-    KernelEval,
     PAIR_WEIGHT,
     R_MAX,
     RationalCoeff,
@@ -86,14 +85,6 @@ def test_classical_kernel_validation():
         classical_kernel_deriv(0.5, 0.0, -1)
     with pytest.raises(ValueError):
         classical_kernel_deriv(0.5, 0.0, R_MAX + 1)
-
-
-def test_kernel_eval_validation():
-    KernelEval(0.5, 2)
-    with pytest.raises(ValueError):
-        KernelEval(1.0, 1)
-    with pytest.raises(ValueError):
-        KernelEval(0.5, R_MAX + 1)
 
 
 # ----------------------------------------------------------- exact weights
@@ -317,3 +308,67 @@ def test_product_integral_validation():
         product_integral(0.5, "I2", [0])
     with pytest.raises(ValueError):
         product_integral(0.5, "I1", [R_MAX + 1])
+
+
+# The grid engine works from root-of-unity tables and (a, b) reindexing; the
+# oracle evaluates every folded grid point directly.  n = 81, 96 and 321
+# are multiples of 3, where the reindexing covers each point three times.
+ORACLE_GRIDS = [(64, 0.5), (81, 0.6), (96, 0.65), (321, 0.9)]
+
+
+@pytest.mark.parametrize("n, rho", ORACLE_GRIDS)
+def test_bernstein_integral_matches_pointwise_sum(n, rho):
+    g = make_grid(n)
+    t1, t2, t3 = g.t_arrays
+    for r in range(R_MAX + 1):
+        vals = hex_kernel_deriv_values(rho, t1, t2, t3, r)
+        want = math.fsum(np.abs(vals)) * g.weight
+        got = bernstein_integral(rho, r, grid=g).value
+        assert abs(got - want) <= 1e-12 * want, (n, r)
+
+
+@pytest.mark.parametrize("n, rho", ORACLE_GRIDS)
+def test_product_integral_matches_pointwise_sum(n, rho):
+    g = make_grid(n)
+    t1, t2, t3 = g.t_arrays
+    zs = (
+        TWO_PI_OVER_3 * (t2 - t3),
+        TWO_PI_OVER_3 * (t3 - t1),
+        TWO_PI_OVER_3 * (t1 - t2),
+    )
+    cases = [
+        ("I1", [0]),
+        ("I1", [4]),
+        ("I2", [0, 0]),
+        ("I2", [2, 5]),
+        ("I2", [3, 0]),
+        ("I3", [0, 0, 0]),
+        ("I3", [1, 0, 3]),
+        ("I3", [6, 2, 1]),
+    ]
+    for which, orders in cases:
+        prod = np.ones(g.size)
+        for z, order in zip(zs, orders):
+            prod = prod * _classical_deriv_table(rho, z, order)[order]
+        want = math.fsum(np.abs(prod)) * g.weight
+        got = product_integral(rho, which, orders, grid=g)
+        assert abs(got - want) <= 1e-12 * want, (n, which, orders)
+
+
+def test_deriv_values_keep_input_shape():
+    g = make_grid(6)
+    t1, t2, t3 = (t.reshape(6, 6) for t in g.t_arrays)
+    vals = hex_kernel_deriv_values(0.4, t1, t2, t3, 2)
+    assert vals.shape == (6, 6)
+    flat = hex_kernel_deriv_values(0.4, t1.ravel(), t2.ravel(), t3.ravel(), 2)
+    np.testing.assert_array_equal(vals.ravel(), flat)
+
+
+def test_bernstein_integral_row_blocks_match_pointwise_sum():
+    # 1024^2 points span two row blocks of the grid engine
+    g = make_grid(1024)
+    t1, t2, t3 = g.t_arrays
+    vals = hex_kernel_deriv_values(0.95, t1, t2, t3, 2)
+    want = math.fsum(np.abs(vals)) * g.weight
+    got = bernstein_integral(0.95, 2, grid=g).value
+    assert abs(got - want) <= 1e-12 * want
