@@ -10,8 +10,15 @@ directly readable.  Reports go to CSV (header row, LF endings, 17
 significant digits) or JSON; identical config + seed produces
 byte-identical files.
 
-Exit codes: 0 all assertions pass, 1 assertion failure, 2 bad
-configuration / unreadable input.
+Each sweep family ends in a summary row whose status is ok (rates: or
+exact-zero) or names the problem; non-finite marks an inf or nan
+deviation, upper or lower_proxy and always fails an assertion.
+
+Exit codes: 0 all assertions pass; 1 an assertion failed (the report is
+still written); 2 the run was rejected, with one "error: ..." line on
+stderr and no traceback: a bad flag or config value, an unreadable or
+invalid input or config file, a library ValueError or OverflowError,
+memory exhaustion, or a report that cannot be written.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from .fourier import (
     SpectralFormatError,
     make_grid,
     load_spectral,
+    max_coeff_diff,
     spectral_from_json_dict,
     spectral_to_json_dict,
 )
@@ -45,7 +53,7 @@ from .means import (
     deviation_norm,
     kfun_estimate,
 )
-from .verify import run_all_checks
+from .verify import CheckResult, run_all_checks
 
 COMMANDS = ("verify", "kernel", "bernstein", "approximate", "rates", "kfun")
 
@@ -77,28 +85,13 @@ class ExperimentConfig:
     seed: int = 0
 
 
-#: config-file / flag name -> dataclass field
-_KEY_TO_FIELD = {
-    "rho-kmin": "k_min",
-    "rho-kmax": "k_max",
-    "r": "r",
-    "n": "n",
-    "p": "p",
-    "grid": "grid_n",
-    "input": "input_path",
-    "out": "output_path",
-    "format": "fmt",
-    "seed": "seed",
-}
-
-
 def _coerce_int(key: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return value
 
 
-def _coerce_p(value) -> float:
+def _coerce_p(key: str, value) -> float:
     if isinstance(value, str):
         if value.strip().lower() == "inf":
             return math.inf
@@ -114,7 +107,7 @@ def _coerce_p(value) -> float:
     return p
 
 
-def _coerce_grid(value) -> int | str:
+def _coerce_grid(key: str, value) -> int | str:
     if isinstance(value, str):
         if value.strip().lower() == "auto":
             return "auto"
@@ -129,22 +122,23 @@ def _coerce_grid(value) -> int | str:
     return value
 
 
-_COERCERS = {
-    "rho-kmin": _coerce_int,
-    "rho-kmax": _coerce_int,
-    "r": _coerce_int,
-    "n": _coerce_int,
-    "seed": _coerce_int,
-    "p": lambda key, v: _coerce_p(v),
-    "grid": lambda key, v: _coerce_grid(v),
-    "input": lambda key, v: str(v),
-    "out": lambda key, v: str(v),
-    "format": lambda key, v: str(v),
+def _coerce_str(key: str, value) -> str:
+    return str(value)
+
+
+#: config-file key (and flag name) -> (ExperimentConfig field, coercion)
+_OPTIONS = {
+    "rho-kmin": ("k_min", _coerce_int),
+    "rho-kmax": ("k_max", _coerce_int),
+    "r": ("r", _coerce_int),
+    "n": ("n", _coerce_int),
+    "p": ("p", _coerce_p),
+    "grid": ("grid_n", _coerce_grid),
+    "input": ("input_path", _coerce_str),
+    "out": ("output_path", _coerce_str),
+    "format": ("fmt", _coerce_str),
+    "seed": ("seed", _coerce_int),
 }
-
-
-def _coerce(key: str, value):
-    return _COERCERS[key](key, value)
 
 
 def _load_config_file(path: str) -> dict:
@@ -153,11 +147,11 @@ def _load_config_file(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, nesting
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    unknown = set(doc) - set(_KEY_TO_FIELD)
+    unknown = set(doc) - set(_OPTIONS)
     if unknown:
         raise ConfigError(
             f"config file {path} has unknown keys: {sorted(unknown)}"
@@ -197,30 +191,21 @@ def validate_config(cfg: ExperimentConfig) -> None:
             f"{cfg.command} needs rho-kmax <= {RHO_KMAX} so rho = 1 - 2^-k stays "
             f"below 1, got {cfg.k_max}"
         )
+    if cfg.command in ("approximate", "kfun") and cfg.p != 2.0 and cfg.grid_n == "auto":
+        raise ConfigError("p != 2 requires an explicit --grid N")
 
 
 def build_config(ns: argparse.Namespace) -> ExperimentConfig:
+    """Defaults, then config-file keys, then flags; each in _OPTIONS order."""
     cfg = ExperimentConfig(command=ns.command)
-    if ns.config is not None:
-        doc = _load_config_file(ns.config)
-        for key in _KEY_TO_FIELD:  # fixed order, not file order
-            if key in doc:
-                cfg = replace(cfg, **{_KEY_TO_FIELD[key]: _coerce(key, doc[key])})
-    flag_values = {
-        "rho-kmin": ns.rho_kmin,
-        "rho-kmax": ns.rho_kmax,
-        "r": ns.r,
-        "n": ns.n,
-        "p": ns.p,
-        "grid": ns.grid,
-        "input": ns.input,
-        "out": ns.out,
-        "format": ns.format,
-        "seed": ns.seed,
-    }
-    for key, value in flag_values.items():
+    doc = {} if ns.config is None else _load_config_file(ns.config)
+    for key, (field, coerce) in _OPTIONS.items():
+        if key in doc:  # a JSON null is coerced, and rejected, like any value
+            cfg = replace(cfg, **{field: coerce(key, doc[key])})
+    for key, (field, coerce) in _OPTIONS.items():
+        value = getattr(ns, key.replace("-", "_"))
         if value is not None:
-            cfg = replace(cfg, **{_KEY_TO_FIELD[key]: _coerce(key, value)})
+            cfg = replace(cfg, **{field: coerce(key, value)})
     validate_config(cfg)
     return cfg
 
@@ -249,11 +234,7 @@ def run_verify(cfg: ExperimentConfig):
     if cfg.input_path is not None:
         f = load_spectral(cfg.input_path)
         back = spectral_from_json_dict(spectral_to_json_dict(f))
-        gap = max(
-            [abs(f.coeff(k) - back.coeff(k)) for k, _ in f.items()], default=0.0
-        )
-        from .verify import CheckResult
-
+        gap = max_coeff_diff(f, back)
         results.append(
             CheckResult(
                 "input.serialization_roundtrip", gap == 0.0, gap, 0.0, cfg.input_path
@@ -284,10 +265,7 @@ def run_kernel(cfg: ExperimentConfig):
     mean_ok = True
     gap_ok = True
     for k, rho in rho_ladder(cfg):
-        try:
-            res = bernstein_integral(rho, 0, grid)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        res = bernstein_integral(rho, 0, grid)
         closed = hex_kernel_closed_values(rho, t1, t2, t3)
         series, tail = hex_kernel_series_values(rho, t1, t2, t3, KERNEL_CUTOFF)
         gap = float(np.abs(closed - series.real).max())
@@ -326,10 +304,7 @@ def run_bernstein(cfg: ExperimentConfig):
     rows = []
     scaled_values = []
     for k, rho in rho_ladder(cfg):
-        try:
-            res = bernstein_integral(rho, cfg.r, grid)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        res = bernstein_integral(rho, cfg.r, grid)
         scaled = res.value * (1.0 - rho) ** cfg.r
         scaled_values.append(scaled)
         rows.append(
@@ -373,8 +348,6 @@ def run_bernstein(cfg: ExperimentConfig):
 def run_approximate(cfg: ExperimentConfig):
     grid = _explicit_grid(cfg)
     spectral_exact = grid is None
-    if spectral_exact and cfg.p != 2.0:
-        raise ConfigError("p != 2 requires an explicit --grid N")
     rows = []
     assertions = []
     for fam in _sweep_families(cfg):
@@ -401,6 +374,8 @@ def run_approximate(cfg: ExperimentConfig):
                     "tail_l2": fam.tail_l2,
                 }
             )
+        finite = all(map(math.isfinite, devs))
+        status = "ok" if (monotone or not spectral_exact) else "fail"
         rows.append(
             {
                 "row_type": "summary",
@@ -408,10 +383,12 @@ def run_approximate(cfg: ExperimentConfig):
                 "r": cfg.r,
                 "max_deviation": max(devs),
                 "min_deviation": min(devs),
-                "status": "ok" if (monotone or not spectral_exact) else "fail",
+                "status": status if finite else "non-finite",
             }
         )
-        if spectral_exact:
+        if not finite:
+            assertions.append((f"deviations finite [{fam.name}]", False))
+        elif spectral_exact:
             assertions.append(
                 (f"deviation nonincreasing along the ladder [{fam.name}]", monotone)
             )
@@ -459,39 +436,17 @@ def run_rates(cfg: ExperimentConfig):
                     "log2_deviation": math.log2(dev) if dev > 0.0 else math.nan,
                 }
             )
-        if all(d == 0.0 for d in devs):
-            rows.append(
-                {
-                    "row_type": "summary",
-                    "family": fam.name,
-                    "r": cfg.r,
-                    "slope": math.nan,
-                    "stderr": math.nan,
-                    "points": len(devs),
-                    "status": "exact-zero",
-                }
-            )
-            assertions.append(
-                (f"deviation identically zero (degree < r) [{fam.name}]", True)
-            )
-            continue
-        if any(d == 0.0 for d in devs):
-            rows.append(
-                {
-                    "row_type": "summary",
-                    "family": fam.name,
-                    "r": cfg.r,
-                    "slope": math.nan,
-                    "stderr": math.nan,
-                    "points": len(devs),
-                    "status": "mixed-zero",
-                }
-            )
-            assertions.append(
-                (f"deviations all positive or all zero [{fam.name}]", False)
-            )
-            continue
-        slope, stderr = _fit_slope([k for k, _ in ladder], devs)
+        if not all(map(math.isfinite, devs)):
+            status, label = "non-finite", "deviations finite"
+        elif all(d == 0.0 for d in devs):
+            status, label = "exact-zero", "deviation identically zero (degree < r)"
+        elif any(d == 0.0 for d in devs):
+            status, label = "mixed-zero", "deviations all positive or all zero"
+        else:
+            status, label = "ok", f"slope fitted over {len(devs)} points"
+        slope, stderr = (
+            _fit_slope([k for k, _ in ladder], devs) if status == "ok" else (math.nan, math.nan)
+        )
         rows.append(
             {
                 "row_type": "summary",
@@ -500,29 +455,26 @@ def run_rates(cfg: ExperimentConfig):
                 "slope": slope,
                 "stderr": stderr,
                 "points": len(devs),
-                "status": "ok",
+                "status": status,
             }
         )
-        assertions.append((f"slope fitted over {len(devs)} points [{fam.name}]", True))
+        assertions.append((f"{label} [{fam.name}]", status in ("ok", "exact-zero")))
     return rows, assertions
 
 
 def run_kfun(cfg: ExperimentConfig):
     grid = _explicit_grid(cfg)
     spectral_exact = grid is None
-    if spectral_exact and cfg.p != 2.0:
-        raise ConfigError("p != 2 requires an explicit --grid N")
     rows = []
     assertions = []
     for fam in _sweep_families(cfg):
         ratios = []
         violated = False
+        finite = True
         for k in range(cfg.k_min, cfg.k_max + 1):
             delta = 2.0**-k
-            try:
-                est = kfun_estimate(fam.function, delta, cfg.n, cfg.p, grid)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+            est = kfun_estimate(fam.function, delta, cfg.n, cfg.p, grid)
+            finite &= math.isfinite(est.upper) and math.isfinite(est.lower_proxy)
             if est.upper == 0.0:
                 if est.lower_proxy > 1e-13:
                     violated = True
@@ -549,12 +501,15 @@ def run_kfun(cfg: ExperimentConfig):
                 "n": cfg.n,
                 "c_observed": max(ratios) if ratios else 0.0,
                 "points": cfg.k_max - cfg.k_min + 1,
-                "status": "violated" if violated else "ok",
+                "status": "non-finite" if not finite else "violated" if violated else "ok",
             }
         )
-        assertions.append(
-            (f"lower proxy within a finite multiple of upper [{fam.name}]", not violated)
-        )
+        if not finite:
+            assertions.append((f"upper and lower proxy finite [{fam.name}]", False))
+        else:
+            assertions.append(
+                (f"lower proxy within a finite multiple of upper [{fam.name}]", not violated)
+            )
     return rows, assertions
 
 
@@ -668,19 +623,13 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = build_config(ns)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         rows, assertions = _RUNNERS[cfg.command](cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SpectralFormatError as exc:
         print(f"error: invalid spectral input: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, OSError, ValueError, OverflowError, MemoryError) as exc:
+        # the run cannot produce a report; exit 1 is kept for failed assertions
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     try:
         path = write_report(cfg, rows)

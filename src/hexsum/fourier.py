@@ -452,6 +452,6 @@ def load_spectral(path) -> SpectralFunction:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        except (ValueError, RecursionError) as exc:  # also UnicodeDecodeError, deep nesting
             raise SpectralFormatError(f"invalid JSON: {exc}") from exc
     return spectral_from_json_dict(doc)

@@ -95,34 +95,45 @@ def lambda_complement(nu: int, r: int, rho: float) -> float:
 
 
 def _lambda_shells(
-    top: int, r: int, rho: float, complement: bool = False
+    shells: np.ndarray, r: int, rho: float, complement: bool = False
 ) -> np.ndarray:
-    """lambda_coeff (or lambda_complement) over shells 0..top, bit for bit."""
-    out = np.full(top + 1, 0.0 if complement else 1.0)
-    a = np.arange(1, top - r + 2)  # nu - r + 1 for nu = r..top
-    out[r:] = betainc(r, a, 1.0 - rho) if complement else betainc(a, r, rho)
+    """lambda_coeff (or lambda_complement) at each of shells, bit for bit."""
+    out = np.full(len(shells), 0.0 if complement else 1.0)
+    high = shells >= r
+    a = shells[high] - r + 1
+    out[high] = betainc(r, a, 1.0 - rho) if complement else betainc(a, r, rho)
     return out
 
 
-def _perm_shells(top: int, n: int) -> np.ndarray:
-    """Radial-derivative multipliers nu!/(nu-n)! over shells 0..top (0 below n).
+def _perm_shells(shells: np.ndarray, n: int) -> np.ndarray:
+    """Radial-derivative multipliers nu!/(nu-n)! at each of shells (0 below n).
 
     Raises ValueError when a multiplier leaves the float range.
     """
-    out = np.zeros(top + 1)
-    for nu in range(n, top + 1):
-        try:
-            out[nu] = float(math.perm(nu, n))
-        except OverflowError:
-            raise ValueError(
-                f"order n={n}: nu!/(nu-n)! exceeds the float range at degree {nu}"
-            ) from None
+    out = np.zeros(len(shells))
+    for i, nu in enumerate(shells.tolist()):
+        if nu >= n:
+            try:
+                out[i] = float(math.perm(nu, n))
+            except OverflowError:
+                raise ValueError(
+                    f"order n={n}: nu!/(nu-n)! exceeds the float range at degree {nu}"
+                ) from None
     return out
 
 
-def _poisson_derivative_shells(top: int, r: int, rho: float) -> np.ndarray:
+def _poisson_derivative_shells(shells: np.ndarray, r: int, rho: float) -> np.ndarray:
     """Multipliers of the order-r radial derivative of the Poisson integral at rho."""
-    return _perm_shells(top, r) * rho ** np.arange(top + 1)
+    return _perm_shells(shells, r) * rho**shells
+
+
+def _scale_occupied(
+    f: SpectralFunction, multipliers: Callable[[np.ndarray], np.ndarray]
+) -> SpectralFunction:
+    """f with its occupied shells scaled by multipliers(occupied shells)."""
+    shells = np.unique(f._support()[2])
+    mult = dict(zip(shells.tolist(), multipliers(shells).tolist()))
+    return scale_shells(f, mult.__getitem__)
 
 
 # --------------------------------------------------------------------------
@@ -135,8 +146,7 @@ def apply_operator(f: SpectralFunction, params: SummationParams) -> SpectralFunc
     Shells with multiplier exactly 1 pass through bitwise unchanged;
     rho=0 zeroes every shell nu >= r, leaving the partial sum S_{r-1}.
     """
-    lam = _lambda_shells(f.degree(), params.r, params.rho)
-    return scale_shells(f, lam.tolist().__getitem__)
+    return _scale_occupied(f, lambda shells: _lambda_shells(shells, params.r, params.rho))
 
 
 def apply_operator_derivative_form(
@@ -166,7 +176,7 @@ def radial_derivative(f: SpectralFunction, n: int) -> SpectralFunction:
     """Order-n radial derivative: shell nu scaled by nu!/(nu-n)!, low shells dropped."""
     if n < 1:
         raise ValueError(f"derivative order must be positive, got {n}")
-    return scale_shells(f, _perm_shells(f.degree(), n).tolist().__getitem__)
+    return _scale_occupied(f, lambda shells: _perm_shells(shells, n))
 
 
 def poisson_integral_spectral(f: SpectralFunction, rho: float) -> SpectralFunction:
@@ -203,28 +213,53 @@ def poisson_integral_convolution(g, rho: float):
 # norms of shell-scaled functions
 # --------------------------------------------------------------------------
 
+#: numpy overflow warnings off: inf and nan in a norm are results, handled or reported
+_QUIET = np.errstate(over="ignore", invalid="ignore")
+
+
 def _shell_norm(
     f: SpectralFunction, p: float, grid: HexGrid | None
-) -> Callable[[np.ndarray], float]:
-    """mult -> ||f with shell nu scaled by mult[nu]||_p (shells 0..f.degree()).
+) -> tuple[np.ndarray, Callable[[np.ndarray], float]]:
+    """Occupied shells of f, and mult -> ||f with shell shells[i] scaled by mult[i]||_p.
 
     The only place that chooses how a norm is evaluated.  grid=None is
     the exact L2 norm from the shell masses; otherwise the scaled
     coefficients go into their DFT bins and the grid p-norm of one inverse
     FFT is taken.  Shells, masses and bins are computed once here rather
-    than per call.
+    than per call; only occupied shells are visited, so cost follows the
+    support.  An exact sum of squares that overflows is summed again in
+    units of its largest term (exact powers of two), so results that did
+    not overflow keep every bit, and only norms beyond the float range
+    are inf.  Callers run under _QUIET, as that overflow is expected.
     """
     k1, k2, shell, coeffs = f._support()
+    shells, at = np.unique(shell, return_inverse=True)
     if grid is None:
         if p != 2:
             raise ValueError("a grid is required for p != 2")
-        weights = coeffs.real * coeffs.real + coeffs.imag * coeffs.imag
-        masses = np.bincount(shell, weights)  # shells 0..f.degree()
-        return lambda mult: math.sqrt(math.fsum((mult * mult * masses).tolist()))
+        masses = np.bincount(at, coeffs.real * coeffs.real + coeffs.imag * coeffs.imag)
+        c_mant, c_exp = np.frexp(np.concatenate([coeffs.real, coeffs.imag]))
+        at2 = np.concatenate([at, at])
+
+        def exact(mult: np.ndarray) -> float:
+            total = math.fsum((mult * mult * masses).tolist())
+            if math.isfinite(total):
+                return math.sqrt(total)
+            m_mant, m_exp = np.frexp(mult[at2])
+            mant, exp = m_mant * c_mant, m_exp + c_exp
+            top = int(np.max(exp, where=mant != 0, initial=-4096))  # below every exponent
+            total = math.fsum(np.ldexp(mant * mant, 2 * (exp - top)).tolist())
+            try:
+                return math.ldexp(math.sqrt(total), top)
+            except OverflowError:
+                return math.inf
+
+        return shells, exact
     bins = _dft_bins(k1, k2, grid.n)
-    return lambda mult: lp_norm(_grid_function(grid, bins, mult[shell] * coeffs), p)
+    return shells, lambda mult: lp_norm(_grid_function(grid, bins, mult[at] * coeffs), p)
 
 
+@_QUIET
 def deviation_norm(
     f: SpectralFunction, params: SummationParams, p: float, grid: HexGrid | None
 ) -> float:
@@ -233,8 +268,8 @@ def deviation_norm(
     The difference is formed spectrally with the complement multipliers,
     avoiding the 1 - lambda cancellation entirely.
     """
-    comp = _lambda_shells(f.degree(), params.r, params.rho, complement=True)
-    return _shell_norm(f, p, grid)(comp)
+    shells, norm = _shell_norm(f, p, grid)
+    return norm(_lambda_shells(shells, params.r, params.rho, complement=True))
 
 
 def deviation_l2_spectral(f: SpectralFunction, params: SummationParams) -> float:
@@ -242,6 +277,7 @@ def deviation_l2_spectral(f: SpectralFunction, params: SummationParams) -> float
     return deviation_norm(f, params, 2.0, None)
 
 
+@_QUIET
 def m_p(
     f: SpectralFunction, rho: float, r: int, p: float, grid: HexGrid | None
 ) -> float:
@@ -255,7 +291,8 @@ def m_p(
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
     if r < 1:
         raise ValueError(f"order r must be positive, got {r}")
-    return _shell_norm(f, p, grid)(_poisson_derivative_shells(f.degree(), r, rho))
+    shells, norm = _shell_norm(f, p, grid)
+    return norm(_poisson_derivative_shells(shells, r, rho))
 
 
 # --------------------------------------------------------------------------
@@ -274,29 +311,32 @@ class KfunEstimate:
 
 
 def _kfun_candidates(
-    top: int, delta: float, n: int
+    shells: np.ndarray, delta: float, n: int
 ) -> Iterator[tuple[str, np.ndarray, np.ndarray]]:
     """(name, error multiplier, roughness multiplier) of each candidate h.
 
     f scaled by the error multiplier is f - h, and f scaled by the
-    roughness multiplier is the order-n radial derivative of h.
+    roughness multiplier is the order-n radial derivative of h.  Partial
+    sums are cut at occupied shells only: one cut at an empty shell scores
+    exactly like the cut at the occupied shell below it (or like zero),
+    which comes first.
     """
-    perm = _perm_shells(top, n)
-    yield "zero", np.ones(top + 1), np.zeros(top + 1)
-    yield "identity", np.zeros(top + 1), perm
+    perm = _perm_shells(shells, n)
+    yield "zero", np.ones(len(shells)), np.zeros(len(shells))
+    yield "identity", np.zeros(len(shells)), perm
     for j in range(-2, 3):
         zeta = 1.0 - delta * 2.0**j
         if 0.0 <= zeta < 1.0:
             yield (
                 f"mean(zeta={zeta:.17g})",
-                _lambda_shells(top, n, zeta, complement=True),
-                perm * _lambda_shells(top, n, zeta),
+                _lambda_shells(shells, n, zeta, complement=True),
+                perm * _lambda_shells(shells, n, zeta),
             )
-    shells = np.arange(top + 1)
-    for m in range(top + 1):
+    for m in shells.tolist():
         yield f"partial_sum({m})", (shells > m) * 1.0, perm * (shells <= m)
 
 
+@_QUIET
 def kfun_estimate(
     f: SpectralFunction,
     delta: float,
@@ -325,18 +365,17 @@ def kfun_estimate(
         raise ValueError(f"delta must lie in (0, 1/2], got {delta}")
     if n < 1:
         raise ValueError(f"order n must be positive, got {n}")
-    norm = _shell_norm(f, p, grid)
+    shells, norm = _shell_norm(f, p, grid)
     dn = delta**n
-    top = f.degree()
 
     upper = math.inf
     winner = "none"
-    for name, err, rough in _kfun_candidates(top, delta, n):
+    for name, err, rough in _kfun_candidates(shells, delta, n):
         score = norm(err) + dn * norm(rough)
         if score < upper:
             upper = score
             winner = name
-    lower = dn * norm(_poisson_derivative_shells(top, n, 1.0 - delta))
+    lower = dn * norm(_poisson_derivative_shells(shells, n, 1.0 - delta))
     return KfunEstimate(
         delta=delta, n=n, upper=upper, lower_proxy=lower, argmin_candidate=winner
     )

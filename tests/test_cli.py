@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,6 +20,7 @@ from hexsum.cli import (
 )
 from hexsum.families import random_spectrum
 from hexsum.fourier import SpectralFunction, save_spectral
+from hexsum.means import lambda_complement
 
 
 def _cfg(argv):
@@ -63,6 +65,26 @@ def test_config_file_not_object(tmp_path):
     conf.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="JSON object"):
         _cfg(["bernstein", "--config", str(conf)])
+
+
+def test_config_file_null_value_is_exit_2(tmp_path, monkeypatch, capsys):
+    # a JSON null is coerced like any other value, never skipped as "unset"
+    monkeypatch.chdir(tmp_path)
+    conf = tmp_path / "conf.json"
+    conf.write_text('{"r": null}')
+    assert main(["rates", "--config", str(conf)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: r must be an integer, got None"]
+
+
+def test_config_file_nested_too_deep_is_exit_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    conf = tmp_path / "deep.json"
+    conf.write_text("[" * 100_000)
+    assert main(["verify", "--config", str(conf)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config file") and "valid JSON" in err[0]
 
 
 def test_config_file_missing():
@@ -217,6 +239,67 @@ def test_main_rejects_nan_coefficient(tmp_path, monkeypatch, capsys):
     assert "invalid spectral input" in captured.err and "finite" in captured.err
 
 
+def test_main_rejects_deeply_nested_input(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100_000)
+    assert main(["rates", "--input", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid spectral input: invalid JSON")
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (ValueError("no such number"), "error: no such number"),
+        (OverflowError("no such number"), "error: no such number"),
+        (MemoryError(), "error: MemoryError"),
+    ],
+    ids=["ValueError", "OverflowError", "MemoryError"],
+)
+def test_main_library_error_in_runner_is_exit_2(tmp_path, monkeypatch, capsys, exc, line):
+    # a library exception inside a runner is one stderr line and exit 2,
+    # not a traceback with exit 1 (the assertion-failure code)
+    monkeypatch.chdir(tmp_path)
+    inp = _write_input(tmp_path)
+
+    def boom(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("hexsum.cli.deviation_l2_spectral", boom)
+    assert main(["rates", "--input", inp]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [line]
+
+
+def test_main_one_coefficient_on_a_huge_shell(tmp_path, monkeypatch):
+    # work and memory follow the shells that carry data, not the degree: one
+    # float per shell up to 2e8 would be 1.6 GB per multiplier array
+    monkeypatch.chdir(tmp_path)
+    nu = 200_000_000
+    c = 1.0 + 0.5j
+    inp = tmp_path / "huge.json"
+    save_spectral(SpectralFunction({(nu, -nu, 0): c}), inp)
+    sweeps = (["rates", "--r", "2"], ["approximate", "--r", "2"], ["kfun", "--n", "2"])
+    for args in sweeps:
+        argv = args + ["--input", str(inp), "--format", "json", "--out", "r.json"]
+        assert main(argv) == 0, args
+        rows = json.loads((tmp_path / "r.json").read_text())["rows"]
+        points = [row for row in rows if row["row_type"] == "point"]
+        assert len(points) == 7
+        for row in points:
+            if args[0] == "kfun":
+                # zero is the best candidate; every cut below nu is empty
+                assert row["winner"] == "zero"
+                assert row["upper"] == pytest.approx(abs(c), rel=1e-15)
+            else:
+                want = abs(c) * lambda_complement(nu, 2, row["rho"])
+                assert row["deviation"] == pytest.approx(want, rel=1e-15)
+
+
 def test_main_high_degree_input(tmp_path, monkeypatch):
     # one coefficient per shell up to 1100, past the degree (~1030) where the
     # binomial coefficients C(nu, j) of the multipliers no longer fit a float
@@ -297,6 +380,60 @@ def test_main_kfun_multiplier_overflow_is_exit_2(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "n=180" in err and "degree 180" in err
+
+
+def _json_report(tmp_path, argv):
+    rc = main(argv + ["--format", "json", "--out", "r.json"])
+    return rc, json.loads((tmp_path / "r.json").read_text())["rows"]
+
+
+def test_main_exact_norm_beyond_squared_range(tmp_path, monkeypatch, capsys):
+    # |c|^2 and (170!)^2 overflow a float although every reported value fits
+    monkeypatch.chdir(tmp_path)
+    big = tmp_path / "big.json"
+    save_spectral(SpectralFunction({(1, -1, 0): 1e308 + 1e308j}), big)
+    rc, rows = _json_report(tmp_path, ["rates", "--r", "1", "--input", str(big)])
+    assert rc == 0 and rows[-1]["status"] == "ok"
+    # shell 1 at rho = 1/2: |c| (1 - rho)
+    assert rows[0]["deviation"] == pytest.approx(math.hypot(1e308, 1e308) / 2, rel=1e-15)
+    assert rows[-1]["slope"] == pytest.approx(1.0, abs=1e-12)
+
+    ops = tmp_path / "ops170.json"
+    save_spectral(SpectralFunction({(nu, -nu, 0): 1.0 / (1 + nu) for nu in range(171)}), ops)
+    argv = ["kfun", "--n", "170", "--rho-kmax", "2", "--input", str(ops)]
+    rc, rows = _json_report(tmp_path, argv)
+    assert rc == 0 and rows[-1]["status"] == "ok"
+    for row in rows[:-1]:
+        with mpmath.workdps(40):
+            delta = mpmath.mpf(2) ** -row["k"]
+            mass = mpmath.fsum(
+                (mpmath.ff(nu, 170) * (1 - delta) ** nu / (1 + nu)) ** 2 for nu in range(171)
+            )
+            want = float(delta**170 * mpmath.sqrt(mass))  # 1.89e202 at k = 1
+        assert row["lower_proxy"] == pytest.approx(want, rel=1e-13)
+    assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "coeffs, args",
+    [
+        # shells 50 and 51 at 1.7e308: the deviation at rho = 1/2 is 2.4e308
+        ({(50, -50, 0): 1.7e308, (51, -51, 0): 1.7e308}, ["rates"]),
+        # a grid p-norm of a 1.4e308 sample overflows in |.|^2
+        ({(1, -1, 0): 1e308 + 1e308j}, ["approximate", "--grid", "8", "--p", "2"]),
+    ],
+    ids=["rates-exact", "approximate-grid"],
+)
+def test_main_non_finite_deviation_fails(tmp_path, monkeypatch, capsys, coeffs, args):
+    monkeypatch.chdir(tmp_path)
+    inp = tmp_path / "big.json"
+    save_spectral(SpectralFunction(coeffs), inp)
+    rc, rows = _json_report(tmp_path, args + ["--input", str(inp)])
+    assert rc == 1
+    assert rows[0]["deviation"] == "inf"
+    assert rows[-1]["status"] == "non-finite"
+    out = capsys.readouterr().out
+    assert "PASS" not in out and "FAIL: deviations finite" in out
 
 
 def test_main_kfun_kmin_zero_rejected(tmp_path, monkeypatch, capsys):

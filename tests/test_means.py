@@ -205,6 +205,21 @@ def test_deviation_on_single_shell():
         deviation_norm(f, params, 3.0, None)
 
 
+def test_exact_norm_when_squares_overflow():
+    # |c|^2 overflows on shell 0, where the order-1 complement multiplier is
+    # 0: the deviation is that of the other shells, not nan
+    params = SummationParams(0.5, 1)
+    rest = {(3, -3, 0): 1e-300, (4, -4, 0): 3.0 - 4.0j}
+    f = SpectralFunction({(0, 0, 0): 1.7e308, **rest})
+    want = deviation_l2_spectral(SpectralFunction(rest), params)
+    assert deviation_l2_spectral(f, params) == pytest.approx(want, rel=1e-15)
+    # scaling by an exact power of two scales the norm, past the squared range too
+    g = random_spectrum(5, np.random.default_rng(4))
+    big = SpectralFunction({k: math.ldexp(1.0, 900) * c for k, c in g.items()})
+    want = math.ldexp(deviation_l2_spectral(g, params), 900)
+    assert deviation_l2_spectral(big, params) == pytest.approx(want, rel=1e-15)
+
+
 def test_m_p_on_single_shell():
     f = basis_family(5).function
     grid = make_grid(32)
