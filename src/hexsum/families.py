@@ -14,7 +14,7 @@ import numpy as np
 
 from .fourier import SpectralFunction
 from .kernels import series_tail_bound
-from .lattice import HexIndex, index_shell, indices_up_to
+from .lattice import HexIndex, frequency_arrays, index_shell
 
 
 class FamilySpec(NamedTuple):
@@ -32,13 +32,9 @@ def kernel_family(rho0: float = 0.5, max_degree: int = 64) -> FamilySpec:
     """
     if not 0.0 <= rho0 < 1.0:
         raise ValueError(f"rho0 must lie in [0, 1), got {rho0}")
-    coeffs = {}
-    for nu in range(max_degree + 1):
-        c = rho0**nu
-        for k in index_shell(nu):
-            coeffs[k] = c
+    f = _shell_weighted([rho0**nu for nu in range(max_degree + 1)])
     tail = math.sqrt(series_tail_bound(rho0 * rho0, max_degree)) if rho0 else 0.0
-    return FamilySpec(f"kernel(rho0={rho0:g})", SpectralFunction(coeffs), tail)
+    return FamilySpec(f"kernel(rho0={rho0:g})", f, tail)
 
 
 def shell_decay_family(s: float, max_degree: int = 64) -> FamilySpec:
@@ -51,14 +47,10 @@ def shell_decay_family(s: float, max_degree: int = 64) -> FamilySpec:
     """
     if s <= 0.5:
         raise ValueError(f"decay exponent must exceed 1/2, got {s}")
-    coeffs: dict[HexIndex, complex] = {HexIndex(0, 0, 0): 1.0 + 0.0j}
-    for nu in range(1, max_degree + 1):
-        c = (1.0 + nu) ** (-s) / math.sqrt(6.0 * nu)
-        for k in index_shell(nu):
-            coeffs[k] = c
+    weights = [1.0] + [(1.0 + nu) ** (-s) / math.sqrt(6.0 * nu) for nu in range(1, max_degree + 1)]
     # sum_{m >= D+2} m^{-2s} <= integral_{D+1}^inf x^{-2s} dx
     tail = math.sqrt((1.0 + max_degree) ** (1.0 - 2.0 * s) / (2.0 * s - 1.0))
-    return FamilySpec(f"shell_decay(s={s:g})", SpectralFunction(coeffs), tail)
+    return FamilySpec(f"shell_decay(s={s:g})", _shell_weighted(weights), tail)
 
 
 def polynomial_family(degree: int = 2) -> FamilySpec:
@@ -103,28 +95,30 @@ def random_spectrum(
     unit L2 norm.  Draw order is canonical (shell-major), so a seeded
     generator reproduces the same spectrum.
     """
-    coeffs: dict[HexIndex, complex] = {}
-    for k in indices_up_to(max_degree):
-        neg = k.negate()
-        if real_symmetric:
-            if (k.k1, k.k2) < (neg.k1, neg.k2):
-                continue
-            if k == neg:
-                coeffs[k] = complex(rng.standard_normal(), 0.0)
-            else:
-                c = complex(rng.standard_normal(), rng.standard_normal())
-                coeffs[k] = c
-                coeffs[neg] = c.conjugate()
-        else:
-            coeffs[k] = complex(rng.standard_normal(), rng.standard_normal())
-    f = SpectralFunction(coeffs, max_degree=max_degree)
+    k1, k2, _ = frequency_arrays(max_degree)
+    if real_symmetric:
+        # one draw per (k1, k2) >= (-k1, -k2), the origin first and real; the
+        # conjugate goes on every negated frequency but the origin
+        half = (k1 > 0) | ((k1 == 0) & (k2 >= 0))
+        k1, k2 = k1[half], k2[half]
+        re, im = np.insert(rng.standard_normal(2 * k1.size - 1), 1, 0.0).reshape(-1, 2).T
+        k1, k2 = np.concatenate([k1, -k1[1:]]), np.concatenate([k2, -k2[1:]])
+        re, im = np.concatenate([re, re[1:]]), np.concatenate([im, -im[1:]])
+    else:
+        re, im = rng.standard_normal(2 * k1.size).reshape(-1, 2).T
     if normalize:
-        norm = f.l2_norm()
+        norm = math.sqrt(math.fsum((re * re + im * im).tolist()))
         if norm > 0.0:
-            f = SpectralFunction(
-                {k: c / norm for k, c in f.items()}, max_degree=max_degree
-            )
-    return f
+            re, im = re / norm, im / norm
+    coeffs = np.empty(re.size, dtype=complex)
+    coeffs.real, coeffs.imag = re, im
+    return SpectralFunction._from_arrays(k1, k2, -k1 - k2, coeffs, max_degree)
+
+
+def _shell_weighted(weights: list[float]) -> SpectralFunction:
+    """weights[nu] on every frequency of shell nu, for nu <= len(weights) - 1."""
+    k1, k2, shell = frequency_arrays(len(weights) - 1)
+    return SpectralFunction._from_arrays(k1, k2, -k1 - k2, np.array(weights, dtype=complex)[shell])
 
 
 def builtin_families(max_degree: int = 64) -> list[FamilySpec]:

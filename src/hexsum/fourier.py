@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .lattice import HexIndex, HexPoint, fold_arrays
+from .lattice import HexIndex, HexPoint, fold_arrays, frequency_arrays
 
 TWO_PI_OVER_3 = 2.0 * math.pi / 3.0
 
@@ -117,19 +118,11 @@ class HexGrid:
     def size(self) -> int:
         return self.n * self.n
 
-    def _raw_coords(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        idx = np.arange(start, stop)
-        m1 = idx // self.n
-        m2 = idx % self.n
-        t1 = (3.0 * m1) / self.n
-        t2 = (3.0 * m2) / self.n
-        return t1, t2, -(t1 + t2)
-
     @property
     def t_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Folded homogeneous coordinates of all n^2 points."""
-        t1, t2, _ = self._raw_coords(0, self.size)
-        return fold_arrays(t1, t2)
+        m1, m2 = np.divmod(np.arange(self.size), self.n)
+        return fold_arrays((3.0 * m1) / self.n, (3.0 * m2) / self.n)
 
     def points(self) -> list[HexPoint]:
         """Folded sample points as HexPoint objects (small grids only)."""
@@ -169,7 +162,8 @@ class GridFunction:
 class SpectralFunction:
     """Finite map from zero-sum frequency triples to coefficients.
 
-    Coefficients are stored sparsely, keyed by (k1, k2) with k3 implied.
+    Coefficients are stored sparsely, as canonical arrays computed once per
+    instance and a lookup dict keyed by (k1, k2) with k3 implied.
     ``max_degree`` is a declared bound: every stored key must satisfy
     degree(k) <= max_degree.  Iteration order is canonical (shell by
     shell, lexicographic within a shell), which downstream code relies on
@@ -181,24 +175,42 @@ class SpectralFunction:
         coeffs: Mapping[HexIndex | tuple[int, int, int], complex] | Iterable,
         max_degree: int | None = None,
     ):
-        items = coeffs.items() if hasattr(coeffs, "items") else coeffs
-        store: dict[tuple[int, int], complex] = {}
-        deg = 0
-        for key, value in items:
-            idx = key if isinstance(key, HexIndex) else HexIndex(*key)
-            kk = (idx.k1, idx.k2)
-            if kk in store:
-                raise ValueError(f"duplicate frequency {idx.as_tuple()}")
-            store[kk] = complex(value)
-            deg = max(deg, idx.degree())
-        if max_degree is None:
-            max_degree = deg
-        elif deg > max_degree:
+        items = list(coeffs.items() if hasattr(coeffs, "items") else coeffs)
+        keys = [k.as_tuple() if isinstance(k, HexIndex) else tuple(k) for k, _ in items]
+        k1, k2, k3 = np.array(keys, dtype=np.int64).reshape(-1, 3).T
+        self._set_support(k1, k2, k3, [complex(c) for _, c in items], max_degree)
+
+    @classmethod
+    def _from_arrays(cls, k1, k2, k3, coeffs, max_degree=None) -> "SpectralFunction":
+        """Bulk construction from frequency and coefficient arrays."""
+        f = cls.__new__(cls)
+        f._set_support(k1, k2, k3, coeffs, max_degree)
+        return f
+
+    def _set_support(self, k1, k2, k3, coeffs, max_degree) -> None:
+        """Check zero sums, duplicates and max_degree in one place, then store
+        the support once: read-only canonical arrays and the lookup dict."""
+        bad = np.flatnonzero(k1 + k2 + k3)
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"frequency triple must sum to 0, got ({k1[i]}, {k2[i]}, {k3[i]})")
+        shell = np.maximum(np.maximum(np.abs(k1), np.abs(k2)), np.abs(k3))
+        order = np.lexsort((k2, k1, shell))
+        k1, k2, shell = k1[order], k2[order], shell[order]
+        dup = np.flatnonzero((k1[1:] == k1[:-1]) & (k2[1:] == k2[:-1]))
+        if dup.size:
+            i = dup[0]
+            raise ValueError(f"duplicate frequency ({k1[i]}, {k2[i]}, {-k1[i] - k2[i]})")
+        deg = int(shell.max(initial=0))
+        if max_degree is not None and deg > max_degree:
             raise ValueError(
                 f"coefficient at degree {deg} exceeds declared max_degree {max_degree}"
             )
-        self._coeffs = store
-        self.max_degree = int(max_degree)
+        self._arrays = (k1, k2, shell, np.asarray(coeffs, dtype=complex)[order])
+        for a in self._arrays:
+            a.flags.writeable = False
+        self._coeffs = dict(zip(zip(k1.tolist(), k2.tolist()), self._arrays[3].tolist()))
+        self.max_degree = deg if max_degree is None else int(max_degree)
 
     # -- access ------------------------------------------------------------
 
@@ -207,12 +219,8 @@ class SpectralFunction:
         return self._coeffs.get((idx.k1, idx.k2), 0.0 + 0.0j)
 
     def _support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """k1, k2, shell and coefficient arrays in canonical order."""
-        k1, k2 = np.array(list(self._coeffs), dtype=np.int64).reshape(-1, 2).T
-        shell = np.maximum(np.maximum(np.abs(k1), np.abs(k2)), np.abs(k1 + k2))
-        order = np.lexsort((k2, k1, shell))
-        coeffs = np.array(list(self._coeffs.values()), dtype=complex)
-        return k1[order], k2[order], shell[order], coeffs[order]
+        """Read-only k1, k2, shell and coefficient arrays in canonical order."""
+        return self._arrays
 
     def items(self) -> list[tuple[HexIndex, complex]]:
         """Coefficients in canonical (shell-major, lexicographic) order."""
@@ -228,7 +236,7 @@ class SpectralFunction:
 
     def degree(self) -> int:
         """Largest shell actually carrying a coefficient (0 if empty)."""
-        return int(self._support()[2].max(initial=0))
+        return int(self._arrays[2].max(initial=0))
 
     # -- diagnostics ---------------------------------------------------------
 
@@ -266,29 +274,16 @@ def scale_shells(
     ``multiplier`` is called once per shell present in the support.
     """
     k1, k2, shell, coeffs = f._support()
-    mult = {nu: multiplier(nu) for nu in dict.fromkeys(shell.tolist())}  # increasing
-    out = {}
-    for a, b, nu, c in zip(k1.tolist(), k2.tolist(), shell.tolist(), coeffs.tolist()):
-        v = mult[nu] * c
-        if v != 0:
-            out[(a, b, -a - b)] = v
-    return SpectralFunction(out, max_degree=f.max_degree if max_degree is None else max_degree)
-
-
-def truncate_spectrum(f: SpectralFunction, degree: int) -> SpectralFunction:
-    """Partial sum: drop every shell above ``degree``."""
-    if degree < 0:
-        raise ValueError("truncation degree must be nonnegative")
-    out = {idx: c for idx, c in f.items() if idx.degree() <= degree}
-    return SpectralFunction(out, max_degree=f.max_degree)
-
-
-def subtract(f: SpectralFunction, g: SpectralFunction) -> SpectralFunction:
-    """Coefficientwise difference f - g."""
-    out: dict[HexIndex, complex] = {idx: c for idx, c in f.items()}
-    for idx, c in g.items():
-        out[idx] = out.get(idx, 0.0 + 0.0j) - c
-    return SpectralFunction(out, max_degree=max(f.max_degree, g.max_degree))
+    shells, at = np.unique(shell, return_inverse=True)  # increasing
+    m = np.array([multiplier(nu) for nu in shells.tolist()], dtype=complex)[at]
+    v = np.empty_like(coeffs)  # Python's complex product term by term; numpy's may fuse
+    v.real = m.real * coeffs.real - m.imag * coeffs.imag
+    v.imag = m.real * coeffs.imag + m.imag * coeffs.real
+    keep = v != 0
+    k1, k2 = k1[keep], k2[keep]
+    return SpectralFunction._from_arrays(
+        k1, k2, -k1 - k2, v[keep], f.max_degree if max_degree is None else max_degree
+    )
 
 
 def max_coeff_diff(f: SpectralFunction, g: SpectralFunction) -> float:
@@ -338,25 +333,29 @@ def analyze(g: GridFunction, max_degree: int) -> SpectralFunction:
             stacklevel=2,
         )
     spectrum = np.fft.fft2(g.values.reshape(n, n), norm="forward").ravel()
-    k1, k2 = np.mgrid[-max_degree:max_degree + 1, -max_degree:max_degree + 1].reshape(2, -1)
-    k1, k2 = np.compress(np.abs(k1 + k2) <= max_degree, [k1, k2], axis=1)
-    coeffs = spectrum[_dft_bins(k1, k2, n)].tolist()
-    keys = zip(k1.tolist(), k2.tolist(), (-k1 - k2).tolist())  # indices_up_to's set
-    return SpectralFunction(zip(keys, coeffs), max_degree=max_degree)
+    k1, k2, _ = frequency_arrays(max_degree)
+    coeffs = spectrum[_dft_bins(k1, k2, n)]
+    return SpectralFunction._from_arrays(k1, k2, -k1 - k2, coeffs, max_degree)
 
 
 def lp_norm(g: GridFunction, p: float) -> float:
     """Grid L_p norm with the uniform probability weight.
 
     p = inf returns the grid maximum, which for continuous integrands is a
-    lower bound on the true sup-norm converging as the grid refines.
+    lower bound on the true sup-norm converging as the grid refines.  A sum
+    of |v|^p beyond the normal range is taken again in units of max|v|.
     """
     if p < 1:
         raise ValueError(f"order p must satisfy p >= 1, got {p}")
     mags = np.abs(g.values)
     if math.isinf(p):
         return float(mags.max(initial=0.0))
-    total = float(pairwise_sum(mags ** p)) * g.grid.weight
+    with np.errstate(over="ignore"):
+        total = float(pairwise_sum(mags ** p)) * g.grid.weight
+    if not sys.float_info.min <= total < math.inf:  # |v|^p overflowed or underflowed
+        top = float(mags.max(initial=0.0))
+        if 0.0 < top < math.inf:
+            return top * (float(pairwise_sum((mags / top) ** p)) * g.grid.weight) ** (1.0 / p)
     return total ** (1.0 / p)
 
 

@@ -203,6 +203,32 @@ def fold_arrays(t1: np.ndarray, t2: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return out1, out2, -(out1 + out2)
 
 
+def frequency_arrays(
+    max_degree: int, min_degree: int = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k1, k2 and shell of every frequency with min_degree <= degree <= max_degree.
+
+    The order is canonical: shell-major, lexicographic in (k1, k2) within a
+    shell.  Shell nu >= 1 holds 6 nu frequencies: (-nu, 0..nu), then the two
+    ends k2 = -nu - min(k1, 0) and nu - max(k1, 0) of each row -nu < k1 < nu,
+    then (nu, -nu..0).  The cost is linear in the number of frequencies.
+    """
+    if max_degree < 0:
+        raise ValueError(f"max degree must be nonnegative, got {max_degree}")
+    nu = np.arange(max(min_degree, 0), max_degree + 1, dtype=np.int64)
+    size = np.maximum(6 * nu, 1)
+    shell = np.repeat(nu, size)
+    j = np.arange(shell.size) - np.repeat(np.cumsum(size) - size, size)  # place in the shell
+    k1 = np.clip((j - shell - 1) // 2 - shell + 1, -shell, shell)
+    k2 = np.where((j - shell) % 2, -shell - np.minimum(k1, 0), shell - np.maximum(k1, 0))
+    k2 = np.where(j <= shell, j, np.where(k1 == shell, j + 1 - 6 * shell, k2))
+    return k1, k2, shell
+
+
+def _as_indices(k1: np.ndarray, k2: np.ndarray) -> list[HexIndex]:
+    return [HexIndex(a, b, -a - b) for a, b in zip(k1.tolist(), k2.tolist())]
+
+
 def index_shell(nu: int) -> list[HexIndex]:
     """All frequencies of degree exactly nu, in lexicographic (k1, k2) order.
 
@@ -211,26 +237,9 @@ def index_shell(nu: int) -> list[HexIndex]:
     """
     if nu < 0:
         raise ValueError(f"shell number must be nonnegative, got {nu}")
-    if nu == 0:
-        return [HexIndex(0, 0, 0)]
-    cands: set[tuple[int, int]] = set()
-    for m in range(-nu, nu + 1):
-        cands.update(
-            ((nu, m), (-nu, m), (m, nu), (m, -nu), (m, -nu - m), (m, nu - m))
-        )
-    out = []
-    for k1, k2 in sorted(cands):
-        k3 = -k1 - k2
-        if max(abs(k1), abs(k2), abs(k3)) == nu:
-            out.append(HexIndex(k1, k2, k3))
-    return out
+    return _as_indices(*frequency_arrays(nu, nu)[:2])
 
 
 def indices_up_to(max_degree: int) -> list[HexIndex]:
     """All frequencies of degree <= max_degree, shell by shell."""
-    if max_degree < 0:
-        raise ValueError(f"max degree must be nonnegative, got {max_degree}")
-    out: list[HexIndex] = []
-    for nu in range(max_degree + 1):
-        out.extend(index_shell(nu))
-    return out
+    return _as_indices(*frequency_arrays(max_degree)[:2])

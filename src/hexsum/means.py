@@ -28,6 +28,7 @@ Poisson integral against (1-zeta)^{r-1} from rho to 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -227,10 +228,11 @@ def _shell_norm(
     coefficients go into their DFT bins and the grid p-norm of one inverse
     FFT is taken.  Shells, masses and bins are computed once here rather
     than per call; only occupied shells are visited, so cost follows the
-    support.  An exact sum of squares that overflows is summed again in
-    units of its largest term (exact powers of two), so results that did
-    not overflow keep every bit, and only norms beyond the float range
-    are inf.  Callers run under _QUIET, as that overflow is expected.
+    support.  An exact sum of squares that overflows, or underflows to a
+    subnormal or 0, is summed again in units of its largest term (exact
+    powers of two), so results in the normal range keep every bit, and
+    only norms beyond the float range are inf.  Callers run under _QUIET,
+    as that overflow is expected.
     """
     k1, k2, shell, coeffs = f._support()
     shells, at = np.unique(shell, return_inverse=True)
@@ -243,7 +245,7 @@ def _shell_norm(
 
         def exact(mult: np.ndarray) -> float:
             total = math.fsum((mult * mult * masses).tolist())
-            if math.isfinite(total):
+            if sys.float_info.min <= total < math.inf:
                 return math.sqrt(total)
             m_mant, m_exp = np.frexp(mult[at2])
             mant, exp = m_mant * c_mant, m_exp + c_exp

@@ -419,8 +419,11 @@ def test_main_exact_norm_beyond_squared_range(tmp_path, monkeypatch, capsys):
     [
         # shells 50 and 51 at 1.7e308: the deviation at rho = 1/2 is 2.4e308
         ({(50, -50, 0): 1.7e308, (51, -51, 0): 1.7e308}, ["rates"]),
-        # a grid p-norm of a 1.4e308 sample overflows in |.|^2
-        ({(1, -1, 0): 1e308 + 1e308j}, ["approximate", "--grid", "8", "--p", "2"]),
+        # the same on the grid: distinct bins, so the grid L2 norm is 2.4e308 too
+        (
+            {(50, -50, 0): 1.7e308, (51, -51, 0): 1.7e308},
+            ["approximate", "--grid", "8", "--p", "2"],
+        ),
     ],
     ids=["rates-exact", "approximate-grid"],
 )
@@ -434,6 +437,30 @@ def test_main_non_finite_deviation_fails(tmp_path, monkeypatch, capsys, coeffs, 
     assert rows[-1]["status"] == "non-finite"
     out = capsys.readouterr().out
     assert "PASS" not in out and "FAIL: deviations finite" in out
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e-160])
+def test_main_exact_norm_below_squared_range(tmp_path, monkeypatch, capsys, c):
+    # |c|^2 underflows to 0 (1e-200) or to a subnormal (1e-160)
+    monkeypatch.chdir(tmp_path)
+    tiny = tmp_path / "tiny.json"
+    save_spectral(SpectralFunction({(1, -1, 0): c}), tiny)
+    rc, rows = _json_report(tmp_path, ["rates", "--r", "1", "--input", str(tiny)])
+    assert rc == 0 and rows[-1]["status"] == "ok"
+    # shell 1 at rho = 1/2: c (1 - rho)
+    assert rows[0]["deviation"] == pytest.approx(c / 2, rel=1e-15)
+    assert "identically zero" not in capsys.readouterr().out
+
+
+def test_main_grid_norm_beyond_squared_range(tmp_path, monkeypatch):
+    # |v|^2 of a 7.1e307 sample overflows although the grid L2 norm fits
+    monkeypatch.chdir(tmp_path)
+    big = tmp_path / "big.json"
+    save_spectral(SpectralFunction({(1, -1, 0): 1e308 + 1e308j}), big)
+    argv = ["approximate", "--grid", "8", "--p", "2", "--input", str(big)]
+    rc, rows = _json_report(tmp_path, argv)
+    assert rc == 0 and rows[-1]["status"] == "ok"
+    assert rows[0]["deviation"] == pytest.approx(7.0710678e307, rel=1e-8)
 
 
 def test_main_kfun_kmin_zero_rejected(tmp_path, monkeypatch, capsys):

@@ -27,10 +27,9 @@ from hexsum.fourier import (
     scale_shells,
     spectral_from_json_dict,
     spectral_to_json_dict,
-    subtract,
     synthesize,
-    truncate_spectrum,
 )
+from hexsum.families import kernel_family, random_spectrum
 from hexsum.lattice import HexIndex, HexPoint, index_shell, indices_up_to, is_in_omega
 
 
@@ -169,6 +168,69 @@ def test_spectral_function_max_degree_enforced():
         SpectralFunction({(3, 0, -3): 1.0}, max_degree=2)
 
 
+def test_support_arrays_are_read_only():
+    f = _sample_spectrum(3)
+    for a in f._support():
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+@pytest.mark.parametrize(
+    "keys, max_degree",
+    [
+        ([(1, 0, -1), (0, 0, 0), (1, 0, -1)], None),  # duplicate
+        ([(0, 0, 0), (1, 1, 1)], None),  # non-zero sum
+        ([(0, 0, 0), (3, 0, -3)], 2),  # above max_degree
+    ],
+    ids=["duplicate", "zero-sum", "max-degree"],
+)
+def test_bulk_construction_rejects_what_init_rejects(keys, max_degree):
+    with pytest.raises(ValueError) as init_error:
+        SpectralFunction([(k, 1.0) for k in keys], max_degree=max_degree)
+    k1, k2, k3 = np.array(keys).T
+    with pytest.raises(type(init_error.value)):
+        SpectralFunction._from_arrays(k1, k2, k3, np.ones(len(keys), complex), max_degree)
+
+
+def test_kernel_family_coefficients_bitwise():
+    f = kernel_family(0.5).function
+    for k in indices_up_to(64):
+        assert f.coeff(k) == 0.5 ** k.degree()
+    assert f.support_size == 1 + 3 * 64 * 65
+
+
+def _random_spectrum_oracle(max_degree, rng, real_symmetric):
+    """random_spectrum drawn one normal at a time, as a dict of coefficients."""
+    coeffs = {}
+    for k in indices_up_to(max_degree):
+        neg = k.negate()
+        if real_symmetric:
+            if (k.k1, k.k2) < (neg.k1, neg.k2):
+                continue
+            if k == neg:
+                coeffs[k] = complex(rng.standard_normal(), 0.0)
+            else:
+                c = complex(rng.standard_normal(), rng.standard_normal())
+                coeffs[k] = c
+                coeffs[neg] = c.conjugate()
+        else:
+            coeffs[k] = complex(rng.standard_normal(), rng.standard_normal())
+    norm = math.sqrt(math.fsum(c.real * c.real + c.imag * c.imag for c in coeffs.values()))
+    return {k: c / norm for k, c in coeffs.items()}
+
+
+@pytest.mark.parametrize("real_symmetric", [True, False])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_random_spectrum_matches_scalar_draws(seed, real_symmetric):
+    f = random_spectrum(12, np.random.default_rng(seed), real_symmetric)
+    want = _random_spectrum_oracle(12, np.random.default_rng(seed), real_symmetric)
+    got = dict(f.items())
+    assert got.keys() == want.keys()
+    for k, c in want.items():
+        assert (got[k].real.hex(), got[k].imag.hex()) == (c.real.hex(), c.imag.hex())
+    assert f.max_degree == 12
+
+
 def test_spectral_items_canonical_order():
     f = _sample_spectrum(3, seed=5)
     keys = [k.as_tuple() for k, _ in f.items()]
@@ -204,10 +266,10 @@ def test_scale_shells_drops_zeros():
 
 def test_truncate_and_subtract():
     f = _sample_spectrum(4)
-    g = truncate_spectrum(f, 2)
+    g = scale_shells(f, lambda nu: float(nu <= 2))
     assert g.degree() == 2
     assert g.support_size == len(indices_up_to(2))
-    d = subtract(f, g)
+    d = {k: c - g.coeff(k) for k, c in f.items()}
     for k, c in d.items():
         if k.degree() <= 2:
             assert c == 0.0
@@ -319,6 +381,16 @@ def test_lp_norm_homogeneous():
     s = GridFunction(g, 3.0 * vals)
     for p in (1.0, 2.0, math.inf):
         assert lp_norm(s, p) == pytest.approx(3.0 * lp_norm(f, p))
+
+
+def test_lp_norm_beyond_the_range_of_its_powers():
+    g = make_grid(8)
+    for scale in (1e-200, 1e-160, 1e300):
+        f = GridFunction(g, np.full(g.size, scale * (0.6 + 0.8j)))
+        for p in (1.0, 2.0, 3.0):
+            assert lp_norm(f, p) == pytest.approx(scale, rel=1e-14)
+    zero = GridFunction(g, np.zeros(g.size, dtype=complex))
+    assert lp_norm(zero, 2.0) == 0.0
 
 
 # ------------------------------------------------------------------- JSON I/O

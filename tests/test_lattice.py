@@ -12,6 +12,7 @@ from hexsum.lattice import (
     LATTICE,
     fold,
     fold_arrays,
+    frequency_arrays,
     from_cartesian,
     index_shell,
     indices_up_to,
@@ -109,11 +110,32 @@ def test_indices_up_to_count():
         assert len(indices_up_to(d)) == 1 + 3 * d * (d + 1)
 
 
+def test_frequency_arrays_match_cube_scan():
+    # canonical order: shell-major, lexicographic in (k1, k2) within a shell
+    for d in range(21):
+        brute = sorted(
+            (max(abs(k1), abs(k2), abs(k1 + k2)), k1, k2)
+            for k1 in range(-d, d + 1)
+            for k2 in range(-d, d + 1)
+            if abs(k1 + k2) <= d
+        )
+        k1, k2, shell = frequency_arrays(d)
+        assert list(zip(shell.tolist(), k1.tolist(), k2.tolist())) == brute
+        assert len(brute) == 1 + 3 * d * (d + 1)
+    k1, k2, shell = frequency_arrays(9, min_degree=4)
+    assert shell.tolist() == sorted(shell.tolist()) and set(shell.tolist()) == set(range(4, 10))
+    assert [(a, b, -a - b) for a, b in zip(k1.tolist(), k2.tolist())] == [
+        k.as_tuple() for nu in range(4, 10) for k in index_shell(nu)
+    ]
+
+
 def test_negative_arguments_rejected():
     with pytest.raises(ValueError):
         index_shell(-1)
     with pytest.raises(ValueError):
         indices_up_to(-2)
+    with pytest.raises(ValueError):
+        frequency_arrays(-1)
 
 
 coords = st.floats(
