@@ -22,6 +22,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -124,11 +125,6 @@ class HexGrid:
         m1, m2 = np.divmod(np.arange(self.size), self.n)
         return fold_arrays((3.0 * m1) / self.n, (3.0 * m2) / self.n)
 
-    def points(self) -> list[HexPoint]:
-        """Folded sample points as HexPoint objects (small grids only)."""
-        t1, t2, t3 = self.t_arrays
-        return [HexPoint(float(a), float(b), float(c)) for a, b, c in zip(t1, t2, t3)]
-
     def __repr__(self) -> str:
         return f"HexGrid(n={self.n})"
 
@@ -163,7 +159,8 @@ class SpectralFunction:
     """Finite map from zero-sum frequency triples to coefficients.
 
     Coefficients are stored sparsely, as canonical arrays computed once per
-    instance and a lookup dict keyed by (k1, k2) with k3 implied.
+    instance; a lookup dict keyed by (k1, k2), with k3 implied, is built
+    from them on the first lookup.
     ``max_degree`` is a declared bound: every stored key must satisfy
     degree(k) <= max_degree.  Iteration order is canonical (shell by
     shell, lexicographic within a shell), which downstream code relies on
@@ -189,7 +186,7 @@ class SpectralFunction:
 
     def _set_support(self, k1, k2, k3, coeffs, max_degree) -> None:
         """Check zero sums, duplicates and max_degree in one place, then store
-        the support once: read-only canonical arrays and the lookup dict."""
+        the support once as read-only canonical arrays."""
         bad = np.flatnonzero(k1 + k2 + k3)
         if bad.size:
             i = bad[0]
@@ -209,8 +206,13 @@ class SpectralFunction:
         self._arrays = (k1, k2, shell, np.asarray(coeffs, dtype=complex)[order])
         for a in self._arrays:
             a.flags.writeable = False
-        self._coeffs = dict(zip(zip(k1.tolist(), k2.tolist()), self._arrays[3].tolist()))
         self.max_degree = deg if max_degree is None else int(max_degree)
+
+    @cached_property
+    def _coeffs(self) -> dict[tuple[int, int], complex]:
+        """Lookup dict keyed by (k1, k2), built from the arrays on first use."""
+        k1, k2, _, coeffs = self._arrays
+        return dict(zip(zip(k1.tolist(), k2.tolist()), coeffs.tolist()))
 
     # -- access ------------------------------------------------------------
 
@@ -232,7 +234,7 @@ class SpectralFunction:
 
     @property
     def support_size(self) -> int:
-        return len(self._coeffs)
+        return len(self._arrays[0])
 
     def degree(self) -> int:
         """Largest shell actually carrying a coefficient (0 if empty)."""
@@ -247,8 +249,8 @@ class SpectralFunction:
 
     def l2_norm(self) -> float:
         """Exact L2 norm over Omega via the coefficient sums."""
-        masses = (c.real * c.real + c.imag * c.imag for c in self._coeffs.values())
-        return math.sqrt(math.fsum(masses))  # fsum is exact, so order is irrelevant
+        c = self._arrays[3]
+        return math.sqrt(math.fsum((c.real * c.real + c.imag * c.imag).tolist()))  # exact sum
 
     def is_real_symmetric(self, tol: float = 1e-12) -> bool:
         """True when coeff(-k) agrees with conj(coeff(k)) within tol."""

@@ -223,11 +223,6 @@ def hex_kernel_closed_values(rho: float, t1, t2, t3) -> np.ndarray:
 # shell series oracle
 # --------------------------------------------------------------------------
 
-class SeriesResult(NamedTuple):
-    value: complex
-    tail_bound: float
-
-
 def series_tail_bound(rho: float, cutoff: int) -> float:
     """Exact value of sum_{nu > cutoff} 6 nu rho^nu."""
     _check_rho(rho)
@@ -239,32 +234,40 @@ def series_tail_bound(rho: float, cutoff: int) -> float:
     return 6.0 * rho ** (cutoff + 1) * ((cutoff + 1) * one + rho) / (one * one)
 
 
-def shell_weighted_values(weights: Sequence[float], t1, t2, t3) -> np.ndarray:
+def shell_weighted_values(weights, t1, t2, t3) -> np.ndarray:
     """sum_nu weights[nu] * (shell-nu basis sum) at points, as complex values.
 
-    Evaluation contracts the dense (k1, k2) coefficient table against
-    per-point exponential vectors, so the cost is one matrix product
-    instead of a loop over the ~3 cutoff^2 frequencies.
+    ``weights`` is one weight vector or a stack of them, one row per
+    series; a stack returns one row of values per series.  Every one of
+    the (2 cutoff + 1)^2 frequencies of the (k1, k2) square is summed,
+    with weight 0 beyond the cutoff: the rows share the exponentials and
+    one degree table, and each row is one real BLAS product of its dense
+    coefficient table against [Re | Im] of the k2 exponentials.
     """
     weights = np.asarray(weights, dtype=float)
-    cutoff = len(weights) - 1
-    span = np.arange(-cutoff, cutoff + 1)
-    k1 = span[:, None]
-    k2 = span[None, :]
-    deg = np.maximum(np.maximum(np.abs(k1), np.abs(k2)), np.abs(k1 + k2))
-    coeff = np.where(deg <= cutoff, weights[np.minimum(deg, cutoff)], 0.0)
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
-    t3 = np.asarray(t3, dtype=float)
+    cutoff = weights.shape[-1] - 1
+    span = np.arange(-cutoff, cutoff + 1, dtype=np.int32)
+    k1, k2 = span[:, None], span[None, :]
+    deg = np.minimum(np.maximum(np.maximum(np.abs(k1), np.abs(k2)), np.abs(k1 + k2)), cutoff + 1)
+    t1, t2, t3 = (np.asarray(t, dtype=float) for t in (t1, t2, t3))
     f1 = np.exp(1j * TWO_PI_OVER_3 * np.outer(span, t1 - t3))
     f2 = np.exp(1j * TWO_PI_OVER_3 * np.outer(span, t2 - t3))
-    return pairwise_sum(f1 * (coeff @ f2), axis=0)
+    m = f2.shape[1]
+    f2_parts = np.concatenate([f2.real, f2.imag], axis=1)
+    rows = []
+    for w in weights.reshape(-1, cutoff + 1):
+        g = np.append(w, 0.0)[deg] @ f2_parts
+        rows.append(pairwise_sum(f1 * (g[:, :m] + 1j * g[:, m:]), axis=0))
+    return np.array(rows).reshape(weights.shape[:-1] + (m,))
 
 
 def hex_kernel_series_values(
     rho: float, t1, t2, t3, cutoff: int
 ) -> tuple[np.ndarray, float]:
-    """Shell series truncated at ``cutoff`` plus its closed-form tail bound."""
+    """Shell series truncated at ``cutoff`` plus its closed-form tail bound.
+
+    Values are complex; the exact sum is real, so the imaginary part is a rounding diagnostic.
+    """
     _check_rho(rho)
     weights = rho ** np.arange(cutoff + 1, dtype=float)
     return (
@@ -273,27 +276,19 @@ def hex_kernel_series_values(
     )
 
 
-def hex_kernel_series(rho: float, t: HexPoint, cutoff: int) -> SeriesResult:
-    """Truncated shell series at one point.
+def hex_deriv_series_values(rho: float, t1, t2, t3, r, cutoff: int) -> np.ndarray:
+    """Termwise-differentiated shell series: sum_nu nu!/(nu-r)! rho^{nu-r} (shell sum).
 
-    The value is returned as a complex number: its imaginary part is a
-    rounding diagnostic (shells are conjugate-closed, so the exact sum is
-    real).  ``tail_bound`` certifies |value - closed form| up to rounding.
+    ``r`` is one order or a sequence of orders; a sequence returns one row
+    per order from a single series evaluation.
     """
-    vals, tail = hex_kernel_series_values(
-        rho, [t.t1], [t.t2], [t.t3], cutoff
-    )
-    return SeriesResult(complex(vals[0]), tail)
-
-
-def hex_deriv_series_values(rho: float, t1, t2, t3, r: int, cutoff: int) -> np.ndarray:
-    """Termwise-differentiated shell series: sum_nu nu!/(nu-r)! rho^{nu-r} (shell sum)."""
     _check_rho(rho)
-    _check_order(r)
-    weights = np.zeros(cutoff + 1)
-    for nu in range(r, cutoff + 1):
-        weights[nu] = math.perm(nu, r) * rho ** (nu - r)
-    return shell_weighted_values(weights, t1, t2, t3)
+    orders = [int(o) for o in np.atleast_1d(r)]
+    weights = np.zeros((len(orders), cutoff + 1))
+    for row, o in zip(weights, orders):
+        _check_order(o)
+        row[o:] = [math.perm(nu, o) * rho ** (nu - o) for nu in range(o, cutoff + 1)]
+    return shell_weighted_values(weights.reshape(np.shape(r) + (cutoff + 1,)), t1, t2, t3)
 
 
 # --------------------------------------------------------------------------

@@ -192,8 +192,11 @@ def poisson_integral_convolution(g, rho: float):
 
     Convolves the samples with closed-form kernel values over the same
     grid: out[m] = (1/N^2) sum_d g[m - d] K[d], indices cyclic per axis
-    because a full (t1, t2) step of 3 is a lattice period.  O(N^4) —
-    intended for cross-checks at small n, not production use.
+    because a full (t1, t2) step of 3 is a lattice period.  Every one of
+    the N^2 shifts d is summed, with no FFT: for each d1 the sum over d2
+    is one real BLAS product of the rows shifted by d1 ([Re | Im] stacked)
+    with the circulant matrix of K[d1, .].  O(N^4) — intended for
+    cross-checks at small n, not production use.
     """
     from .fourier import GridFunction  # local import to keep module DAG flat
 
@@ -201,13 +204,12 @@ def poisson_integral_convolution(g, rho: float):
     n = grid.n
     t1, t2, t3 = grid.t_arrays
     kern = hex_kernel_closed_values(rho, t1, t2, t3).reshape(n, n)
-    f = g.values.reshape(n, n)
-    out = np.zeros((n, n), dtype=complex)
+    parts = np.stack([g.values.real, g.values.imag]).reshape(2, n, n)
+    lag = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n  # lag[j, m2] = m2 - j
+    out = np.zeros((2 * n, n))
     for d1 in range(n):
-        rolled = np.roll(f, d1, axis=0)
-        for d2 in range(n):
-            out += kern[d1, d2] * np.roll(rolled, d2, axis=1)
-    return GridFunction(grid, (out * grid.weight).ravel())
+        out += np.roll(parts, d1, axis=1).reshape(2 * n, n) @ kern[d1, lag]
+    return GridFunction(grid, ((out[:n] + 1j * out[n:]) * grid.weight).ravel())
 
 
 # --------------------------------------------------------------------------

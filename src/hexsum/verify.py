@@ -121,21 +121,23 @@ def check_fold_phase_invariance(rng) -> CheckResult:
     return _result("lattice.fold_phase_invariance", worst, 1e-10, "deg <= 5, 1000 points")
 
 
+#: lattice periods (j1, j2) with |j1|, |j2| <= 9 and j1 = j2 (mod 3)
+_TILING_SHIFTS = np.array(
+    [(j1, j2) for j1 in range(-9, 10) for j2 in range(-9, 10) if (j1 - j2) % 3 == 0]
+).T
+
+
+def _tiling_hits(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """Half-open Omega membership of every translate, one row per point."""
+    u, v = t1[:, None] + _TILING_SHIFTS[0], t2[:, None] + _TILING_SHIFTS[1]
+    w = -u - v
+    return (-1.0 <= u) & (u < 1.0) & (-1.0 <= v) & (v < 1.0) & (-1.0 < w) & (w <= 1.0)
+
+
 def check_tiling(rng) -> CheckResult:
     """Each point has exactly one lattice translate inside the hexagon."""
     t1, t2 = _random_points(rng, 300, span=4.0)
-    bad = 0
-    for a, b in zip(t1, t2):
-        hits = 0
-        for j1 in range(-9, 10):
-            for j2 in range(-9, 10):
-                if (j1 - j2) % 3 != 0:
-                    continue
-                u, v = a + j1, b + j2
-                if is_in_omega(HexPoint(u, v, -u - v)):
-                    hits += 1
-        if hits != 1:
-            bad += 1
+    bad = int(np.count_nonzero(_tiling_hits(t1, t2).sum(axis=1) != 1))
     return _result("lattice.tiling_uniqueness", bad, 0, "300 points, shifts |j| <= 9")
 
 
@@ -395,11 +397,12 @@ def check_hex_deriv_series(rng) -> CheckResult:
     t1, t2 = _random_points(rng, 64, span=3.0)
     t3 = -(t1 + t2)
     rho = 0.7
+    orders = (1, 2, 3)
+    series = kernels.hex_deriv_series_values(rho, t1, t2, t3, orders, 600)
     worst = 0.0
-    for r in (1, 2, 3):
+    for r, row in zip(orders, series):
         closed = kernels.hex_kernel_deriv_values(rho, t1, t2, t3, r)
-        series = kernels.hex_deriv_series_values(rho, t1, t2, t3, r, 600)
-        worst = max(worst, float(np.abs(closed - series.real).max()))
+        worst = max(worst, float(np.abs(closed - row.real).max()))
     return _result("kernels.hex_deriv_series", worst, 1e-7, "rho=0.7, r <= 3")
 
 

@@ -89,13 +89,6 @@ def test_grid_points_are_folded():
         assert abs(t1[i] + t2[i] + t3[i]) < 1e-12
 
 
-def test_grid_points_list():
-    g = make_grid(4)
-    pts = g.points()
-    assert len(pts) == 16
-    assert all(isinstance(p, HexPoint) for p in pts)
-
-
 # ---------------------------------------------------------------------- basis
 
 
@@ -173,6 +166,31 @@ def test_support_arrays_are_read_only():
     for a in f._support():
         with pytest.raises(ValueError):
             a[0] = 0
+
+
+def test_support_size_leaves_lookup_dict_unbuilt():
+    f = _sample_spectrum(3)
+    assert f.support_size == 1 + 3 * 3 * 4
+    assert "_coeffs" not in vars(f)
+    f.coeff((0, 0, 0))
+    assert "_coeffs" in vars(f)
+
+
+@pytest.mark.parametrize("real_symmetric", [True, False])
+def test_lookups_agree_between_constructors(real_symmetric):
+    f = random_spectrum(5, np.random.default_rng(4), real_symmetric)
+    coeffs = dict(f.items())
+    by_init = SpectralFunction(coeffs)
+    k1, k2, _, c = f._support()
+    back = np.arange(len(k1))[::-1]  # bulk path sorts its input
+    by_arrays = SpectralFunction._from_arrays(k1[back], k2[back], -(k1 + k2)[back], c[back])
+    other = _sample_spectrum(6, seed=1)
+    for k in indices_up_to(7):
+        assert by_init.coeff(k) == by_arrays.coeff(k)
+    assert by_init.l2_norm() == by_arrays.l2_norm()
+    assert by_init.is_real_symmetric() == by_arrays.is_real_symmetric() == real_symmetric
+    assert max_coeff_diff(by_init, by_arrays) == 0.0
+    assert max_coeff_diff(by_init, other) == max_coeff_diff(by_arrays, other) > 0.0
 
 
 @pytest.mark.parametrize(

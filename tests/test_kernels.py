@@ -21,7 +21,7 @@ from hexsum.kernels import (
     hex_kernel_closed_values,
     hex_kernel_deriv,
     hex_kernel_deriv_values,
-    hex_kernel_series,
+    hex_kernel_series_values,
     min_resolution,
     pair_weight_deriv,
     product_integral,
@@ -29,7 +29,7 @@ from hexsum.kernels import (
     shell_weighted_values,
     triple_weight_deriv,
 )
-from hexsum.lattice import HexPoint, index_shell
+from hexsum.lattice import HexIndex, HexPoint, frequency_arrays, index_shell
 
 
 # ------------------------------------------------------------ circle kernel
@@ -212,16 +212,44 @@ def test_shell_weighted_values_matches_basis_sum():
         np.testing.assert_allclose(got, want, atol=1e-10)
 
 
+def test_shell_weighted_stack_matches_single_rows():
+    rng = np.random.default_rng(3)
+    t1, t2 = rng.uniform(-2, 2, size=(2, 40))
+    t3 = -(t1 + t2)
+    stack = rng.standard_normal((3, 9))
+    got = shell_weighted_values(stack, t1, t2, t3)
+    assert got.shape == (3, 40)
+    for row, weights in zip(got, stack):
+        assert np.array_equal(row, shell_weighted_values(weights, t1, t2, t3))
+
+
+@pytest.mark.parametrize("cutoff", range(9))
+def test_shell_weighted_values_matches_frequency_sum(cutoff):
+    rng = np.random.default_rng(cutoff)
+    t1, t2 = rng.uniform(-3, 3, size=(2, 50))
+    t3 = -(t1 + t2)
+    weights = rng.standard_normal(cutoff + 1)
+    want = np.zeros(t1.shape, dtype=complex)
+    for a, b, nu in zip(*(k.tolist() for k in frequency_arrays(cutoff))):
+        want += weights[nu] * phi_values(HexIndex(a, b, -a - b), t1, t2, t3)
+    # absolute sum of the series' terms: |J_nu| = 6 nu frequencies of modulus 1
+    scale = float(np.abs(weights) @ np.maximum(6 * np.arange(cutoff + 1), 1))
+    got = shell_weighted_values(weights, t1, t2, t3)
+    np.testing.assert_allclose(got.real, want.real, rtol=0, atol=1e-13 * scale)
+    np.testing.assert_allclose(got.imag, want.imag, rtol=0, atol=1e-13 * scale)
+
+
 def test_closed_matches_series_within_tail():
     rng = np.random.default_rng(12)
     for rho, cutoff in ((0.4, 60), (0.8, 400)):
         for _ in range(10):
             a, b = rng.uniform(-1, 1, size=2)
             t = HexPoint(a, b, -a - b)
-            res = hex_kernel_series(rho, t, cutoff)
+            vals, tail_bound = hex_kernel_series_values(rho, [t.t1], [t.t2], [t.t3], cutoff)
+            value = complex(vals[0])
             closed = hex_kernel_closed(rho, t)
-            assert abs(res.value.imag) < 1e-9
-            assert abs(res.value.real - closed) <= res.tail_bound + 1e-9
+            assert abs(value.imag) < 1e-9
+            assert abs(value.real - closed) <= tail_bound + 1e-9
 
 
 # ------------------------------------------------------------- derivatives
@@ -235,10 +263,12 @@ def test_deriv_order_zero_is_closed_form():
 def test_deriv_matches_series():
     g = make_grid(8)
     t1, t2, t3 = g.t_arrays
-    for r in (1, 2, 3):
+    stacked = hex_deriv_series_values(0.6, t1, t2, t3, (1, 2, 3), cutoff=400)
+    for r, row in zip((1, 2, 3), stacked):
         direct = hex_kernel_deriv_values(0.6, t1, t2, t3, r)
         series = hex_deriv_series_values(0.6, t1, t2, t3, r, cutoff=400)
         np.testing.assert_allclose(direct, series.real, rtol=1e-8, atol=1e-8)
+        assert np.array_equal(row, series)
 
 
 def test_deriv_matches_finite_difference():

@@ -14,6 +14,7 @@ from hexsum.fourier import (
     scale_shells,
     synthesize,
 )
+from hexsum.kernels import hex_kernel_closed_values
 from hexsum.lattice import index_shell
 from hexsum.means import (
     KfunEstimate,
@@ -187,6 +188,21 @@ def test_poisson_convolution_matches_spectral():
     spectral = synthesize(poisson_integral_spectral(f, 0.5), grid)
     err = grid.weight * float(np.sum(np.abs(direct.values - spectral.values) ** 2))
     assert math.sqrt(err) < 1e-8
+
+
+@pytest.mark.parametrize("n", [6, 9, 12])
+def test_poisson_convolution_matches_nested_roll_loop(n):
+    g = synthesize(_random_f(n, degree=2), make_grid(n))
+    kern = hex_kernel_closed_values(0.5, *g.grid.t_arrays).reshape(n, n)
+    samples = g.values.reshape(n, n)
+    want = np.zeros((n, n), dtype=complex)
+    for d1 in range(n):
+        rolled = np.roll(samples, d1, axis=0)
+        for d2 in range(n):
+            want += kern[d1, d2] * np.roll(rolled, d2, axis=1)
+    want = (want * g.grid.weight).ravel()
+    got = poisson_integral_convolution(g, 0.5).values
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 # -------------------------------------------------------------------- norms

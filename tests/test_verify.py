@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from hexsum.verify import ALL_CHECKS, CheckResult, run_all_checks
+from hexsum.lattice import HexPoint, is_in_omega
+from hexsum.verify import _TILING_SHIFTS, ALL_CHECKS, CheckResult, _tiling_hits, run_all_checks
 
 
 @pytest.fixture(scope="module")
@@ -53,3 +55,21 @@ def test_pass_fail_stable_across_seeds(battery):
     for seed in range(1, 5):
         got = {r.name: r.passed for r in battery(seed)}
         assert got == baseline
+
+
+def test_tiling_hits_match_scalar_membership():
+    rng = np.random.default_rng(9)
+    t1, t2 = rng.uniform(-4, 4, size=(2, 40))
+    # the half-open edges t1 = -1, t1 = 1, t3 = 1 and t2 = 1 at translate 0
+    t1 = np.concatenate([t1, [-1.0, 1.0, 0.0, 0.0]])
+    t2 = np.concatenate([t2, [0.0, 0.0, -1.0, 1.0]])
+    hits = _tiling_hits(t1, t2)
+    assert hits.shape == (44, 121)
+    want = [
+        [is_in_omega(HexPoint(u, v, -u - v)) for u, v in zip(a + _TILING_SHIFTS[0], b + _TILING_SHIFTS[1])]
+        for a, b in zip(t1, t2)
+    ]
+    assert np.array_equal(hits, np.array(want))
+    origin = np.flatnonzero((_TILING_SHIFTS[0] == 0) & (_TILING_SHIFTS[1] == 0))[0]
+    assert hits[40:, origin].tolist() == [True, False, True, False]
+    assert np.all(hits.sum(axis=1) == 1)
