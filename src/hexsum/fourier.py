@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .lattice import HexIndex, HexPoint, fold_arrays, frequency_arrays
+from .lattice import HexIndex, fold_arrays, frequency_arrays
 
 TWO_PI_OVER_3 = 2.0 * math.pi / 3.0
 
@@ -78,12 +78,6 @@ def pairwise_sum(values: np.ndarray, axis: int | None = None) -> np.ndarray:
 # --------------------------------------------------------------------------
 # basis evaluation
 # --------------------------------------------------------------------------
-
-def phi(k: HexIndex, t: HexPoint) -> complex:
-    """Basis monomial phi_k at a single point."""
-    arg = TWO_PI_OVER_3 * (k.k1 * t.t1 + k.k2 * t.t2 + k.k3 * t.t3)
-    return complex(math.cos(arg), math.sin(arg))
-
 
 def phi_values(
     k: HexIndex,

@@ -199,17 +199,6 @@ def _z_arrays(t1, t2, t3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return TWO_PI_OVER_3 * (t2 - t3), TWO_PI_OVER_3 * (t3 - t1), TWO_PI_OVER_3 * (t1 - t2)
 
 
-def hex_kernel_closed(rho: float, t: HexPoint) -> float:
-    """Closed-form lattice kernel P(rho, t); strictly positive."""
-    _check_rho(rho)
-    p1 = classical_kernel_deriv(rho, t.z1, 0)
-    p2 = classical_kernel_deriv(rho, t.z2, 0)
-    p3 = classical_kernel_deriv(rho, t.z3, 0)
-    w3 = TRIPLE_WEIGHT.evaluate(rho)
-    w2 = PAIR_WEIGHT.evaluate(rho)
-    return w3 * (p1 * p2 * p3) + w2 * (p1 * p2 + p1 * p3 + p2 * p3)
-
-
 def hex_kernel_closed_values(rho: float, t1, t2, t3) -> np.ndarray:
     """Closed-form lattice kernel on coordinate arrays."""
     _check_rho(rho)
@@ -217,6 +206,11 @@ def hex_kernel_closed_values(rho: float, t1, t2, t3) -> np.ndarray:
     w3 = TRIPLE_WEIGHT.evaluate(rho)
     w2 = PAIR_WEIGHT.evaluate(rho)
     return w3 * (p1 * p2 * p3) + w2 * (p1 * p2 + p1 * p3 + p2 * p3)
+
+
+def hex_kernel_closed(rho: float, t: HexPoint) -> float:
+    """Closed-form lattice kernel P(rho, t) at one point; strictly positive."""
+    return float(hex_kernel_closed_values(rho, [t.t1], [t.t2], [t.t3])[0])
 
 
 # --------------------------------------------------------------------------
@@ -332,13 +326,9 @@ def hex_kernel_deriv_values(rho: float, t1, t2, t3, r: int) -> np.ndarray:
 def hex_kernel_deriv(rho: float, t: HexPoint, r: int) -> float:
     """r-th rho-derivative of the lattice kernel at one point.
 
-    r=0 returns hex_kernel_closed exactly (same code path, no Leibniz
-    reassociation).
+    One element of hex_kernel_deriv_values, so r=0 returns
+    hex_kernel_closed exactly.
     """
-    _check_rho(rho)
-    _check_order(r)
-    if r == 0:
-        return hex_kernel_closed(rho, t)
     return float(hex_kernel_deriv_values(rho, [t.t1], [t.t2], [t.t3], r)[0])
 
 

@@ -16,7 +16,7 @@ matrix H = [[sqrt(3), 0], [-1, 2]], with area element dx = (2 sqrt(3)/3) dt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,9 @@ _SQRT3 = math.sqrt(3.0)
 
 #: tolerance on the zero-sum constraint for point coordinates
 POINT_TOL = 1e-12
+
+#: area of Omega in the (t1, t2) chart
+OMEGA_AREA = 3.0
 
 # Shifts that move the base parallelogram {a*(1,1) + b*(3,0) : a, b in [0,1)}
 # onto Omega.  Exactly one of them applies to any given point; this is the
@@ -73,34 +76,8 @@ class HexPoint:
                 f"got sum {s!r}"
             )
 
-    # Pairwise-difference angles feeding the one-dimensional kernels.
-    @property
-    def z1(self) -> float:
-        return (2.0 * math.pi / 3.0) * (self.t2 - self.t3)
-
-    @property
-    def z2(self) -> float:
-        return (2.0 * math.pi / 3.0) * (self.t3 - self.t1)
-
-    @property
-    def z3(self) -> float:
-        return (2.0 * math.pi / 3.0) * (self.t1 - self.t2)
-
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.t1, self.t2, self.t3)
-
-
-@dataclass(frozen=True)
-class LatticeConstants:
-    """Fixed geometric constants of the hexagonal lattice."""
-
-    generator: np.ndarray = field(
-        default_factory=lambda: np.array([[_SQRT3, 0.0], [-1.0, 2.0]])
-    )
-    omega_area: float = 3.0  # area of Omega in the (t1, t2) chart
-
-
-LATTICE = LatticeConstants()
 
 
 def from_cartesian(x1: float, x2: float) -> HexPoint:
@@ -123,62 +100,44 @@ def to_cartesian(t: HexPoint) -> tuple[float, float]:
     return (x1, x2)
 
 
+def _omega_mask(t1, t2, t3):
+    """Half-open membership test for Omega, elementwise on floats or arrays."""
+    return (-1.0 <= t1) & (t1 < 1.0) & (-1.0 <= t2) & (t2 < 1.0) & (-1.0 < t3) & (t3 <= 1.0)
+
+
 def is_in_omega(t: HexPoint) -> bool:
     """Half-open membership test for the fundamental hexagon."""
-    return (
-        -1.0 <= t.t1 < 1.0
-        and -1.0 <= t.t2 < 1.0
-        and -1.0 < t.t3 <= 1.0
-    )
+    return bool(_omega_mask(t.t1, t.t2, t.t3))
 
 
 def fold(t: HexPoint) -> HexPoint:
     """Translate t by a period so that the result lies in Omega.
 
     Points already inside Omega are returned unchanged, which makes the map
-    idempotent exactly (not merely up to rounding).
+    idempotent exactly (not merely up to rounding); every other point is
+    one row of fold_arrays.
     """
     if is_in_omega(t):
         return t
-    # Coordinates of t in the period basis (1, 1), (3, 0).
-    a = t.t2
-    b = (t.t1 - t.t2) / 3.0
-    sa = math.floor(a)
-    sb = math.floor(b)
-    r1 = t.t1 - (sa + 3.0 * sb)
-    r2 = t.t2 - sa
-    # Rounding can land the reduced point on an excluded edge of the base
-    # cell (e.g. t2 - floor(t2) evaluating to 1.0 for t2 just below an
-    # integer).  Renormalize by whole periods; the shifts are exact in
-    # floating point for the magnitudes that can occur here.
-    if r2 >= 1.0:
-        r1 -= 1.0
-        r2 -= 1.0
-    d = r1 - r2
-    if d < 0.0:
-        r1 += 3.0
-    elif d >= 3.0:
-        r1 -= 3.0
-    for j1, j2 in _OMEGA_SHIFTS:
-        u1 = r1 - j1
-        u2 = r2 - j2
-        u3 = -u1 - u2
-        if -1.0 <= u1 < 1.0 and -1.0 <= u2 < 1.0 and -1.0 < u3 <= 1.0:
-            return HexPoint(u1, u2, u3)
-    raise AssertionError("shift table failed to cover the base cell")
+    f1, f2, f3 = fold_arrays([t.t1], [t.t2])
+    return HexPoint(float(f1[0]), float(f2[0]), float(f3[0]))
 
 
 def fold_arrays(t1: np.ndarray, t2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorised fold of (t1, t2) coordinate arrays into Omega."""
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
+    # Coordinates of t in the period basis (1, 1), (3, 0).
     a = t2
     b = (t1 - t2) / 3.0
     sa = np.floor(a)
     sb = np.floor(b)
     r1 = t1 - (sa + 3.0 * sb)
     r2 = t2 - sa
-    # same boundary renormalization as the scalar fold
+    # Rounding can land the reduced point on an excluded edge of the base
+    # cell (e.g. t2 - floor(t2) evaluating to 1.0 for t2 just below an
+    # integer).  Renormalize by whole periods; the shifts are exact in
+    # floating point for the magnitudes that can occur here.
     hit = r2 >= 1.0
     r1 = np.where(hit, r1 - 1.0, r1)
     r2 = np.where(hit, r2 - 1.0, r2)
@@ -190,11 +149,7 @@ def fold_arrays(t1: np.ndarray, t2: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     for j1, j2 in _OMEGA_SHIFTS:
         u1 = r1 - j1
         u2 = r2 - j2
-        u3 = -u1 - u2
-        ok = ~done
-        ok &= (u1 >= -1.0) & (u1 < 1.0)
-        ok &= (u2 >= -1.0) & (u2 < 1.0)
-        ok &= (u3 > -1.0) & (u3 <= 1.0)
+        ok = ~done & _omega_mask(u1, u2, -u1 - u2)
         out1[ok] = u1[ok]
         out2[ok] = u2[ok]
         done |= ok

@@ -78,9 +78,7 @@ def _check_multiplier_args(nu: int, r: int, rho: float) -> None:
 def lambda_coeff(nu: int, r: int, rho: float) -> float:
     """Shell multiplier of the order-r mean, I_rho(nu-r+1, r); always in [0, 1]."""
     _check_multiplier_args(nu, r, rho)
-    if nu < r:
-        return 1.0
-    return float(betainc(nu - r + 1, r, rho))
+    return float(_lambda_shells(np.array([nu]), r, rho)[0])
 
 
 def lambda_complement(nu: int, r: int, rho: float) -> float:
@@ -90,15 +88,13 @@ def lambda_complement(nu: int, r: int, rho: float) -> float:
     is exponentially small as rho -> 1.
     """
     _check_multiplier_args(nu, r, rho)
-    if nu < r:
-        return 0.0
-    return float(betainc(r, nu - r + 1, 1.0 - rho))
+    return float(_lambda_shells(np.array([nu]), r, rho, complement=True)[0])
 
 
 def _lambda_shells(
     shells: np.ndarray, r: int, rho: float, complement: bool = False
 ) -> np.ndarray:
-    """lambda_coeff (or lambda_complement) at each of shells, bit for bit."""
+    """Shell multipliers lambda_{nu,r}(rho), or their complements, at each of shells."""
     out = np.full(len(shells), 0.0 if complement else 1.0)
     high = shells >= r
     a = shells[high] - r + 1
@@ -438,7 +434,8 @@ def remainder_integral_norm(
         raise ValueError(f"order r must be at least 2, got {r}")
     if zeta_nodes < 16:
         raise ValueError(f"at least 16 nodes required, got {zeta_nodes}")
-    top = max((idx.degree() for idx, c in f.items() if c != 0), default=0)
+    _, _, shell, coeffs = f._support()
+    top = int(shell[coeffs != 0].max(initial=0))
     if top > 2 * zeta_nodes:
         raise ValueError(f"{zeta_nodes} nodes are exact up to shell "
                          f"{2 * zeta_nodes}, f reaches shell {top}")

@@ -30,14 +30,14 @@ from .fourier import (
     synthesize,
 )
 from .lattice import (
+    OMEGA_AREA,
     HexPoint,
-    LATTICE,
+    _omega_mask,
     fold,
     fold_arrays,
     from_cartesian,
     index_shell,
     indices_up_to,
-    is_in_omega,
     to_cartesian,
 )
 from .means import SummationParams
@@ -90,22 +90,17 @@ def check_shell_enumeration(rng) -> CheckResult:
 def check_fold(rng) -> CheckResult:
     """fold lands in the hexagon and is exactly idempotent."""
     t1, t2 = _random_points(rng, 2000, span=8.0)
-    bad = 0
-    for a, b in zip(t1, t2):
-        t = HexPoint(a, b, -a - b)
-        ft = fold(t)
-        if not is_in_omega(ft):
-            bad += 1
-        if fold(ft).as_tuple() != ft.as_tuple():
-            bad += 1
     f1, f2, f3 = fold_arrays(t1, t2)
-    if not (np.all(f1 >= -1) and np.all(f1 < 1) and np.all(f2 >= -1) and np.all(f2 < 1)):
-        bad += 1
-    if not (np.all(f3 > -1) and np.all(f3 <= 1)):
-        bad += 1
+    bad = int(np.count_nonzero(~_omega_mask(f1, f2, f3)))
     g1, g2, g3 = fold_arrays(f1, f2)
-    if not (np.array_equal(g1, f1) and np.array_equal(g2, f2) and np.array_equal(g3, f3)):
-        bad += 1
+    bad += int(np.count_nonzero((g1 != f1) | (g2 != f2) | (g3 != f3)))
+    # the scalar view, sampled since each call runs a one-row fold_arrays: it
+    # returns a point of Omega itself and any other point as its array row
+    for i in range(0, len(t1), 20):
+        t = HexPoint(t1[i], t2[i], -t1[i] - t2[i])
+        ft = fold(t)
+        if not (ft is t or ft.as_tuple() == (f1[i], f2[i], f3[i])) or fold(ft) is not ft:
+            bad += 1
     return _result("lattice.fold_membership_idempotent", bad, 0, "2000 random points")
 
 
@@ -130,8 +125,7 @@ _TILING_SHIFTS = np.array(
 def _tiling_hits(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     """Half-open Omega membership of every translate, one row per point."""
     u, v = t1[:, None] + _TILING_SHIFTS[0], t2[:, None] + _TILING_SHIFTS[1]
-    w = -u - v
-    return (-1.0 <= u) & (u < 1.0) & (-1.0 <= v) & (v < 1.0) & (-1.0 < w) & (w <= 1.0)
+    return _omega_mask(u, v, -u - v)
 
 
 def check_tiling(rng) -> CheckResult:
@@ -161,7 +155,7 @@ def check_coordinates(rng) -> CheckResult:
         x0 * y1_ - x1_ * y0
         for (x0, y0), (x1_, y1_) in zip(verts, verts[1:] + verts[:1])
     )
-    worst = max(worst, abs(0.5 * twice - LATTICE.omega_area))
+    worst = max(worst, abs(0.5 * twice - OMEGA_AREA))
     return _result("lattice.coordinates_roundtrip", worst, 1e-12, "500 points + area/Jacobian")
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betainc
 
 from hexsum.families import basis_family, polynomial_family, random_spectrum
 from hexsum.fourier import (
@@ -15,7 +16,7 @@ from hexsum.fourier import (
     synthesize,
 )
 from hexsum.kernels import hex_kernel_closed_values
-from hexsum.lattice import index_shell
+from hexsum.lattice import HexIndex, index_shell
 from hexsum.means import (
     KfunEstimate,
     SummationParams,
@@ -108,6 +109,18 @@ def test_lambda_validation():
             fn(2, 0, 0.5)
         with pytest.raises(ValueError):
             fn(2, 1, 1.0)
+
+
+def test_lambda_scalars_match_betainc_bitwise():
+    # the scalar multipliers are one-element views of the shell arrays; each
+    # must equal its own betainc call (exactly 1.0 / 0.0 below r) bit for bit
+    for rho in (0.0, 0.1, 0.5, 0.75, 0.9, 0.999, 1.0 - 2.0**-20):
+        for r in range(1, 7):
+            for nu in range(301):
+                lam = 1.0 if nu < r else float(betainc(nu - r + 1, r, rho))
+                comp = 0.0 if nu < r else float(betainc(r, nu - r + 1, 1.0 - rho))
+                assert lambda_coeff(nu, r, rho) == lam
+                assert lambda_complement(nu, r, rho) == comp
 
 
 def test_summation_params_validation():
@@ -305,6 +318,9 @@ def test_remainder_integral_exact_shells_only():
         remainder_integral_norm(
             basis_family(40).function, params, 2.0, grid, zeta_nodes=16
         )
+    # an exact zero stored on shell 40 carries no shell
+    padded = SpectralFunction(edge.items() + [(HexIndex(40, -40, 0), 0.0)])
+    assert remainder_integral_norm(padded, params, 2.0, grid, zeta_nodes=16) == got
 
 
 # ------------------------------------------------------------- K-functional
