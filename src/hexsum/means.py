@@ -30,10 +30,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import betainc
 
 from .fourier import (
@@ -230,7 +230,9 @@ def _shell_norm(
     subnormal or 0, is summed again in units of its largest term (exact
     powers of two), so results in the normal range keep every bit, and
     only norms beyond the float range are inf.  Callers run under _QUIET,
-    as that overflow is expected.
+    as that overflow is expected.  A grid on which two nonzero
+    coefficients share a DFT bin would alias them silently, so it raises
+    ValueError.
     """
     k1, k2, shell, coeffs = f._support()
     shells, at = np.unique(shell, return_inverse=True)
@@ -256,6 +258,14 @@ def _shell_norm(
 
         return shells, exact
     bins = _dft_bins(k1, k2, grid.n)
+    # a sort, not np.unique: its hash path is several times slower on a few
+    # hundred bins and pays a one-off set-up in every process
+    occupied = np.sort(bins[coeffs != 0])
+    if np.any(occupied[1:] == occupied[:-1]):
+        raise ValueError(
+            f"grid n={grid.n} aliases degree {f.degree()}: two coefficients share "
+            f"a DFT bin (any n > {4 * f.degree()} avoids it)"
+        )
     return shells, lambda mult: lp_norm(_grid_function(grid, bins, mult[at] * coeffs), p)
 
 
@@ -390,8 +400,13 @@ def remainder_coefficient_check(nu: int, r: int, rho: float) -> tuple[float, flo
 
     lhs: the complement multiplier 1 - lambda_{nu,r}(rho) as an incomplete
     beta value.  rhs: the integral
-    (nu!/(nu-r)!)/(r-1)! * int_rho^1 zeta^{nu-r} (1-zeta)^{r-1} dzeta by
-    adaptive quadrature.  The two agree to 1e-10 or better.
+    (nu!/(nu-r)!)/(r-1)! * int_rho^1 zeta^{nu-r} (1-zeta)^{r-1} dzeta,
+    evaluated exactly in rational arithmetic and rounded once.  A float
+    rho is a dyadic rational, and with m_j = nu-r+j+1 the binomial
+    expansion of (1-zeta)^{r-1} integrates to
+    sum_j C(r-1, j) (-1)^j (1 - rho^{m_j}) / m_j, so rhs is the exact
+    integral correctly rounded, independent of betainc and of any
+    quadrature.  The two sides agree to 1e-10 or better.
     """
     if r < 2:
         raise ValueError(f"order r must be at least 2, got {r}")
@@ -400,15 +415,12 @@ def remainder_coefficient_check(nu: int, r: int, rho: float) -> tuple[float, flo
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
     lhs = lambda_complement(nu, r, rho)
-    integral, _err = quad(
-        lambda z: z ** (nu - r) * (1.0 - z) ** (r - 1),
-        rho,
-        1.0,
-        epsabs=1e-14,
-        epsrel=1e-12,
-        limit=200,
+    x = Fraction(rho)
+    integral = sum(
+        Fraction((-1) ** j * math.comb(r - 1, j), m) * (1 - x**m)
+        for j, m in enumerate(range(nu - r + 1, nu + 1))
     )
-    rhs = math.perm(nu, r) / math.factorial(r - 1) * integral
+    rhs = float(math.perm(nu, r) * integral / math.factorial(r - 1))
     return (lhs, rhs)
 
 

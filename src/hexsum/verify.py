@@ -576,7 +576,7 @@ def check_remainder_coefficients(rng) -> CheckResult:
     for nu, r, rho in ((5, 2, 0.5), (30, 4, 0.9), (12, 3, 0.1), (25, 2, 0.75)):
         lhs, rhs = means.remainder_coefficient_check(nu, r, rho)
         worst = max(worst, abs(lhs - rhs))
-    return _result("means.remainder_coefficients", worst, 1e-10, "adaptive quadrature")
+    return _result("means.remainder_coefficients", worst, 1e-10, "exact rational integral")
 
 
 def check_remainder_norm(rng) -> CheckResult:

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 
+import hexsum
 from hexsum.cli import (
     ConfigError,
     ExperimentConfig,
@@ -463,6 +467,18 @@ def test_main_grid_norm_beyond_squared_range(tmp_path, monkeypatch):
     assert rows[0]["deviation"] == pytest.approx(7.0710678e307, rel=1e-8)
 
 
+@pytest.mark.parametrize("command", ["approximate", "kfun"])
+def test_main_aliasing_grid_is_exit_2(tmp_path, monkeypatch, capsys, command):
+    # the battery reaches degree 64, so n = 8 puts distinct frequencies in one bin
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--grid", "8", "--p", "2", "--rho-kmax", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: grid n=8 aliases degree 64")
+    assert not (tmp_path / f"{command}_report.csv").exists()
+
+
 def test_main_kfun_kmin_zero_rejected(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     rc = main(["kfun", "--rho-kmin", "0"])
@@ -605,3 +621,24 @@ def test_unwritable_report_is_exit_2(tmp_path, monkeypatch, capsys):
     rc = main(["rates", "--input", inp, "--out", "no/such/dir/rep.csv"])
     assert rc == 2
     assert "cannot write report" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded(tmp_path):
+    # scipy.integrate pulls in scipy.optimize and scipy.sparse; none of them
+    # may come back through a top-level import or through verify
+    code = (
+        "import sys\n"
+        "import hexsum.cli\n"
+        "heavy = ('scipy.integrate', 'scipy.optimize', 'scipy.sparse')\n"
+        "loaded = lambda: [m for m in heavy if m in sys.modules]\n"
+        "after_import = loaded()\n"
+        "rc = hexsum.cli.main(['verify', '--seed', '0', '--out', 'v.csv'])\n"
+        "print(repr((after_import, rc, loaded())))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hexsum.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == repr(([], 0, []))

@@ -278,6 +278,20 @@ def test_remainder_coefficient_identity():
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
+def test_remainder_coefficient_rhs_matches_high_precision_beta():
+    # the rational rhs is the exact integral rounded once, so it lies
+    # within half an ulp of the 50-digit regularized incomplete beta value
+    worst = 0.0
+    with mpmath.workdps(50):
+        for r in range(2, 7):
+            for nu in (r, r + 1, 7, 20, 61, 150, 300):
+                for rho in (0.0, 0.1, 0.5, 0.9, 0.99, 1.0 - 2.0**-20):
+                    _, rhs = remainder_coefficient_check(nu, r, rho)
+                    ref = mpmath.betainc(r, nu - r + 1, 0, 1 - mpmath.mpf(rho), regularized=True)
+                    worst = max(worst, float(abs(rhs - ref) / ref))
+    assert worst <= 4 * np.finfo(float).eps
+
+
 def test_remainder_coefficient_validation():
     with pytest.raises(ValueError):
         remainder_coefficient_check(4, 1, 0.5)
