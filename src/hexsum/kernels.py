@@ -15,8 +15,9 @@ point t:
 with rational weights W3 = (1 - rho^3)/(1 + rho)^3 and
 W2 = rho/(1 + rho)^2.  High-order rho-derivatives come from the general
 Leibniz rule: the circle-kernel derivatives have the closed form
-2 r! Re(e^{irz} / (1 - rho e^{iz})^{r+1}) and the weight derivatives are
-computed exactly by integer-coefficient quotient-rule differentiation.
+2 r! Re(e^{irz} / (1 - rho e^{iz})^{r+1}) and the weight derivatives come
+from partial fractions in 1 + rho, summed exactly in integers and rounded
+once.
 The expansion is one coefficient tensor C[i, j, k] over the factor orders.
 
 Grid sample (m1, m2) has z1 = 2 pi a / n, z3 = 2 pi b / n and
@@ -33,8 +34,6 @@ tail sum_{nu > c} 6 nu rho^nu available in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -60,95 +59,32 @@ def _check_order(r: int) -> None:
 
 
 # --------------------------------------------------------------------------
-# exact rational weights
+# weights
 # --------------------------------------------------------------------------
 
-def _poly_trim(c: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(c)
-    while n > 1 and c[n - 1] == 0:
-        n -= 1
-    return tuple(c[:n])
+#: W3 and W2 as sums of c_m x^-m, m = 0, 1, ..., in x = 1 + rho
+_PARTIAL_FRACTIONS = ((-1, 3, -3, 2), (0, 1, -1))
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return tuple(out)
+def _weight_derivs(rho: float, r: int) -> tuple[list[float], list[float]]:
+    """rho-derivatives of orders 0..r of W3 and W2, each correctly rounded.
 
-
-def _poly_sub(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    n = max(len(a), len(b))
-    return tuple(
-        (a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)
-    )
-
-
-def _poly_deriv(a: Sequence[int]) -> tuple[int, ...]:
-    if len(a) <= 1:
-        return (0,)
-    return tuple(i * a[i] for i in range(1, len(a)))
-
-
-def _poly_eval(coeffs: Sequence[int], x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-@dataclass(frozen=True)
-class RationalCoeff:
-    """Quotient of integer-coefficient polynomials in rho.
-
-    Coefficients are stored in increasing-power order and stay exact
-    integers under differentiation (quotient rule, no reduction), so
-    weight derivatives of any order evaluate without symbolic error.
+    W3 = -1 + 3/x - 3/x^2 + 2/x^3 and W2 = 1/x - 1/x^2, and the s-th
+    derivative of x^-m is (-1)^s m (m+1) ... (m+s-1) x^-(m+s).  With rho = a/b
+    exactly, 1/x = b/(a+b), so each derivative is one quotient of integers
+    over (a+b)^(3+s), and int / int rounds it once, correctly.
     """
-
-    num: tuple[int, ...]
-    den: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "num", _poly_trim(tuple(int(c) for c in self.num)))
-        object.__setattr__(self, "den", _poly_trim(tuple(int(c) for c in self.den)))
-        if not any(self.den):
-            raise ValueError("denominator polynomial is identically zero")
-
-    def evaluate(self, rho: float) -> float:
-        return _poly_eval(self.num, rho) / _poly_eval(self.den, rho)
-
-    def derivative(self) -> "RationalCoeff":
-        num_d = _poly_deriv(self.num)
-        den_d = _poly_deriv(self.den)
-        new_num = _poly_sub(_poly_mul(num_d, self.den), _poly_mul(self.num, den_d))
-        return RationalCoeff(new_num, _poly_mul(self.den, self.den))
-
-
-#: weight of the three-factor product: (1 - rho^3) / (1 + rho)^3
-TRIPLE_WEIGHT = RationalCoeff((1, 0, 0, -1), (1, 3, 3, 1))
-
-#: weight of each two-factor product: rho / (1 + rho)^2
-PAIR_WEIGHT = RationalCoeff((0, 1), (1, 2, 1))
-
-
-@lru_cache(maxsize=None)
-def _weight_deriv(base: RationalCoeff, order: int) -> RationalCoeff:
-    if order == 0:
-        return base
-    return _weight_deriv(base, order - 1).derivative()
-
-
-def triple_weight_deriv(order: int) -> RationalCoeff:
-    """order-th rho-derivative of the three-factor weight, exact."""
-    return _weight_deriv(TRIPLE_WEIGHT, order)
-
-
-def pair_weight_deriv(order: int) -> RationalCoeff:
-    """order-th rho-derivative of the two-factor weight, exact."""
-    return _weight_deriv(PAIR_WEIGHT, order)
+    a, b = float(rho).as_integer_ratio()
+    d = a + b
+    triple, pair = [], []
+    for s in range(r + 1):
+        for coeffs, out in zip(_PARTIAL_FRACTIONS, (triple, pair)):
+            num = sum(
+                c * math.prod(range(m, m + s)) * b ** (m + s) * d ** (3 - m)
+                for m, c in enumerate(coeffs)
+            )
+            out.append(num / ((-1) ** s * d ** (3 + s)))
+    return triple, pair
 
 
 # --------------------------------------------------------------------------
@@ -203,8 +139,7 @@ def hex_kernel_closed_values(rho: float, t1, t2, t3) -> np.ndarray:
     """Closed-form lattice kernel on coordinate arrays."""
     _check_rho(rho)
     p1, p2, p3 = (_classical_deriv_table(rho, z, 0)[0] for z in _z_arrays(t1, t2, t3))
-    w3 = TRIPLE_WEIGHT.evaluate(rho)
-    w2 = PAIR_WEIGHT.evaluate(rho)
+    (w3,), (w2,) = _weight_derivs(rho, 0)
     return w3 * (p1 * p2 * p3) + w2 * (p1 * p2 + p1 * p3 + p2 * p3)
 
 
@@ -297,9 +232,7 @@ def _leibniz_tensor(rho: float, r: int) -> np.ndarray:
     """
     fact = math.factorial
     coeffs = np.zeros((r + 2, r + 2, r + 2))
-    for s in range(r + 1):
-        w3 = triple_weight_deriv(s).evaluate(rho)
-        w2 = pair_weight_deriv(s).evaluate(rho)
+    for s, (w3, w2) in enumerate(zip(*_weight_derivs(rho, r))):
         for i in range(r - s + 1):
             for j in range(r - s - i + 1):
                 k = r - s - i - j
@@ -340,9 +273,11 @@ def min_resolution(rho: float) -> int:
     """Smallest grid resolution resolving the kernel peak: ceil(32/(1-rho)).
 
     The kernel concentrates on a scale of 1-rho near the origin as
-    rho -> 1; 32 samples across the peak keep the absolute-value
-    integrals below 1e-3 relative error (validated against the exact
-    order-0 mean of 1).
+    rho -> 1; 32 samples across the peak keep the order-0 absolute-value
+    integral below 1e-3 relative error (validated against its exact mean
+    of 1).  For derivative orders r >= 1 that bound is unverified: at
+    rho = 1 - 2^-5, r = 3 the auto grid is off by about 0.26% against
+    n = 8192.
     """
     _check_rho(rho)
     return math.ceil(32.0 / (1.0 - rho))

@@ -301,7 +301,7 @@ def check_classical_kernel(rng) -> CheckResult:
 
 
 def check_weight_derivatives(rng) -> CheckResult:
-    """Quotient-rule weight derivatives vs independently reduced forms."""
+    """Partial-fraction weight derivatives vs independently reduced forms."""
     worst = 0.0
     refs3 = (
         lambda rho: -3.0 * (1.0 + rho * rho) / (1.0 + rho) ** 4,
@@ -313,13 +313,12 @@ def check_weight_derivatives(rng) -> CheckResult:
         lambda rho: 2.0 * (rho - 2.0) / (1.0 + rho) ** 4,
         lambda rho: 6.0 * (3.0 - rho) / (1.0 + rho) ** 5,
     )
-    for order in (1, 2, 3):
-        d3 = kernels.triple_weight_deriv(order)
-        d2 = kernels.pair_weight_deriv(order)
-        for rho in np.linspace(0.0, 0.95, 20):
+    for rho in np.linspace(0.0, 0.95, 20):
+        d3, d2 = kernels._weight_derivs(rho, 3)
+        for order in (1, 2, 3):
             scale = 1.0 + abs(refs3[order - 1](rho))
-            worst = max(worst, abs(d3.evaluate(rho) - refs3[order - 1](rho)) / scale)
-            worst = max(worst, abs(d2.evaluate(rho) - refs2[order - 1](rho)))
+            worst = max(worst, abs(d3[order] - refs3[order - 1](rho)) / scale)
+            worst = max(worst, abs(d2[order] - refs2[order - 1](rho)))
     return _result("kernels.weight_derivatives", worst, 1e-12, "orders 1-3, exact forms")
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,8 +9,11 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hexsum
+from hexsum import cli
 from hexsum.cli import (
     ConfigError,
     ExperimentConfig,
@@ -94,6 +99,44 @@ def test_config_file_nested_too_deep_is_exit_2(tmp_path, monkeypatch, capsys):
 def test_config_file_missing():
     with pytest.raises(ConfigError, match="cannot read"):
         _cfg(["bernstein", "--config", "/nonexistent/conf.json"])
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_option_values = st.integers(-2, 8) | st.sampled_from(["auto", "inf", "csv", "json", "2", "-1", "nan"])
+_config_docs = (
+    st.dictionaries(st.sampled_from(sorted(cli._OPTIONS)), _option_values, max_size=4)
+    | st.dictionaries(st.sampled_from(sorted(cli._OPTIONS)) | st.text(max_size=6), _json_values, max_size=5)
+    | _json_values
+)
+
+
+@given(_config_docs)
+@settings(max_examples=100, deadline=None)
+def test_main_fuzzed_config_file(tmp_path_factory, doc):
+    # --grid and --out override the file, so no example runs a huge grid or
+    # writes outside its directory; every key is still coerced and checked
+    work = tmp_path_factory.mktemp("fuzz")
+    conf = work / "conf.json"
+    conf.write_text(json.dumps(doc))
+    argv = [
+        "bernstein", "--rho-kmax", "1", "--grid", "auto",
+        "--out", str(work / "report"), "--config", str(conf),
+    ]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if rc == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert out.getvalue() == ""
+    else:
+        assert err.getvalue() == ""
 
 
 def test_p_coercion():
@@ -512,6 +555,38 @@ def test_main_approximate_spectral_and_grid_paths(tmp_path, monkeypatch):
     assert rc == 0
     gridded = (tmp_path / "b.csv").read_text()
     assert "32" in gridded
+
+
+@pytest.mark.parametrize("p", ["1", "1.5", "2", "3", "inf"])
+def test_main_approximate_grid_path_brackets_exact_l2(tmp_path, monkeypatch, capsys, p):
+    # the battery reaches degree 64, so any grid above 256 keeps its bins apart
+    monkeypatch.chdir(tmp_path)
+    rc, rows = _json_report(tmp_path, ["approximate", "--grid", "280", "--p", p, "--rho-kmax", "3"])
+    assert rc == 0
+    summaries = [row for row in rows if row["row_type"] == "summary"]
+    assert len(summaries) == 5 and all(row["status"] == "ok" for row in summaries)
+    lines = capsys.readouterr().out.splitlines()
+    side = {"1": "<=", "1.5": "<=", "2": "==", "3": ">=", "inf": ">="}[p]
+    assert lines[:-1] == [
+        f"PASS: grid deviation {side} exact L2 deviation [{row['family']}]" for row in summaries
+    ]
+    assert lines[-1].startswith("approximate: 5/5 assertions passed")
+
+
+def test_main_approximate_grid_bracket_fails_off_side(tmp_path, monkeypatch, capsys):
+    # a p = 1 grid norm twice the exact L2 deviation breaks the bracket
+    monkeypatch.chdir(tmp_path)
+    inp = _write_input(tmp_path, degree=3)
+    real = cli.deviation_norm
+
+    def inflated(f, params, p, grid):
+        return real(f, params, 2.0, None) * (1.0 if grid is None else 2.0)
+
+    monkeypatch.setattr(cli, "deviation_norm", inflated)
+    argv = ["approximate", "--input", inp, "--grid", "16", "--p", "1", "--rho-kmax", "3"]
+    rc, rows = _json_report(tmp_path, argv)
+    assert rc == 1 and rows[-1]["status"] == "fail"
+    assert "FAIL: grid deviation <= exact L2 deviation" in capsys.readouterr().out
 
 
 def test_main_bernstein_single_point_json(tmp_path, monkeypatch):

@@ -492,6 +492,42 @@ def test_json_rejects_bad_payloads():
         spectral_from_json_dict(bool_k)
 
 
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_zero_sum_k = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(lambda t: [t[0], t[1], -t[0] - t[1]])
+_valid_entries = st.fixed_dictionaries({"k": _zero_sum_k, "re": _finite, "im": _finite})
+_any_entries = st.fixed_dictionaries(
+    {
+        "k": _zero_sum_k | st.lists(st.integers() | st.booleans(), max_size=4) | _json_values,
+        "re": st.floats() | st.integers() | _json_values,
+        "im": st.floats() | st.integers() | _json_values,
+    },
+    optional={"extra": _json_values},
+)
+_spectral_docs = st.fixed_dictionaries(
+    {
+        "max_degree": st.integers(0, 8) | st.integers() | _json_values,
+        "entries": st.lists(_valid_entries | _any_entries, max_size=5) | _json_values,
+    },
+    optional={"extra": _json_values},
+)
+
+
+@given(_spectral_docs | _json_values)
+@settings(max_examples=300, deadline=None)
+def test_spectral_from_json_dict_fuzz(doc):
+    # outside input either parses or raises the one format error, nothing else
+    try:
+        f = spectral_from_json_dict(doc)
+    except SpectralFormatError:
+        return
+    assert isinstance(f, SpectralFunction)
+
+
 def test_load_spectral_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +9,7 @@ from hypothesis import strategies as st
 from hexsum.fourier import TWO_PI_OVER_3, make_grid, phi_values
 from hexsum.kernels import (
     GRID_CAP,
-    PAIR_WEIGHT,
     R_MAX,
-    RationalCoeff,
-    TRIPLE_WEIGHT,
     auto_grid_size,
     bernstein_integral,
     classical_kernel_deriv,
@@ -23,11 +21,10 @@ from hexsum.kernels import (
     hex_kernel_deriv_values,
     hex_kernel_series_values,
     min_resolution,
-    pair_weight_deriv,
     product_integral,
     series_tail_bound,
     shell_weighted_values,
-    triple_weight_deriv,
+    _weight_derivs,
 )
 from hexsum.lattice import HexIndex, HexPoint, frequency_arrays, index_shell
 
@@ -90,39 +87,29 @@ def test_classical_kernel_validation():
 # ----------------------------------------------------------- exact weights
 
 
-def test_rational_coeff_basics():
-    # trailing zero coefficients trim away, so this is (1 + 2x) / 1
-    rc = RationalCoeff((1, 2), (1, 0, 0))
-    assert rc.num == (1, 2) and rc.den == (1,)
-    assert rc.evaluate(3.0) == pytest.approx(7.0)
-    d = rc.derivative()
-    assert d.evaluate(11.0) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        RationalCoeff((1,), (0, 0))
+def _w3(rho):
+    return _weight_derivs(rho, 0)[0][0]
+
+
+def _w2(rho):
+    return _weight_derivs(rho, 0)[1][0]
 
 
 def test_weight_frozen_values():
-    assert TRIPLE_WEIGHT.evaluate(0.5) == pytest.approx(0.875 / 3.375)
-    assert PAIR_WEIGHT.evaluate(0.5) == pytest.approx(2.0 / 9.0)
-    assert TRIPLE_WEIGHT.evaluate(0.0) == 1.0
-    assert PAIR_WEIGHT.evaluate(0.0) == 0.0
+    assert _w3(0.5) == pytest.approx(0.875 / 3.375)
+    assert _w2(0.5) == pytest.approx(2.0 / 9.0)
+    assert _w3(0.0) == 1.0
+    assert _w2(0.0) == 0.0
 
 
 def test_weight_derivatives_match_closed_forms():
     for rho in np.linspace(0.0, 0.9, 10):
         b = 1.0 + rho
-        assert triple_weight_deriv(1).evaluate(rho) == pytest.approx(
-            -3.0 * (1.0 + rho * rho) / b**4, rel=1e-13
-        )
-        assert pair_weight_deriv(1).evaluate(rho) == pytest.approx(
-            (1.0 - rho) / b**3, rel=1e-13, abs=1e-15
-        )
-        assert triple_weight_deriv(2).evaluate(rho) == pytest.approx(
-            6.0 * (rho * rho - rho + 2.0) / b**5, rel=1e-13
-        )
-        assert pair_weight_deriv(2).evaluate(rho) == pytest.approx(
-            2.0 * (rho - 2.0) / b**4, rel=1e-13
-        )
+        (_, w3_1, w3_2), (_, w2_1, w2_2) = _weight_derivs(rho, 2)
+        assert w3_1 == pytest.approx(-3.0 * (1.0 + rho * rho) / b**4, rel=1e-13)
+        assert w2_1 == pytest.approx((1.0 - rho) / b**3, rel=1e-13, abs=1e-15)
+        assert w3_2 == pytest.approx(6.0 * (rho * rho - rho + 2.0) / b**5, rel=1e-13)
+        assert w2_2 == pytest.approx(2.0 * (rho - 2.0) / b**4, rel=1e-13)
 
 
 def test_weight_mean_decomposition_identity():
@@ -130,11 +117,24 @@ def test_weight_mean_decomposition_identity():
     # using the exact means of the triple and pair factor products
     for rho in np.linspace(0.0, 0.95, 12):
         triple_mean = (1.0 + rho**3) / (1.0 - rho**3)
-        total = (
-            TRIPLE_WEIGHT.evaluate(rho) * triple_mean
-            + 3.0 * PAIR_WEIGHT.evaluate(rho)
-        )
+        total = _w3(rho) * triple_mean + 3.0 * _w2(rho)
         assert total == pytest.approx(1.0, abs=1e-14)
+
+
+def test_weight_derivs_correctly_rounded():
+    # 60-digit derivatives of both weights, rounded once, for every order
+    rng = np.random.default_rng(7)
+    rhos = [0.0, 0.5, 1.0 - 2.0**-20, 1.0 - 3.7e-9]
+    rhos += list(rng.random(40)) + list(1.0 - 10.0 ** rng.uniform(-12.0, 0.0, 60))
+    w3 = lambda x: (1 - x**3) / (1 + x) ** 3
+    w2 = lambda x: x / (1 + x) ** 2
+    with mpmath.workdps(60):
+        for rho in rhos:
+            triple, pair = _weight_derivs(rho, R_MAX)
+            x = mpmath.mpf(float(rho))
+            for s in range(R_MAX + 1):
+                assert triple[s] == float(mpmath.diff(w3, x, s)), (rho, s)
+                assert pair[s] == float(mpmath.diff(w2, x, s)), (rho, s)
 
 
 # --------------------------------------------------------------- hex kernel
