@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale  # noqa: F401 - argparse's gettext imports it on every parser build
 import math
 import sys
 from dataclasses import dataclass, fields, replace

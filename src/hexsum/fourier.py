@@ -26,6 +26,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
+import numpy.fft  # noqa: F401 - loaded with the module, not on first use
 
 from .lattice import HexIndex, fold_arrays, frequency_arrays
 

@@ -9,14 +9,14 @@ the shell-nu coefficients by
 
 so polynomials of degree below r are fixed points and every higher
 shell is strictly damped.  For nu >= r the multiplier and its complement
-are regularised incomplete beta values (DLMF 8.17.5), one betainc call
-each: lambda = I_rho(nu-r+1, r) and 1 - lambda = I_{1-rho}(r, nu-r+1).
-No binomial coefficient is formed, so no degree overflows, and the
-complement needs no 1 - lambda cancellation as rho -> 1.  Below r they
-are exactly 1.0 and 0.0.  The same operator arises as sum_{k<r}
+are the binomial tails P[X <= r-1] and P[X >= r] of X ~ Bin(nu, 1-rho),
+I_rho(nu-r+1, r) and I_{1-rho}(r, nu-r+1) in DLMF 8.17.5.  The tail
+beyond r - 1/2 from the mean is summed term by term (Loader's saddle-point
+form where a binomial coefficient leaves the float range), the other is 1
+minus it, so nothing cancels as rho -> 1 and every shell costs the same.
+Below r they are exactly 1.0 and 0.0.  The same operator is sum_{k<r}
 (1-rho)^k/k! times the k-th rho-derivative of the Poisson integral,
-which this module also implements as an independent float path for
-cross-checking.
+implemented here too as an independent float path for cross-checking.
 
 Every mean, deviation, derivative norm and K-functional candidate is a
 shell multiplier applied to f; _shell_norm alone chooses between the
@@ -27,6 +27,8 @@ Poisson integral against (1-zeta)^{r-1} from rho to 1.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -34,7 +36,7 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy.special import betainc
+import numpy.polynomial  # noqa: F401 - loaded with the module, not on first use
 
 from .fourier import (
     HexGrid,
@@ -76,30 +78,91 @@ def _check_multiplier_args(nu: int, r: int, rho: float) -> None:
 
 
 def lambda_coeff(nu: int, r: int, rho: float) -> float:
-    """Shell multiplier of the order-r mean, I_rho(nu-r+1, r); always in [0, 1]."""
+    """Shell multiplier of the order-r mean, P[Bin(nu, 1-rho) <= r-1]; always in [0, 1]."""
     _check_multiplier_args(nu, r, rho)
-    return float(_lambda_shells(np.array([nu]), r, rho)[0])
+    return float(_lambda_shells(np.array([nu]), r, rho)[0][0])
 
 
 def lambda_complement(nu: int, r: int, rho: float) -> float:
-    """1 - lambda_coeff, evaluated directly as I_{1-rho}(r, nu-r+1).
-
-    No subtraction is involved, so the value stays accurate even when it
-    is exponentially small as rho -> 1.
-    """
+    """1 - lambda_coeff as the tail P[Bin(nu, 1-rho) >= r], accurate down to underflow."""
     _check_multiplier_args(nu, r, rho)
-    return float(_lambda_shells(np.array([nu]), r, rho, complement=True)[0])
+    return float(_lambda_shells(np.array([nu]), r, rho)[1][0])
 
 
-def _lambda_shells(
-    shells: np.ndarray, r: int, rho: float, complement: bool = False
-) -> np.ndarray:
-    """Shell multipliers lambda_{nu,r}(rho), or their complements, at each of shells."""
-    out = np.full(len(shells), 0.0 if complement else 1.0)
+def _lambda_shells(shells: np.ndarray, r: int, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """Shell multipliers lambda_{nu,r}(rho) and their complements at each of shells."""
+    lam, comp = np.ones(len(shells)), np.zeros(len(shells))
     high = shells >= r
-    a = shells[high] - r + 1
-    out[high] = betainc(r, a, 1.0 - rho) if complement else betainc(a, r, rho)
-    return out
+    low = shells >= (r - 0.5) / (1.0 - rho)  # the mean nu (1-rho) is past r - 1/2, so nu >= r
+    n_low, n_high = np.count_nonzero(low), np.count_nonzero(high)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for lower, count in ((True, n_low), (False, n_high - n_low)):
+            if count:
+                rows = slice(None) if count == len(shells) else low if lower else high ^ low
+                tail = _binomial_tail(shells[rows], r, rho, lower)
+                lam[rows], comp[rows] = (tail, 1.0 - tail) if lower else (1.0 - tail, tail)
+    return lam, comp
+
+
+@functools.lru_cache(maxsize=None)
+def _orders(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """i = 1..r-1 (1..K past 532) with r - i, and k - 1 with 1/(r-1+k), k = 1..K, for the
+    least K with prod_{k<=K} r/(r+k) * (r+K+1)/(K+1) <= 2^-56.  Callers only read them."""
+    logs = itertools.accumulate(-math.log2(1 + k / r) for k in itertools.count(1))
+    big = next(k for k, lg in enumerate(logs, 1) if lg + math.log2(1 + r / (k + 1)) <= -56)
+    i, k = np.arange(1.0, r if r <= 532 else big + 1), np.arange(1.0, big + 1.0)
+    return i, r - i, k - 1.0, 1.0 / (r - 1.0 + k)
+
+
+def _binomial_tail(nu: np.ndarray, r: int, rho: float, lower: bool) -> np.ndarray:
+    """P[X <= r-1] (lower) or P[X >= r], X ~ Bin(nu, 1-rho), with the mean beyond r - 1/2.
+
+    Summed, one row per shell, from t = P[X = r-1] by the term ratio, at most
+    r/(r+k) past the first: the K terms of _orders(r) miss < 2^-56 of the sum.  t
+    is rho**nu at r = 1, else the quotients of C(nu, r-1) (1-rho)^(r-1) times
+    rho^m in halves, or _loader_point past 531 quotients or the float range.
+    """
+    q, b = 1.0 - rho, r - 1
+    i, r_minus_i, k_minus_1, inv_bk = _orders(r)
+    m = nu - float(b)
+    mi = m[:, None] + i  # C(nu, b) = prod (m + i) / i; lower ratios (r - i) / (m + i)
+    if lower:
+        terms = r_minus_i * (rho / q) / mi
+    else:  # ratios (m + 1 - k) / (b + k), 0 from k = m + 1 on
+        terms = (m[:, None] - k_minus_1) * (q / rho * inv_bk)
+    np.multiply.accumulate(terms, axis=1, out=terms)
+    sums = lower + np.add.reduce(terms, axis=1)
+    if b == 0:
+        return np.array([rho**e for e in m.tolist()]) * sums
+    cq = np.multiply.reduce(mi * (q / i), axis=1) if b <= 531 else np.full(len(m), np.inf)
+    power = rho**m
+    t = cq * power
+    if not power.min() >= sys.float_info.min:  # in halves, neither underflows before t does
+        thin = power < sys.float_info.min
+        t[thin] = cq[thin] * rho ** (m[thin] // 2) * rho ** (m[thin] - m[thin] // 2)
+    if not cq.max() < math.inf:
+        huge = np.isinf(cq)
+        t[huge] = _loader_point(nu[huge].astype(float), float(b), q, rho)
+    return t * sums
+
+
+def _loader_point(n: np.ndarray, x: float, q: float, rho: float) -> np.ndarray:
+    """C(n, x) q^x rho^(n-x), 0 < x < n, q = 1 - rho, in the saddle-point form of
+    C. Loader, "Fast and accurate computation of binomial probabilities" (2000)."""
+    k = np.stack(np.broadcast_arrays(n, x, n - x))  # n, x, n - x
+    k2 = 1.0 / (k * k)
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - k2 / 1188) * k2) * k2) * k2) / k
+    small = np.vectorize(lambda v: math.lgamma(v + 1.0) - (v + 0.5) * math.log(v) + v)
+    table = small(np.clip(k, 1.0, 15.0)) - 0.5 * math.log(2.0 * math.pi)
+    stirlerr = np.where(k > 15, series, table)  # ln k! - ln(sqrt(2 pi k) (k/e)^k)
+    mean = np.stack([n * q, n * rho])
+    d = k[1:] - mean
+    v = d / (k[1:] + mean)
+    near = d * v + 2.0 * k[1:] * v * sum(v ** (2 * j) / (2 * j + 1) for j in range(1, 10))
+    # deviances k ln(k/mean) + mean - k, by their series in v near the mean
+    bd0 = np.where(np.abs(v) < 0.1, near, k[1:] * np.log(k[1:] / mean) + mean - k[1:])
+    ln = stirlerr[0] - stirlerr[1] - stirlerr[2] - bd0[0] - bd0[1]
+    return np.exp(ln) * np.sqrt(n / (2.0 * math.pi * x * (n - x)))
 
 
 def _perm_shells(shells: np.ndarray, n: int) -> np.ndarray:
@@ -128,7 +191,8 @@ def _scale_occupied(
     f: SpectralFunction, multipliers: Callable[[np.ndarray], np.ndarray]
 ) -> SpectralFunction:
     """f with its occupied shells scaled by multipliers(occupied shells)."""
-    shells = np.unique(f._support()[2])
+    shell = np.sort(f._support()[2])  # a sort, not np.unique, as in _shell_norm
+    shells = shell[np.diff(shell, prepend=-1) != 0]
     mult = dict(zip(shells.tolist(), multipliers(shells).tolist()))
     return scale_shells(f, mult.__getitem__)
 
@@ -143,7 +207,7 @@ def apply_operator(f: SpectralFunction, params: SummationParams) -> SpectralFunc
     Shells with multiplier exactly 1 pass through bitwise unchanged;
     rho=0 zeroes every shell nu >= r, leaving the partial sum S_{r-1}.
     """
-    return _scale_occupied(f, lambda shells: _lambda_shells(shells, params.r, params.rho))
+    return _scale_occupied(f, lambda shells: _lambda_shells(shells, params.r, params.rho)[0])
 
 
 def apply_operator_derivative_form(
@@ -279,7 +343,7 @@ def deviation_norm(
     avoiding the 1 - lambda cancellation entirely.
     """
     shells, norm = _shell_norm(f, p, grid)
-    return norm(_lambda_shells(shells, params.r, params.rho, complement=True))
+    return norm(_lambda_shells(shells, params.r, params.rho)[1])
 
 
 def deviation_l2_spectral(f: SpectralFunction, params: SummationParams) -> float:
@@ -337,11 +401,8 @@ def _kfun_candidates(
     for j in range(-2, 3):
         zeta = 1.0 - delta * 2.0**j
         if 0.0 <= zeta < 1.0:
-            yield (
-                f"mean(zeta={zeta:.17g})",
-                _lambda_shells(shells, n, zeta, complement=True),
-                perm * _lambda_shells(shells, n, zeta),
-            )
+            lam, comp = _lambda_shells(shells, n, zeta)
+            yield f"mean(zeta={zeta:.17g})", comp, perm * lam
     for m in shells.tolist():
         yield f"partial_sum({m})", (shells > m) * 1.0, perm * (shells <= m)
 
@@ -398,14 +459,14 @@ def kfun_estimate(
 def remainder_coefficient_check(nu: int, r: int, rho: float) -> tuple[float, float]:
     """Both sides of the shell-wise deviation identity.
 
-    lhs: the complement multiplier 1 - lambda_{nu,r}(rho) as an incomplete
-    beta value.  rhs: the integral
+    lhs: the complement multiplier 1 - lambda_{nu,r}(rho), the binomial
+    tail summed by lambda_complement.  rhs: the integral
     (nu!/(nu-r)!)/(r-1)! * int_rho^1 zeta^{nu-r} (1-zeta)^{r-1} dzeta,
     evaluated exactly in rational arithmetic and rounded once.  A float
     rho is a dyadic rational, and with m_j = nu-r+j+1 the binomial
     expansion of (1-zeta)^{r-1} integrates to
     sum_j C(r-1, j) (-1)^j (1 - rho^{m_j}) / m_j, so rhs is the exact
-    integral correctly rounded, independent of betainc and of any
+    integral correctly rounded, independent of the tail sum and of any
     quadrature.  The two sides agree to 1e-10 or better.
     """
     if r < 2:

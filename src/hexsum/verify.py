@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # noqa: F401 - loaded with the module, not on first use
 
 from . import families, fourier, kernels, means
 from .fourier import (
@@ -456,15 +457,13 @@ def check_lambda_multipliers(rng) -> CheckResult:
         for rho in (0.0, 0.4, 0.9):
             worst = max(worst, abs(means.lambda_coeff(nu, 1, rho) - rho**nu))
     rhos = rng.uniform(0.0, 0.999, size=6)
-    for nu in (0, 1, 2, 5, 20, 60, 200):
-        for r in (1, 2, 3, 6):
-            for rho in rhos:
-                lam = means.lambda_coeff(nu, r, float(rho))
-                if not 0.0 <= lam <= 1.0:
-                    worst = max(worst, 1.0)
-                comp = means.lambda_complement(nu, r, float(rho))
-                if nu <= 60:
-                    worst = max(worst, abs(lam + comp - 1.0))
+    nus = np.array([0, 1, 2, 5, 20, 60, 200])
+    for r in (1, 2, 3, 6):
+        for rho in rhos.tolist():  # lambda_coeff and lambda_complement are views of these rows
+            lam, comp = means._lambda_shells(nus, r, rho)
+            if not np.all((0.0 <= lam) & (lam <= 1.0)):
+                worst = max(worst, 1.0)
+            worst = max(worst, float(np.max(np.abs(lam + comp - 1.0)[nus <= 60])))
     return _result("means.lambda_multipliers", worst, 1e-12, "nu <= 200, r <= 6")
 
 
@@ -491,26 +490,19 @@ def check_saturation(rng) -> CheckResult:
         for k, c in f.items():
             if out.coeff(k) != c:
                 bad += 1
-        for nu in range(r, r + 31):
-            for rho in (0.05, 0.5, 0.95):
-                if not means.lambda_coeff(nu, r, rho) < 1.0:
-                    bad += 1
+        for rho in (0.05, 0.5, 0.95):
+            lam = means._lambda_shells(np.arange(r, r + 31), r, rho)[0]
+            bad += int(np.count_nonzero(~(lam < 1.0)))
     return _result("means.saturation", bad, 0, "fixed points exact, damping strict")
 
 
 def check_deviation_monotone(rng) -> CheckResult:
     """Shell deviations decrease as rho increases."""
     worst = 0.0
-    for nu in (3, 7, 20):
-        for r in (1, 2, 3):
-            if nu < r:
-                continue
-            prev = None
-            for rho in np.linspace(0.05, 0.95, 19):
-                comp = means.lambda_complement(nu, r, float(rho))
-                if prev is not None:
-                    worst = max(worst, comp - prev)
-                prev = comp
+    nus = np.array([3, 7, 20])
+    for r in (1, 2, 3):
+        comps = [means._lambda_shells(nus, r, float(x))[1] for x in np.linspace(0.05, 0.95, 19)]
+        worst = max(worst, float(np.max(np.diff(comps, axis=0)[:, nus >= r])))
     # strictly decreasing in exact arithmetic; allow a few ulp of rounding
     return _result("means.deviation_monotone", worst, 1e-14, "complement falls in rho")
 

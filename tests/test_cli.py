@@ -698,22 +698,26 @@ def test_unwritable_report_is_exit_2(tmp_path, monkeypatch, capsys):
     assert "cannot write report" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_heavy_scipy_modules_unloaded(tmp_path):
-    # scipy.integrate pulls in scipy.optimize and scipy.sparse; none of them
-    # may come back through a top-level import or through verify
+def test_cli_runs_with_scipy_blocked(tmp_path):
+    # the runtime needs numpy only: with scipy made unimportable, the CLI
+    # imports without numpy.f2py or numpy.testing, and every command runs
+    inp = _write_input(tmp_path)
     code = (
         "import sys\n"
+        "sys.modules['scipy'] = None\n"
         "import hexsum.cli\n"
-        "heavy = ('scipy.integrate', 'scipy.optimize', 'scipy.sparse')\n"
-        "loaded = lambda: [m for m in heavy if m in sys.modules]\n"
-        "after_import = loaded()\n"
-        "rc = hexsum.cli.main(['verify', '--seed', '0', '--out', 'v.csv'])\n"
-        "print(repr((after_import, rc, loaded())))\n"
+        "heavy = [m for m in ('numpy.f2py', 'numpy.testing') if m in sys.modules]\n"
+        "inp = sys.argv[1]\n"
+        "runs = [['kernel', '--rho-kmax', '2'], ['bernstein', '--r', '0', '--rho-kmax', '2'],\n"
+        "        ['approximate', '--r', '2', '--input', inp], ['rates', '--input', inp],\n"
+        "        ['kfun', '--input', inp, '--rho-kmax', '2'], ['verify', '--seed', '0']]\n"
+        "rcs = [hexsum.cli.main(argv + ['--out', 'rep.csv']) for argv in runs]\n"
+        "print(repr((heavy, rcs)))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hexsum.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-c", code], cwd=tmp_path, env=env,
+        [sys.executable, "-c", code, inp], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == repr(([], 0, []))
+    assert proc.stdout.splitlines()[-1] == repr(([], [0] * 6))

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import betainc
 
 from hexsum.families import basis_family, polynomial_family, random_spectrum
 from hexsum.fourier import (
@@ -20,6 +19,7 @@ from hexsum.lattice import HexIndex, index_shell
 from hexsum.means import (
     KfunEstimate,
     SummationParams,
+    _lambda_shells,
     apply_operator,
     apply_operator_derivative_form,
     deviation_l2_spectral,
@@ -53,8 +53,10 @@ def test_lambda_below_order_is_one():
 
 
 def test_lambda_order_one_is_poisson():
+    # order 1 is the single term rho**nu, returned as the correctly rounded pow
     for nu in range(1, 20):
-        assert lambda_coeff(nu, 1, 0.6) == pytest.approx(0.6**nu, rel=1e-14)
+        assert lambda_coeff(nu, 1, 0.6) == 0.6**nu
+    assert lambda_coeff(777, 1, 0.75) == 0.75**777
 
 
 @given(
@@ -84,7 +86,7 @@ def _binomial_terms(nu, rho):
 
 
 def test_lambda_matches_high_precision_binomial_sums():
-    # the defining binomial sums at 50 digits, against the betainc values
+    # the defining binomial sums at 50 digits, against the multipliers
     worst = 0.0
     with mpmath.workdps(50):
         for nu in (1, 2, 3, 7, 20, 61, 200, 777, 1031, 2000):
@@ -111,16 +113,81 @@ def test_lambda_validation():
             fn(2, 1, 1.0)
 
 
-def test_lambda_scalars_match_betainc_bitwise():
+def test_lambda_scalars_match_shell_rows_bitwise():
     # the scalar multipliers are one-element views of the shell arrays; each
-    # must equal its own betainc call (exactly 1.0 / 0.0 below r) bit for bit
+    # must equal its own row bit for bit (exactly 1.0 / 0.0 below r)
+    shells = np.arange(301)
     for rho in (0.0, 0.1, 0.5, 0.75, 0.9, 0.999, 1.0 - 2.0**-20):
         for r in range(1, 7):
+            lam, comp = _lambda_shells(shells, r, rho)
+            assert np.all(lam[:r] == 1.0) and np.all(comp[:r] == 0.0)
             for nu in range(301):
-                lam = 1.0 if nu < r else float(betainc(nu - r + 1, r, rho))
-                comp = 0.0 if nu < r else float(betainc(r, nu - r + 1, 1.0 - rho))
-                assert lambda_coeff(nu, r, rho) == lam
-                assert lambda_complement(nu, r, rho) == comp
+                assert lambda_coeff(nu, r, rho) == lam[nu]
+                assert lambda_complement(nu, r, rho) == comp[nu]
+
+
+def test_lambda_shell_rows_do_not_depend_on_each_other():
+    # long arrays mix both tails and, at rho = 0.1, rows whose rho^m underflows
+    shells = np.arange(0, 2000, 7)
+    for r in (2, 6, 24):
+        for rho in (0.1, 0.9):
+            lam, comp = _lambda_shells(shells, r, rho)
+            for j, nu in enumerate(shells.tolist()):
+                assert (lambda_coeff(nu, r, rho), lambda_complement(nu, r, rho)) == (lam[j], comp[j])
+
+
+def _binomial_tails(nu, r, rho):
+    """(P[X <= r-1], P[X >= r]) for X ~ Bin(nu, 1-rho), exact to 60 digits at the binary rho.
+
+    A tail is summed from its boundary term only while its terms fall, until
+    the rest is below 1e-70 of the sum; the other tail is 1 minus it, which is
+    then at least about 0.4.
+    """
+    with mpmath.workdps(80):
+        x = mpmath.mpf(rho)
+        q = 1 - x
+        tails = []
+        for j, step in ((r - 1, -1), (r, 1)):
+            ratio = (lambda j: j * x / ((nu - j + 1) * q)) if step < 0 else (
+                lambda j: (nu - j) * q / ((j + 1) * x))
+            falling = r - 1 < (nu + 1) * q if step < 0 else r > nu * q - x
+            if not falling:
+                tails.append(None)
+                continue
+            term = mpmath.binomial(nu, j) * q**j * x ** (nu - j)
+            total = term
+            while 0 < j < nu and term > 0:
+                rho_j = ratio(j)
+                if term * rho_j / (1 - rho_j) < total * mpmath.mpf(10) ** -70:
+                    break
+                term *= rho_j
+                j += step
+                total += term
+            tails.append(total)
+        lower, upper = tails
+        return (1 - upper if lower is None else lower), (1 - lower if upper is None else upper)
+
+
+def test_lambda_matches_exact_binomial_tails_wide():
+    # relative error against exact binomial tails at the binary rho, from the
+    # first shells to 2e8 and orders to 1000, wherever the tail is >= 1e-300
+    eps = np.finfo(float).eps
+    worst = {True: 0.0, False: 0.0}  # keyed by r <= 6
+    nus = (1, 2, 3, 5, 7, 10, 20, 50, 100, 200, 500, 777, 1000, 1031, 2000, 5000,
+           10**4, 10**5, 7 * 10**5, 10**6, 10**7, 10**8, 2 * 10**8)
+    rhos = (0.0, 0.01, 0.1, 0.3, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0 - 2.0**-20, 1.0 - 2.0**-40)
+    for r in (1, 2, 3, 4, 5, 6, 12, 24, 100, 1000):
+        for rho in rhos:
+            for nu in nus:
+                if nu < r:
+                    continue
+                refs = _binomial_tails(nu, r, rho)
+                for got, ref in zip((lambda_coeff(nu, r, rho), lambda_complement(nu, r, rho)), refs):
+                    assert 0.0 <= got <= 1.0
+                    if ref >= 1e-300:
+                        worst[r <= 6] = max(worst[r <= 6], float(abs(got - ref) / ref))
+    assert worst[True] <= 32 * eps
+    assert worst[False] <= 1e-12
 
 
 def test_summation_params_validation():
