@@ -192,7 +192,7 @@ def _scale_occupied(
 ) -> SpectralFunction:
     """f with its occupied shells scaled by multipliers(occupied shells)."""
     shell = np.sort(f._support()[2])  # a sort, not np.unique, as in _shell_norm
-    shells = shell[np.diff(shell, prepend=-1) != 0]
+    shells = np.concatenate((shell[:1], shell[1:][shell[1:] != shell[:-1]]))
     mult = dict(zip(shells.tolist(), multipliers(shells).tolist()))
     return scale_shells(f, mult.__getitem__)
 
