@@ -48,12 +48,7 @@ from .kernels import (
     hex_kernel_closed_values,
     hex_kernel_series_values,
 )
-from .means import (
-    SummationParams,
-    deviation_l2_spectral,
-    deviation_norm,
-    kfun_estimate,
-)
+from .means import deviation_ladder, kfun_ladder
 from .verify import CheckResult, run_all_checks
 
 COMMANDS = ("verify", "kernel", "bernstein", "approximate", "rates", "kfun")
@@ -356,26 +351,24 @@ def run_approximate(cfg: ExperimentConfig):
     else:
         side = "<=" if cfg.p < 2 else ">=" if cfg.p > 2 else "=="
         label = f"grid deviation {side} exact L2 deviation"
+    ladder = rho_ladder(cfg)
+    rhos = [rho for _, rho in ladder]
     for fam in _sweep_families(cfg):
         prev = None
         ok = True
-        devs = []
-        for k, rho in rho_ladder(cfg):
-            params = SummationParams(rho, cfg.r)
-            dev = deviation_norm(fam.function, params, cfg.p, grid)
+        devs = deviation_ladder(fam.function, rhos, cfg.r, cfg.p, grid)
+        exacts = devs if spectral_exact else deviation_ladder(fam.function, rhos, cfg.r, 2.0, None)
+        for (k, rho), dev, exact in zip(ladder, devs, exacts):
             if spectral_exact:
                 if prev is not None and dev > prev * (1.0 + 1e-12):
                     ok = False
                 prev = dev
-            else:
-                # an alias-free grid gives the exact L2 norm at p = 2 (the DFT
-                # is unitary), and grid p-means increase with p
-                exact = deviation_norm(fam.function, params, 2.0, None)
-                if (cfg.p >= 2 and dev < exact * (1.0 - 1e-12)) or (
-                    cfg.p <= 2 and dev > exact * (1.0 + 1e-12)
-                ):
-                    ok = False
-            devs.append(dev)
+            # an alias-free grid gives the exact L2 norm at p = 2 (the DFT
+            # is unitary), and grid p-means increase with p
+            elif (cfg.p >= 2 and dev < exact * (1.0 - 1e-12)) or (
+                cfg.p <= 2 and dev > exact * (1.0 + 1e-12)
+            ):
+                ok = False
             rows.append(
                 {
                     "row_type": "point",
@@ -433,10 +426,8 @@ def run_rates(cfg: ExperimentConfig):
     rows = []
     assertions = []
     for fam in _sweep_families(cfg):
-        devs = []
-        for k, rho in ladder:
-            dev = deviation_l2_spectral(fam.function, SummationParams(rho, cfg.r))
-            devs.append(dev)
+        devs = deviation_ladder(fam.function, [rho for _, rho in ladder], cfg.r, 2.0, None)
+        for (k, rho), dev in zip(ladder, devs):
             rows.append(
                 {
                     "row_type": "point",
@@ -479,13 +470,13 @@ def run_kfun(cfg: ExperimentConfig):
     spectral_exact = grid is None
     rows = []
     assertions = []
+    ks = range(cfg.k_min, cfg.k_max + 1)
     for fam in _sweep_families(cfg):
         ratios = []
         violated = False
         finite = True
-        for k in range(cfg.k_min, cfg.k_max + 1):
-            delta = 2.0**-k
-            est = kfun_estimate(fam.function, delta, cfg.n, cfg.p, grid)
+        ests = kfun_ladder(fam.function, [2.0**-k for k in ks], cfg.n, cfg.p, grid)
+        for k, est in zip(ks, ests):
             finite &= math.isfinite(est.upper) and math.isfinite(est.lower_proxy)
             if est.upper == 0.0:
                 if est.lower_proxy > 1e-13:
@@ -497,7 +488,7 @@ def run_kfun(cfg: ExperimentConfig):
                     "row_type": "point",
                     "family": fam.name,
                     "k": k,
-                    "delta": delta,
+                    "delta": est.delta,
                     "n": cfg.n,
                     "p": cfg.p,
                     "upper": est.upper,
@@ -512,7 +503,7 @@ def run_kfun(cfg: ExperimentConfig):
                 "family": fam.name,
                 "n": cfg.n,
                 "c_observed": max(ratios) if ratios else 0.0,
-                "points": cfg.k_max - cfg.k_min + 1,
+                "points": len(ks),
                 "status": "non-finite" if not finite else "violated" if violated else "ok",
             }
         )

@@ -284,9 +284,17 @@ def scale_shells(
 
 
 def max_coeff_diff(f: SpectralFunction, g: SpectralFunction) -> float:
-    """Largest coefficientwise difference over the union of supports."""
-    a, b = f._coeffs, g._coeffs
-    return max((abs(a.get(k, 0j) - b.get(k, 0j)) for k in a.keys() | b.keys()), default=0.0)
+    """Largest coefficientwise difference over the union of supports, merged by
+    one stable sort: a frequency in both is an adjacent pair a, -b, whose sum
+    rounds as a - b; np.hypot rounds each modulus as abs() does."""
+    (a1, a2, _, a), (b1, b2, _, b) = f._support(), g._support()
+    k1, k2 = np.concatenate((a1, b1)), np.concatenate((a2, b2))
+    order = np.lexsort((k2, k1))
+    k1, k2 = k1[order], k2[order]
+    first = np.ones(len(order), dtype=bool)  # first of its frequency
+    first[1:] = (k1[1:] != k1[:-1]) | (k2[1:] != k2[:-1])
+    d = np.add.reduceat(np.concatenate((a, -b))[order], np.flatnonzero(first))
+    return float(np.max(np.hypot(d.real, d.imag), initial=0.0))
 
 
 # --------------------------------------------------------------------------

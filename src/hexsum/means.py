@@ -19,8 +19,10 @@ Below r they are exactly 1.0 and 0.0.  The same operator is sum_{k<r}
 implemented here too as an independent float path for cross-checking.
 
 Every mean, deviation, derivative norm and K-functional candidate is a
-shell multiplier applied to f; _shell_norm alone chooses between the
-exact L2 norm from shell masses and the grid p-norm.  Deviations admit
+shell multiplier applied to f.  One norm plan per (f, p, grid), from
+_norm_plan, turns multipliers into norms; it alone chooses between the
+exact L2 norm from shell masses and the grid p-norm, and the ladder
+functions build it once for all their radii or scales.  Deviations admit
 an exact integral representation integrating the r-th derivative of the
 Poisson integral against (1-zeta)^{r-1} from rho to 1.
 """
@@ -33,7 +35,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 import numpy.polynomial  # noqa: F401 - loaded with the module, not on first use
@@ -182,16 +184,11 @@ def _perm_shells(shells: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _poisson_derivative_shells(shells: np.ndarray, r: int, rho: float) -> np.ndarray:
-    """Multipliers of the order-r radial derivative of the Poisson integral at rho."""
-    return _perm_shells(shells, r) * rho**shells
-
-
 def _scale_occupied(
     f: SpectralFunction, multipliers: Callable[[np.ndarray], np.ndarray]
 ) -> SpectralFunction:
     """f with its occupied shells scaled by multipliers(occupied shells)."""
-    shell = np.sort(f._support()[2])  # a sort, not np.unique, as in _shell_norm
+    shell = np.sort(f._support()[2])  # a sort, not np.unique, as for the bins in _norm_plan
     shells = np.concatenate((shell[:1], shell[1:][shell[1:] != shell[:-1]]))
     mult = dict(zip(shells.tolist(), multipliers(shells).tolist()))
     return scale_shells(f, mult.__getitem__)
@@ -278,25 +275,30 @@ def poisson_integral_convolution(g, rho: float):
 
 #: numpy overflow warnings off: inf and nan in a norm are results, handled or reported
 _QUIET = np.errstate(over="ignore", invalid="ignore")
+#: sums of squares, in units of 2^-1074, that round to a normal float
+_NORMAL = range(2**52, (2**1024 - 2**970) << 1074)
 
 
-def _shell_norm(
+def _norm_plan(
     f: SpectralFunction, p: float, grid: HexGrid | None
-) -> tuple[np.ndarray, Callable[[np.ndarray], float]]:
-    """Occupied shells of f, and mult -> ||f with shell shells[i] scaled by mult[i]||_p.
+) -> tuple[np.ndarray, Callable[[np.ndarray], float], Callable[[np.ndarray, bool], np.ndarray]]:
+    """Norm plan of f: occupied shells, norm and cut_norms.
 
-    The only place that chooses how a norm is evaluated.  grid=None is
-    the exact L2 norm from the shell masses; otherwise the scaled
-    coefficients go into their DFT bins and the grid p-norm of one inverse
-    FFT is taken.  Shells, masses and bins are computed once here rather
-    than per call; only occupied shells are visited, so cost follows the
-    support.  An exact sum of squares that overflows, or underflows to a
-    subnormal or 0, is summed again in units of its largest term (exact
-    powers of two), so results in the normal range keep every bit, and
-    only norms beyond the float range are inf.  Callers run under _QUIET,
-    as that overflow is expected.  A grid on which two nonzero
-    coefficients share a DFT bin would alias them silently, so it raises
-    ValueError.
+    norm(mult) is ||f with shell shells[i] scaled by mult[i]||_p, and
+    cut_norms(w, upto) the array of norm(w * (shells <= m)) (upto) or
+    norm(w * (shells > m)) over m in shells.  The only place that chooses
+    how a norm is evaluated: grid=None is the exact L2 norm from the shell
+    masses, else the grid p-norm of one inverse FFT of the scaled
+    coefficients in their DFT bins.  Set-up happens once per plan, and cost
+    follows the occupied shells.  An exact sum of squares that overflows,
+    or underflows to a subnormal or 0, is summed again in units of its
+    largest term (exact powers of two), so only norms beyond the float
+    range are inf; callers run under _QUIET.  Exact cut_norms sums the
+    terms t = w w masses of norm as integers t 2^1074, prefix by prefix,
+    and divides once: norm's fsum bit for bit.  A sum outside _NORMAL takes
+    norm, as does every cut if a mass is inf (norm sums 0 * inf = nan).  A
+    grid on which two nonzero coefficients share a DFT bin would alias
+    them silently, so it raises ValueError.
     """
     k1, k2, shell, coeffs = f._support()
     shells, at = np.unique(shell, return_inverse=True)
@@ -307,7 +309,7 @@ def _shell_norm(
         c_mant, c_exp = np.frexp(np.concatenate([coeffs.real, coeffs.imag]))
         at2 = np.concatenate([at, at])
 
-        def exact(mult: np.ndarray) -> float:
+        def norm(mult: np.ndarray) -> float:
             total = math.fsum((mult * mult * masses).tolist())
             if sys.float_info.min <= total < math.inf:
                 return math.sqrt(total)
@@ -319,31 +321,54 @@ def _shell_norm(
                 return math.ldexp(math.sqrt(total), top)
             except OverflowError:
                 return math.inf
+    else:
+        bins = _dft_bins(k1, k2, grid.n)
+        # a sort, not np.unique: its hash path is several times slower on a few
+        # hundred bins and pays a one-off set-up in every process
+        occupied = np.sort(bins[coeffs != 0])
+        if np.any(occupied[1:] == occupied[:-1]):
+            raise ValueError(
+                f"grid n={grid.n} aliases degree {f.degree()}: two coefficients share "
+                f"a DFT bin (any n > {4 * f.degree()} avoids it)"
+            )
 
-        return shells, exact
-    bins = _dft_bins(k1, k2, grid.n)
-    # a sort, not np.unique: its hash path is several times slower on a few
-    # hundred bins and pays a one-off set-up in every process
-    occupied = np.sort(bins[coeffs != 0])
-    if np.any(occupied[1:] == occupied[:-1]):
-        raise ValueError(
-            f"grid n={grid.n} aliases degree {f.degree()}: two coefficients share "
-            f"a DFT bin (any n > {4 * f.degree()} avoids it)"
-        )
-    return shells, lambda mult: lp_norm(_grid_function(grid, bins, mult[at] * coeffs), p)
+        def norm(mult: np.ndarray) -> float:
+            return lp_norm(_grid_function(grid, bins, mult[at] * coeffs), p)
+
+    def cut_norms(w: np.ndarray, upto: bool) -> np.ndarray:
+        sums = [-1] * len(shells)  # outside _NORMAL
+        if grid is None and np.isfinite(masses).all():
+            ratios = (t.as_integer_ratio() if math.isfinite(t) else (_NORMAL.stop, 2**1074)
+                      for t in (w * w * masses).tolist())
+            sums = list(itertools.accumulate(a << 1075 - b.bit_length() for a, b in ratios))
+            sums = sums if upto else [sums[-1] - s for s in sums]
+        return np.array([
+            math.sqrt(s / 2**1074) if s in _NORMAL
+            else norm(w * ((shells <= m) if upto else (shells > m)))
+            for m, s in zip(shells.tolist(), sums)
+        ])
+
+    return shells, norm, cut_norms
 
 
 @_QUIET
+def deviation_ladder(
+    f: SpectralFunction, rhos: list[float], r: int, p: float, grid: HexGrid | None
+) -> list[float]:
+    """||f - A_{rho,r}(f)||_p at each rho of rhos from one norm plan; exact L2
+    when grid is None.  Formed with the complement multipliers, so there is
+    no 1 - lambda cancellation."""
+    for rho in rhos:
+        SummationParams(rho, r)  # raises ValueError on a bad rho or r
+    shells, norm, _ = _norm_plan(f, p, grid)
+    return [norm(_lambda_shells(shells, r, rho)[1]) for rho in rhos]
+
+
 def deviation_norm(
     f: SpectralFunction, params: SummationParams, p: float, grid: HexGrid | None
 ) -> float:
-    """||f - A_{rho,r}(f)||_p; exact L2 when grid is None, else on the grid.
-
-    The difference is formed spectrally with the complement multipliers,
-    avoiding the 1 - lambda cancellation entirely.
-    """
-    shells, norm = _shell_norm(f, p, grid)
-    return norm(_lambda_shells(shells, params.r, params.rho)[1])
+    """||f - A_{rho,r}(f)||_p, the one-point view of deviation_ladder."""
+    return deviation_ladder(f, [params.rho], params.r, p, grid)[0]
 
 
 def deviation_l2_spectral(f: SpectralFunction, params: SummationParams) -> float:
@@ -365,8 +390,8 @@ def m_p(
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
     if r < 1:
         raise ValueError(f"order r must be positive, got {r}")
-    shells, norm = _shell_norm(f, p, grid)
-    return norm(_poisson_derivative_shells(shells, r, rho))
+    shells, norm, _ = _norm_plan(f, p, grid)
+    return norm(_perm_shells(shells, r) * rho**shells)
 
 
 # --------------------------------------------------------------------------
@@ -384,72 +409,66 @@ class KfunEstimate:
     argmin_candidate: str
 
 
-def _kfun_candidates(
-    shells: np.ndarray, delta: float, n: int
-) -> Iterator[tuple[str, np.ndarray, np.ndarray]]:
-    """(name, error multiplier, roughness multiplier) of each candidate h.
-
-    f scaled by the error multiplier is f - h, and f scaled by the
-    roughness multiplier is the order-n radial derivative of h.  Partial
-    sums are cut at occupied shells only: one cut at an empty shell scores
-    exactly like the cut at the occupied shell below it (or like zero),
-    which comes first.
-    """
-    perm = _perm_shells(shells, n)
-    yield "zero", np.ones(len(shells)), np.zeros(len(shells))
-    yield "identity", np.zeros(len(shells)), perm
-    for j in range(-2, 3):
-        zeta = 1.0 - delta * 2.0**j
-        if 0.0 <= zeta < 1.0:
-            lam, comp = _lambda_shells(shells, n, zeta)
-            yield f"mean(zeta={zeta:.17g})", comp, perm * lam
-    for m in shells.tolist():
-        yield f"partial_sum({m})", (shells > m) * 1.0, perm * (shells <= m)
-
-
 @_QUIET
-def kfun_estimate(
-    f: SpectralFunction,
-    delta: float,
-    n: int,
-    p: float,
-    grid: HexGrid | None = None,
-) -> KfunEstimate:
-    """Bracket the order-n K-functional of f at scale delta.
+def kfun_ladder(
+    f: SpectralFunction, deltas: list[float], n: int, p: float, grid: HexGrid | None = None
+) -> list[KfunEstimate]:
+    """Bracket the order-n K-functional of f at each scale delta of deltas.
 
     upper minimizes ||f - h||_p + delta^n ||h^[n]||_p over a finite
-    candidate family: zero, f itself, the order-n means A_{zeta,n}(f) on
-    the geometric ladder zeta = 1 - delta 2^j (j = -2..2), and every
-    partial sum of f.  The family contains the mean at zeta = 1 - delta,
-    which is the canonical near-minimizer, so the minimum is a genuine
-    upper bound with the right decay order.
+    candidate family, in this order: zero, f itself, the order-n means
+    A_{zeta,n}(f) at zeta = 1 - delta 2^j (j = -2..2), and the partial
+    sums of f cut at each occupied shell (a cut at an empty shell scores
+    like the one below it); the first least score wins.  The mean at
+    zeta = 1 - delta is the canonical near-minimizer, so upper has the
+    right decay order.  lower_proxy is delta^n times the p-norm of the
+    order-n radial derivative of the Poisson integral at rho = 1 - delta,
+    a lower bound up to a constant depending only on n.
 
-    lower_proxy is delta^n times the p-norm of the order-n radial
-    derivative of the Poisson integral at rho = 1 - delta — a lower
-    bound for the K-functional up to a constant depending only on n.
-
-    delta is restricted to (0, 1/2] so the ladder radii stay in [0, 1).
-    For p=2 with grid=None both sides are evaluated exactly from shell
-    masses; otherwise a grid is required.
+    One norm plan serves the ladder: the error and roughness norms of zero,
+    f and the partial sums do not depend on delta and are taken once; only
+    the means and the lower proxy are evaluated per delta.  delta lies in
+    (0, 1/2], so every zeta is in [0, 1).  For p=2 with grid=None both
+    sides are exact from shell masses; otherwise a grid is required.
     """
-    if not 0.0 < delta <= 0.5:
-        raise ValueError(f"delta must lie in (0, 1/2], got {delta}")
+    for delta in deltas:
+        if not 0.0 < delta <= 0.5:
+            raise ValueError(f"delta must lie in (0, 1/2], got {delta}")
     if n < 1:
         raise ValueError(f"order n must be positive, got {n}")
-    shells, norm = _shell_norm(f, p, grid)
-    dn = delta**n
+    shells, norm, cut_norms = _norm_plan(f, p, grid)
+    perm = _perm_shells(shells, n)
+    zeros, ones = np.zeros(len(shells)), np.ones(len(shells))
+    fixed = [("zero", norm(ones), norm(zeros)), ("identity", norm(zeros), norm(perm))]
+    cut_err, cut_rough = cut_norms(ones, False), cut_norms(perm, True)
+    estimates = []
+    for delta in deltas:
+        dn = delta**n
+        scored = list(fixed)
+        for j in range(-2, 3):
+            zeta = 1.0 - delta * 2.0**j
+            if 0.0 <= zeta < 1.0:
+                lam, comp = _lambda_shells(shells, n, zeta)
+                scored.append((f"mean(zeta={zeta:.17g})", norm(comp), norm(perm * lam)))
+        upper, winner = math.inf, "none"
+        for name, err, rough in scored:
+            score = err + dn * rough
+            if score < upper:
+                upper, winner = score, name
+        scores = cut_err + dn * cut_rough
+        best = np.fmin.reduce(scores, initial=math.inf)  # nan never wins
+        if best < upper:
+            upper, winner = float(best), f"partial_sum({shells[np.argmax(scores == best)]})"
+        lower = dn * norm(perm * (1.0 - delta) ** shells)
+        estimates.append(KfunEstimate(delta, n, upper, lower, winner))
+    return estimates
 
-    upper = math.inf
-    winner = "none"
-    for name, err, rough in _kfun_candidates(shells, delta, n):
-        score = norm(err) + dn * norm(rough)
-        if score < upper:
-            upper = score
-            winner = name
-    lower = dn * norm(_poisson_derivative_shells(shells, n, 1.0 - delta))
-    return KfunEstimate(
-        delta=delta, n=n, upper=upper, lower_proxy=lower, argmin_candidate=winner
-    )
+
+def kfun_estimate(
+    f: SpectralFunction, delta: float, n: int, p: float, grid: HexGrid | None = None
+) -> KfunEstimate:
+    """Bracket the order-n K-functional of f at scale delta (see kfun_ladder)."""
+    return kfun_ladder(f, [delta], n, p, grid)[0]
 
 
 # --------------------------------------------------------------------------

@@ -315,7 +315,7 @@ def test_main_library_error_in_runner_is_exit_2(tmp_path, monkeypatch, capsys, e
     def boom(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr("hexsum.cli.deviation_l2_spectral", boom)
+    monkeypatch.setattr("hexsum.cli.deviation_ladder", boom)
     assert main(["rates", "--input", inp]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -577,12 +577,12 @@ def test_main_approximate_grid_bracket_fails_off_side(tmp_path, monkeypatch, cap
     # a p = 1 grid norm twice the exact L2 deviation breaks the bracket
     monkeypatch.chdir(tmp_path)
     inp = _write_input(tmp_path, degree=3)
-    real = cli.deviation_norm
+    real = cli.deviation_ladder
 
-    def inflated(f, params, p, grid):
-        return real(f, params, 2.0, None) * (1.0 if grid is None else 2.0)
+    def inflated(f, rhos, r, p, grid):
+        return [d * (1.0 if grid is None else 2.0) for d in real(f, rhos, r, 2.0, None)]
 
-    monkeypatch.setattr(cli, "deviation_norm", inflated)
+    monkeypatch.setattr(cli, "deviation_ladder", inflated)
     argv = ["approximate", "--input", inp, "--grid", "16", "--p", "1", "--rho-kmax", "3"]
     rc, rows = _json_report(tmp_path, argv)
     assert rc == 1 and rows[-1]["status"] == "fail"

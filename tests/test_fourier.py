@@ -296,6 +296,41 @@ def test_truncate_and_subtract():
     assert max_coeff_diff(f, g) > 0.0
 
 
+def _max_coeff_diff_by_dicts(f, g):
+    """The lookup-dict walk over the key union, with Python's abs(complex)."""
+    a, b = f._coeffs, g._coeffs
+    return max((abs(a.get(k, 0j) - b.get(k, 0j)) for k in a.keys() | b.keys()), default=0.0)
+
+
+def test_max_coeff_diff_matches_the_dict_walk():
+    rng = np.random.default_rng(17)
+    empty = SpectralFunction({})
+    one = SpectralFunction({(1, -1, 0): 3.0 - 4.0j})
+    # disjoint supports, stored explicit zeros, one or both sides empty
+    pairs = [
+        (empty, empty),
+        (empty, one),
+        (one, empty),
+        (one, SpectralFunction({(0, 1, -1): 1.0 + 1.0j, (2, -1, -1): 0.0})),
+        (SpectralFunction({(1, -1, 0): 0.0, (0, 0, 0): -0.0j}), SpectralFunction({(1, -1, 0): 0.0})),
+    ]
+    for _ in range(200):
+        halves = []
+        for _ in range(2):
+            k1, k2, _, c = random_spectrum(int(rng.integers(0, 5)), rng)._support()
+            keep = rng.random(len(k1)) < 0.6
+            c = np.where(rng.random(len(c)) < 0.2, 0.0, c * np.exp(rng.normal(0.0, 30.0, len(c))))
+            halves.append(SpectralFunction._from_arrays(
+                k1[keep], k2[keep], -k1[keep] - k2[keep], c[keep]
+            ))
+        pairs.append(tuple(halves))
+    for f, g in pairs:
+        for a, b in ((f, g), (g, f), (f, f)):
+            got = max_coeff_diff(a, b)
+            assert type(got) is float
+            assert got == _max_coeff_diff_by_dicts(a, b)
+
+
 # -------------------------------------------------------- analyze / synthesize
 
 

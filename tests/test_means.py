@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -6,9 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexsum.families import basis_family, polynomial_family, random_spectrum
+from hexsum.families import (
+    basis_family,
+    builtin_families,
+    polynomial_family,
+    random_spectrum,
+)
 from hexsum.fourier import (
     SpectralFunction,
+    load_spectral,
     make_grid,
     max_coeff_diff,
     scale_shells,
@@ -20,11 +27,15 @@ from hexsum.means import (
     KfunEstimate,
     SummationParams,
     _lambda_shells,
+    _norm_plan,
+    _perm_shells,
     apply_operator,
     apply_operator_derivative_form,
     deviation_l2_spectral,
+    deviation_ladder,
     deviation_norm,
     kfun_estimate,
+    kfun_ladder,
     lambda_coeff,
     lambda_complement,
     m_p,
@@ -455,3 +466,120 @@ def test_kfun_fast_path_matches_grid_path():
     assert gridded.upper == pytest.approx(exact.upper, abs=1e-10)
     assert gridded.lower_proxy == pytest.approx(exact.lower_proxy, abs=1e-10)
     assert gridded.argmin_candidate == exact.argmin_candidate
+
+
+# ------------------------------------------------------- ladders and norm plans
+
+DATA = Path(__file__).parent / "data"
+
+
+def _kfun_by_candidates(f, delta, n, p, grid):
+    """Reference bracket: every candidate scored by its own two norms, in a
+    strict scan over zero, identity, the means and the partial sums."""
+    shells, norm, _ = _norm_plan(f, p, grid)
+    perm = _perm_shells(shells, n)
+    candidates = [
+        ("zero", np.ones(len(shells)), np.zeros(len(shells))),
+        ("identity", np.zeros(len(shells)), perm),
+    ]
+    for j in range(-2, 3):
+        zeta = 1.0 - delta * 2.0**j
+        if 0.0 <= zeta < 1.0:
+            lam, comp = _lambda_shells(shells, n, zeta)
+            candidates.append((f"mean(zeta={zeta:.17g})", comp, perm * lam))
+    for m in shells.tolist():
+        candidates.append((f"partial_sum({m})", (shells > m) * 1.0, perm * (shells <= m)))
+    dn = delta**n
+    upper, winner = math.inf, "none"
+    for name, err, rough in candidates:
+        score = norm(err) + dn * norm(rough)
+        if score < upper:
+            upper, winner = score, name
+    return upper, dn * norm(perm * (1.0 - delta) ** shells), winner
+
+
+def _ladder_cases():
+    ladder = [2.0**-k for k in range(1, 8)]
+    ops170 = SpectralFunction({(nu, -nu, 0): 1.0 / (1 + nu) for nu in range(171)})
+    grid_f = random_spectrum(12, np.random.default_rng(5))
+    for fam in builtin_families(64):
+        for n in (1, 2, 3):
+            yield pytest.param(fam.function, ladder, n, 2.0, None, id=f"{fam.name}-n{n}")
+    deg256 = load_spectral(DATA / "deg256.json")
+    for n in (1, 2, 3):
+        yield pytest.param(deg256, ladder + [2.0**-30], n, 2.0, None, id=f"deg256-n{n}")
+    for p in (3.0, math.inf):
+        for n in (1, 2):
+            yield pytest.param(grid_f, ladder, n, p, make_grid(56), id=f"grid56-p{p}-n{n}")
+    # (170!)^2 and the partial sums of squares above it leave the float range
+    yield pytest.param(ops170, ladder[:2], 170, 2.0, None, id="ops170-n170")
+
+
+@pytest.mark.parametrize("f, deltas, n, p, grid", _ladder_cases())
+def test_kfun_ladder_equals_one_point_views_and_candidate_scan(f, deltas, n, p, grid):
+    ladder = kfun_ladder(f, deltas, n, p, grid)
+    assert [est.delta for est in ladder] == deltas
+    for delta, est in zip(deltas, ladder):
+        assert kfun_estimate(f, delta, n, p, grid) == est
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _kfun_by_candidates(f, delta, n, p, grid)
+        assert (est.upper, est.lower_proxy, est.argmin_candidate) == want
+    if n <= 3:
+        rhos = [1.0 - delta for delta in deltas]
+        devs = deviation_ladder(f, rhos, n, p, grid)
+        assert devs == [deviation_norm(f, SummationParams(rho, n), p, grid) for rho in rhos]
+
+
+def _hard_sums(seed):
+    """Shells whose masses span 2^-1120..2^1000, so that prefix sums of
+    squares start subnormal and end past the float range, plus sums that
+    fall exactly halfway between two floats."""
+    rng = np.random.default_rng(seed)
+    coeffs = {}
+    for nu in range(48):
+        shell = index_shell(nu)
+        for k in rng.choice(len(shell), size=min(len(shell), 3), replace=False):
+            re, im = np.ldexp(rng.uniform(-1.0, 1.0, 2), int(rng.integers(-560, 500)))
+            coeffs[shell[k]] = complex(re, im)
+    return SpectralFunction(coeffs)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [_hard_sums(seed) for seed in range(4)]
+    + [
+        # masses 1 + 2^-52, 2^-53, 2^-53: sums 1 + 3 2^-53 and 1 + 2^-52 + 2^-53
+        # are ties, rounded to even
+        SpectralFunction(
+            {(0, 0, 0): 1.0 + 2.0**-26j, (1, -1, 0): 2.0**-27 + 2.0**-27j,
+             (2, -2, 0): 2.0**-27 - 2.0**-27j, (3, -3, 0): 0.0, (4, -4, 0): 1e-320}
+        ),
+        # an infinite mass: every cut goes through norm, which sums 0 * inf = nan
+        SpectralFunction({(0, 0, 0): 1.7e308, (2, -2, 0): 3.0 - 4.0j, (3, -3, 0): 1e-300}),
+        SpectralFunction({}),
+    ],
+)
+def test_cut_norms_equal_the_norm_of_each_cut(f):
+    with np.errstate(over="ignore", invalid="ignore"):
+        shells, norm, cut_norms = _norm_plan(f, 2.0, None)
+        rng = np.random.default_rng(len(shells))
+        weights = [np.ones(len(shells)), rng.uniform(0.5, 2.0, len(shells))]
+        weights += [_perm_shells(shells, n) for n in (1, 2, 3)]
+        for w in weights:
+            for upto in (True, False):
+                want = [norm(w * ((shells <= m) if upto else (shells > m))) for m in shells.tolist()]
+                assert cut_norms(w, upto).tolist() == want
+
+
+@pytest.mark.parametrize("grid", [None, make_grid(132)])
+def test_kfun_identity_wins_its_tie_with_the_top_partial_sum(grid):
+    # identity and the cut at the top shell are the same candidate h = f: error 0
+    # and roughness ||f^[n]||, so their scores tie at every delta, and identity
+    # comes first
+    f = builtin_families(32)[0].function  # kernel(rho0=0.5)
+    shells, norm, cut_norms = _norm_plan(f, 2.0, grid)
+    perm = _perm_shells(shells, 1)
+    assert cut_norms(np.ones(len(shells)), False)[-1] == norm(np.zeros(len(shells))) == 0.0
+    assert cut_norms(perm, True)[-1] == norm(perm)
+    ests = kfun_ladder(f, [2.0**-k for k in range(2, 7)], 1, 2.0, grid)
+    assert [est.argmin_candidate for est in ests] == ["identity"] * 5
