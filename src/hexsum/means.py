@@ -440,25 +440,22 @@ def kfun_ladder(
     perm = _perm_shells(shells, n)
     zeros, ones = np.zeros(len(shells)), np.ones(len(shells))
     fixed = [("zero", norm(ones), norm(zeros)), ("identity", norm(zeros), norm(perm))]
+    cut_names = [f"partial_sum({m})" for m in shells.tolist()]
     cut_err, cut_rough = cut_norms(ones, False), cut_norms(perm, True)
     estimates = []
     for delta in deltas:
         dn = delta**n
-        scored = list(fixed)
+        scored = [(name, err + dn * rough) for name, err, rough in fixed]
         for j in range(-2, 3):
             zeta = 1.0 - delta * 2.0**j
             if 0.0 <= zeta < 1.0:
                 lam, comp = _lambda_shells(shells, n, zeta)
-                scored.append((f"mean(zeta={zeta:.17g})", norm(comp), norm(perm * lam)))
+                scored.append((f"mean(zeta={zeta:.17g})", norm(comp) + dn * norm(perm * lam)))
+        scored += zip(cut_names, (cut_err + dn * cut_rough).tolist())
         upper, winner = math.inf, "none"
-        for name, err, rough in scored:
-            score = err + dn * rough
+        for name, score in scored:  # strict: the first least score wins
             if score < upper:
                 upper, winner = score, name
-        scores = cut_err + dn * cut_rough
-        best = np.fmin.reduce(scores, initial=math.inf)  # nan never wins
-        if best < upper:
-            upper, winner = float(best), f"partial_sum({shells[np.argmax(scores == best)]})"
         lower = dn * norm(perm * (1.0 - delta) ** shells)
         estimates.append(KfunEstimate(delta, n, upper, lower, winner))
     return estimates
