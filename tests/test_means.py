@@ -524,10 +524,9 @@ def test_kfun_ladder_equals_one_point_views_and_candidate_scan(f, deltas, n, p, 
         with np.errstate(over="ignore", invalid="ignore"):
             want = _kfun_by_candidates(f, delta, n, p, grid)
         assert (est.upper, est.lower_proxy, est.argmin_candidate) == want
-    if n <= 3:
-        rhos = [1.0 - delta for delta in deltas]
-        devs = deviation_ladder(f, rhos, n, p, grid)
-        assert devs == [deviation_norm(f, SummationParams(rho, n), p, grid) for rho in rhos]
+    rhos = [1.0 - delta for delta in deltas]
+    devs = deviation_ladder(f, rhos, n, p, grid)
+    assert devs == [deviation_norm(f, SummationParams(rho, n), p, grid) for rho in rhos]
 
 
 def _hard_sums(seed):
