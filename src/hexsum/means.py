@@ -310,7 +310,10 @@ def _norm_plan(
         at2 = np.concatenate([at, at])
 
         def norm(mult: np.ndarray) -> float:
-            total = math.fsum((mult * mult * masses).tolist())
+            try:
+                total = math.fsum((mult * mult * masses).tolist())
+            except OverflowError:  # finite terms whose sum passes the float range
+                total = math.inf
             if sys.float_info.min <= total < math.inf:
                 return math.sqrt(total)
             m_mant, m_exp = np.frexp(mult[at2])
