@@ -26,6 +26,11 @@ Sun and Xu, SIAM J. Numer. Anal. 46, 2008).  So grid integrals need the
 circle-kernel tables only at the n roots of unity, and the kernel is a few
 small matrix products in a and b times a Hankel factor in a + b.  The map
 m -> (a, b) is onto Z_n^2 unless 3 | n, when it covers a = b (mod 3) thrice.
+The tables are even, and the 12 maps of D6 (permutations of z1, z2, z3 and
+z -> -z) permute the grid, so a grid integral sums one fundamental domain
+{0 <= a <= b, a + 2b <= n}, about a twelfth of the points, each weighted by
+the size of its orbit; a product that is not symmetric in its factors adds
+its distinct permutations.
 
 The truncated shell series serves as an independent oracle, with the
 tail sum_{nu > c} 6 nu rho^nu available in closed form.
@@ -33,7 +38,10 @@ tail sum_{nu > c} 6 nu rho^nu available in closed form.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+from collections import Counter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -41,7 +49,7 @@ import numpy as np
 from .fourier import TWO_PI_OVER_3, HexGrid, pairwise_sum
 from .lattice import HexPoint
 
-#: largest derivative order with generated Leibniz tables
+#: largest derivative order of the kernels and their integrals
 R_MAX = 6
 
 #: auto-scaled quadrature never exceeds this resolution
@@ -305,35 +313,98 @@ def _resolve_grid(rho: float, grid: HexGrid | None) -> HexGrid:
     return grid
 
 
-def _grid_mean_abs(rho: float, coeffs: np.ndarray, grid: HexGrid) -> float:
-    """Grid mean of |sum_ijk C[i, j, k] T[i](z1) T[j](z2) T[k](z3)| over (a, b).
+#: most points in one block of the fundamental domain
+_BLOCK_POINTS = 1 << 15
 
-    T holds orders 0..r at the n roots of unity plus a row of ones.  Rows of
-    a go in blocks of at most 2^19 points, each reduced by pairwise_sum and
-    combined by fsum, so reruns agree bit for bit.
+#: distinct permutations of a sorted triple (a, b, c), indexed by [a == b, b == c]
+_PERMUTATIONS = np.array([[6, 3], [3, 1]])
+
+
+def _domain_blocks(n: int):
+    """Row blocks of the fundamental domain D = {0 <= a <= b, a + 2b <= n}.
+
+    The grid point (a, b) stands for the angle triple (a, -(a + b), b) mod n,
+    on which D6 acts by permutations and negation.  D holds one point of
+    every orbit, on all of Z_n^2, or on the a = b (mod 3) sublattice when
+    3 | n.  Yields (a, b, w): row and column indices, both in steps of 1
+    (or of 3, one residue class at a time), and the orbit sizes w[p, q] of
+    the points (a[p], b[q]): 12 inside D, 6 on each edge a = 0, a = b and
+    a + 2b = n, 3 at (0, n/2), 2 at (n/3, n/3), 1 at (0, 0), and 0 on the
+    part of the block's rectangle outside D.  The sizes sum to the number
+    of points covered, and each rectangle holds at most _BLOCK_POINTS.
+    A point of D is the sorted triple (a, b, c), c = (n - a - b) mod n: its
+    distinct permutations count 6, 3 or 1, and negation doubles them
+    unless a = 0, where it maps (0, b, c) to the permutation (0, c, b).
+    """
+    step = 3 if n % 3 == 0 else 1
+    for residue in range(step):
+        rows = np.arange(residue, n // 3 + 1, step)
+        start = 0
+        while start < len(rows):
+            a0 = int(rows[start])
+            b = np.arange(a0, (n - a0) // 2 + 1, step)
+            a = rows[start:start + max(1, _BLOCK_POINTS // len(b))]
+            # row p holds the columns p..last[p]: b >= a, a + 2b <= n
+            p = np.arange(len(a))
+            last = (n - a - 2 * a0) // (2 * step)
+            q = np.arange(len(b))
+            w = 12.0 * ((q >= p[:, None]) & (q <= last[:, None]))
+            # the edges a = b, a + 2b = n and a = 0 take their orbit sizes
+            far = p[a + 2 * b[last] == n]
+            top = q[:last[0] + 1] if a0 == 0 else q[:0]
+            ip = np.concatenate([p, far, np.zeros_like(top)])
+            iq = np.concatenate([p, last[far], top])
+            ea, eb = a[ip], b[iq]
+            ec = (n - ea - eb) % n
+            perms = _PERMUTATIONS[(ea == eb).astype(int), (eb == ec).astype(int)]
+            w[ip, iq] = perms * np.where(ea == 0, 1, 2)
+            yield a, b, w
+            start += len(a)
+
+
+def _grid_mean_abs(rho: float, coeffs: np.ndarray, grid: HexGrid) -> float:
+    """Grid mean of |F_C| = |sum_ijk C[i, j, k] T[i](z1) T[j](z2) T[k](z3)|.
+
+    T holds orders 0..r at the n roots of unity plus a row of ones, and
+    every row is even in z.  So z -> -z leaves F_C unchanged, and a
+    permutation s of (z1, z2, z3) turns it into F_{C^s}, C^s =
+    np.transpose(C, s).  Summed over each orbit O(q) of the grid,
+
+        sum_{p in O(q)} |F_C(p)| = |O(q)| / 6 * sum_s |F_{C^s}(q)|,
+
+    so the grid sum runs over the fundamental domain of _domain_blocks
+    only, with orbit-size weights.  Each distinct C^s is evaluated once,
+    weighted by its multiplicity / 6: the symmetric Leibniz tensor once,
+    at weight 1.  A block is a few small matrix products in a and b times
+    the Hankel factor T[j](z2) in a + b, reduced by pairwise_sum; fsum
+    combines the blocks, so reruns agree bit for bit.
     """
     n, r = grid.n, coeffs.shape[0] - 2
     roots = (2.0 * math.pi / n) * np.arange(n)
     table = np.array(_classical_deriv_table(rho, roots, r) + [np.ones(n)])
-    slices = [j for j in range(r + 2) if np.any(coeffs[:, j, :])]
+    perms = Counter(np.transpose(coeffs, s).tobytes() for s in itertools.permutations(range(3)))
+    # |x| is positively homogeneous, so each weight scales its tensor
+    variants = []
+    for c, k in perms.items():
+        c = k / 6 * np.frombuffer(c).reshape(coeffs.shape)
+        variants.append((c, np.flatnonzero(np.any(c, axis=(0, 2))).tolist()))
     step = 3 if n % 3 == 0 else 1
-    span = np.arange(0, n, step)
-    rows = max(1, (1 << 19) // len(span))
     totals = []
-    for c in range(step):
-        b_table = table[:, c + span]
-        for start in range(0, len(span), rows):
-            a = c + span[start:start + rows]
-            a_table = table[:, a].T
-            # T[j][-(a[p] + b[q]) mod n] with a[p] + b[q] = a[0] + c + step (p + q)
-            sums = (-(a[0] + c + step * np.arange(len(a) + len(span) - 1))) % n
+    for a, b, w in _domain_blocks(n):
+        a_table, b_table = table[:, a].T, table[:, b]
+        # T[j][-(a[p] + b[q]) mod n] with a[p] + b[q] = 2 a[0] + step (p + q)
+        sums = (-(2 * a[0] + step * np.arange(len(a) + len(b) - 1))) % n
+        hankel = np.lib.stride_tricks.sliding_window_view(table[:, sums], len(b), axis=1)
+        parts = []
+        for c, slices in variants:
             vals = 0.0
             for j in slices:
-                term = (a_table @ coeffs[:, j, :]) @ b_table
+                term = (a_table @ c[:, j, :]) @ b_table
                 if j <= r:
-                    term *= np.lib.stride_tricks.sliding_window_view(table[j][sums], len(span))
+                    term *= hankel[j]
                 vals += term
-            totals.append(float(pairwise_sum(np.abs(vals))))
+            parts.append(np.abs(vals))
+        totals.append(float(pairwise_sum(functools.reduce(np.add, parts) * w)))
     return math.fsum(totals) * step * grid.weight
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -28,7 +29,8 @@ from hexsum.cli import (
     validate_config,
 )
 from hexsum.families import random_spectrum
-from hexsum.fourier import SpectralFunction, save_spectral
+from hexsum.fourier import SpectralFunction, make_grid, save_spectral
+from hexsum.kernels import R_MAX, hex_kernel_deriv_values
 from hexsum.means import lambda_complement
 
 
@@ -461,6 +463,26 @@ def test_main_exact_norm_beyond_squared_range(tmp_path, monkeypatch, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["kfun", "rates", "approximate"])
+def test_main_exact_norm_sum_beyond_float_range(tmp_path, monkeypatch, command):
+    # the squared terms 1e308, 4e308 and 81 are finite, but their sum is not:
+    # the exact L2 norm sums them again in units of the largest term
+    monkeypatch.chdir(tmp_path)
+    coeffs = {(1, -1, 0): 1e154, (2, -1, -1): 1e154, (3, -1, -2): 3.0}
+    inp = tmp_path / "wide.json"
+    save_spectral(SpectralFunction(coeffs), inp)
+    rc, rows = _json_report(tmp_path, [command, "--n", "1", "--input", str(inp)])
+    assert rc == 0 and rows[-1]["status"] == "ok"
+    if command == "kfun":
+        # identity wins: upper = delta ||f^[1]||_2, f^[1] scaling shell nu by nu
+        mass = sum(Fraction(max(map(abs, k))) ** 2 * Fraction(c) ** 2 for k, c in coeffs.items())
+        for row in rows[:-1]:
+            assert row["winner"] == "identity"
+            root = Fraction(math.isqrt(mass.numerator * 4**64 // mass.denominator), 2**64)
+            want = float(Fraction(row["delta"]) * root)
+            assert abs(row["upper"] - want) <= 1e-15 * want
+
+
 @pytest.mark.parametrize(
     "coeffs, args",
     [
@@ -669,10 +691,6 @@ def test_reports_are_byte_identical_across_reruns(tmp_path, monkeypatch):
         (["rates", "--r", "2"] + inp, 0),
         (["approximate", "--r", "2", "--grid", "40", "--p", "inf"] + inp, 0),
         (["kfun", "--grid", "40", "--p", "3"] + inp, 0),
-        # 3 divides 192, the kernel grid's three-residue case; a two-point
-        # ladder fails the convergence-ratio assertion (exit 1) but still
-        # writes its report
-        (["bernstein", "--r", "3", "--rho-kmax", "2", "--grid", "192"], 1),
     ):
         argv = args + ["--out", "rep.csv"]
         assert main(argv) == code
@@ -681,6 +699,24 @@ def test_reports_are_byte_identical_across_reruns(tmp_path, monkeypatch):
         second = (tmp_path / "rep.csv").read_bytes()
         assert first == second, args
         assert b"\r" not in first
+
+
+@pytest.mark.parametrize("r", range(R_MAX + 1))
+def test_bernstein_grid_192_reruns_byte_identical(tmp_path, monkeypatch, r):
+    # 3 divides 192, so the kernel grid sums its fundamental domain on the
+    # a = b (mod 3) sublattice.  For r >= 1 the two-point ladder fails the
+    # convergence-ratio assertion (exit 1), but the report is still written.
+    monkeypatch.chdir(tmp_path)
+    argv = ["bernstein", "--r", str(r), "--rho-kmax", "2", "--grid", "192", "--out", "rep.json"]
+    code = main(argv + ["--format", "json"])
+    first = (tmp_path / "rep.json").read_bytes()
+    assert code in (0, 1) and main(argv + ["--format", "json"]) == code
+    assert (tmp_path / "rep.json").read_bytes() == first
+    g = make_grid(192)
+    t1, t2, t3 = g.t_arrays
+    for row in json.loads(first)["rows"][:-1]:
+        want = math.fsum(np.abs(hex_kernel_deriv_values(row["rho"], t1, t2, t3, r))) * g.weight
+        assert abs(row["integral"] - want) <= 1e-12 * want
 
 
 def test_default_report_name_uses_format(tmp_path, monkeypatch):

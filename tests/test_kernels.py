@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -14,6 +15,7 @@ from hexsum.kernels import (
     bernstein_integral,
     classical_kernel_deriv,
     _classical_deriv_table,
+    _domain_blocks,
     hex_deriv_series_values,
     hex_kernel_closed,
     hex_kernel_closed_values,
@@ -340,10 +342,37 @@ def test_product_integral_validation():
         product_integral(0.5, "I1", [R_MAX + 1])
 
 
-# The grid engine works from root-of-unity tables and (a, b) reindexing; the
-# oracle evaluates every folded grid point directly.  n = 81, 96 and 321
-# are multiples of 3, where the reindexing covers each point three times.
-ORACLE_GRIDS = [(64, 0.5), (81, 0.6), (96, 0.65), (321, 0.9)]
+@pytest.mark.parametrize("n", range(1, 61))
+def test_domain_blocks_hit_every_orbit_once(n):
+    # brute-force D6 orbits of the angle triples (a, -(a + b), b) mod n, on
+    # Z_n^2 or, when 3 | n, on the a = b (mod 3) sublattice
+    points = [(a, b) for a in range(n) for b in range(n) if n % 3 or (a - b) % 3 == 0]
+    weights = {}
+    for a, b, w in _domain_blocks(n):
+        for p, q in zip(*np.nonzero(w)):
+            key = (int(a[p]), int(b[q]))
+            assert key not in weights
+            weights[key] = w[p, q]
+    hit = set()
+    for a, b in points:
+        triple = (a, (-a - b) % n, b)
+        orbit = {
+            (y[0], y[2])
+            for s in itertools.permutations(triple)
+            for y in (s, tuple(-v % n for v in s))
+        }
+        (rep,) = orbit & weights.keys()
+        assert weights[rep] == len(orbit), (n, rep)
+        hit.add(rep)
+    assert hit == weights.keys()
+    assert sum(weights.values()) == len(points)
+
+
+# The grid engine works from root-of-unity tables and (a, b) reindexing over
+# one fundamental domain of D6; the oracle evaluates every folded grid point
+# directly.  n = 81, 96 and 321 are multiples of 3, where the reindexing
+# covers the a = b (mod 3) sublattice; 101 is odd and prime to 3.
+ORACLE_GRIDS = [(64, 0.5), (81, 0.6), (96, 0.65), (101, 0.65), (321, 0.9)]
 
 
 @pytest.mark.parametrize("n, rho", ORACLE_GRIDS)
@@ -395,7 +424,8 @@ def test_deriv_values_keep_input_shape():
 
 
 def test_bernstein_integral_row_blocks_match_pointwise_sum():
-    # 1024^2 points span two row blocks of the grid engine
+    # the fundamental domain of the 1024 grid spans several row blocks
+    assert len(list(_domain_blocks(1024))) > 2
     g = make_grid(1024)
     t1, t2, t3 = g.t_arrays
     vals = hex_kernel_deriv_values(0.95, t1, t2, t3, 2)
