@@ -29,8 +29,9 @@ m -> (a, b) is onto Z_n^2 unless 3 | n, when it covers a = b (mod 3) thrice.
 The tables are even, and the 12 maps of D6 (permutations of z1, z2, z3 and
 z -> -z) permute the grid, so a grid integral sums one fundamental domain
 {0 <= a <= b, a + 2b <= n}, about a twelfth of the points, each weighted by
-the size of its orbit; a product that is not symmetric in its factors adds
-its distinct permutations.
+the size of its orbit.  The Leibniz tensor is symmetric in its factors; a
+product integral |T_i(z1) T_j(z2) T_k(z3)| takes its tensor averaged over
+the permutations of the factors, on the tables |T|.
 
 The truncated shell series serves as an independent oracle, with the
 tail sum_{nu > c} 6 nu rho^nu available in closed form.
@@ -38,10 +39,8 @@ tail sum_{nu > c} 6 nu rho^nu available in closed form.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-from collections import Counter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -362,32 +361,25 @@ def _domain_blocks(n: int):
             start += len(a)
 
 
-def _grid_mean_abs(rho: float, coeffs: np.ndarray, grid: HexGrid) -> float:
-    """Grid mean of |F_C| = |sum_ijk C[i, j, k] T[i](z1) T[j](z2) T[k](z3)|.
+def _circle_table(rho: float, r: int, n: int) -> np.ndarray:
+    """Circle-kernel derivatives of orders 0..r at the n roots of unity, plus a row of ones."""
+    roots = (2.0 * math.pi / n) * np.arange(n)
+    return np.array(_classical_deriv_table(rho, roots, r) + [np.ones(n)])
 
-    T holds orders 0..r at the n roots of unity plus a row of ones, and
-    every row is even in z.  So z -> -z leaves F_C unchanged, and a
-    permutation s of (z1, z2, z3) turns it into F_{C^s}, C^s =
-    np.transpose(C, s).  Summed over each orbit O(q) of the grid,
 
-        sum_{p in O(q)} |F_C(p)| = |O(q)| / 6 * sum_s |F_{C^s}(q)|,
+def _grid_mean_abs(table: np.ndarray, coeffs: np.ndarray, grid: HexGrid) -> float:
+    """Grid mean of |F| = |sum_ijk C[i, j, k] T[i](z1) T[j](z2) T[k](z3)|.
 
-    so the grid sum runs over the fundamental domain of _domain_blocks
-    only, with orbit-size weights.  Each distinct C^s is evaluated once,
-    weighted by its multiplicity / 6: the symmetric Leibniz tensor once,
-    at weight 1.  A block is a few small matrix products in a and b times
-    the Hankel factor T[j](z2) in a + b, reduced by pairwise_sum; fsum
-    combines the blocks, so reruns agree bit for bit.
+    T = table holds even rows at the n roots of unity, and C = coeffs is
+    symmetric in its three axes.  So F is invariant under D6 (z -> -z and
+    the permutations of z1, z2, z3), and the grid sum runs over the
+    fundamental domain of _domain_blocks only, each point weighted by the
+    size of its orbit.  A block is a few small matrix products in a and b
+    times the Hankel factor T[j](z2) in a + b, reduced by pairwise_sum;
+    fsum combines the blocks, so reruns agree bit for bit.
     """
     n, r = grid.n, coeffs.shape[0] - 2
-    roots = (2.0 * math.pi / n) * np.arange(n)
-    table = np.array(_classical_deriv_table(rho, roots, r) + [np.ones(n)])
-    perms = Counter(np.transpose(coeffs, s).tobytes() for s in itertools.permutations(range(3)))
-    # |x| is positively homogeneous, so each weight scales its tensor
-    variants = []
-    for c, k in perms.items():
-        c = k / 6 * np.frombuffer(c).reshape(coeffs.shape)
-        variants.append((c, np.flatnonzero(np.any(c, axis=(0, 2))).tolist()))
+    slices = np.flatnonzero(np.any(coeffs, axis=(0, 2))).tolist()
     step = 3 if n % 3 == 0 else 1
     totals = []
     for a, b, w in _domain_blocks(n):
@@ -395,16 +387,13 @@ def _grid_mean_abs(rho: float, coeffs: np.ndarray, grid: HexGrid) -> float:
         # T[j][-(a[p] + b[q]) mod n] with a[p] + b[q] = 2 a[0] + step (p + q)
         sums = (-(2 * a[0] + step * np.arange(len(a) + len(b) - 1))) % n
         hankel = np.lib.stride_tricks.sliding_window_view(table[:, sums], len(b), axis=1)
-        parts = []
-        for c, slices in variants:
-            vals = 0.0
-            for j in slices:
-                term = (a_table @ c[:, j, :]) @ b_table
-                if j <= r:
-                    term *= hankel[j]
-                vals += term
-            parts.append(np.abs(vals))
-        totals.append(float(pairwise_sum(functools.reduce(np.add, parts) * w)))
+        vals = 0.0
+        for j in slices:
+            term = (a_table @ coeffs[:, j, :]) @ b_table
+            if j <= r:
+                term *= hankel[j]
+            vals += term
+        totals.append(float(pairwise_sum(np.abs(vals) * w)))
     return math.fsum(totals) * step * grid.weight
 
 
@@ -426,7 +415,7 @@ def bernstein_integral(
     _check_rho(rho)
     _check_order(r)
     grid = _resolve_grid(rho, grid)
-    value = _grid_mean_abs(rho, _leibniz_tensor(rho, r), grid)
+    value = _grid_mean_abs(_circle_table(rho, r, grid.n), _leibniz_tensor(rho, r), grid)
     return BernsteinResult(value, grid.n, grid.n >= min_resolution(rho))
 
 
@@ -460,4 +449,8 @@ def product_integral(
     r = max(orders)
     coeffs = np.zeros((r + 2, r + 2, r + 2))
     coeffs[tuple(orders + [r + 1] * (3 - len(orders)))] = 1.0
-    return _grid_mean_abs(rho, coeffs, grid)
+    # |T_i T_j T_k| = |T_i| |T_j| |T_k| is linear in the tensor on the |T|
+    # tables, so its grid sum is that of the tensor averaged over the axis
+    # permutations, which _grid_mean_abs takes
+    coeffs = sum(np.transpose(coeffs, s) for s in itertools.permutations(range(3))) / 6
+    return _grid_mean_abs(np.abs(_circle_table(rho, r, grid.n)), coeffs, grid)
