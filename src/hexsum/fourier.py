@@ -248,11 +248,13 @@ class SpectralFunction:
         return math.sqrt(math.fsum((c.real * c.real + c.imag * c.imag).tolist()))  # exact sum
 
     def is_real_symmetric(self, tol: float = 1e-12) -> bool:
-        """True when coeff(-k) agrees with conj(coeff(k)) within tol."""
-        return not any(
-            abs(self._coeffs.get((-a, -b), 0j) - c.conjugate()) > tol
-            for (a, b), c in self._coeffs.items()
+        """True when coeff(-k) agrees with conj(coeff(k)) within tol: f against
+        its conjugate reflection, so a NaN coefficient gives False."""
+        k1, k2, _, coeffs = self._support()
+        reflection = SpectralFunction._from_arrays(
+            -k1, -k2, k1 + k2, coeffs.conj(), self.max_degree
         )
+        return max_coeff_diff(self, reflection) <= tol
 
     def __repr__(self) -> str:
         return (

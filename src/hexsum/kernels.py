@@ -34,7 +34,12 @@ product integral |T_i(z1) T_j(z2) T_k(z3)| takes its tensor averaged over
 the permutations of the factors, on the tables |T|.
 
 The truncated shell series serves as an independent oracle, with the
-tail sum_{nu > c} 6 nu rho^nu available in closed form.
+tail sum_{nu > c} 6 nu rho^nu available in closed form.  It sums every
+frequency of every shell term by term, ring by ring: shell nu is the six
+edges k = nu c_i + j c_{i+2}, 0 <= j < nu, of the unit-shell corners
+c_0..c_5, so its sum is sum_i phi_{nu c_i} sum_{j < nu} phi_{j c_{i+2}},
+one cumsum along nu of the corner exponentials, and costs O(cutoff) per
+point instead of the O(cutoff^2) of the (k1, k2) square.
 """
 
 from __future__ import annotations
@@ -98,20 +103,27 @@ def _weight_derivs(rho: float, r: int) -> tuple[list[float], list[float]]:
 # circle kernel
 # --------------------------------------------------------------------------
 
-def classical_kernel_deriv(rho: float, z: float, r: int) -> float:
+def classical_kernel_deriv(rho, z, r: int):
     """r-th rho-derivative of the circle kernel P_rho(z).
 
     r=0 is the kernel itself; r >= 1 uses the residue-style closed form
     2 r! Re(e^{irz} / (1 - rho e^{iz})^{r+1}).  Always bounded by
-    2 r! / (1 - rho)^{r+1} in modulus.
+    2 r! / (1 - rho)^{r+1} in modulus.  ``rho`` and ``z`` may be arrays,
+    broadcast against each other; scalars give a float, evaluated as a
+    one-element array so that it equals the array evaluation bit for bit.
     """
-    _check_rho(rho)
+    scalar = np.ndim(rho) == np.ndim(z) == 0
+    rho, z = np.atleast_1d(np.asarray(rho, dtype=float), np.asarray(z, dtype=float))
+    outside = rho[~((0.0 <= rho) & (rho < 1.0))]
+    if outside.size:
+        _check_rho(float(outside[0]))
     _check_order(r)
     if r == 0:
-        return (1.0 - rho * rho) / (1.0 - 2.0 * rho * math.cos(z) + rho * rho)
-    w = complex(math.cos(z), math.sin(z))
-    c = w**r / (1.0 - rho * w) ** (r + 1)
-    return 2.0 * math.factorial(r) * c.real
+        value = (1.0 - rho * rho) / (1.0 - 2.0 * rho * np.cos(z) + rho * rho)
+    else:
+        w = np.cos(z) + 1j * np.sin(z)
+        value = 2.0 * math.factorial(r) * (w**r / (1.0 - rho * w) ** (r + 1)).real
+    return float(value[0]) if scalar else value
 
 
 def _classical_deriv_table(rho: float, z: np.ndarray, r_max: int) -> list[np.ndarray]:
@@ -170,31 +182,62 @@ def series_tail_bound(rho: float, cutoff: int) -> float:
     return 6.0 * rho ** (cutoff + 1) * ((cutoff + 1) * one + rho) / (one * one)
 
 
+#: most entries in one (6, cutoff + 1, points) corner table
+_RING_ENTRIES = 1 << 14
+
+
+def _shell_sums(cutoff: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """S[nu] = sum_{k in J_nu} phi_k at the phases (x, y), for nu = 0..cutoff.
+
+    phi_k = e^{i (k1 x + k2 y)}, and the corners of the unit shell, in order,
+    are c_0..c_5 = (1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1), so
+    c_{i+1} - c_i = c_{i+2} and c_{i+3} = -c_i.  Shell nu is the six edges
+    k = nu c_i + j c_{i+2}, 0 <= j < nu, so
+    S[nu] = sum_i phi_{nu c_i} sum_{j < nu} phi_{j c_{i+2}}: one exp over the
+    corner table phi_{nu c_i} (its rows 3..5 the conjugates of rows 0..2, as
+    the phases are real) and one cumsum along nu.
+    """
+    nu = np.arange(cutoff + 1, dtype=float)
+    table = np.zeros((6, cutoff + 1, len(x)), dtype=complex)
+    np.multiply(nu[:, None], np.array([x, y, y - x])[:, None, :], out=table[:3].imag)
+    np.exp(table[:3], out=table[:3])
+    np.conjugate(table[:3], out=table[3:])
+    edges = np.cumsum(table, axis=1)  # edges[l, nu - 1] = sum_{j < nu} phi_{j c_l}
+    sums = np.empty((cutoff + 1, len(x)), dtype=complex)
+    sums[0] = 1.0
+    # corner i pairs with the edge along c_{i+2}
+    sums[1:] = (table[:4, 1:] * edges[2:, :-1]).sum(axis=0)
+    sums[1:] += (table[4:, 1:] * edges[:2, :-1]).sum(axis=0)
+    return sums
+
+
 def shell_weighted_values(weights, t1, t2, t3) -> np.ndarray:
     """sum_nu weights[nu] * (shell-nu basis sum) at points, as complex values.
 
     ``weights`` is one weight vector or a stack of them, one row per
-    series; a stack returns one row of values per series.  Every one of
-    the (2 cutoff + 1)^2 frequencies of the (k1, k2) square is summed,
-    with weight 0 beyond the cutoff: the rows share the exponentials and
-    one degree table, and each row is one real BLAS product of its dense
-    coefficient table against [Re | Im] of the k2 exponentials.
+    series; a stack returns one row of values per series.  Every frequency
+    of every shell nu <= cutoff is summed term by term, ring by ring: shell
+    nu is the six edges k = nu c_i + j c_{i+2}, 0 <= j < nu, of the
+    unit-shell corners c_0..c_5, so its sum is
+    sum_i phi_{nu c_i} sum_{j < nu} phi_{j c_{i+2}}, one cumsum along nu of
+    the corner exponentials (_shell_sums).  Points go in chunks that bound
+    the corner table.  Each row is one real product of its weights with the
+    shell sums (real and imaginary parts interleaved), row by row, so a
+    stack equals its single rows bit for bit.
     """
     weights = np.asarray(weights, dtype=float)
     cutoff = weights.shape[-1] - 1
-    span = np.arange(-cutoff, cutoff + 1, dtype=np.int32)
-    k1, k2 = span[:, None], span[None, :]
-    deg = np.minimum(np.maximum(np.maximum(np.abs(k1), np.abs(k2)), np.abs(k1 + k2)), cutoff + 1)
+    rows = weights.reshape(-1, cutoff + 1)
     t1, t2, t3 = (np.asarray(t, dtype=float) for t in (t1, t2, t3))
-    f1 = np.exp(1j * TWO_PI_OVER_3 * np.outer(span, t1 - t3))
-    f2 = np.exp(1j * TWO_PI_OVER_3 * np.outer(span, t2 - t3))
-    m = f2.shape[1]
-    f2_parts = np.concatenate([f2.real, f2.imag], axis=1)
-    rows = []
-    for w in weights.reshape(-1, cutoff + 1):
-        g = np.append(w, 0.0)[deg] @ f2_parts
-        rows.append(pairwise_sum(f1 * (g[:, :m] + 1j * g[:, m:]), axis=0))
-    return np.array(rows).reshape(weights.shape[:-1] + (m,))
+    x, y = TWO_PI_OVER_3 * (t1 - t3).ravel(), TWO_PI_OVER_3 * (t2 - t3).ravel()
+    out = np.empty((len(rows), len(x)), dtype=complex)
+    chunk = max(1, _RING_ENTRIES // (6 * (cutoff + 1)))
+    for start in range(0, len(x), chunk):
+        part = slice(start, start + chunk)
+        sums = _shell_sums(cutoff, x[part], y[part]).view(float)
+        for row, w in zip(out, rows):
+            row[part] = (w @ sums).view(complex)
+    return out.reshape(weights.shape[:-1] + (len(x),))
 
 
 def hex_kernel_series_values(

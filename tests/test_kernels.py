@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -73,6 +74,34 @@ def test_classical_table_matches_scalar():
             assert table[r][i] == pytest.approx(
                 classical_kernel_deriv(0.6, float(z[i]), r), rel=1e-13, abs=1e-13
             )
+
+
+@pytest.mark.parametrize("r", range(R_MAX + 1))
+def test_classical_kernel_array_matches_scalar_calls(r):
+    rng = np.random.default_rng(r)
+    rho = rng.uniform(0.0, 0.99, size=300)
+    z = rng.uniform(-8.0, 8.0, size=300)
+    got = classical_kernel_deriv(rho, z, r)
+    assert got.shape == (300,)
+    want = [classical_kernel_deriv(a, b, r) for a, b in zip(rho.tolist(), z.tolist())]
+    assert np.array_equal(got, want)
+    # a scalar rho broadcasts against the angles
+    assert np.array_equal(
+        classical_kernel_deriv(0.7, z, r), [classical_kernel_deriv(0.7, b, r) for b in z]
+    )
+
+
+def test_classical_kernel_scalar_call_returns_float():
+    for r in range(R_MAX + 1):
+        assert type(classical_kernel_deriv(0.5, 0.25, r)) is float
+    assert type(classical_kernel_deriv(np.float64(0.5), np.float64(0.25), 2)) is float
+
+
+@pytest.mark.parametrize("bad", [1.0, -0.1])
+def test_classical_kernel_array_rho_out_of_range(bad):
+    rho = np.array([0.2, 0.5, bad, 0.9])
+    with pytest.raises(ValueError):
+        classical_kernel_deriv(rho, np.zeros(4), 1)
 
 
 def test_classical_kernel_validation():
@@ -225,7 +254,7 @@ def test_shell_weighted_stack_matches_single_rows():
         assert np.array_equal(row, shell_weighted_values(weights, t1, t2, t3))
 
 
-@pytest.mark.parametrize("cutoff", range(9))
+@pytest.mark.parametrize("cutoff", [*range(9), 20, 40])
 def test_shell_weighted_values_matches_frequency_sum(cutoff):
     rng = np.random.default_rng(cutoff)
     t1, t2 = rng.uniform(-3, 3, size=(2, 50))
@@ -239,6 +268,21 @@ def test_shell_weighted_values_matches_frequency_sum(cutoff):
     got = shell_weighted_values(weights, t1, t2, t3)
     np.testing.assert_allclose(got.real, want.real, rtol=0, atol=1e-13 * scale)
     np.testing.assert_allclose(got.imag, want.imag, rtol=0, atol=1e-13 * scale)
+
+
+def test_deriv_series_memory_stays_small():
+    # the ring sums hold a bounded corner table, not the (2 cutoff + 1)^2
+    # frequency square (about 24 MB here for a dense weight table)
+    rng = np.random.default_rng(5)
+    t1, t2 = rng.uniform(-3, 3, size=(2, 64))
+    t3 = -(t1 + t2)
+    tracemalloc.start()
+    try:
+        hex_deriv_series_values(0.7, t1, t2, t3, (1, 2, 3), 600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_closed_matches_series_within_tail():
