@@ -189,13 +189,10 @@ _RING_ENTRIES = 1 << 14
 def _shell_sums(cutoff: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """S[nu] = sum_{k in J_nu} phi_k at the phases (x, y), for nu = 0..cutoff.
 
-    phi_k = e^{i (k1 x + k2 y)}, and the corners of the unit shell, in order,
-    are c_0..c_5 = (1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1), so
-    c_{i+1} - c_i = c_{i+2} and c_{i+3} = -c_i.  Shell nu is the six edges
-    k = nu c_i + j c_{i+2}, 0 <= j < nu, so
-    S[nu] = sum_i phi_{nu c_i} sum_{j < nu} phi_{j c_{i+2}}: one exp over the
-    corner table phi_{nu c_i} (its rows 3..5 the conjugates of rows 0..2, as
-    the phases are real) and one cumsum along nu.
+    phi_k = e^{i (k1 x + k2 y)}.  The unit-shell corners, in order, are
+    c_0..c_5 = (1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1), so
+    c_{i+1} - c_i = c_{i+2}, and c_{i+3} = -c_i makes rows 3..5 of the corner
+    table phi_{nu c_i} the conjugates of rows 0..2 (the phases are real).
     """
     nu = np.arange(cutoff + 1, dtype=float)
     table = np.zeros((6, cutoff + 1, len(x)), dtype=complex)
