@@ -38,8 +38,7 @@ tail sum_{nu > c} 6 nu rho^nu available in closed form.  It sums every
 frequency of every shell term by term, ring by ring: shell nu is the six
 edges k = nu c_i + j c_{i+2}, 0 <= j < nu, of the unit-shell corners
 c_0..c_5, so its sum is sum_i phi_{nu c_i} sum_{j < nu} phi_{j c_{i+2}},
-one cumsum along nu of the corner exponentials, and costs O(cutoff) per
-point instead of the O(cutoff^2) of the (k1, k2) square.
+one cumsum along nu of the corner exponentials: O(cutoff) work per point.
 """
 
 from __future__ import annotations
@@ -224,15 +223,15 @@ def shell_weighted_values(weights, t1, t2, t3) -> np.ndarray:
     """
     weights = np.asarray(weights, dtype=float)
     cutoff = weights.shape[-1] - 1
-    rows = weights.reshape(-1, cutoff + 1)
+    weight_rows = weights.reshape(-1, cutoff + 1)
     t1, t2, t3 = (np.asarray(t, dtype=float) for t in (t1, t2, t3))
     x, y = TWO_PI_OVER_3 * (t1 - t3).ravel(), TWO_PI_OVER_3 * (t2 - t3).ravel()
-    out = np.empty((len(rows), len(x)), dtype=complex)
+    out = np.empty((len(weight_rows), len(x)), dtype=complex)
     chunk = max(1, _RING_ENTRIES // (6 * (cutoff + 1)))
     for start in range(0, len(x), chunk):
         part = slice(start, start + chunk)
         sums = _shell_sums(cutoff, x[part], y[part]).view(float)
-        for row, w in zip(out, rows):
+        for row, w in zip(out, weight_rows):
             row[part] = (w @ sums).view(complex)
     return out.reshape(weights.shape[:-1] + (len(x),))
 

@@ -264,8 +264,8 @@ def test_shell_weighted_values_matches_frequency_sum(cutoff):
 
 
 def test_deriv_series_memory_stays_small():
-    # the ring sums hold a bounded corner table, not the (2 cutoff + 1)^2
-    # frequency square (about 24 MB here for a dense weight table)
+    # the ring sums hold a corner table of bounded size, never a table over
+    # the (2 cutoff + 1)^2 frequency square
     rng = np.random.default_rng(5)
     t1, t2 = rng.uniform(-3, 3, size=(2, 64))
     t3 = -(t1 + t2)
