@@ -150,6 +150,29 @@ class GridFunction:
 # spectral functions
 # --------------------------------------------------------------------------
 
+def _canonical_order(k1: np.ndarray, k2: np.ndarray, shell: np.ndarray) -> np.ndarray | None:
+    """None when (shell, k1, k2) strictly increases, which also rules out
+    duplicates; otherwise the stable lexsort order into canonical order."""
+    up = k2[1:] > k2[:-1]
+    up = (k1[1:] > k1[:-1]) | ((k1[1:] == k1[:-1]) & up)
+    up = (shell[1:] > shell[:-1]) | ((shell[1:] == shell[:-1]) & up)
+    return None if up.all() else np.lexsort((k2, k1, shell))
+
+
+def _repeats(*keys: np.ndarray) -> np.ndarray:
+    """Mask of positions 1.. of sorted key arrays whose keys all equal the
+    previous position's."""
+    return np.logical_and.reduce([a[1:] == a[:-1] for a in keys])
+
+
+def _shell_groups(shell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(shell, return_inverse=True) for non-decreasing shells, as in
+    a canonical support: run starts and a cumsum, no sort."""
+    start = np.ones(len(shell), dtype=bool)
+    start[1:] = shell[1:] != shell[:-1]
+    return shell[start], np.cumsum(start) - 1
+
+
 class SpectralFunction:
     """Finite map from zero-sum frequency triples to coefficients.
 
@@ -159,7 +182,9 @@ class SpectralFunction:
     ``max_degree`` is a declared bound: every stored key must satisfy
     degree(k) <= max_degree.  Iteration order is canonical (shell by
     shell, lexicographic within a shell), which downstream code relies on
-    for reproducible rounding.
+    for reproducible rounding.  Input already in canonical order, such as
+    ``frequency_arrays`` or a file written by ``save_spectral``, is stored
+    in time linear in its length, without a sort.
     """
 
     def __init__(
@@ -181,24 +206,33 @@ class SpectralFunction:
 
     def _set_support(self, k1, k2, k3, coeffs, max_degree) -> None:
         """Check zero sums, duplicates and max_degree in one place, then store
-        the support once as read-only canonical arrays."""
+        the support once as read-only canonical arrays.
+
+        Input whose (shell, k1, k2) strictly increases is canonical and free
+        of duplicates, so it is only copied: linear time.  Other input is
+        sorted.  Either way the stored arrays are new, never the caller's.
+        """
         bad = np.flatnonzero(k1 + k2 + k3)
         if bad.size:
             i = bad[0]
             raise ValueError(f"frequency triple must sum to 0, got ({k1[i]}, {k2[i]}, {k3[i]})")
         shell = np.maximum(np.maximum(np.abs(k1), np.abs(k2)), np.abs(k3))
-        order = np.lexsort((k2, k1, shell))
-        k1, k2, shell = k1[order], k2[order], shell[order]
-        dup = np.flatnonzero((k1[1:] == k1[:-1]) & (k2[1:] == k2[:-1]))
-        if dup.size:
-            i = dup[0]
-            raise ValueError(f"duplicate frequency ({k1[i]}, {k2[i]}, {-k1[i] - k2[i]})")
+        order = _canonical_order(k1, k2, shell)
+        if order is None:
+            k1, k2, coeffs = np.array(k1), np.array(k2), np.array(coeffs, dtype=complex)
+        else:
+            k1, k2, shell = k1[order], k2[order], shell[order]
+            dup = np.flatnonzero(_repeats(k1, k2))
+            if dup.size:
+                i = dup[0]
+                raise ValueError(f"duplicate frequency ({k1[i]}, {k2[i]}, {-k1[i] - k2[i]})")
+            coeffs = np.asarray(coeffs, dtype=complex)[order]
         deg = int(shell.max(initial=0))
         if max_degree is not None and deg > max_degree:
             raise ValueError(
                 f"coefficient at degree {deg} exceeds declared max_degree {max_degree}"
             )
-        self._arrays = (k1, k2, shell, np.asarray(coeffs, dtype=complex)[order])
+        self._arrays = (k1, k2, shell, coeffs)
         for a in self._arrays:
             a.flags.writeable = False
         self.max_degree = deg if max_degree is None else int(max_degree)
@@ -273,7 +307,7 @@ def scale_shells(
     ``multiplier`` is called once per shell present in the support.
     """
     k1, k2, shell, coeffs = f._support()
-    shells, at = np.unique(shell, return_inverse=True)  # increasing
+    shells, at = _shell_groups(shell)
     m = np.array([multiplier(nu) for nu in shells.tolist()], dtype=complex)[at]
     v = np.empty_like(coeffs)  # Python's complex product term by term; numpy's may fuse
     v.real = m.real * coeffs.real - m.imag * coeffs.imag
@@ -372,6 +406,9 @@ def lp_norm(g: GridFunction, p: float) -> float:
 
 _TOP_LEVEL_KEYS = {"max_degree", "entries"}
 _ENTRY_KEYS = {"k", "re", "im"}
+#: max_degree < 2^62, so an entry with some |k_i| >= 2^62 fails its checks;
+#: below the bound every int64 sum k1 + k2 + k3 is exact
+_K_BOUND = 2**62
 
 
 def spectral_to_json_dict(f: SpectralFunction) -> dict:
@@ -393,17 +430,27 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_finite_number(value) -> bool:
-    """JSON number that converts to a finite float (``json`` accepts NaN)."""
+def _as_float(value) -> float:
+    """A JSON number as a float for the finiteness check: nan for anything
+    else, ``bool`` included, and for an integer beyond the float range."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
+        return math.nan
     try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer literal beyond the float range
-        return False
+        return float(value)
+    except OverflowError:
+        return math.nan
 
 
 def spectral_from_json_dict(doc: dict) -> SpectralFunction:
+    """Parse the output of spectral_to_json_dict, raising SpectralFormatError.
+
+    One pass checks each entry's structure and collects k and re/im; the
+    zero-sum, max_degree, duplicate and finiteness checks then run on arrays.
+    The message names the first entry with any fault, and at that entry the
+    first failed check in the order structure, zero sum, max_degree,
+    duplicate, finiteness.  Entries in canonical order, as save_spectral
+    writes them, are stored without a sort.
+    """
     if not isinstance(doc, dict):
         raise SpectralFormatError("spectral document must be a JSON object")
     unknown = set(doc) - _TOP_LEVEL_KEYS
@@ -413,45 +460,66 @@ def spectral_from_json_dict(doc: dict) -> SpectralFunction:
     if missing:
         raise SpectralFormatError(f"missing top-level fields: {sorted(missing)}")
     max_degree = doc["max_degree"]
-    if not _is_int(max_degree) or not 0 <= max_degree < 2**62:  # int64 store arithmetic
+    if not _is_int(max_degree) or not 0 <= max_degree < _K_BOUND:  # int64 store arithmetic
         raise SpectralFormatError(f"max_degree must be an integer in [0, 2^62): {max_degree!r}")
     entries = doc["entries"]
     if not isinstance(entries, list):
         raise SpectralFormatError("entries must be a list")
-    coeffs: dict[HexIndex, complex] = {}
+
+    def fault(pos: int, zero_sum: bool, inside: bool, unique: bool) -> SpectralFormatError:
+        k = tuple(entries[pos]["k"])
+        if not zero_sum:
+            return SpectralFormatError(f"entry {pos}: frequency {k} does not sum to zero")
+        if not inside:
+            return SpectralFormatError(f"entry {pos}: frequency {k} exceeds max_degree {max_degree}")
+        if not unique:
+            return SpectralFormatError(f"entry {pos}: duplicate frequency {k}")
+        return SpectralFormatError(f"entry {pos}: re/im must be finite numbers")
+
+    ks: list[int] = []  # k1, k2, k3 of each entry, flat
+    parts: list[float] = []  # re, im of each entry, nan unless a JSON number
+    stop = None  # error of the first entry with a fault in its structure
     for pos, entry in enumerate(entries):
         if not isinstance(entry, dict):
-            raise SpectralFormatError(f"entry {pos} must be an object")
-        unknown = set(entry) - _ENTRY_KEYS
-        if unknown:
-            raise SpectralFormatError(f"entry {pos}: unknown fields {sorted(unknown)}")
-        missing = _ENTRY_KEYS - set(entry)
-        if missing:
-            raise SpectralFormatError(f"entry {pos}: missing fields {sorted(missing)}")
-        k = entry["k"]
-        if (
-            not isinstance(k, list)
-            or len(k) != 3
-            or not all(_is_int(v) for v in k)
+            stop = SpectralFormatError(f"entry {pos} must be an object")
+            break
+        if entry.keys() != _ENTRY_KEYS:
+            unknown = set(entry) - _ENTRY_KEYS
+            stop = SpectralFormatError(
+                f"entry {pos}: unknown fields {sorted(unknown)}" if unknown
+                else f"entry {pos}: missing fields {sorted(_ENTRY_KEYS - set(entry))}"
+            )
+            break
+        k, re, im = entry["k"], entry["re"], entry["im"]
+        if not (  # exact ints and floats, as json.load gives them, are tested first
+            isinstance(k, list) and len(k) == 3
+            and (type(k[0]) is type(k[1]) is type(k[2]) is int or all(map(_is_int, k)))
         ):
-            raise SpectralFormatError(f"entry {pos}: k must be a list of 3 integers, got {k!r}")
-        if sum(k) != 0:
-            raise SpectralFormatError(
-                f"entry {pos}: frequency {tuple(k)} does not sum to zero"
-            )
-        idx = HexIndex(*k)
-        if idx.degree() > max_degree:
-            raise SpectralFormatError(
-                f"entry {pos}: frequency {tuple(k)} exceeds max_degree {max_degree}"
-            )
-        if idx in coeffs:
-            raise SpectralFormatError(f"entry {pos}: duplicate frequency {tuple(k)}")
-        re = entry["re"]
-        im = entry["im"]
-        if not (_is_finite_number(re) and _is_finite_number(im)):
-            raise SpectralFormatError(f"entry {pos}: re/im must be finite numbers")
-        coeffs[idx] = complex(re, im)
-    return SpectralFunction(coeffs, max_degree=max_degree)
+            stop = SpectralFormatError(f"entry {pos}: k must be a list of 3 integers, got {k!r}")
+            break
+        ks += k
+        parts.append(re if type(re) is float else _as_float(re))
+        parts.append(im if type(im) is float else _as_float(im))
+    if ks and not -_K_BOUND < min(ks) <= max(ks) < _K_BOUND:
+        # an entry with |k_i| >= 2^62 fails its zero sum or max_degree: the first ends the arrays
+        pos = int(np.flatnonzero(np.abs(np.array(ks, dtype=object)) >= _K_BOUND)[0]) // 3
+        stop = fault(pos, sum(ks[3 * pos:3 * pos + 3]) == 0, False, True)
+        del ks[3 * pos:], parts[2 * pos:]
+    k1, k2, k3 = np.array(ks, dtype=np.int64).reshape(-1, 3).T
+    coeffs = np.array(parts, dtype=float).view(complex)
+    shell = np.maximum(np.maximum(np.abs(k1), np.abs(k2)), np.abs(k3))
+    zero_sum, inside = k1 + k2 + k3 == 0, shell <= max_degree
+    unique = np.ones(len(shell), dtype=bool)  # no earlier entry with the same shell, k1, k2
+    order = _canonical_order(k1, k2, shell)
+    if order is not None:
+        unique[order[1:][_repeats(shell[order], k1[order], k2[order])]] = False
+    bad = np.flatnonzero(~(zero_sum & inside & unique & np.isfinite(coeffs)))
+    if bad.size:
+        pos = int(bad[0])
+        raise fault(pos, zero_sum[pos], inside[pos], unique[pos])
+    if stop is not None:
+        raise stop
+    return SpectralFunction._from_arrays(k1, k2, k3, coeffs, max_degree)
 
 
 def load_spectral(path) -> SpectralFunction:

@@ -45,6 +45,7 @@ from .fourier import (
     SpectralFunction,
     _dft_bins,
     _grid_function,
+    _shell_groups,
     lp_norm,
     scale_shells,
     synthesize,
@@ -188,8 +189,7 @@ def _scale_occupied(
     f: SpectralFunction, multipliers: Callable[[np.ndarray], np.ndarray]
 ) -> SpectralFunction:
     """f with its occupied shells scaled by multipliers(occupied shells)."""
-    shell = np.sort(f._support()[2])  # a sort, not np.unique, as for the bins in _norm_plan
-    shells = np.concatenate((shell[:1], shell[1:][shell[1:] != shell[:-1]]))
+    shells = _shell_groups(f._support()[2])[0]
     mult = dict(zip(shells.tolist(), multipliers(shells).tolist()))
     return scale_shells(f, mult.__getitem__)
 
@@ -301,7 +301,7 @@ def _norm_plan(
     them silently, so it raises ValueError.
     """
     k1, k2, shell, coeffs = f._support()
-    shells, at = np.unique(shell, return_inverse=True)
+    shells, at = _shell_groups(shell)
     if grid is None:
         if p != 2:
             raise ValueError("a grid is required for p != 2")
@@ -316,6 +316,8 @@ def _norm_plan(
                 total = math.inf
             if sys.float_info.min <= total < math.inf:
                 return math.sqrt(total)
+            if total == 0.0 and not mult.any():  # every term is 0, none 0 * inf = nan
+                return 0.0
             m_mant, m_exp = np.frexp(mult[at2])
             mant, exp = m_mant * c_mant, m_exp + c_exp
             top = int(np.max(exp, where=mant != 0, initial=-4096))  # below every exponent

@@ -170,7 +170,8 @@ def check_orthonormality_small(rng) -> CheckResult:
     t1, t2, t3 = grid.t_arrays
     idx = indices_up_to(3)
     rows = np.stack([phi_values(k, t1, t2, t3) for k in idx])
-    gram = (rows @ rows.conj().T) * grid.weight
+    # einsum, not @: a threaded BLAS product this small is slow and its time noisy
+    gram = np.einsum("ik,jk->ij", rows, rows.conj()) * grid.weight
     worst = float(np.abs(gram - np.eye(len(idx))).max())
     return _result("fourier.orthonormality_small", worst, 1e-12, "n=16, deg <= 3")
 

@@ -5,10 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hexsum.fourier import (
+    _shell_groups,
     GridFunction,
     HexGrid,
     ResolutionWarning,
@@ -279,6 +280,14 @@ def test_scale_shells_drops_zeros():
     for k, c in f.items():
         if k.degree() != 2:
             assert g.coeff(k) == c
+
+
+@given(st.lists(st.integers(0, 6), max_size=30).map(sorted))
+def test_shell_groups_equal_unique_on_sorted_shells(shells):
+    shell = np.array(shells, dtype=np.int64)
+    got, want = _shell_groups(shell), np.unique(shell, return_inverse=True)
+    assert got[0].dtype == want[0].dtype and got[0].tolist() == want[0].tolist()
+    assert got[1].tolist() == want[1].tolist()
 
 
 def test_truncate_and_subtract():
@@ -552,17 +561,6 @@ _spectral_docs = st.fixed_dictionaries(
 )
 
 
-@given(_spectral_docs | _json_values)
-@settings(max_examples=300, deadline=None)
-def test_spectral_from_json_dict_fuzz(doc):
-    # outside input either parses or raises the one format error, nothing else
-    try:
-        f = spectral_from_json_dict(doc)
-    except SpectralFormatError:
-        return
-    assert isinstance(f, SpectralFunction)
-
-
 def test_load_spectral_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
@@ -571,3 +569,206 @@ def test_load_spectral_invalid_json(tmp_path):
     path.write_bytes(b'{"max_degree": 0, "entries": [\xff]}')
     with pytest.raises(SpectralFormatError):
         load_spectral(path)
+
+
+def _reference_from_json_dict(doc):
+    """Entry-by-entry reference reader, each entry's checks in order with a
+    HexIndex and a dict: the oracle for spectral_from_json_dict's messages
+    and stored support."""
+    def is_int(value):
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    def is_finite_number(value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return False
+        try:
+            return math.isfinite(value)
+        except OverflowError:
+            return False
+
+    if not isinstance(doc, dict):
+        raise SpectralFormatError("spectral document must be a JSON object")
+    unknown = set(doc) - {"max_degree", "entries"}
+    if unknown:
+        raise SpectralFormatError(f"unknown top-level fields: {sorted(unknown)}")
+    missing = {"max_degree", "entries"} - set(doc)
+    if missing:
+        raise SpectralFormatError(f"missing top-level fields: {sorted(missing)}")
+    max_degree = doc["max_degree"]
+    if not is_int(max_degree) or not 0 <= max_degree < 2**62:
+        raise SpectralFormatError(f"max_degree must be an integer in [0, 2^62): {max_degree!r}")
+    entries = doc["entries"]
+    if not isinstance(entries, list):
+        raise SpectralFormatError("entries must be a list")
+    coeffs = {}
+    for pos, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise SpectralFormatError(f"entry {pos} must be an object")
+        unknown = set(entry) - {"k", "re", "im"}
+        if unknown:
+            raise SpectralFormatError(f"entry {pos}: unknown fields {sorted(unknown)}")
+        missing = {"k", "re", "im"} - set(entry)
+        if missing:
+            raise SpectralFormatError(f"entry {pos}: missing fields {sorted(missing)}")
+        k = entry["k"]
+        if not isinstance(k, list) or len(k) != 3 or not all(is_int(v) for v in k):
+            raise SpectralFormatError(f"entry {pos}: k must be a list of 3 integers, got {k!r}")
+        if sum(k) != 0:
+            raise SpectralFormatError(f"entry {pos}: frequency {tuple(k)} does not sum to zero")
+        idx = HexIndex(*k)
+        if idx.degree() > max_degree:
+            raise SpectralFormatError(
+                f"entry {pos}: frequency {tuple(k)} exceeds max_degree {max_degree}"
+            )
+        if idx in coeffs:
+            raise SpectralFormatError(f"entry {pos}: duplicate frequency {tuple(k)}")
+        re, im = entry["re"], entry["im"]
+        if not (is_finite_number(re) and is_finite_number(im)):
+            raise SpectralFormatError(f"entry {pos}: re/im must be finite numbers")
+        coeffs[idx] = complex(re, im)
+    return SpectralFunction(coeffs, max_degree=max_degree)
+
+
+def _bits(f):
+    """The stored support as dtypes and raw bytes: -0.0 differs from 0.0."""
+    return [(a.dtype.str, a.tobytes()) for a in f._support()] + [f.max_degree]
+
+
+_small_k = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(lambda t: [t[0], t[1], -t[0] - t[1]])
+_bad_entries = st.sampled_from(
+    [
+        {"k": [1, 1, 1], "re": 1.0, "im": 0.0},  # non-zero sum
+        {"k": [5, -5, 0], "re": 1.0, "im": 0.0},  # above every max_degree drawn
+        {"k": [0, 0, 0], "re": 1.0, "im": math.inf},
+        {"k": [1, -1, 0], "re": 1.0, "im": 0.0},
+        {"k": [2**70, -2**70, 0], "re": 1.0, "im": 0.0},  # beyond int64, sums to zero
+        {"k": [2**70, 0, 0], "re": 1.0, "im": 0.0},
+        {"k": [2**63 - 1, 2**63 - 1, 2], "re": 1.0, "im": 0.0},  # sum 2^64 wraps to 0 in int64
+        {"k": [2**62, -2**62, 0], "re": 1.0, "im": 0.0},
+        {"k": [0, 0, 0], "re": math.nan, "im": 0.0},
+        {"k": [0, 1, -1], "re": 1.0, "im": "x"},
+        {"k": [1, 0, -1], "re": 10**400, "im": 0.0},
+        {"k": [1, 0, -1], "re": True, "im": 0.0},
+        {"k": [True, 0, -1], "re": 1.0, "im": 0.0},
+        {"k": [1, 0], "re": 1.0, "im": 0.0},
+        {"k": (1, 0, -1), "re": 1.0, "im": 0.0},
+        {"k": [1, -1, 0], "re": 1.0},
+        {"k": [1, -1, 0], "re": 1.0, "im": 0.0, "x": 1},
+        [],
+    ]
+)
+_small_entries = st.fixed_dictionaries(
+    {"k": _small_k, "re": _finite, "im": _finite | st.integers(-2, 2)}
+)
+
+
+@st.composite
+def _faulty_docs(draw):
+    """Small valid entries with faults inserted at several positions: the
+    fixed bad entries, or a copy of another entry with k3 shifted by 0..2 (a
+    duplicate, or a wrong sum sharing k1 and k2 with a valid entry)."""
+    valid = draw(st.lists(_small_entries, max_size=6))
+    entries = list(valid)
+    for _ in range(draw(st.integers(0, 3))):
+        if valid and draw(st.booleans()):
+            k = list(draw(st.sampled_from(valid))["k"])
+            k[2] += draw(st.integers(-2, 2))
+            fault = {"k": k, "re": 1.0, "im": 0.0}
+        else:
+            fault = draw(_bad_entries)
+        entries.insert(draw(st.integers(0, len(entries))), fault)
+    return {"max_degree": draw(st.integers(0, 4)), "entries": entries}
+
+
+@given(_spectral_docs | _faulty_docs() | _json_values)
+@example(  # a valid entry, then a wrong sum on a lower shell with the same k1, k2
+    {"max_degree": 3, "entries": [{"k": [1, 1, -2], "re": 1.0, "im": 0.0},
+                                  {"k": [1, 1, 1], "re": 1.0, "im": 0.0}]}
+)
+@settings(max_examples=500, deadline=None)
+def test_spectral_from_json_dict_fuzz(doc):
+    # outside input parses or raises the one format error, with the message and
+    # the stored support of the entry-by-entry reader
+    try:
+        want = _reference_from_json_dict(doc)
+    except SpectralFormatError as exc:
+        with pytest.raises(SpectralFormatError) as got:
+            spectral_from_json_dict(doc)
+        assert str(got.value) == str(exc)
+        return
+    assert _bits(spectral_from_json_dict(doc)) == _bits(want)
+
+
+@pytest.mark.parametrize(
+    "k, fault",
+    [
+        ([2**70, -2**70, 0], "exceeds max_degree 3"),
+        ([-(2**63), 2**63, 0], "exceeds max_degree 3"),
+        ([2**62, -(2**62), 0], "exceeds max_degree 3"),
+        ([2**70, 0, 0], "does not sum to zero"),
+        ([2**63 - 1, 2**63 - 1, 2], "does not sum to zero"),
+    ],
+)
+def test_json_huge_frequencies_get_the_entry_message(k, fault):
+    # the first faulty entry picks the message, also past the int64 range
+    entries = [{"k": [0, 0, 0], "re": 1.0, "im": 0.0}, {"k": k, "re": 1.0, "im": 0.0}, []]
+    with pytest.raises(SpectralFormatError) as err:
+        spectral_from_json_dict({"max_degree": 3, "entries": entries})
+    assert str(err.value) == f"entry 1: frequency {tuple(k)} {fault}"
+
+
+def test_json_roundtrip_keeps_signed_zeros(tmp_path):
+    k1, k2 = np.array([0, 1, 1, 2]), np.array([0, -1, 0, -2])
+    zeros = np.array([[-0.0, -0.0], [-0.0, 1.0], [1.0, -0.0], [0.0, 0.0]]).view(complex).ravel()
+    f = SpectralFunction._from_arrays(k1, k2, -k1 - k2, zeros)
+    path = tmp_path / "zeros.json"
+    save_spectral(f, path)
+    g = load_spectral(path)
+    assert _bits(g) == _bits(f)
+    assert np.signbit(g._support()[3].view(float)).tolist() == [True, True, True, False, False, True, False, False]
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_shuffled_input_stores_the_canonical_arrays(seed, real_symmetric):
+    rng = np.random.default_rng(seed)
+    f = random_spectrum(4, rng, real_symmetric)
+    k1, k2, _, c = f._support()
+    perm = rng.permutation(len(k1))
+    shuffled = SpectralFunction._from_arrays(k1[perm], k2[perm], -(k1 + k2)[perm], c[perm], 4)
+    canonical = SpectralFunction._from_arrays(k1, k2, -k1 - k2, c, 4)
+    assert _bits(shuffled) == _bits(canonical) == _bits(f)
+    doc = spectral_to_json_dict(f)
+    doc["entries"] = [doc["entries"][i] for i in perm.tolist()]
+    assert _bits(spectral_from_json_dict(doc)) == _bits(f)
+
+
+def test_canonical_input_is_stored_without_a_sort(monkeypatch):
+    f = random_spectrum(5, np.random.default_rng(2))
+    doc = spectral_to_json_dict(f)
+    sorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(len(keys[0])) or lexsort(keys))
+    assert _bits(spectral_from_json_dict(doc)) == _bits(f)
+    assert analyze(synthesize(f, make_grid(24)), 5).support_size == f.support_size
+    assert scale_shells(f, lambda nu: 0.5**nu).support_size == f.support_size
+    assert sorts == []
+    doc["entries"].reverse()
+    assert _bits(spectral_from_json_dict(doc)) == _bits(f)
+    assert sorts and set(sorts) == {f.support_size}
+
+
+@pytest.mark.parametrize("order", ["canonical", "reversed"])
+def test_bulk_construction_owns_its_arrays(order):
+    k1, k2 = np.array([0, -1, 0, 1, 1]), np.array([0, 1, 1, -1, 0])  # canonical
+    step = 1 if order == "canonical" else -1
+    inputs = [k1[::step].copy(), k2[::step].copy(), (-k1 - k2)[::step].copy(),
+              np.arange(1.0, 6.0)[::step] * (1 - 2j)]
+    f = SpectralFunction._from_arrays(*inputs, max_degree=1)
+    before = _bits(f)
+    for given_array in inputs:
+        assert given_array.flags.writeable
+        assert not any(np.shares_memory(given_array, a) for a in f._support())
+        given_array[:] = given_array[::-1] * 3
+    assert _bits(f) == before
+    assert f.coeff((1, -1, 0)) == 4 - 8j

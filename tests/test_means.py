@@ -570,6 +570,24 @@ def test_cut_norms_equal_the_norm_of_each_cut(f):
                 assert cut_norms(w, upto).tolist() == want
 
 
+def test_exact_norm_of_the_zero_multiplier():
+    # 0.0 whatever the masses (subnormal, overflowing to inf, none), as the
+    # rescaled sum gives; an infinite coefficient still gives 0 * inf = nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f in (
+            _hard_sums(0),
+            SpectralFunction({(0, 0, 0): 1.7e308, (2, -2, 0): 1e-300}),
+            SpectralFunction({}),
+        ):
+            shells, norm, _ = _norm_plan(f, 2.0, None)
+            for zero in (0.0, -0.0):
+                got = norm(np.full(len(shells), zero))
+                assert got == 0.0 and math.copysign(1.0, got) == 1.0
+        inf = SpectralFunction({(1, -1, 0): complex(math.inf, 0.0)})
+        shells, norm, _ = _norm_plan(inf, 2.0, None)
+        assert math.isnan(norm(np.zeros(len(shells))))
+
+
 @pytest.mark.parametrize("grid", [None, make_grid(132)])
 def test_kfun_identity_wins_its_tie_with_the_top_partial_sum(grid):
     # identity and the cut at the top shell are the same candidate h = f: error 0
