@@ -449,7 +449,8 @@ def spectral_from_json_dict(doc: dict) -> SpectralFunction:
     The message names the first entry with any fault, and at that entry the
     first failed check in the order structure, zero sum, max_degree,
     duplicate, finiteness.  Entries in canonical order, as save_spectral
-    writes them, are stored without a sort.
+    writes them, are stored without a sort; others are sorted once, by the
+    duplicate check's order.
     """
     if not isinstance(doc, dict):
         raise SpectralFormatError("spectral document must be a JSON object")
@@ -519,6 +520,8 @@ def spectral_from_json_dict(doc: dict) -> SpectralFunction:
         raise fault(pos, zero_sum[pos], inside[pos], unique[pos])
     if stop is not None:
         raise stop
+    if order is not None:  # sorted once here; the store then only copies
+        k1, k2, k3, coeffs = k1[order], k2[order], k3[order], coeffs[order]
     return SpectralFunction._from_arrays(k1, k2, k3, coeffs, max_degree)
 
 

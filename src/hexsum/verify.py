@@ -4,6 +4,12 @@ Each check measures a residual and compares it against a pinned
 tolerance; run_all_checks returns the full list of CheckResults in a
 fixed order.  Randomized checks draw from a seeded generator with
 tolerance-safe margins, so pass/fail verdicts do not depend on the seed.
+
+The battery spreads over the usable CPUs: check i runs in process
+i mod w, the caller being process 0 and the others forked helpers that
+send their results back as JSON over a pipe.  Each check has its own
+generator, so no result depends on the process that ran it.  The checks
+of a helper that fails in any way are rerun in the caller.
 """
 
 from __future__ import annotations
@@ -11,7 +17,9 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass
+import os
+import sys
+from dataclasses import astuple, dataclass
 
 import numpy as np
 import numpy.random  # noqa: F401 - loaded with the module, not on first use
@@ -36,8 +44,8 @@ from .lattice import (
     _omega_mask,
     fold,
     fold_arrays,
+    frequency_arrays,
     from_cartesian,
-    index_shell,
     indices_up_to,
     to_cartesian,
 )
@@ -69,21 +77,21 @@ def _random_points(rng: np.random.Generator, count: int, span: float = 6.0):
 # --------------------------------------------------------------------------
 
 def check_shell_enumeration(rng) -> CheckResult:
-    """index_shell vs brute-force cube enumeration, and |J_nu| = 6 nu."""
+    """index_shell's arrays vs a brute-force cube scan, and |J_nu| = 6 nu."""
+    side = np.arange(-20, 21)
+    c1, c2 = np.repeat(side, side.size), np.tile(side, side.size)  # (k1, k2) order
+    degree = np.maximum(np.maximum(np.abs(c1), np.abs(c2)), np.abs(c1 + c2))
     bad = 0
     for nu in range(21):
-        brute = set()
-        for k1 in range(-nu, nu + 1):
-            for k2 in range(-nu, nu + 1):
-                k3 = -k1 - k2
-                if max(abs(k1), abs(k2), abs(k3)) == nu:
-                    brute.add((k1, k2, k3))
-        got = [k.as_tuple() for k in index_shell(nu)]
-        if set(got) != brute or len(got) != len(brute):
+        on = degree == nu
+        b1, b2 = c1[on], c2[on]
+        k1, k2, _ = frequency_arrays(nu, nu)
+        order = np.lexsort((k2, k1))
+        if not (np.array_equal(k1[order], b1) and np.array_equal(k2[order], b2)):
             bad += 1
-        if nu >= 1 and len(got) != 6 * nu:
+        if nu >= 1 and k1.size != 6 * nu:
             bad += 1
-        if got != sorted(got):
+        if not np.all((k1[1:] > k1[:-1]) | ((k1[1:] == k1[:-1]) & (k2[1:] >= k2[:-1]))):
             bad += 1
     return _result("lattice.shell_enumeration", bad, 0, "nu <= 20 vs cube scan")
 
@@ -506,6 +514,18 @@ def check_deviation_monotone(rng) -> CheckResult:
     return _result("means.deviation_monotone", worst, 1e-14, "complement falls in rho")
 
 
+def _relative_gap_on(a, b) -> float:
+    """max |a_k - b_k| / (1 + |a_k|) over the support of a, b_k = 0 off b's."""
+    (a1, a2, a_shell, ca), (b1, b2, b_shell, cb) = a._support(), b._support()
+    span = int(max(a_shell.max(initial=0), b_shell.max(initial=0)))
+    side = 2 * span + 1
+    on_b = np.zeros(side * side, dtype=complex)  # b on the square |k1|, |k2| <= span
+    on_b[(b1 + span) * side + b2 + span] = cb
+    d = ca - on_b[(a1 + span) * side + a2 + span]
+    gap = np.hypot(d.real, d.imag) / (1.0 + np.hypot(ca.real, ca.imag))
+    return float(gap.max(initial=0.0))
+
+
 def check_commutation(rng) -> CheckResult:
     """Radial derivative of the Poisson integral = rho^n times the n-th derivative."""
     worst = 0.0
@@ -518,9 +538,7 @@ def check_commutation(rng) -> CheckResult:
                 lambda nu: (rho**n)
                 * (math.perm(nu, n) * rho ** (nu - n) if nu >= n else 0.0),
             )
-            for k, c in a.items():
-                d = abs(c - b.coeff(k)) / (1.0 + abs(c))
-                worst = max(worst, d)
+            worst = max(worst, _relative_gap_on(a, b))
     return _result("means.commutation", worst, 1e-13, "n <= 4, two float paths")
 
 
@@ -654,10 +672,89 @@ ALL_CHECKS = [
 ]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where that is unknown or fork is missing."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _run_check(checks: list, seed: int, i: int) -> CheckResult:
+    return checks[i](np.random.default_rng([seed, i]))
+
+
+def _start_helper(checks: list, seed: int, share: range):
+    """Fork a process that runs share and writes its results as one JSON
+    document to a pipe; returns its pid and the read end of the pipe."""
+    read_fd, write_fd = os.pipe()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            rows = [astuple(_run_check(checks, seed, i)) for i in share]
+            with open(write_fd, "w", encoding="utf-8") as pipe:
+                json.dump(rows, pipe)
+            code = 0
+        finally:
+            os._exit(code)  # no cleanup of the caller's state, no traceback
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _reply_results(reply: bytes | None, count: int) -> list[CheckResult] | None:
+    """A helper's CheckResults, or None unless its reply holds count of them."""
+    try:
+        results = [CheckResult(*row) for row in json.loads(reply)]
+    except (TypeError, ValueError):
+        return None
+    return results if len(results) == count else None
+
+
 def run_all_checks(seed: int = 0) -> list[CheckResult]:
-    """Run the whole battery with one seeded generator; fixed order."""
-    results = []
-    for fn in ALL_CHECKS:
-        rng = np.random.default_rng([seed, len(results)])
-        results.append(fn(rng))
+    """Run the whole battery; results in ALL_CHECKS order.
+
+    Check i draws from np.random.default_rng([seed, i]) and runs in process
+    i mod w, w being the usable CPUs: process 0 is the caller, and w = 1
+    forks nothing.  The checks of a helper that exits non-zero or sends no
+    readable reply are rerun here, so a check that raises raises in the
+    caller.  Every helper is reaped before this returns or raises.  Python
+    3.12 and later warn (DeprecationWarning) on a fork from a process that
+    runs several threads, such as a BLAS pool; the fork still happens.
+    """
+    checks = list(ALL_CHECKS)
+    width = max(1, min(_usable_cpus(), len(checks)))
+    shares = [range(p, len(checks), width) for p in range(width)]
+    results = [None] * len(checks)
+    helpers = []  # (share, pid, read end of its pipe)
+    replies = {}
+    try:
+        for share in shares[1:]:
+            try:
+                helpers.append((share, *_start_helper(checks, seed, share)))
+            except OSError:  # no process to be had: the shares left run here
+                break
+        for i in shares[0]:
+            results[i] = _run_check(checks, seed, i)
+        for share, _, pipe in helpers:
+            replies[share] = pipe.read()
+    finally:
+        for share, pid, pipe in helpers:
+            pipe.close()  # a helper still writing stops on the broken pipe
+            try:
+                if os.waitpid(pid, 0)[1] != 0:
+                    replies.pop(share, None)
+            except ChildProcessError:  # reaped elsewhere: its exit status is unknown
+                replies.pop(share, None)
+    for share in shares[1:]:
+        got = _reply_results(replies.get(share), len(share))
+        for j, i in enumerate(share):
+            results[i] = got[j] if got else _run_check(checks, seed, i)
     return results

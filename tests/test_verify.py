@@ -1,6 +1,11 @@
+import math
+import os
+import signal
+
 import numpy as np
 import pytest
 
+from hexsum import verify
 from hexsum.lattice import HexPoint, is_in_omega
 from hexsum.verify import _TILING_SHIFTS, ALL_CHECKS, CheckResult, _tiling_hits, run_all_checks
 
@@ -81,3 +86,109 @@ def test_tiling_hits_match_scalar_membership():
     origin = np.flatnonzero((_TILING_SHIFTS[0] == 0) & (_TILING_SHIFTS[1] == 0))[0]
     assert hits[40:, origin].tolist() == [True, False, True, False]
     assert np.all(hits.sum(axis=1) == 1)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _same_result(a, b):
+    nan_pair = math.isnan(a.residual) and math.isnan(b.residual)
+    return (
+        (a.name, a.passed, a.tol, a.detail) == (b.name, b.passed, b.tol, b.detail)
+        and type(a.residual) is type(b.residual) is float
+        and (nan_pair or a.residual == b.residual)
+    )
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_battery_equals_the_checks_run_one_by_one(battery, seed):
+    results = battery(seed)
+    _no_child_left()
+    alone = [fn(np.random.default_rng([seed, i])) for i, fn in enumerate(ALL_CHECKS)]
+    assert len(results) == len(alone)
+    for a, b in zip(results, alone):
+        assert _same_result(a, b), (a, b)
+
+
+def _pass(rng):
+    return verify._result("test.pass", rng.uniform(0.0, 1e-3), 1.0, "x")
+
+
+def _nan(rng):
+    return verify._result("test.nan", math.nan, 1.0, "residual nan")
+
+
+def _inf(rng):
+    return verify._result("test.inf", math.inf, 1.0, "\u00e9 and \"quotes\"")
+
+
+def _two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def test_helper_results_round_trip_every_field(monkeypatch):
+    _two_cpus(monkeypatch)
+    checks = [_pass, _nan, _pass, _inf, _pass]  # odd positions run in the helper
+    monkeypatch.setattr(verify, "ALL_CHECKS", checks)
+    results = run_all_checks(7)
+    _no_child_left()
+    alone = [fn(np.random.default_rng([7, i])) for i, fn in enumerate(checks)]
+    assert all(_same_result(a, b) for a, b in zip(results, alone))
+    assert [r.passed for r in results] == [True, False, True, False, True]
+
+
+def test_check_raising_in_a_helper_raises_in_the_caller(monkeypatch):
+    def fails(rng):
+        raise ZeroDivisionError("in the check")
+
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(verify, "ALL_CHECKS", [_pass, fails, _pass])
+    with pytest.raises(ZeroDivisionError, match="in the check"):
+        run_all_checks(0)
+    _no_child_left()
+
+
+def test_caller_raising_still_reaps_its_helpers(monkeypatch):
+    def fails(rng):
+        raise KeyError("caller share")
+
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(verify, "ALL_CHECKS", [fails, _pass, _pass, _pass])
+    with pytest.raises(KeyError):
+        run_all_checks(0)
+    _no_child_left()
+
+
+def test_killed_helper_has_its_checks_rerun(monkeypatch):
+    caller = os.getpid()
+
+    def killed_in_helper(rng):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return _pass(rng)
+
+    _two_cpus(monkeypatch)
+    checks = [_pass, killed_in_helper, _pass, _pass]
+    monkeypatch.setattr(verify, "ALL_CHECKS", checks)
+    results = run_all_checks(3)
+    _no_child_left()
+    alone = [fn(np.random.default_rng([3, i])) for i, fn in enumerate(checks)]
+    assert all(_same_result(a, b) for a, b in zip(results, alone))
+
+
+@pytest.mark.parametrize("cpus", ["one", "unknown"])
+def test_one_cpu_runs_in_process_without_a_fork(monkeypatch, cpus):
+    if cpus == "one":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(verify, "ALL_CHECKS", [_pass, _nan, _pass])
+    results = run_all_checks(1)
+    assert [r.name for r in results] == ["test.pass", "test.nan", "test.pass"]
