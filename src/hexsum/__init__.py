@@ -8,12 +8,8 @@ their deviation and K-functional machinery, and a CLI experiment driver.
 
 from .lattice import (
     HexIndex,
-    HexPoint,
-    fold,
     from_cartesian,
     index_shell,
-    indices_up_to,
-    is_in_omega,
     to_cartesian,
 )
 from .fourier import (
@@ -35,8 +31,6 @@ from .kernels import (
     BernsteinResult,
     bernstein_integral,
     classical_kernel_deriv,
-    hex_kernel_closed,
-    hex_kernel_deriv,
     min_resolution,
     product_integral,
     series_tail_bound,
@@ -46,9 +40,7 @@ from .means import (
     SummationParams,
     apply_operator,
     apply_operator_derivative_form,
-    deviation_l2_spectral,
     deviation_norm,
-    kfun_estimate,
     lambda_coeff,
     lambda_complement,
     m_p,
@@ -73,12 +65,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "HexIndex",
-    "HexPoint",
-    "fold",
     "from_cartesian",
     "index_shell",
-    "indices_up_to",
-    "is_in_omega",
     "to_cartesian",
     "GridFunction",
     "HexGrid",
@@ -96,8 +84,6 @@ __all__ = [
     "BernsteinResult",
     "bernstein_integral",
     "classical_kernel_deriv",
-    "hex_kernel_closed",
-    "hex_kernel_deriv",
     "min_resolution",
     "product_integral",
     "series_tail_bound",
@@ -105,9 +91,7 @@ __all__ = [
     "SummationParams",
     "apply_operator",
     "apply_operator_derivative_form",
-    "deviation_l2_spectral",
     "deviation_norm",
-    "kfun_estimate",
     "lambda_coeff",
     "lambda_complement",
     "m_p",

@@ -165,6 +165,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"rho-kmin {cfg.k_min} exceeds rho-kmax {cfg.k_max}")
     if cfg.k_min < 0:
         raise ConfigError(f"rho-kmin must be nonnegative, got {cfg.k_min}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
     if cfg.fmt not in ("csv", "json"):
         raise ConfigError(f"format must be 'csv' or 'json', got {cfg.fmt!r}")
     if cfg.command == "bernstein" and not 0 <= cfg.r <= R_MAX:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .fourier import SpectralFunction
 from .kernels import series_tail_bound
-from .lattice import HexIndex, frequency_arrays, index_shell
+from .lattice import frequency_arrays
 
 
 class FamilySpec(NamedTuple):
@@ -54,32 +54,34 @@ def shell_decay_family(s: float, max_degree: int = 64) -> FamilySpec:
 
 
 def polynomial_family(degree: int = 2) -> FamilySpec:
-    """A fixed real-symmetric trigonometric polynomial of the given degree."""
+    """A fixed real-symmetric trigonometric polynomial of the given degree.
+
+    The origin carries 1; on shell nu, the frequency k > -k at place pos carries
+    0.5 / (nu (1 + pos mod 3)) e^{2 pi i (pos mod 5) / 5}, and -k, at 6 nu - 1 - pos, its conjugate.
+    """
     if degree < 0:
         raise ValueError(f"degree must be nonnegative, got {degree}")
-    coeffs: dict[HexIndex, complex] = {HexIndex(0, 0, 0): 1.0 + 0.0j}
-    for nu in range(1, degree + 1):
-        shell = index_shell(nu)
-        for pos, k in enumerate(shell):
-            # deterministic, conjugate-symmetric, non-constant across the shell
-            mag = 0.5 / (nu * (1 + pos % 3))
-            phase = (pos % 5) * 2.0 * math.pi / 5.0
-            c = mag * complex(math.cos(phase), math.sin(phase))
-            neg = k.negate()
-            if (k.k1, k.k2) > (neg.k1, neg.k2):
-                coeffs[k] = c
-                coeffs[neg] = c.conjugate()
-    return FamilySpec(f"polynomial(degree={degree})", SpectralFunction(coeffs), 0.0)
+    k1, k2, shell = frequency_arrays(degree)
+    pos = np.arange(len(shell)) - 3 * shell * (shell - 1) - (shell > 0)  # place in the shell
+    upper = (k1 > 0) | ((k1 == 0) & (k2 > 0))
+    pos = np.where(upper, pos, 6 * shell - 1 - pos)
+    mag = 0.5 / (np.maximum(shell, 1) * (1 + pos % 3))
+    phases = [p * 2.0 * math.pi / 5.0 for p in range(5)]
+    cos, sin = np.array([[math.cos(a) for a in phases], [math.sin(a) for a in phases]])[:, pos % 5]
+    coeffs = np.empty(len(shell), dtype=complex)
+    coeffs.real, coeffs.imag = mag * cos, np.where(upper, 1.0, -1.0) * (mag * sin)
+    coeffs[0] = 1.0
+    f = SpectralFunction._from_arrays(k1, k2, -k1 - k2, coeffs)
+    return FamilySpec(f"polynomial(degree={degree})", f, 0.0)
 
 
 def basis_family(nu: int) -> FamilySpec:
     """A single unit coefficient on one shell-nu frequency."""
     if nu < 0:
         raise ValueError("shell index must be nonnegative")
-    k = index_shell(nu)[0]
-    return FamilySpec(
-        f"basis(nu={nu})", SpectralFunction({k: 1.0 + 0.0j}), 0.0
-    )
+    k1, k2, _ = frequency_arrays(nu, nu)
+    f = SpectralFunction._from_arrays(k1[:1], k2[:1], -k1[:1] - k2[:1], np.ones(1, dtype=complex))
+    return FamilySpec(f"basis(nu={nu})", f, 0.0)
 
 
 def random_spectrum(

@@ -22,7 +22,6 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -80,15 +79,12 @@ def pairwise_sum(values: np.ndarray, axis: int | None = None) -> np.ndarray:
 # basis evaluation
 # --------------------------------------------------------------------------
 
-def phi_values(
-    k: HexIndex,
-    t1: np.ndarray,
-    t2: np.ndarray,
-    t3: np.ndarray,
-) -> np.ndarray:
-    """Basis monomial phi_k on coordinate arrays."""
-    arg = TWO_PI_OVER_3 * (k.k1 * np.asarray(t1) + k.k2 * np.asarray(t2) + k.k3 * np.asarray(t3))
-    return np.exp(1j * arg)
+def phi_values(k1, k2, t1, t2, t3) -> np.ndarray:
+    """Basis monomials phi_k, k = (k1, k2, -k1 - k2), on coordinate arrays:
+    one row per frequency, one column per point."""
+    k1, k2 = np.asarray(k1)[..., None], np.asarray(k2)[..., None]
+    t1, t2, t3 = (np.ravel(t) for t in (t1, t2, t3))
+    return np.exp(1j * (TWO_PI_OVER_3 * (k1 * t1 + k2 * t2 + (-k1 - k2) * t3)))
 
 
 # --------------------------------------------------------------------------
@@ -176,9 +172,10 @@ def _shell_groups(shell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class SpectralFunction:
     """Finite map from zero-sum frequency triples to coefficients.
 
-    Coefficients are stored sparsely, as canonical arrays computed once per
-    instance; a lookup dict keyed by (k1, k2), with k3 implied, is built
-    from them on the first lookup.
+    Coefficients are stored sparsely, as read-only canonical arrays of k1,
+    k2, shell and coefficient (k3 is implied), computed once per instance.
+    The library works on these arrays; the mapping constructor and items()
+    are per-entry views of them.
     ``max_degree`` is a declared bound: every stored key must satisfy
     degree(k) <= max_degree.  Iteration order is canonical (shell by
     shell, lexicographic within a shell), which downstream code relies on
@@ -237,17 +234,7 @@ class SpectralFunction:
             a.flags.writeable = False
         self.max_degree = deg if max_degree is None else int(max_degree)
 
-    @cached_property
-    def _coeffs(self) -> dict[tuple[int, int], complex]:
-        """Lookup dict keyed by (k1, k2), built from the arrays on first use."""
-        k1, k2, _, coeffs = self._arrays
-        return dict(zip(zip(k1.tolist(), k2.tolist()), coeffs.tolist()))
-
     # -- access ------------------------------------------------------------
-
-    def coeff(self, k: HexIndex | tuple[int, int, int]) -> complex:
-        idx = k if isinstance(k, HexIndex) else HexIndex(*k)
-        return self._coeffs.get((idx.k1, idx.k2), 0.0 + 0.0j)
 
     def _support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Read-only k1, k2, shell and coefficient arrays in canonical order."""
@@ -282,8 +269,8 @@ class SpectralFunction:
         return math.sqrt(math.fsum((c.real * c.real + c.imag * c.imag).tolist()))  # exact sum
 
     def is_real_symmetric(self, tol: float = 1e-12) -> bool:
-        """True when coeff(-k) agrees with conj(coeff(k)) within tol: f against
-        its conjugate reflection, so a NaN coefficient gives False."""
+        """True when the coefficient at -k is within tol of the conjugate at k:
+        f against its conjugate reflection, so a NaN coefficient gives False."""
         k1, k2, _, coeffs = self._support()
         reflection = SpectralFunction._from_arrays(
             -k1, -k2, k1 + k2, coeffs.conj(), self.max_degree
@@ -412,9 +399,10 @@ _K_BOUND = 2**62
 
 
 def spectral_to_json_dict(f: SpectralFunction) -> dict:
+    k1, k2, _, coeffs = f._support()
     entries = [
-        {"k": [idx.k1, idx.k2, idx.k3], "re": c.real, "im": c.imag}
-        for idx, c in f.items()
+        {"k": [a, b, -a - b], "re": c.real, "im": c.imag}
+        for a, b, c in zip(k1.tolist(), k2.tolist(), coeffs.tolist())
     ]
     return {"max_degree": f.max_degree, "entries": entries}
 

@@ -50,7 +50,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .fourier import TWO_PI_OVER_3, HexGrid, pairwise_sum
-from .lattice import HexPoint
 
 #: largest derivative order of the kernels and their integrals
 R_MAX = 6
@@ -154,16 +153,11 @@ def _z_arrays(t1, t2, t3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def hex_kernel_closed_values(rho: float, t1, t2, t3) -> np.ndarray:
-    """Closed-form lattice kernel on coordinate arrays."""
+    """Closed-form lattice kernel P(rho, t) on coordinate arrays; strictly positive."""
     _check_rho(rho)
     p1, p2, p3 = (_classical_deriv_table(rho, z, 0)[0] for z in _z_arrays(t1, t2, t3))
     (w3,), (w2,) = _weight_derivs(rho, 0)
     return w3 * (p1 * p2 * p3) + w2 * (p1 * p2 + p1 * p3 + p2 * p3)
-
-
-def hex_kernel_closed(rho: float, t: HexPoint) -> float:
-    """Closed-form lattice kernel P(rho, t) at one point; strictly positive."""
-    return float(hex_kernel_closed_values(rho, [t.t1], [t.t2], [t.t3])[0])
 
 
 # --------------------------------------------------------------------------
@@ -290,7 +284,7 @@ def _leibniz_tensor(rho: float, r: int) -> np.ndarray:
 
 
 def hex_kernel_deriv_values(rho: float, t1, t2, t3, r: int) -> np.ndarray:
-    """r-th rho-derivative of the lattice kernel on coordinate arrays."""
+    """r-th rho-derivative of the lattice kernel on coordinate arrays; r=0 is the closed form."""
     _check_rho(rho)
     _check_order(r)
     if r == 0:
@@ -300,15 +294,6 @@ def hex_kernel_deriv_values(rho: float, t1, t2, t3, r: int) -> np.ndarray:
         for z in _z_arrays(t1, t2, t3)
     )
     return np.einsum("ijk,i...,j...,k...->...", _leibniz_tensor(rho, r), d1, d2, d3)
-
-
-def hex_kernel_deriv(rho: float, t: HexPoint, r: int) -> float:
-    """r-th rho-derivative of the lattice kernel at one point.
-
-    One element of hex_kernel_deriv_values, so r=0 returns
-    hex_kernel_closed exactly.
-    """
-    return float(hex_kernel_deriv_values(rho, [t.t1], [t.t2], [t.t3], r)[0])
 
 
 # --------------------------------------------------------------------------

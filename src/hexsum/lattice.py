@@ -1,8 +1,9 @@
 """Geometry of the planar hexagonal lattice in homogeneous coordinates.
 
 Points are triples t = (t1, t2, t3) with t1 + t2 + t3 = 0 and frequencies
-are integer triples with the same zero-sum constraint.  The fundamental
-domain
+are integer triples with the same zero-sum constraint, both handled as
+coordinate arrays (HexIndex and index_shell are per-entry views of
+frequency_arrays).  The fundamental domain
 
     Omega = {t : -1 <= t1 < 1, -1 <= t2 < 1, -1 < t3 <= 1}
 
@@ -21,9 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 _SQRT3 = math.sqrt(3.0)
-
-#: tolerance on the zero-sum constraint for point coordinates
-POINT_TOL = 1e-12
 
 #: area of Omega in the (t1, t2) chart
 OMEGA_AREA = 3.0
@@ -60,44 +58,23 @@ class HexIndex:
         return HexIndex(-self.k1, -self.k2, -self.k3)
 
 
-@dataclass(frozen=True)
-class HexPoint:
-    """Plane point in homogeneous coordinates, t1 + t2 + t3 = 0."""
-
-    t1: float
-    t2: float
-    t3: float
-
-    def __post_init__(self) -> None:
-        s = self.t1 + self.t2 + self.t3
-        if not abs(s) <= POINT_TOL:
-            raise ValueError(
-                f"homogeneous coordinates must sum to 0 within {POINT_TOL}, "
-                f"got sum {s!r}"
-            )
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.t1, self.t2, self.t3)
-
-
-def from_cartesian(x1: float, x2: float) -> HexPoint:
-    """Map a Cartesian point onto homogeneous coordinates.
+def from_cartesian(x1, x2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Map Cartesian coordinate arrays onto homogeneous coordinates.
 
     t1 = -x2/2 + sqrt(3)/2 * x1,  t2 = x2,  t3 = -t1 - t2.  The zero-sum
     constraint holds exactly by construction.
     """
+    x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
     t1 = -0.5 * x2 + 0.5 * _SQRT3 * x1
-    t2 = x2
-    return HexPoint(t1, t2, -t1 - t2)
+    return t1, x2, -t1 - x2
 
 
-def to_cartesian(t: HexPoint) -> tuple[float, float]:
-    """Inverse chart: x = (1/3) H (2 t1 + t2, t1 + 2 t2)^T."""
-    u = 2.0 * t.t1 + t.t2
-    v = t.t1 + 2.0 * t.t2
-    x1 = (_SQRT3 * u) / 3.0
-    x2 = (-u + 2.0 * v) / 3.0
-    return (x1, x2)
+def to_cartesian(t1, t2) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse chart on coordinate arrays: x = (1/3) H (2 t1 + t2, t1 + 2 t2)^T."""
+    t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
+    u = 2.0 * t1 + t2
+    v = t1 + 2.0 * t2
+    return (_SQRT3 * u) / 3.0, (-u + 2.0 * v) / 3.0
 
 
 def _omega_mask(t1, t2, t3):
@@ -105,28 +82,15 @@ def _omega_mask(t1, t2, t3):
     return (-1.0 <= t1) & (t1 < 1.0) & (-1.0 <= t2) & (t2 < 1.0) & (-1.0 < t3) & (t3 <= 1.0)
 
 
-def is_in_omega(t: HexPoint) -> bool:
-    """Half-open membership test for the fundamental hexagon."""
-    return bool(_omega_mask(t.t1, t.t2, t.t3))
-
-
-def fold(t: HexPoint) -> HexPoint:
-    """Translate t by a period so that the result lies in Omega.
-
-    Points already inside Omega are returned unchanged, which makes the map
-    idempotent exactly (not merely up to rounding); every other point is
-    one row of fold_arrays.
-    """
-    if is_in_omega(t):
-        return t
-    f1, f2, f3 = fold_arrays([t.t1], [t.t2])
-    return HexPoint(float(f1[0]), float(f2[0]), float(f3[0]))
-
-
 def fold_arrays(t1: np.ndarray, t2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised fold of (t1, t2) coordinate arrays into Omega."""
+    """Vectorised fold of (t1, t2) coordinate arrays into Omega.
+
+    Points of Omega come back unchanged, bit for bit, which rounding in the
+    reduction below would not guarantee; so the fold is exactly idempotent.
+    """
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
+    inside = _omega_mask(t1, t2, -t1 - t2)
     # Coordinates of t in the period basis (1, 1), (3, 0).
     a = t2
     b = (t1 - t2) / 3.0
@@ -155,6 +119,7 @@ def fold_arrays(t1: np.ndarray, t2: np.ndarray) -> tuple[np.ndarray, np.ndarray,
         done |= ok
     if not done.all():
         raise AssertionError("shift table failed to cover the base cell")
+    out1, out2 = np.where(inside, t1, out1), np.where(inside, t2, out2)
     return out1, out2, -(out1 + out2)
 
 
@@ -180,10 +145,6 @@ def frequency_arrays(
     return k1, k2, shell
 
 
-def _as_indices(k1: np.ndarray, k2: np.ndarray) -> list[HexIndex]:
-    return [HexIndex(a, b, -a - b) for a, b in zip(k1.tolist(), k2.tolist())]
-
-
 def index_shell(nu: int) -> list[HexIndex]:
     """All frequencies of degree exactly nu, in lexicographic (k1, k2) order.
 
@@ -192,9 +153,5 @@ def index_shell(nu: int) -> list[HexIndex]:
     """
     if nu < 0:
         raise ValueError(f"shell number must be nonnegative, got {nu}")
-    return _as_indices(*frequency_arrays(nu, nu)[:2])
-
-
-def indices_up_to(max_degree: int) -> list[HexIndex]:
-    """All frequencies of degree <= max_degree, shell by shell."""
-    return _as_indices(*frequency_arrays(max_degree)[:2])
+    k1, k2, _ = frequency_arrays(nu, nu)
+    return [HexIndex(a, b, -a - b) for a, b in zip(k1.tolist(), k2.tolist())]

@@ -376,11 +376,6 @@ def deviation_norm(
     return deviation_ladder(f, [params.rho], params.r, p, grid)[0]
 
 
-def deviation_l2_spectral(f: SpectralFunction, params: SummationParams) -> float:
-    """Exact L2 deviation from the shell masses (no grid involved)."""
-    return deviation_norm(f, params, 2.0, None)
-
-
 @_QUIET
 def m_p(
     f: SpectralFunction, rho: float, r: int, p: float, grid: HexGrid | None
@@ -464,13 +459,6 @@ def kfun_ladder(
         lower = dn * norm(perm * (1.0 - delta) ** shells)
         estimates.append(KfunEstimate(delta, n, upper, lower, winner))
     return estimates
-
-
-def kfun_estimate(
-    f: SpectralFunction, delta: float, n: int, p: float, grid: HexGrid | None = None
-) -> KfunEstimate:
-    """Bracket the order-n K-functional of f at scale delta (see kfun_ladder)."""
-    return kfun_ladder(f, [delta], n, p, grid)[0]
 
 
 # --------------------------------------------------------------------------

@@ -34,13 +34,13 @@ from hexsum.kernels import (
     hex_kernel_series_values,
     product_integral,
 )
-from hexsum.lattice import indices_up_to
+from hexsum.lattice import frequency_arrays
 from hexsum.means import (
     SummationParams,
     apply_operator,
     apply_operator_derivative_form,
-    deviation_l2_spectral,
-    kfun_estimate,
+    deviation_ladder,
+    kfun_ladder,
     lambda_coeff,
     poisson_integral_convolution,
     poisson_integral_spectral,
@@ -76,15 +76,15 @@ def test_criterion_01_discrete_orthonormality():
     start = time.perf_counter()
     grid = make_grid(64)
     t1, t2, t3 = grid.t_arrays
-    idx = indices_up_to(8)
-    table = np.stack([phi_values(k, t1, t2, t3) for k in idx])
+    k1, k2, _ = frequency_arrays(8)
+    table = phi_values(k1, k2, t1, t2, t3)
     gram = (table * grid.weight) @ table.conj().T
-    err = float(np.max(np.abs(gram - np.eye(len(idx)))))
+    err = float(np.max(np.abs(gram - np.eye(len(k1)))))
     ok = err <= 1e-12
     _record(
         1,
         ok,
-        f"max |gram - identity| = {err:.3g} over {len(idx)} indices at n=64 "
+        f"max |gram - identity| = {err:.3g} over {len(k1)} indices at n=64 "
         "(tol 1e-12)",
         start,
         10,
@@ -255,10 +255,7 @@ def test_criterion_09_convergence_rate_slopes():
     summaries = []
     ok = True
     for r in (1, 2, 3):
-        devs = [
-            deviation_l2_spectral(fam.function, SummationParams(1.0 - 2.0**-k, r))
-            for k in ks
-        ]
+        devs = deviation_ladder(fam.function, [1.0 - 2.0**-k for k in ks], r, 2.0, None)
         slope = float(
             np.polyfit([-k for k in ks], [math.log2(d) for d in devs], 1)[0]
         )
@@ -305,8 +302,7 @@ def test_criterion_11_k_functional_sandwich():
         for n in (1, 2):
             ratios = []
             violated = False
-            for k in range(1, 7):
-                est = kfun_estimate(fam.function, 2.0**-k, n, 2.0)
+            for est in kfun_ladder(fam.function, [2.0**-k for k in range(1, 7)], n, 2.0):
                 if est.upper == 0.0:
                     violated = violated or est.lower_proxy > 1e-13
                 else:

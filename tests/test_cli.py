@@ -404,6 +404,22 @@ def test_main_rho_ladder_beyond_float_precision_is_exit_2(tmp_path, monkeypatch,
     validate_config(ExperimentConfig(command, k_min=53, k_max=53))
 
 
+@pytest.mark.parametrize("command", ["verify", "kernel"])
+def test_main_negative_seed_is_exit_2(tmp_path, monkeypatch, capsys, command):
+    # rejected before any check runs or any helper is forked, with a message naming the seed
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked on a rejected config"))
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"seed": -2}))
+    for argv, seed in (([command, "--seed", "-1"], -1), ([command, "--config", str(conf)], -2)):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: seed must be nonnegative, got {seed}"]
+    assert not list(tmp_path.glob("*_report.*"))
+    validate_config(ExperimentConfig(command, seed=0))
+
+
 def test_main_kfun_delta_underflow_is_exit_2(tmp_path, monkeypatch, capsys):
     # delta = 2^-1075 underflows to 0.0; 2^-1074 is the smallest subnormal
     monkeypatch.chdir(tmp_path)

@@ -30,7 +30,7 @@ from hexsum.fourier import (
     synthesize,
 )
 from hexsum.families import kernel_family, random_spectrum
-from hexsum.lattice import HexIndex, HexPoint, index_shell, indices_up_to, is_in_omega
+from hexsum.lattice import HexIndex, _omega_mask, frequency_arrays, index_shell
 
 
 # ---------------------------------------------------------------- pairwise sum
@@ -84,41 +84,40 @@ def test_grid_points_are_folded():
     g = make_grid(9)
     t1, t2, t3 = g.t_arrays
     assert t1.shape == (81,)
-    for i in range(g.size):
-        assert is_in_omega(HexPoint(t1[i], t2[i], t3[i]))
-        assert abs(t1[i] + t2[i] + t3[i]) < 1e-12
+    assert _omega_mask(t1, t2, t3).all()
+    assert np.abs(t1 + t2 + t3).max() < 1e-12
 
 
 # ---------------------------------------------------------------------- basis
 
 
 def test_phi_frozen_value():
-    k = HexIndex(1, 0, -1)
-    t = HexPoint(1.0, 0.0, -1.0)
-    # (2 pi / 3)(1*1 + 0 - (-1)*(-1)) ... exponent (2 pi i / 3) * (t1 - t3) = 4 pi i /3
+    # k = (1, 0, -1) at t = (1, 0, -1): exponent (2 pi i / 3) * (t1 - t3) = 4 pi i / 3
     want = cmath.exp(2j * math.pi / 3.0 * 2.0)
-    assert complex(phi_values(k, t.t1, t.t2, t.t3)) == pytest.approx(want)
+    assert complex(phi_values(1, 0, 1.0, 0.0, -1.0)[0]) == pytest.approx(want)
 
 
 def test_phi_modulus_and_conjugation():
     rng = np.random.default_rng(2)
-    for _ in range(50):
-        a, b = rng.uniform(-1, 1, size=2)
-        t = HexPoint(a, b, -a - b)
-        k = HexIndex(2, -1, -1)
-        v = complex(phi_values(k, t.t1, t.t2, t.t3))
-        assert abs(abs(v) - 1.0) < 1e-12
-        assert complex(phi_values(k.negate(), t.t1, t.t2, t.t3)) == pytest.approx(v.conjugate())
+    a, b = rng.uniform(-1, 1, size=(50, 2)).T
+    v = phi_values(2, -1, a, b, -a - b)
+    assert np.abs(np.abs(v) - 1.0).max() < 1e-12
+    np.testing.assert_allclose(phi_values(-2, 1, a, b, -a - b), v.conj(), rtol=1e-12)
 
 
 def test_phi_values_matches_scalar():
+    # one row per frequency, each the single frequency's row; a point alone
+    # gives its column
     g = make_grid(5)
     t1, t2, t3 = g.t_arrays
-    k = HexIndex(3, -2, -1)
-    vals = phi_values(k, t1, t2, t3)
+    k1, k2, _ = frequency_arrays(3)
+    rows = phi_values(k1, k2, t1, t2, t3)
+    assert rows.shape == (len(k1), g.size)
+    for a, b, row in zip(k1.tolist(), k2.tolist(), rows):
+        assert np.array_equal(row, phi_values(a, b, t1, t2, t3))
     for i in range(0, g.size, 7):
-        assert vals[i] == pytest.approx(
-            complex(phi_values(k, t1[i], t2[i], t3[i])), abs=1e-12
+        np.testing.assert_allclose(
+            rows[:, i], phi_values(k1, k2, t1[i], t2[i], t3[i])[:, 0], rtol=0, atol=1e-12
         )
 
 
@@ -126,12 +125,12 @@ def test_orthonormality_on_exact_grid():
     # n = 16 integrates products of degree <= 3 pairs exactly (total degree 6 < 16/4)
     g = make_grid(16)
     t1, t2, t3 = g.t_arrays
-    idx = indices_up_to(3)
-    vals = [phi_values(k, t1, t2, t3) for k in idx]
-    for i, ki in enumerate(idx):
-        for j, kj in enumerate(idx):
+    k1, k2, _ = frequency_arrays(3)
+    vals = phi_values(k1, k2, t1, t2, t3)
+    for i in range(len(k1)):
+        for j in range(len(k1)):
             inner = g.weight * np.vdot(vals[j], vals[i])
-            want = 1.0 if ki == kj else 0.0
+            want = 1.0 if i == j else 0.0
             assert abs(inner - want) < 1e-12
 
 
@@ -141,8 +140,9 @@ def test_orthonormality_on_exact_grid():
 def _sample_spectrum(max_degree=4, seed=0):
     rng = np.random.default_rng(seed)
     coeffs = {}
-    for k in indices_up_to(max_degree):
-        coeffs[k.as_tuple()] = complex(rng.standard_normal(), rng.standard_normal())
+    k1, k2, _ = frequency_arrays(max_degree)
+    for a, b in zip(k1.tolist(), k2.tolist()):
+        coeffs[(a, b, -a - b)] = complex(rng.standard_normal(), rng.standard_normal())
     return SpectralFunction(coeffs)
 
 
@@ -150,8 +150,7 @@ def test_spectral_function_validation():
     with pytest.raises(ValueError):
         SpectralFunction({(1, 1, 1): 1.0})
     f = SpectralFunction({(1, 0, -1): 2.0, (0, 0, 0): 1.0})
-    assert f.coeff(HexIndex(1, 0, -1)) == 2.0
-    assert f.coeff(HexIndex(5, -5, 0)) == 0.0
+    assert f.items() == [(HexIndex(0, 0, 0), 1.0), (HexIndex(1, 0, -1), 2.0)]
     assert f.support_size == 2
     assert f.degree() == 1
 
@@ -169,11 +168,11 @@ def test_support_arrays_are_read_only():
 
 
 def test_support_size_leaves_lookup_dict_unbuilt():
+    # an instance holds its support arrays and max_degree, no per-entry state
     f = _sample_spectrum(3)
     assert f.support_size == 1 + 3 * 3 * 4
-    assert "_coeffs" not in vars(f)
-    f.coeff((0, 0, 0))
-    assert "_coeffs" in vars(f)
+    f.items()
+    assert set(vars(f)) == {"_arrays", "max_degree"}
 
 
 @pytest.mark.parametrize("real_symmetric", [True, False])
@@ -185,8 +184,8 @@ def test_lookups_agree_between_constructors(real_symmetric):
     back = np.arange(len(k1))[::-1]  # bulk path sorts its input
     by_arrays = SpectralFunction._from_arrays(k1[back], k2[back], -(k1 + k2)[back], c[back])
     other = _sample_spectrum(6, seed=1)
-    for k in indices_up_to(7):
-        assert by_init.coeff(k) == by_arrays.coeff(k)
+    for a, b in zip(by_init._support(), by_arrays._support()):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     assert by_init.l2_norm() == by_arrays.l2_norm()
     assert by_init.is_real_symmetric() == by_arrays.is_real_symmetric() == real_symmetric
     assert max_coeff_diff(by_init, by_arrays) == 0.0
@@ -212,15 +211,17 @@ def test_bulk_construction_rejects_what_init_rejects(keys, max_degree):
 
 def test_kernel_family_coefficients_bitwise():
     f = kernel_family(0.5).function
-    for k in indices_up_to(64):
-        assert f.coeff(k) == 0.5 ** k.degree()
+    k1, k2, shell, c = f._support()
+    for got, want in zip((k1, k2, shell), frequency_arrays(64)):
+        assert np.array_equal(got, want)
+    assert c.tolist() == [0.5**nu for nu in shell.tolist()]
     assert f.support_size == 1 + 3 * 64 * 65
 
 
 def _random_spectrum_oracle(max_degree, rng, real_symmetric):
     """random_spectrum drawn one normal at a time, as a dict of coefficients."""
     coeffs = {}
-    for k in indices_up_to(max_degree):
+    for k in (k for nu in range(max_degree + 1) for k in index_shell(nu)):
         neg = k.negate()
         if real_symmetric:
             if (k.k1, k.k2) < (neg.k1, neg.k2):
@@ -277,9 +278,10 @@ def test_scale_shells_drops_zeros():
     g = scale_shells(f, lambda nu: calls.append(nu) or (0.0 if nu == 2 else 1.0))
     assert calls == [0, 1, 2, 3]  # once per shell, not per coefficient
     assert g.support_size == f.support_size - len(index_shell(2))
+    got = dict(g.items())
     for k, c in f.items():
         if k.degree() != 2:
-            assert g.coeff(k) == c
+            assert got[k] == c
 
 
 @given(st.lists(st.integers(0, 6), max_size=30).map(sorted))
@@ -294,20 +296,20 @@ def test_truncate_and_subtract():
     f = _sample_spectrum(4)
     g = scale_shells(f, lambda nu: float(nu <= 2))
     assert g.degree() == 2
-    assert g.support_size == len(indices_up_to(2))
-    d = {k: c - g.coeff(k) for k, c in f.items()}
-    for k, c in d.items():
+    assert g.support_size == 1 + 3 * 2 * 3
+    kept = dict(g.items())
+    for k, c in f.items():
         if k.degree() <= 2:
-            assert c == 0.0
+            assert kept[k] == c
         else:
-            assert c == f.coeff(k)
+            assert k not in kept
     assert max_coeff_diff(f, f) == 0.0
     assert max_coeff_diff(f, g) > 0.0
 
 
 def _max_coeff_diff_by_dicts(f, g):
-    """The lookup-dict walk over the key union, with Python's abs(complex)."""
-    a, b = f._coeffs, g._coeffs
+    """A walk over the key union of per-entry dicts, with Python's abs(complex)."""
+    a, b = dict(f.items()), dict(g.items())
     return max((abs(a.get(k, 0j) - b.get(k, 0j)) for k in a.keys() | b.keys()), default=0.0)
 
 
@@ -372,7 +374,7 @@ def test_synthesize_matches_direct_sum(n):
         f = _sample_spectrum(degree, seed=n)
         want = np.zeros(g.size, dtype=complex)
         for k, c in f.items():
-            want += c * phi_values(k, t1, t2, t3)
+            want += c * phi_values(k.k1, k.k2, t1, t2, t3)
         got = synthesize(f, g).values
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (n, degree)
     k1, k2 = np.array([(k.k1, k.k2) for k, _ in f.items()]).T
@@ -387,15 +389,14 @@ def test_analyze_matches_grid_average(n):
     rng = np.random.default_rng(n)
     samples = GridFunction(g, rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size))
     for degree in _oracle_degrees(n):
-        keys = indices_up_to(degree)
-        want = np.array(
-            [np.mean(samples.values * np.conj(phi_values(k, t1, t2, t3))) for k in keys]
-        )
+        k1, k2, _ = frequency_arrays(degree)
+        want = np.mean(samples.values * np.conj(phi_values(k1, k2, t1, t2, t3)), axis=1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ResolutionWarning)
             back = analyze(samples, degree)
-        assert back.support_size == len(keys)
-        got = np.array([back.coeff(k) for k in keys])
+        assert back.support_size == len(k1)
+        b1, b2, _, got = back._support()
+        assert np.array_equal(b1, k1) and np.array_equal(b2, k2)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (n, degree)
 
 
@@ -476,7 +477,7 @@ def test_json_dict_shape():
     assert e["k"] == [1, 0, -1]
     assert e["re"] == 0.5
     assert e["im"] == -0.25
-    assert spectral_from_json_dict(d).coeff(HexIndex(1, 0, -1)) == 0.5 - 0.25j
+    assert spectral_from_json_dict(d).items() == [(HexIndex(1, 0, -1), 0.5 - 0.25j)]
 
 
 def test_json_rejects_bad_payloads():
@@ -786,4 +787,4 @@ def test_bulk_construction_owns_its_arrays(order):
         assert not any(np.shares_memory(given_array, a) for a in f._support())
         given_array[:] = given_array[::-1] * 3
     assert _bits(f) == before
-    assert f.coeff((1, -1, 0)) == 4 - 8j
+    assert (HexIndex(1, -1, 0), 4 - 8j) in f.items()

@@ -29,6 +29,7 @@ GOLDEN = {
     "small_approximate_grid40_pinf": [
         "approximate", "--r", "2", "--grid", "40", "--p", "inf", "--input", "small.json"
     ],
+    "verify_seed0": ["verify", "--seed", "0"],
 }
 
 

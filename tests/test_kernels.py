@@ -18,9 +18,7 @@ from hexsum.kernels import (
     _classical_deriv_table,
     _domain_blocks,
     hex_deriv_series_values,
-    hex_kernel_closed,
     hex_kernel_closed_values,
-    hex_kernel_deriv,
     hex_kernel_deriv_values,
     hex_kernel_series_values,
     min_resolution,
@@ -29,7 +27,7 @@ from hexsum.kernels import (
     shell_weighted_values,
     _weight_derivs,
 )
-from hexsum.lattice import HexIndex, HexPoint, frequency_arrays, index_shell
+from hexsum.lattice import frequency_arrays
 
 
 # ------------------------------------------------------------ circle kernel
@@ -165,20 +163,19 @@ def test_weight_derivs_correctly_rounded():
 
 
 def test_hex_kernel_center_frozen():
-    center = HexPoint(0.0, 0.0, 0.0)
+    center = ([0.0], [0.0], [0.0])
     # (1 + 4 rho + rho^2) / (1 - rho)^2 at rho = 1/2 -> 3.25 / 0.25 = 13
-    assert hex_kernel_closed(0.5, center) == pytest.approx(13.0)
-    assert hex_kernel_closed(0.0, center) == pytest.approx(1.0)
+    assert hex_kernel_closed_values(0.5, *center)[0] == pytest.approx(13.0)
+    assert hex_kernel_closed_values(0.0, *center)[0] == pytest.approx(1.0)
     for rho in (0.1, 0.5, 0.9):
         want = (1 + 4 * rho + rho * rho) / (1 - rho) ** 2
-        assert hex_kernel_closed(rho, center) == pytest.approx(want)
+        assert hex_kernel_closed_values(rho, *center)[0] == pytest.approx(want)
 
 
 def test_hex_kernel_rho_zero_is_one():
     rng = np.random.default_rng(8)
-    for _ in range(20):
-        a, b = rng.uniform(-1, 1, size=2)
-        assert hex_kernel_closed(0.0, HexPoint(a, b, -a - b)) == pytest.approx(1.0)
+    a, b = rng.uniform(-1, 1, size=(20, 2)).T
+    np.testing.assert_allclose(hex_kernel_closed_values(0.0, a, b, -a - b), 1.0, rtol=1e-12)
 
 
 def test_hex_kernel_positive():
@@ -194,8 +191,7 @@ def test_hex_kernel_values_match_scalar():
     t1, t2, t3 = g.t_arrays
     vals = hex_kernel_closed_values(0.6, t1, t2, t3)
     for i in range(0, g.size, 5):
-        p = HexPoint(t1[i], t2[i], t3[i])
-        assert vals[i] == hex_kernel_closed(0.6, p)
+        assert vals[i] == hex_kernel_closed_values(0.6, t1[i], t2[i], t3[i])
 
 
 def test_hex_kernel_grid_mean_is_one():
@@ -230,9 +226,8 @@ def test_shell_weighted_values_matches_basis_sum():
     for nu in (1, 3, 5):
         weights = [0.0] * nu + [1.0]
         got = shell_weighted_values(weights, t1, t2, t3)
-        want = np.zeros(g.size, dtype=complex)
-        for k in index_shell(nu):
-            want = want + phi_values(k, t1, t2, t3)
+        k1, k2, _ = frequency_arrays(nu, nu)
+        want = phi_values(k1, k2, t1, t2, t3).sum(axis=0)
         np.testing.assert_allclose(got, want, atol=1e-10)
 
 
@@ -255,7 +250,7 @@ def test_shell_weighted_values_matches_frequency_sum(cutoff):
     weights = rng.standard_normal(cutoff + 1)
     want = np.zeros(t1.shape, dtype=complex)
     for a, b, nu in zip(*(k.tolist() for k in frequency_arrays(cutoff))):
-        want += weights[nu] * phi_values(HexIndex(a, b, -a - b), t1, t2, t3)
+        want += weights[nu] * phi_values(a, b, t1, t2, t3)
     # absolute sum of the series' terms: |J_nu| = 6 nu frequencies of modulus 1
     scale = float(np.abs(weights) @ np.maximum(6 * np.arange(cutoff + 1), 1))
     got = shell_weighted_values(weights, t1, t2, t3)
@@ -281,22 +276,19 @@ def test_deriv_series_memory_stays_small():
 def test_closed_matches_series_within_tail():
     rng = np.random.default_rng(12)
     for rho, cutoff in ((0.4, 60), (0.8, 400)):
-        for _ in range(10):
-            a, b = rng.uniform(-1, 1, size=2)
-            t = HexPoint(a, b, -a - b)
-            vals, tail_bound = hex_kernel_series_values(rho, [t.t1], [t.t2], [t.t3], cutoff)
-            value = complex(vals[0])
-            closed = hex_kernel_closed(rho, t)
-            assert abs(value.imag) < 1e-9
-            assert abs(value.real - closed) <= tail_bound + 1e-9
+        a, b = rng.uniform(-1, 1, size=(10, 2)).T
+        vals, tail_bound = hex_kernel_series_values(rho, a, b, -a - b, cutoff)
+        closed = hex_kernel_closed_values(rho, a, b, -a - b)
+        assert np.abs(vals.imag).max() < 1e-9
+        assert np.abs(vals.real - closed).max() <= tail_bound + 1e-9
 
 
 # ------------------------------------------------------------- derivatives
 
 
 def test_deriv_order_zero_is_closed_form():
-    t = HexPoint(0.2, -0.5, 0.3)
-    assert hex_kernel_deriv(0.7, t, 0) == hex_kernel_closed(0.7, t)
+    t = ([0.2, 0.0], [-0.5, 0.0], [0.3, 0.0])
+    assert np.array_equal(hex_kernel_deriv_values(0.7, *t, 0), hex_kernel_closed_values(0.7, *t))
 
 
 def test_deriv_matches_series():
@@ -311,20 +303,20 @@ def test_deriv_matches_series():
 
 
 def test_deriv_matches_finite_difference():
-    t = HexPoint(0.3, 0.1, -0.4)
+    t = ([0.3], [0.1], [-0.4])
     h = 1e-6
-    fd = (hex_kernel_closed(0.5 + h, t) - hex_kernel_closed(0.5 - h, t)) / (2 * h)
-    assert hex_kernel_deriv(0.5, t, 1) == pytest.approx(fd, rel=1e-7)
+    fd = (hex_kernel_closed_values(0.5 + h, *t) - hex_kernel_closed_values(0.5 - h, *t)) / (2 * h)
+    assert hex_kernel_deriv_values(0.5, *t, 1)[0] == pytest.approx(fd[0], rel=1e-7)
 
 
 def test_deriv_validation():
-    t = HexPoint(0.0, 0.0, 0.0)
+    t = ([0.0], [0.0], [0.0])
     with pytest.raises(ValueError):
-        hex_kernel_deriv(0.5, t, R_MAX + 1)
+        hex_kernel_deriv_values(0.5, *t, R_MAX + 1)
     with pytest.raises(ValueError):
-        hex_kernel_deriv(0.5, t, -1)
+        hex_kernel_deriv_values(0.5, *t, -1)
     with pytest.raises(ValueError):
-        hex_kernel_deriv(1.0, t, 1)
+        hex_kernel_deriv_values(1.0, *t, 1)
 
 
 # ---------------------------------------------------------------- integrals

@@ -10,14 +10,11 @@ from hexsum.kernels import _z_arrays
 from hexsum.lattice import (
     OMEGA_AREA,
     HexIndex,
-    HexPoint,
-    fold,
+    _omega_mask,
     fold_arrays,
     frequency_arrays,
     from_cartesian,
     index_shell,
-    indices_up_to,
-    is_in_omega,
     to_cartesian,
 )
 
@@ -26,33 +23,27 @@ EPS = 1e-12
 
 def test_from_cartesian_frozen_value():
     # the Cartesian point (2/sqrt(3), 0) maps to the lattice vertex (1, 0, -1)
-    t = from_cartesian(2.0 / math.sqrt(3.0), 0.0)
-    assert abs(t.t1 - 1.0) < 1e-15
-    assert t.t2 == 0.0
-    assert abs(t.t3 + 1.0) < 1e-15
+    t1, t2, t3 = from_cartesian(2.0 / math.sqrt(3.0), 0.0)
+    assert abs(t1 - 1.0) < 1e-15
+    assert t2 == 0.0
+    assert abs(t3 + 1.0) < 1e-15
 
 
 def test_cartesian_roundtrip():
     rng = np.random.default_rng(7)
-    for _ in range(200):
-        x1, x2 = rng.uniform(-5, 5, size=2)
-        y1, y2 = to_cartesian(from_cartesian(x1, x2))
-        assert abs(y1 - x1) < EPS and abs(y2 - x2) < EPS
+    x1, x2 = rng.uniform(-5, 5, size=(200, 2)).T
+    t1, t2, t3 = from_cartesian(x1, x2)
+    assert np.array_equal(t1 + t2 + t3, np.zeros(200))
+    y1, y2 = to_cartesian(t1, t2)
+    assert np.abs(y1 - x1).max() < EPS and np.abs(y2 - x2).max() < EPS
 
 
 def test_generator_matrix_and_area():
-    a1 = to_cartesian(HexPoint(1.0, 0.0, -1.0))
-    a2 = to_cartesian(HexPoint(0.0, 1.0, -1.0))
+    a1 = to_cartesian(1.0, 0.0)
+    a2 = to_cartesian(0.0, 1.0)
     det = a1[0] * a2[1] - a2[0] * a1[1]
     assert abs(det - 2.0 * math.sqrt(3.0) / 3.0) < 1e-15
     assert OMEGA_AREA == 3.0
-
-
-def test_hexpoint_rejects_nonzero_sum():
-    with pytest.raises(ValueError):
-        HexPoint(0.5, 0.5, 0.5)
-    # within tolerance is fine
-    HexPoint(0.5, 0.5, -1.0 + 1e-13)
 
 
 def test_hexindex_rejects_nonzero_sum():
@@ -103,12 +94,6 @@ def test_shell_closed_under_negation():
         assert {k.negate() for k in shell} == shell
 
 
-def test_indices_up_to_count():
-    # 1 + sum_{nu<=D} 6 nu = 1 + 3 D (D + 1)
-    for d in (0, 1, 5, 8):
-        assert len(indices_up_to(d)) == 1 + 3 * d * (d + 1)
-
-
 def test_frequency_arrays_match_cube_scan():
     # canonical order: shell-major, lexicographic in (k1, k2) within a shell
     for d in range(21):
@@ -132,8 +117,6 @@ def test_negative_arguments_rejected():
     with pytest.raises(ValueError):
         index_shell(-1)
     with pytest.raises(ValueError):
-        indices_up_to(-2)
-    with pytest.raises(ValueError):
         frequency_arrays(-1)
 
 
@@ -145,40 +128,45 @@ coords = st.floats(
 @given(coords, coords)
 @settings(max_examples=200)
 def test_fold_lands_in_omega_and_is_idempotent(a, b):
-    t = HexPoint(a, b, -(a + b))
-    ft = fold(t)
-    assert is_in_omega(ft)
-    assert fold(ft).as_tuple() == ft.as_tuple()
+    ft = fold_arrays([a], [b])
+    assert _omega_mask(*ft).all()
+    assert [x.tobytes() for x in fold_arrays(ft[0], ft[1])] == [x.tobytes() for x in ft]
 
 
 @given(coords, coords)
 @settings(max_examples=100)
 def test_fold_preserves_basis_monomials(a, b):
-    t = HexPoint(a, b, -(a + b))
-    ft = fold(t)
-    for k in (HexIndex(1, 0, -1), HexIndex(2, -1, -1), HexIndex(0, 3, -3)):
-        at_ft = complex(phi_values(k, ft.t1, ft.t2, ft.t3))
-        assert abs(at_ft - complex(phi_values(k, t.t1, t.t2, t.t3))) < 1e-9
+    k1, k2 = [1, 2, 0], [0, -1, 3]
+    at_ft = phi_values(k1, k2, *fold_arrays([a], [b]))
+    assert np.abs(at_ft - phi_values(k1, k2, a, b, -(a + b))).max() < 1e-9
 
 
 def test_fold_identity_inside_omega():
-    t = HexPoint(0.25, -0.5, 0.25)
-    assert fold(t) is t
+    f1, f2, f3 = fold_arrays([0.25], [-0.5])
+    assert (f1[0], f2[0], f3[0]) == (0.25, -0.5, 0.25)
 
 
 def test_fold_arrays_matches_scalar():
+    # each point folds as it does alone
     rng = np.random.default_rng(11)
     t1 = rng.uniform(-8, 8, size=300)
     t2 = rng.uniform(-8, 8, size=300)
     f1, f2, f3 = fold_arrays(t1, t2)
     for i in range(300):
-        t = HexPoint(t1[i], t2[i], -(t1[i] + t2[i]))
-        ft = fold(t)
-        # fold_arrays may move a point of Omega by rounding; the view keeps it
-        if is_in_omega(t):
-            assert ft is t
-        else:
-            assert ft.as_tuple() == (f1[i], f2[i], f3[i])
+        assert fold_arrays(t1[i], t2[i]) == (f1[i], f2[i], f3[i])
+
+
+def test_fold_arrays_leaves_points_of_omega_unchanged():
+    # the reduction to the base cell rounds t2 + 1 for t2 in (-1/2, 0) and
+    # t1 + 3 past the cell's left edge; the points of Omega skip it, bit for bit
+    rng = np.random.default_rng(0)
+    t1, t2 = rng.uniform(-1.0, 1.0, size=(2, 100_000))
+    inside = _omega_mask(t1, t2, -t1 - t2)
+    f1, f2, f3 = fold_arrays(t1, t2)
+    assert np.count_nonzero(inside) > 70_000
+    assert f1[inside].tobytes() == t1[inside].tobytes()
+    assert f2[inside].tobytes() == t2[inside].tobytes()
+    assert f3[inside].tobytes() == (-t1 - t2)[inside].tobytes()
 
 
 def test_tiling_exactly_one_translate_in_omega():
@@ -191,7 +179,7 @@ def test_tiling_exactly_one_translate_in_omega():
                 if (j1 - j2) % 3 != 0:
                     continue
                 u, v = a + j1, b + j2
-                if is_in_omega(HexPoint(u, v, -u - v)):
+                if _omega_mask(u, v, -u - v):
                     hits += 1
         assert hits == 1
 
@@ -200,20 +188,15 @@ def test_fold_boundary_rounding_regression():
     # t2 - floor(t2) rounds up to exactly 1.0 here; the reduced point then
     # sits on an excluded edge of the base cell and must be renormalized
     tiny = -3.7977372615123547e-69
-    for t in (
-        HexPoint(1.0, tiny, -(1.0 + tiny)),
-        HexPoint(tiny, 1.0, -(tiny + 1.0)),
-        HexPoint(3.0 + tiny, tiny, -(3.0 + 2 * tiny)),
-        HexPoint(-1.0 - 1e-18, -1.0 - 1e-18, 2.0 + 2e-18),
-    ):
-        ft = fold(t)
-        assert is_in_omega(ft)
-        f1, f2, f3 = fold_arrays(np.array([t.t1]), np.array([t.t2]))
-        assert is_in_omega(HexPoint(float(f1[0]), float(f2[0]), float(f3[0])))
+    t1 = np.array([1.0, tiny, 3.0 + tiny, -1.0 - 1e-18])
+    t2 = np.array([tiny, 1.0, tiny, -1.0 - 1e-18])
+    assert _omega_mask(*fold_arrays(t1, t2)).all()
+    for a, b in zip(t1, t2):
+        assert _omega_mask(*fold_arrays(a, b))
 
 
 def test_omega_membership_boundary():
-    assert is_in_omega(HexPoint(-1.0, 0.0, 1.0))     # t1 = -1 included
-    assert not is_in_omega(HexPoint(1.0, 0.0, -1.0))  # t1 = 1 excluded
-    assert is_in_omega(HexPoint(0.0, -1.0, 1.0))      # t3 = 1 included
-    assert not is_in_omega(HexPoint(0.0, 1.0, -1.0))  # t2 = 1 excluded
+    assert _omega_mask(-1.0, 0.0, 1.0)      # t1 = -1 included
+    assert not _omega_mask(1.0, 0.0, -1.0)  # t1 = 1 excluded
+    assert _omega_mask(0.0, -1.0, 1.0)      # t3 = 1 included
+    assert not _omega_mask(0.0, 1.0, -1.0)  # t2 = 1 excluded

@@ -1,0 +1,55 @@
+"""The library surface that the benchmark under ``perfbench/`` relies on.
+
+The benchmark's worker writes its inputs with the public API (the
+``random_spectrum`` and ``one_per_shell`` kinds), and a traced step wraps
+every public hexsum function plus the ``SpectralFunction`` methods named in
+``perfbench/spans.py``.  A name it uses that goes missing makes a step fail.
+The worker runs in a subprocess, as the benchmark starts it, because a
+traced step rewrites hexsum's module namespaces.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_worker_generates_inputs_and_runs_traced_steps(tmp_path):
+    requests = [
+        {
+            "op": "generate",
+            "dir": str(tmp_path),
+            "seed": 0,
+            "inputs": {"grid.json": ["random_spectrum", 6], "sparse.json": ["one_per_shell", 8]},
+        },
+        {
+            "op": "step", "span": "lib.roundtrip", "trace": True, "argv": None,
+            "roundtrip": {
+                "input": str(tmp_path / "grid.json"), "grid": 28, "degree": 6,
+                "out": str(tmp_path / "roundtrip.json"),
+            },
+        },
+        {
+            "op": "step", "span": "cli.verify", "trace": True, "roundtrip": None,
+            "argv": ["verify", "--seed", "0", "--format", "json", "--out", str(tmp_path / "v.json")],
+        },
+    ]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "worker.py")],
+        input="".join(json.dumps(r) + "\n" for r in requests),
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    ready, generated, *steps = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert ready == {"ready": True}
+    assert generated.get("ok") is True, generated.get("error")
+    assert len(json.loads((tmp_path / "sparse.json").read_text())["entries"]) == 9
+    for reply in steps:
+        assert reply["error"] is None, reply["error"]
+        assert reply["rc"] == 0, reply["stderr"]
+        assert reply["trace"]["spans"] > 1
+    assert len(json.loads((tmp_path / "roundtrip.json").read_text())) == 1 + 3 * 6 * 7

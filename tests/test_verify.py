@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hexsum import verify
-from hexsum.lattice import HexPoint, is_in_omega
+from hexsum.lattice import _omega_mask
 from hexsum.verify import _TILING_SHIFTS, ALL_CHECKS, CheckResult, _tiling_hits, run_all_checks
 
 
@@ -79,7 +79,7 @@ def test_tiling_hits_match_scalar_membership():
     hits = _tiling_hits(t1, t2)
     assert hits.shape == (44, 121)
     want = [
-        [is_in_omega(HexPoint(u, v, -u - v)) for u, v in zip(a + _TILING_SHIFTS[0], b + _TILING_SHIFTS[1])]
+        [_omega_mask(u, v, -u - v) for u, v in zip(a + _TILING_SHIFTS[0], b + _TILING_SHIFTS[1])]
         for a, b in zip(t1, t2)
     ]
     assert np.array_equal(hits, np.array(want))
