@@ -40,9 +40,7 @@ from .means import (
     SummationParams,
     apply_operator,
     apply_operator_derivative_form,
-    deviation_norm,
-    lambda_coeff,
-    lambda_complement,
+    lambda_shells,
     m_p,
     poisson_integral_convolution,
     poisson_integral_spectral,
@@ -91,9 +89,7 @@ __all__ = [
     "SummationParams",
     "apply_operator",
     "apply_operator_derivative_form",
-    "deviation_norm",
-    "lambda_coeff",
-    "lambda_complement",
+    "lambda_shells",
     "m_p",
     "poisson_integral_convolution",
     "poisson_integral_spectral",

@@ -1,8 +1,10 @@
 """Batch experiment driver.
 
 Subcommands: verify (invariant battery), kernel (mean + series cross
-check), bernstein (derivative-integral ladder), approximate (deviation
-sweeps), rates (log-log slope fits), kfun (K-functional brackets).
+check; the series is cut at the least c whose tail bound is within one ulp
+of the kernel peak, and rho-kmax <= 10), bernstein (derivative-integral
+ladder), approximate (deviation sweeps), rates (log-log slope fits), kfun
+(K-functional brackets).
 
 Sweep radii follow the geometric ladder rho = 1 - 2^{-k}: every rate in
 the library is a power of 1 - rho, so log2 spacing makes fitted slopes
@@ -47,14 +49,16 @@ from .kernels import (
     bernstein_integral,
     hex_kernel_closed_values,
     hex_kernel_series_values,
+    series_tail_bound,
 )
 from .means import deviation_ladder, kfun_ladder
 from .verify import CheckResult, run_all_checks
 
 COMMANDS = ("verify", "kernel", "bernstein", "approximate", "rates", "kfun")
 
-#: series cutoff used by the kernel command's closed-vs-series cross check
-KERNEL_CUTOFF = 400
+#: largest rho-kmax of the kernel command, whose series cutoff grows like
+#: k 2^k: 5068 terms at k = 7, 40685 at k = 10
+KERNEL_KMAX = 10
 
 #: largest k with rho = 1 - 2^-k < 1.0 in binary64; 1 - 2^-54 rounds to 1.0
 RHO_KMAX = sys.float_info.mant_dig
@@ -187,7 +191,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
             )
     if cfg.command == "rates" and cfg.p != 2.0:
         raise ConfigError("rates uses the exact spectral L2 deviation; p must be 2")
-    if cfg.command in ("kernel", "bernstein", "approximate", "rates") and cfg.k_max > RHO_KMAX:
+    if cfg.command == "kernel" and cfg.k_max > KERNEL_KMAX:
+        raise ConfigError(
+            f"kernel needs rho-kmax <= {KERNEL_KMAX} so its series cutoff stays "
+            f"affordable, got {cfg.k_max}"
+        )
+    if cfg.command in ("bernstein", "approximate", "rates") and cfg.k_max > RHO_KMAX:
         raise ConfigError(
             f"{cfg.command} needs rho-kmax <= {RHO_KMAX} so rho = 1 - 2^-k stays "
             f"below 1, got {cfg.k_max}"
@@ -256,25 +265,38 @@ def run_verify(cfg: ExperimentConfig):
     return rows, assertions
 
 
+def _kernel_cutoff(rho: float, bound: float) -> int:
+    """Least c >= 0 with series_tail_bound(rho, c) <= bound: doubling, then bisection."""
+    lo, hi = -1, 0  # the tail exceeds bound at lo (at -1 by convention)
+    while series_tail_bound(rho, hi) > bound:
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if series_tail_bound(rho, mid) > bound else (lo, mid)
+    return hi
+
+
 def run_kernel(cfg: ExperimentConfig):
     rng = np.random.default_rng([cfg.seed, 101])
     t1 = rng.uniform(-3.0, 3.0, size=200)
     t2 = rng.uniform(-3.0, 3.0, size=200)
     t3 = -(t1 + t2)
     grid = _explicit_grid(cfg)
+    eps = sys.float_info.epsilon
     rows = []
     mean_ok = True
     gap_ok = True
     for k, rho in rho_ladder(cfg):
         res = bernstein_integral(rho, 0, grid)
+        peak = 1.0 + series_tail_bound(rho, 0)  # the kernel's value at t = 0
+        cutoff = _kernel_cutoff(rho, eps * peak)
         closed = hex_kernel_closed_values(rho, t1, t2, t3)
-        series, tail = hex_kernel_series_values(rho, t1, t2, t3, KERNEL_CUTOFF)
+        series, tail = hex_kernel_series_values(rho, t1, t2, t3, cutoff)
         gap = float(np.abs(closed - series.real).max())
-        # the series sums terms of total size 1 + sum_{nu <= cutoff} 6 nu rho^nu,
-        # so rounding may add a few dozen ulps of that on top of the tail
-        abs_sum = 1.0 + 6.0 * math.fsum(nu * rho**nu for nu in range(1, KERNEL_CUTOFF + 1))
+        # the series sums terms of total size below peak, so rounding may add
+        # a few dozen ulps of it on top of the tail
         row_mean_ok = abs(res.value - 1.0) <= 1e-6
-        row_gap_ok = gap <= tail + 64.0 * sys.float_info.epsilon * abs_sum
+        row_gap_ok = gap <= tail + 64.0 * eps * peak
         mean_ok &= row_mean_ok
         gap_ok &= row_gap_ok
         rows.append(
@@ -287,7 +309,7 @@ def run_kernel(cfg: ExperimentConfig):
                 "mean_abs_err": abs(res.value - 1.0),
                 "series_gap": gap,
                 "tail_bound": tail,
-                "cutoff": KERNEL_CUTOFF,
+                "cutoff": cutoff,
                 "sample_points": 200,
                 "seed": cfg.seed,
                 "status": "ok" if (row_mean_ok and row_gap_ok) else "fail",

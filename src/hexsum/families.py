@@ -88,13 +88,11 @@ def random_spectrum(
     max_degree: int,
     rng: np.random.Generator,
     real_symmetric: bool = True,
-    normalize: bool = True,
 ) -> SpectralFunction:
-    """Random coefficients on every frequency up to max_degree.
+    """Random coefficients on every frequency up to max_degree, of unit L2 norm.
 
     With ``real_symmetric`` the negated-frequency coefficient is the
-    conjugate, so synthesized values are real.  ``normalize`` rescales to
-    unit L2 norm.  Draw order is canonical (shell-major), so a seeded
+    conjugate, so synthesized values are real.  Draw order is canonical (shell-major), so a seeded
     generator reproduces the same spectrum.
     """
     k1, k2, _ = frequency_arrays(max_degree)
@@ -108,10 +106,9 @@ def random_spectrum(
         re, im = np.concatenate([re, re[1:]]), np.concatenate([im, -im[1:]])
     else:
         re, im = rng.standard_normal(2 * k1.size).reshape(-1, 2).T
-    if normalize:
-        norm = math.sqrt(math.fsum((re * re + im * im).tolist()))
-        if norm > 0.0:
-            re, im = re / norm, im / norm
+    norm = math.sqrt(math.fsum((re * re + im * im).tolist()))
+    if norm > 0.0:
+        re, im = re / norm, im / norm
     coeffs = np.empty(re.size, dtype=complex)
     coeffs.real, coeffs.imag = re, im
     return SpectralFunction._from_arrays(k1, k2, -k1 - k2, coeffs, max_degree)

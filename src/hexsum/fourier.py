@@ -161,6 +161,11 @@ def _repeats(*keys: np.ndarray) -> np.ndarray:
     return np.logical_and.reduce([a[1:] == a[:-1] for a in keys])
 
 
+#: largest coefficient gap between f and its conjugate reflection that
+#: SpectralFunction.is_real_symmetric accepts
+_SYMMETRY_TOL = 1e-12
+
+
 def _shell_groups(shell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.unique(shell, return_inverse=True) for non-decreasing shells, as in
     a canonical support: run starts and a cumsum, no sort."""
@@ -268,14 +273,14 @@ class SpectralFunction:
         c = self._arrays[3]
         return math.sqrt(math.fsum((c.real * c.real + c.imag * c.imag).tolist()))  # exact sum
 
-    def is_real_symmetric(self, tol: float = 1e-12) -> bool:
-        """True when the coefficient at -k is within tol of the conjugate at k:
-        f against its conjugate reflection, so a NaN coefficient gives False."""
+    def is_real_symmetric(self) -> bool:
+        """True when the coefficient at -k is within _SYMMETRY_TOL of the conjugate
+        at k: f against its conjugate reflection, so a NaN coefficient gives False."""
         k1, k2, _, coeffs = self._support()
         reflection = SpectralFunction._from_arrays(
             -k1, -k2, k1 + k2, coeffs.conj(), self.max_degree
         )
-        return max_coeff_diff(self, reflection) <= tol
+        return max_coeff_diff(self, reflection) <= _SYMMETRY_TOL
 
     def __repr__(self) -> str:
         return (
@@ -284,11 +289,7 @@ class SpectralFunction:
         )
 
 
-def scale_shells(
-    f: SpectralFunction,
-    multiplier: Callable[[int], complex],
-    max_degree: int | None = None,
-) -> SpectralFunction:
+def scale_shells(f: SpectralFunction, multiplier: Callable[[int], complex]) -> SpectralFunction:
     """Apply a shell-dependent multiplier; entries scaled to exactly 0 drop.
 
     ``multiplier`` is called once per shell present in the support.
@@ -301,9 +302,7 @@ def scale_shells(
     v.imag = m.real * coeffs.imag + m.imag * coeffs.real
     keep = v != 0
     k1, k2 = k1[keep], k2[keep]
-    return SpectralFunction._from_arrays(
-        k1, k2, -k1 - k2, v[keep], f.max_degree if max_degree is None else max_degree
-    )
+    return SpectralFunction._from_arrays(k1, k2, -k1 - k2, v[keep], f.max_degree)
 
 
 def max_coeff_diff(f: SpectralFunction, g: SpectralFunction) -> float:

@@ -314,21 +314,12 @@ def min_resolution(rho: float) -> int:
     return math.ceil(32.0 / (1.0 - rho))
 
 
-def auto_grid_size(rho: float) -> tuple[int, bool]:
-    """Auto-scaled resolution max(64, ceil(32/(1-rho))), capped at GRID_CAP.
-
-    Returns (n, cap_hit); cap_hit means the requested resolution was
-    truncated and integrals at this rho are under-resolved.
-    """
-    need = max(64, min_resolution(rho))
-    return (min(need, GRID_CAP), need > GRID_CAP)
-
-
 def _resolve_grid(rho: float, grid: HexGrid | None) -> HexGrid:
-    if grid is None:
-        n, _ = auto_grid_size(rho)
-        return HexGrid(n)
+    """grid, or for None the auto-scaled max(64, min_resolution(rho)); the
+    resolution required is min_resolution(rho) capped at GRID_CAP."""
     need = min(min_resolution(rho), GRID_CAP)
+    if grid is None:
+        return HexGrid(max(64, need))
     if grid.n < need:
         raise ValueError(
             f"grid resolution {grid.n} is below the required {need} for rho={rho}"

@@ -47,15 +47,8 @@ class HexIndex:
                 f"({self.k1}, {self.k2}, {self.k3})"
             )
 
-    def degree(self) -> int:
-        """Shell number of the frequency: max(|k1|, |k2|, |k3|)."""
-        return max(abs(self.k1), abs(self.k2), abs(self.k3))
-
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.k1, self.k2, self.k3)
-
-    def negate(self) -> "HexIndex":
-        return HexIndex(-self.k1, -self.k2, -self.k3)
 
 
 def from_cartesian(x1, x2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

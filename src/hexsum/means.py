@@ -71,29 +71,16 @@ class SummationParams:
 # multipliers
 # --------------------------------------------------------------------------
 
-def _check_multiplier_args(nu: int, r: int, rho: float) -> None:
-    if nu < 0:
-        raise ValueError("shell index must be nonnegative")
+def lambda_shells(shells: np.ndarray, r: int, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """Shell multipliers lambda_{nu,r}(rho) = P[Bin(nu, 1-rho) <= r-1] at each of
+    shells, and their complements P[Bin(nu, 1-rho) >= r]; both in [0, 1], each
+    accurate down to underflow, and each row independent of the others."""
     if r < 1:
         raise ValueError("order r must be positive")
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
-
-
-def lambda_coeff(nu: int, r: int, rho: float) -> float:
-    """Shell multiplier of the order-r mean, P[Bin(nu, 1-rho) <= r-1]; always in [0, 1]."""
-    _check_multiplier_args(nu, r, rho)
-    return float(_lambda_shells(np.array([nu]), r, rho)[0][0])
-
-
-def lambda_complement(nu: int, r: int, rho: float) -> float:
-    """1 - lambda_coeff as the tail P[Bin(nu, 1-rho) >= r], accurate down to underflow."""
-    _check_multiplier_args(nu, r, rho)
-    return float(_lambda_shells(np.array([nu]), r, rho)[1][0])
-
-
-def _lambda_shells(shells: np.ndarray, r: int, rho: float) -> tuple[np.ndarray, np.ndarray]:
-    """Shell multipliers lambda_{nu,r}(rho) and their complements at each of shells."""
+    if shells.min(initial=0) < 0:
+        raise ValueError("shell index must be nonnegative")
     lam, comp = np.ones(len(shells)), np.zeros(len(shells))
     high = shells >= r
     low = shells >= (r - 0.5) / (1.0 - rho)  # the mean nu (1-rho) is past r - 1/2, so nu >= r
@@ -204,7 +191,7 @@ def apply_operator(f: SpectralFunction, params: SummationParams) -> SpectralFunc
     Shells with multiplier exactly 1 pass through bitwise unchanged;
     rho=0 zeroes every shell nu >= r, leaving the partial sum S_{r-1}.
     """
-    return _scale_occupied(f, lambda shells: _lambda_shells(shells, params.r, params.rho)[0])
+    return _scale_occupied(f, lambda shells: lambda_shells(shells, params.r, params.rho)[0])
 
 
 def apply_operator_derivative_form(
@@ -366,14 +353,7 @@ def deviation_ladder(
     for rho in rhos:
         SummationParams(rho, r)  # raises ValueError on a bad rho or r
     shells, norm, _ = _norm_plan(f, p, grid)
-    return [norm(_lambda_shells(shells, r, rho)[1]) for rho in rhos]
-
-
-def deviation_norm(
-    f: SpectralFunction, params: SummationParams, p: float, grid: HexGrid | None
-) -> float:
-    """||f - A_{rho,r}(f)||_p, the one-point view of deviation_ladder."""
-    return deviation_ladder(f, [params.rho], params.r, p, grid)[0]
+    return [norm(lambda_shells(shells, r, rho)[1]) for rho in rhos]
 
 
 @_QUIET
@@ -449,7 +429,7 @@ def kfun_ladder(
         for j in range(-2, 3):
             zeta = 1.0 - delta * 2.0**j
             if 0.0 <= zeta < 1.0:
-                lam, comp = _lambda_shells(shells, n, zeta)
+                lam, comp = lambda_shells(shells, n, zeta)
                 scored.append((f"mean(zeta={zeta:.17g})", norm(comp) + dn * norm(perm * lam)))
         scored += zip(cut_names, (cut_err + dn * cut_rough).tolist())
         upper, winner = math.inf, "none"
@@ -469,7 +449,7 @@ def remainder_coefficient_check(nu: int, r: int, rho: float) -> tuple[float, flo
     """Both sides of the shell-wise deviation identity.
 
     lhs: the complement multiplier 1 - lambda_{nu,r}(rho), the binomial
-    tail summed by lambda_complement.  rhs: the integral
+    tail of lambda_shells.  rhs: the integral
     (nu!/(nu-r)!)/(r-1)! * int_rho^1 zeta^{nu-r} (1-zeta)^{r-1} dzeta,
     evaluated exactly in rational arithmetic and rounded once.  A float
     rho is a dyadic rational, and with m_j = nu-r+j+1 the binomial
@@ -482,9 +462,7 @@ def remainder_coefficient_check(nu: int, r: int, rho: float) -> tuple[float, flo
         raise ValueError(f"order r must be at least 2, got {r}")
     if nu < r:
         raise ValueError(f"shell index must be at least r={r}, got {nu}")
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"rho must lie in [0, 1), got {rho}")
-    lhs = lambda_complement(nu, r, rho)
+    lhs = float(lambda_shells(np.array([nu]), r, rho)[1][0])  # raises ValueError on a bad rho
     x = Fraction(rho)
     integral = sum(
         Fraction((-1) ** j * math.comb(r - 1, j), m) * (1 - x**m)
@@ -495,11 +473,7 @@ def remainder_coefficient_check(nu: int, r: int, rho: float) -> tuple[float, flo
 
 
 def remainder_integral_norm(
-    f: SpectralFunction,
-    params: SummationParams,
-    p: float,
-    grid: HexGrid,
-    zeta_nodes: int = 64,
+    f: SpectralFunction, params: SummationParams, p: float, grid: HexGrid
 ) -> float:
     """||integral form of f - A_{rho,r}(f)||_p.
 
@@ -507,21 +481,17 @@ def remainder_integral_norm(
     against (1-zeta)^{r-1}/(r-1)! over [rho, 1], shell by shell, with
     Gauss-Legendre nodes after the substitution zeta = 1 - (1-rho) u
     (u in [0, 1]).  The integrand is then a polynomial of degree nu - 1
-    in u, so N nodes are exact for every shell nu <= 2 N; a nonzero
-    coefficient on a higher shell raises ValueError.  Requires r >= 2
-    (at r = 1 the identity degenerates to the plain Poisson deviation).
+    in u, so N nodes are exact for every shell nu <= 2 N; N is
+    max(64, ceil(top / 2)) for the top shell carrying a nonzero
+    coefficient.  Requires r >= 2 (at r = 1 the identity degenerates to
+    the plain Poisson deviation).
     """
     rho, r = params.rho, params.r
     if r < 2:
         raise ValueError(f"order r must be at least 2, got {r}")
-    if zeta_nodes < 16:
-        raise ValueError(f"at least 16 nodes required, got {zeta_nodes}")
     _, _, shell, coeffs = f._support()
     top = int(shell[coeffs != 0].max(initial=0))
-    if top > 2 * zeta_nodes:
-        raise ValueError(f"{zeta_nodes} nodes are exact up to shell "
-                         f"{2 * zeta_nodes}, f reaches shell {top}")
-    x, w = np.polynomial.legendre.leggauss(zeta_nodes)
+    x, w = np.polynomial.legendre.leggauss(max(64, (top + 1) // 2))
     u = 0.5 * (x + 1.0)
     wu = 0.5 * w
     one = 1.0 - rho

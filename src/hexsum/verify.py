@@ -441,20 +441,19 @@ def check_product_integrals(rng) -> CheckResult:
 def check_lambda_multipliers(rng) -> CheckResult:
     """Range, edge cases, the frozen sample, and the full-sum identity."""
     worst = 0.0
-    if means.lambda_coeff(2, 2, 0.5) != 0.75:
+    if means.lambda_shells(np.array([2]), 2, 0.5)[0][0] != 0.75:
         worst = 1.0
-    for nu in (0, 1, 3):
-        for r in (4, 5):
-            if means.lambda_coeff(nu, r, 0.3) != 1.0 and nu < r:
-                worst = 1.0
-    for nu in (1, 5, 17):
-        for rho in (0.0, 0.4, 0.9):
-            worst = max(worst, abs(means.lambda_coeff(nu, 1, rho) - rho**nu))
+    for r in (4, 5):
+        if np.any(means.lambda_shells(np.array([0, 1, 3]), r, 0.3)[0] != 1.0):
+            worst = 1.0
+    for rho in (0.0, 0.4, 0.9):
+        lam = means.lambda_shells(np.array([1, 5, 17]), 1, rho)[0]
+        worst = max(worst, float(np.max(np.abs(lam - [rho**nu for nu in (1, 5, 17)]))))
     rhos = rng.uniform(0.0, 0.999, size=6)
     nus = np.array([0, 1, 2, 5, 20, 60, 200])
     for r in (1, 2, 3, 6):
-        for rho in rhos.tolist():  # lambda_coeff and lambda_complement are views of these rows
-            lam, comp = means._lambda_shells(nus, r, rho)
+        for rho in rhos.tolist():
+            lam, comp = means.lambda_shells(nus, r, rho)
             if not np.all((0.0 <= lam) & (lam <= 1.0)):
                 worst = max(worst, 1.0)
             worst = max(worst, float(np.max(np.abs(lam + comp - 1.0)[nus <= 60])))
@@ -483,7 +482,7 @@ def check_saturation(rng) -> CheckResult:
         out = means.apply_operator(f, SummationParams(0.6, r))
         bad += int(np.count_nonzero(_at_support(f, out) != f._support()[3]))
         for rho in (0.05, 0.5, 0.95):
-            lam = means._lambda_shells(np.arange(r, r + 31), r, rho)[0]
+            lam = means.lambda_shells(np.arange(r, r + 31), r, rho)[0]
             bad += int(np.count_nonzero(~(lam < 1.0)))
     return _result("means.saturation", bad, 0, "fixed points exact, damping strict")
 
@@ -493,7 +492,7 @@ def check_deviation_monotone(rng) -> CheckResult:
     worst = 0.0
     nus = np.array([3, 7, 20])
     for r in (1, 2, 3):
-        comps = [means._lambda_shells(nus, r, float(x))[1] for x in np.linspace(0.05, 0.95, 19)]
+        comps = [means.lambda_shells(nus, r, float(x))[1] for x in np.linspace(0.05, 0.95, 19)]
         worst = max(worst, float(np.max(np.diff(comps, axis=0)[:, nus >= r])))
     # strictly decreasing in exact arithmetic; allow a few ulp of rounding
     return _result("means.deviation_monotone", worst, 1e-14, "complement falls in rho")
@@ -541,13 +540,12 @@ def check_functionals_on_basis(rng) -> CheckResult:
     worst = 0.0
     for r in (1, 2):
         for rho in (0.3, 0.6):
-            params = SummationParams(rho, r)
-            comp = means.lambda_complement(nu, r, rho)
+            comp = float(means.lambda_shells(np.array([nu]), r, rho)[1][0])
             for p in (1.0, 2.0, math.inf):
-                worst = max(worst, abs(means.deviation_norm(f, params, p, grid) - comp))
+                worst = max(worst, abs(means.deviation_ladder(f, [rho], r, p, grid)[0] - comp))
                 ref = math.perm(nu, r) * rho**nu
                 worst = max(worst, abs(means.m_p(f, rho, r, p, grid) - ref) / ref)
-            worst = max(worst, abs(means.deviation_norm(f, params, 2.0, None) - comp))
+            worst = max(worst, abs(means.deviation_ladder(f, [rho], r, 2.0, None)[0] - comp))
     return _result("means.functionals_on_basis", worst, 1e-10, "|phi_k| = 1 everywhere")
 
 
@@ -557,15 +555,9 @@ def check_deviation_l2_paths(rng) -> CheckResult:
     grid = make_grid(64)
     worst = 0.0
     for r in (1, 3):
-        for rho in (0.4, 0.85):
-            params = SummationParams(rho, r)
-            worst = max(
-                worst,
-                abs(
-                    means.deviation_norm(f, params, 2.0, grid)
-                    - means.deviation_norm(f, params, 2.0, None)
-                ),
-            )
+        on_grid = means.deviation_ladder(f, [0.4, 0.85], r, 2.0, grid)
+        exact = means.deviation_ladder(f, [0.4, 0.85], r, 2.0, None)
+        worst = max(worst, *(abs(a - b) for a, b in zip(on_grid, exact)))
     return _result("means.deviation_l2_paths", worst, 1e-10, "deg 8 at n=64")
 
 
@@ -586,7 +578,7 @@ def check_remainder_norm(rng) -> CheckResult:
     for r, rho in ((2, 0.5), (3, 0.8)):
         params = SummationParams(rho, r)
         a = means.remainder_integral_norm(f, params, 2.0, grid)
-        b = means.deviation_norm(f, params, 2.0, grid)
+        b = means.deviation_ladder(f, [rho], r, 2.0, grid)[0]
         worst = max(worst, abs(a - b))
     return _result("means.remainder_norm", worst, 1e-8, "64 nodes")
 

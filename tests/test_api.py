@@ -1,7 +1,23 @@
+import inspect
+
 import hexsum
+
+PUBLIC = [
+    "BernsteinResult", "CheckResult", "FamilySpec", "GridFunction", "HexGrid", "HexIndex",
+    "KfunEstimate", "ResolutionWarning", "SpectralFormatError", "SpectralFunction",
+    "SummationParams", "__version__", "analyze", "apply_operator",
+    "apply_operator_derivative_form", "basis_family", "bernstein_integral", "builtin_families",
+    "classical_kernel_deriv", "from_cartesian", "index_shell", "kernel_family", "lambda_shells",
+    "load_spectral", "lp_norm", "m_p", "make_grid", "min_resolution", "pairwise_sum",
+    "poisson_integral_convolution", "poisson_integral_spectral", "polynomial_family",
+    "product_integral", "radial_derivative", "random_spectrum", "remainder_coefficient_check",
+    "remainder_integral_norm", "run_all_checks", "save_spectral", "scale_shells",
+    "series_tail_bound", "shell_decay_family", "synthesize", "to_cartesian",
+]
 
 
 def test_public_names_resolve():
+    assert sorted(hexsum.__all__) == PUBLIC
     for name in hexsum.__all__:
         assert hasattr(hexsum, name), name
     namespace = {}
@@ -11,15 +27,30 @@ def test_public_names_resolve():
     for gone in (
         "phi", "LATTICE", "HexPoint", "fold", "indices_up_to", "is_in_omega",
         "hex_kernel_closed", "hex_kernel_deriv", "deviation_l2_spectral", "kfun_estimate",
+        "lambda_coeff", "lambda_complement", "deviation_norm", "auto_grid_size",
     ):
         assert gone not in hexsum.__all__
         assert not hasattr(hexsum, gone)
     # nor do they stay behind in the modules that held them
     for module, names in (
         (hexsum.lattice, ("HexPoint", "fold", "indices_up_to", "is_in_omega")),
-        (hexsum.kernels, ("hex_kernel_closed", "hex_kernel_deriv")),
-        (hexsum.means, ("deviation_l2_spectral", "kfun_estimate")),
+        (hexsum.kernels, ("hex_kernel_closed", "hex_kernel_deriv", "auto_grid_size")),
+        (hexsum.means, (
+            "deviation_l2_spectral", "kfun_estimate", "lambda_coeff", "lambda_complement",
+            "deviation_norm", "_lambda_shells", "_check_multiplier_args",
+        )),
         (hexsum.SpectralFunction, ("coeff", "_coeffs")),
+        (hexsum.HexIndex, ("degree", "negate")),
     ):
         for name in names:
             assert not hasattr(module, name), name
+
+
+def test_keyword_options_no_caller_sets_are_gone():
+    for fn, name in (
+        (hexsum.remainder_integral_norm, "zeta_nodes"),
+        (hexsum.scale_shells, "max_degree"),
+        (hexsum.SpectralFunction.is_real_symmetric, "tol"),
+        (hexsum.random_spectrum, "normalize"),
+    ):
+        assert name not in inspect.signature(fn).parameters, (fn.__name__, name)

@@ -30,8 +30,8 @@ from hexsum.cli import (
 )
 from hexsum.families import random_spectrum
 from hexsum.fourier import SpectralFunction, make_grid, save_spectral
-from hexsum.kernels import R_MAX, hex_kernel_deriv_values
-from hexsum.means import lambda_complement
+from hexsum.kernels import R_MAX, hex_kernel_deriv_values, series_tail_bound
+from hexsum.means import lambda_shells
 
 
 def _cfg(argv):
@@ -345,7 +345,7 @@ def test_main_one_coefficient_on_a_huge_shell(tmp_path, monkeypatch):
                 assert row["winner"] == "zero"
                 assert row["upper"] == pytest.approx(abs(c), rel=1e-15)
             else:
-                want = abs(c) * lambda_complement(nu, 2, row["rho"])
+                want = abs(c) * lambda_shells(np.array([nu]), 2, row["rho"])[1][0]
                 assert row["deviation"] == pytest.approx(want, rel=1e-15)
 
 
@@ -393,15 +393,17 @@ def test_main_declared_degree_far_above_data(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["kernel", "bernstein", "approximate", "rates"])
 def test_main_rho_ladder_beyond_float_precision_is_exit_2(tmp_path, monkeypatch, capsys, command):
-    # rho = 1 - 2^-54 rounds to 1.0
+    # rho = 1 - 2^-54 rounds to 1.0; the kernel command stops at k = 10 already
     monkeypatch.chdir(tmp_path)
     assert main([command, "--rho-kmin", "59", "--rho-kmax", "60"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == [
-        f"error: {command} needs rho-kmax <= 53 so rho = 1 - 2^-k stays below 1, got 60"
-    ]
-    validate_config(ExperimentConfig(command, k_min=53, k_max=53))
+    if command == "kernel":
+        why, top = "so its series cutoff stays affordable", 10
+    else:
+        why, top = "so rho = 1 - 2^-k stays below 1", 53
+    assert captured.err.splitlines() == [f"error: {command} needs rho-kmax <= {top} {why}, got 60"]
+    validate_config(ExperimentConfig(command, k_min=top, k_max=top))
 
 
 @pytest.mark.parametrize("command", ["verify", "kernel"])
@@ -690,6 +692,37 @@ def test_main_kernel_rounding_allowance(tmp_path, monkeypatch, capsys):
     for seed in ("203", "206"):
         assert main(["kernel", "--seed", seed]) == 0
         assert "kernel: 2/2 assertions passed" in capsys.readouterr().out
+
+
+def test_main_kernel_certifies_the_top_of_its_ladder(tmp_path, monkeypatch, capsys):
+    # each row cuts the series at the least c whose tail bound is within one
+    # ulp of the kernel peak, so the series gap is certified at every rung
+    monkeypatch.chdir(tmp_path)
+    eps = sys.float_info.epsilon
+    argv = ["kernel", "--rho-kmin", "6", "--rho-kmax", "7", "--format", "json", "--out", "k.json"]
+    assert main(argv) == 0
+    assert "kernel: 2/2 assertions passed" in capsys.readouterr().out
+    rows = json.loads((tmp_path / "k.json").read_text())["rows"]
+    assert [row["k"] for row in rows] == [6, 7]
+    for row in rows:
+        peak = 1.0 + series_tail_bound(row["rho"], 0)
+        c = row["cutoff"]
+        assert series_tail_bound(row["rho"], c) <= eps * peak < series_tail_bound(row["rho"], c - 1)
+        assert row["tail_bound"] == series_tail_bound(row["rho"], c)
+        assert row["series_gap"] <= 1e-9 * peak
+        assert row["status"] == "ok"
+    assert rows[0]["cutoff"] < rows[1]["cutoff"]
+
+
+def test_main_kernel_ladder_above_k10_is_exit_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["kernel", "--rho-kmax", "11"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: kernel needs rho-kmax <= 10 so its series cutoff stays affordable, got 11"
+    ]
+    assert not list(tmp_path.glob("*_report.*"))
 
 
 def test_main_kernel_coarse_grid_is_config_error(tmp_path, monkeypatch, capsys):

@@ -12,11 +12,11 @@ from hexsum.fourier import TWO_PI_OVER_3, make_grid, phi_values
 from hexsum.kernels import (
     GRID_CAP,
     R_MAX,
-    auto_grid_size,
     bernstein_integral,
     classical_kernel_deriv,
     _classical_deriv_table,
     _domain_blocks,
+    _resolve_grid,
     hex_deriv_series_values,
     hex_kernel_closed_values,
     hex_kernel_deriv_values,
@@ -330,10 +330,13 @@ def test_min_resolution_frozen():
 
 
 def test_auto_grid_size():
-    assert auto_grid_size(0.5) == (64, False)
-    n, capped = auto_grid_size(1.0 - 2.0**-9)
-    assert n == GRID_CAP and capped
+    assert _resolve_grid(0.0, None).n == 64
+    assert _resolve_grid(0.9, None).n == 321
+    assert _resolve_grid(1.0 - 2.0**-9, None).n == GRID_CAP
     assert min_resolution(1.0 - 2.0**-9) > GRID_CAP
+    # bernstein_integral flags the capped grid itself
+    res = bernstein_integral(1.0 - 2.0**-9, 0)
+    assert (res.grid_n, res.full_resolution) == (GRID_CAP, False)
 
 
 def test_explicit_coarse_grid_rejected():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexsum.fourier import phi_values
+from hexsum.fourier import SpectralFunction, phi_values
 from hexsum.kernels import _z_arrays
 from hexsum.lattice import (
     OMEGA_AREA,
@@ -51,11 +51,12 @@ def test_hexindex_rejects_nonzero_sum():
         HexIndex(1, 1, 1)
 
 
-def test_hexindex_degree_and_negate():
+def test_hexindex_as_tuple():
     k = HexIndex(3, -1, -2)
-    assert k.degree() == 3
-    assert k.negate() == HexIndex(-3, 1, 2)
     assert k.as_tuple() == (3, -1, -2)
+    # its shell is read from the support arrays
+    k1, k2, shell, _ = SpectralFunction({k: 1.0})._support()
+    assert (k1.tolist(), k2.tolist(), shell.tolist()) == ([3], [-1], [3])
 
 
 def test_z_angles():
@@ -90,8 +91,9 @@ def test_shell_matches_brute_force():
 
 def test_shell_closed_under_negation():
     for nu in (1, 4, 9):
-        shell = set(index_shell(nu))
-        assert {k.negate() for k in shell} == shell
+        k1, k2, _ = frequency_arrays(nu, nu)
+        shell = set(zip(k1.tolist(), k2.tolist()))
+        assert set(zip((-k1).tolist(), (-k2).tolist())) == shell
 
 
 def test_frequency_arrays_match_cube_scan():

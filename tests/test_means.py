@@ -26,16 +26,13 @@ from hexsum.lattice import HexIndex, index_shell
 from hexsum.means import (
     KfunEstimate,
     SummationParams,
-    _lambda_shells,
     _norm_plan,
     _perm_shells,
     apply_operator,
     apply_operator_derivative_form,
     deviation_ladder,
-    deviation_norm,
     kfun_ladder,
-    lambda_coeff,
-    lambda_complement,
+    lambda_shells,
     m_p,
     poisson_integral_convolution,
     poisson_integral_spectral,
@@ -50,22 +47,21 @@ from hexsum.means import (
 
 def test_lambda_frozen_value():
     # nu=2, r=2, rho=1/2: C(2,0) (1/4) + C(2,1)(1/2)(1/2) = 1/4 + 1/2
-    assert lambda_coeff(2, 2, 0.5) == 0.75
-    assert lambda_complement(2, 2, 0.5) == 0.25
+    lam, comp = lambda_shells(np.array([2]), 2, 0.5)
+    assert (lam.tolist(), comp.tolist()) == ([0.75], [0.25])
 
 
 def test_lambda_below_order_is_one():
     for r in (1, 2, 5):
-        for nu in range(r):
-            assert lambda_coeff(nu, r, 0.37) == 1.0
-            assert lambda_complement(nu, r, 0.37) == 0.0
+        lam, comp = lambda_shells(np.arange(r), r, 0.37)
+        assert lam.tolist() == [1.0] * r
+        assert comp.tolist() == [0.0] * r
 
 
 def test_lambda_order_one_is_poisson():
     # order 1 is the single term rho**nu, returned as the correctly rounded pow
-    for nu in range(1, 20):
-        assert lambda_coeff(nu, 1, 0.6) == 0.6**nu
-    assert lambda_coeff(777, 1, 0.75) == 0.75**777
+    assert lambda_shells(np.arange(1, 20), 1, 0.6)[0].tolist() == [0.6**nu for nu in range(1, 20)]
+    assert lambda_shells(np.array([777]), 1, 0.75)[0].tolist() == [0.75**777]
 
 
 @given(
@@ -75,8 +71,7 @@ def test_lambda_order_one_is_poisson():
 )
 @settings(max_examples=300)
 def test_lambda_identity_and_range(nu, r, rho):
-    lam = lambda_coeff(nu, r, rho)
-    comp = lambda_complement(nu, r, rho)
+    (lam,), (comp,) = lambda_shells(np.array([nu]), r, rho)
     assert 0.0 <= lam <= 1.0
     assert 0.0 <= comp <= 1.0
     assert lam + comp == pytest.approx(1.0, abs=1e-12)
@@ -97,14 +92,16 @@ def _binomial_terms(nu, rho):
 def test_lambda_matches_high_precision_binomial_sums():
     # the defining binomial sums at 50 digits, against the multipliers
     worst = 0.0
+    nus = (1, 2, 3, 7, 20, 61, 200, 777, 1031, 2000)
     with mpmath.workdps(50):
-        for nu in (1, 2, 3, 7, 20, 61, 200, 777, 1031, 2000):
-            for rho in (0.0, 0.01, 0.2, 0.5, 0.75, 0.9, 0.99, 0.999):
-                terms = _binomial_terms(nu, rho)
-                for r in range(1, 7):
+        for rho in (0.0, 0.01, 0.2, 0.5, 0.75, 0.9, 0.99, 0.999):
+            terms = {nu: _binomial_terms(nu, rho) for nu in nus}
+            for r in range(1, 7):
+                lam, comp = lambda_shells(np.array(nus), r, rho)
+                for nu, got_lam, got_comp in zip(nus, lam.tolist(), comp.tolist()):
                     for got, ref in (
-                        (lambda_coeff(nu, r, rho), mpmath.fsum(terms[:r])),
-                        (lambda_complement(nu, r, rho), mpmath.fsum(terms[r:])),
+                        (got_lam, mpmath.fsum(terms[nu][:r])),
+                        (got_comp, mpmath.fsum(terms[nu][r:])),
                     ):
                         assert 0.0 <= got <= 1.0
                         if ref >= 1e-300:
@@ -113,26 +110,26 @@ def test_lambda_matches_high_precision_binomial_sums():
 
 
 def test_lambda_validation():
-    for fn in (lambda_coeff, lambda_complement):
+    for shells, r, rho in (
+        ([-1], 1, 0.5), ([3, -2, 5], 2, 0.5), ([2], 0, 0.5), ([2], 1, 1.0), ([2], 1, -0.1),
+    ):
         with pytest.raises(ValueError):
-            fn(-1, 1, 0.5)
-        with pytest.raises(ValueError):
-            fn(2, 0, 0.5)
-        with pytest.raises(ValueError):
-            fn(2, 1, 1.0)
+            lambda_shells(np.array(shells), r, rho)
+    lam, comp = lambda_shells(np.array([], dtype=np.int64), 2, 0.5)
+    assert lam.size == comp.size == 0
 
 
 def test_lambda_scalars_match_shell_rows_bitwise():
-    # the scalar multipliers are one-element views of the shell arrays; each
-    # must equal its own row bit for bit (exactly 1.0 / 0.0 below r)
+    # a one-shell array (a scalar multiplier) equals its own row of the
+    # whole array bit for bit, exactly 1.0 / 0.0 below r
     shells = np.arange(301)
     for rho in (0.0, 0.1, 0.5, 0.75, 0.9, 0.999, 1.0 - 2.0**-20):
         for r in range(1, 7):
-            lam, comp = _lambda_shells(shells, r, rho)
+            lam, comp = lambda_shells(shells, r, rho)
             assert np.all(lam[:r] == 1.0) and np.all(comp[:r] == 0.0)
             for nu in range(301):
-                assert lambda_coeff(nu, r, rho) == lam[nu]
-                assert lambda_complement(nu, r, rho) == comp[nu]
+                (one,), (one_comp,) = lambda_shells(shells[nu:nu + 1], r, rho)
+                assert (one, one_comp) == (lam[nu], comp[nu])
 
 
 def test_lambda_shell_rows_do_not_depend_on_each_other():
@@ -140,9 +137,10 @@ def test_lambda_shell_rows_do_not_depend_on_each_other():
     shells = np.arange(0, 2000, 7)
     for r in (2, 6, 24):
         for rho in (0.1, 0.9):
-            lam, comp = _lambda_shells(shells, r, rho)
+            lam, comp = lambda_shells(shells, r, rho)
             for j, nu in enumerate(shells.tolist()):
-                assert (lambda_coeff(nu, r, rho), lambda_complement(nu, r, rho)) == (lam[j], comp[j])
+                (one,), (one_comp,) = lambda_shells(np.array([nu]), r, rho)
+                assert (one, one_comp) == (lam[j], comp[j])
 
 
 def _binomial_tails(nu, r, rho):
@@ -186,12 +184,12 @@ def test_lambda_matches_exact_binomial_tails_wide():
            10**4, 10**5, 7 * 10**5, 10**6, 10**7, 10**8, 2 * 10**8)
     rhos = (0.0, 0.01, 0.1, 0.3, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0 - 2.0**-20, 1.0 - 2.0**-40)
     for r in (1, 2, 3, 4, 5, 6, 12, 24, 100, 1000):
+        shells = [nu for nu in nus if nu >= r]
         for rho in rhos:
-            for nu in nus:
-                if nu < r:
-                    continue
+            lam, comp = lambda_shells(np.array(shells), r, rho)
+            for nu, got_lam, got_comp in zip(shells, lam.tolist(), comp.tolist()):
                 refs = _binomial_tails(nu, r, rho)
-                for got, ref in zip((lambda_coeff(nu, r, rho), lambda_complement(nu, r, rho)), refs):
+                for got, ref in zip((got_lam, got_comp), refs):
                     assert 0.0 <= got <= 1.0
                     if ref >= 1e-300:
                         worst[r <= 6] = max(worst[r <= 6], float(abs(got - ref) / ref))
@@ -245,7 +243,7 @@ def test_operator_damps_strictly():
     params = SummationParams(0.4, 2)
     g = dict(apply_operator(f, params).items())
     for k, c in f.items():
-        if k.degree() >= 2:
+        if max(map(abs, k.as_tuple())) >= 2:
             assert abs(g.get(k, 0.0)) < abs(c)
 
 
@@ -264,7 +262,7 @@ def test_poisson_spectral_multiplier():
     f = _random_f(4, degree=4)
     g = dict(poisson_integral_spectral(f, 0.5).items())
     for k, c in f.items():
-        assert g[k] == pytest.approx(c * 0.5 ** k.degree(), rel=1e-15)
+        assert g[k] == pytest.approx(c * 0.5 ** max(map(abs, k.as_tuple())), rel=1e-15)
     with pytest.raises(ValueError):
         poisson_integral_spectral(f, 1.0)
 
@@ -298,28 +296,26 @@ def test_poisson_convolution_matches_nested_roll_loop(n):
 
 def test_deviation_on_single_shell():
     f = basis_family(4).function
-    params = SummationParams(0.3, 2)
     grid = make_grid(32)
-    want = lambda_complement(4, 2, 0.3)
-    assert deviation_norm(f, params, 2.0, grid) == pytest.approx(want, rel=1e-10)
-    assert deviation_norm(f, params, 2.0, None) == pytest.approx(want, rel=1e-13)
+    (want,) = lambda_shells(np.array([4]), 2, 0.3)[1].tolist()
+    assert deviation_ladder(f, [0.3], 2, 2.0, grid)[0] == pytest.approx(want, rel=1e-10)
+    assert deviation_ladder(f, [0.3], 2, 2.0, None)[0] == pytest.approx(want, rel=1e-13)
     with pytest.raises(ValueError, match="grid"):
-        deviation_norm(f, params, 3.0, None)
+        deviation_ladder(f, [0.3], 2, 3.0, None)
 
 
 def test_exact_norm_when_squares_overflow():
     # |c|^2 overflows on shell 0, where the order-1 complement multiplier is
     # 0: the deviation is that of the other shells, not nan
-    params = SummationParams(0.5, 1)
     rest = {(3, -3, 0): 1e-300, (4, -4, 0): 3.0 - 4.0j}
     f = SpectralFunction({(0, 0, 0): 1.7e308, **rest})
-    want = deviation_norm(SpectralFunction(rest), params, 2.0, None)
-    assert deviation_norm(f, params, 2.0, None) == pytest.approx(want, rel=1e-15)
+    (want,) = deviation_ladder(SpectralFunction(rest), [0.5], 1, 2.0, None)
+    assert deviation_ladder(f, [0.5], 1, 2.0, None)[0] == pytest.approx(want, rel=1e-15)
     # scaling by an exact power of two scales the norm, past the squared range too
     g = random_spectrum(5, np.random.default_rng(4))
     big = SpectralFunction({k: math.ldexp(1.0, 900) * c for k, c in g.items()})
-    want = math.ldexp(deviation_norm(g, params, 2.0, None), 900)
-    assert deviation_norm(big, params, 2.0, None) == pytest.approx(want, rel=1e-15)
+    want = math.ldexp(deviation_ladder(g, [0.5], 1, 2.0, None)[0], 900)
+    assert deviation_ladder(big, [0.5], 1, 2.0, None)[0] == pytest.approx(want, rel=1e-15)
 
 
 def test_m_p_on_single_shell():
@@ -336,10 +332,9 @@ def test_m_p_on_single_shell():
 
 def test_deviation_grid_matches_spectral():
     f = _random_f(6, degree=8)
-    params = SummationParams(0.45, 3)
     grid = make_grid(64)
-    assert deviation_norm(f, params, 2.0, grid) == pytest.approx(
-        deviation_norm(f, params, 2.0, None), abs=1e-10
+    assert deviation_ladder(f, [0.45], 3, 2.0, grid)[0] == pytest.approx(
+        deviation_ladder(f, [0.45], 3, 2.0, None)[0], abs=1e-10
     )
 
 
@@ -380,7 +375,7 @@ def test_remainder_integral_matches_deviation():
     params = SummationParams(0.35, 2)
     grid = make_grid(48)
     got = remainder_integral_norm(f, params, 2.0, grid)
-    want = deviation_norm(f, params, 2.0, grid)
+    (want,) = deviation_ladder(f, [0.35], 2, 2.0, grid)
     assert got == pytest.approx(want, abs=1e-8)
 
 
@@ -389,26 +384,41 @@ def test_remainder_integral_validation():
     grid = make_grid(32)
     with pytest.raises(ValueError):
         remainder_integral_norm(f, SummationParams(0.5, 1), 2.0, grid)
-    with pytest.raises(ValueError):
-        remainder_integral_norm(
-            f, SummationParams(0.5, 2), 2.0, grid, zeta_nodes=8
-        )
 
 
-def test_remainder_integral_exact_shells_only():
-    # N Gauss-Legendre nodes are exact up to shell 2N and refuse above it
+def _recorded_node_counts(monkeypatch):
+    """Node counts of every Gauss-Legendre rule built from now on."""
+    counts = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(
+        np.polynomial.legendre, "leggauss", lambda deg: counts.append(deg) or leggauss(deg)
+    )
+    return counts
+
+
+def test_remainder_integral_exact_shells_only(monkeypatch):
+    # N Gauss-Legendre nodes are exact up to shell 2N; N is at least 64
+    counts = _recorded_node_counts(monkeypatch)
     params = SummationParams(0.5, 2)
     grid = make_grid(16)
-    edge = basis_family(32).function
-    got = remainder_integral_norm(edge, params, 2.0, grid, zeta_nodes=16)
-    assert got == pytest.approx(lambda_complement(32, 2, 0.5), rel=1e-12)
-    with pytest.raises(ValueError, match="shell 40"):
-        remainder_integral_norm(
-            basis_family(40).function, params, 2.0, grid, zeta_nodes=16
+    edge = basis_family(128).function
+    got = remainder_integral_norm(edge, params, 2.0, grid)
+    assert got == pytest.approx(lambda_shells(np.array([128]), 2, 0.5)[1][0], rel=1e-12)
+    # an exact zero stored on shell 400 carries no shell, and takes no more nodes
+    padded = SpectralFunction(edge.items() + [(HexIndex(400, -400, 0), 0.0)])
+    assert remainder_integral_norm(padded, params, 2.0, grid) == got
+    assert counts == [64, 64]
+
+
+def test_remainder_integral_nodes_follow_the_top_shell(monkeypatch):
+    # ceil(200 / 2) = 100 nodes for one coefficient on shell 200
+    counts = _recorded_node_counts(monkeypatch)
+    for r, rho in ((2, 0.5), (3, 0.9), (5, 0.97)):
+        got = remainder_integral_norm(
+            basis_family(200).function, SummationParams(rho, r), 2.0, make_grid(16)
         )
-    # an exact zero stored on shell 40 carries no shell
-    padded = SpectralFunction(edge.items() + [(HexIndex(40, -40, 0), 0.0)])
-    assert remainder_integral_norm(padded, params, 2.0, grid, zeta_nodes=16) == got
+        assert got == pytest.approx(lambda_shells(np.array([200]), r, rho)[1][0], abs=1e-12)
+    assert counts == [100] * 3
 
 
 # ------------------------------------------------------------- K-functional
@@ -480,7 +490,7 @@ def _kfun_by_candidates(f, delta, n, p, grid):
     for j in range(-2, 3):
         zeta = 1.0 - delta * 2.0**j
         if 0.0 <= zeta < 1.0:
-            lam, comp = _lambda_shells(shells, n, zeta)
+            lam, comp = lambda_shells(shells, n, zeta)
             candidates.append((f"mean(zeta={zeta:.17g})", comp, perm * lam))
     for m in shells.tolist():
         candidates.append((f"partial_sum({m})", (shells > m) * 1.0, perm * (shells <= m)))
@@ -521,7 +531,7 @@ def test_kfun_ladder_equals_one_point_views_and_candidate_scan(f, deltas, n, p, 
         assert (est.upper, est.lower_proxy, est.argmin_candidate) == want
     rhos = [1.0 - delta for delta in deltas]
     devs = deviation_ladder(f, rhos, n, p, grid)
-    assert devs == [deviation_norm(f, SummationParams(rho, n), p, grid) for rho in rhos]
+    assert devs == [deviation_ladder(f, [rho], n, p, grid)[0] for rho in rhos]
 
 
 def _hard_sums(seed):
