@@ -37,7 +37,6 @@ from .kernels import (
 )
 from .means import (
     KfunEstimate,
-    SummationParams,
     apply_operator,
     apply_operator_derivative_form,
     lambda_shells,
@@ -86,7 +85,6 @@ __all__ = [
     "product_integral",
     "series_tail_bound",
     "KfunEstimate",
-    "SummationParams",
     "apply_operator",
     "apply_operator_derivative_form",
     "lambda_shells",

@@ -16,11 +16,15 @@ Each sweep family ends in a summary row whose status is ok (rates: or
 exact-zero) or names the problem; non-finite marks an inf or nan
 deviation, upper or lower_proxy and always fails an assertion.
 
+Each command reads the keys COMMANDS lists for it, plus out, format and
+config; a flag or config-file key it does not read is rejected.
+
 Exit codes: 0 all assertions pass; 1 an assertion failed (the report is
 still written); 2 the run was rejected, with one "error: ..." line on
-stderr and no traceback: a bad flag or config value, an unreadable or
-invalid input or config file, a library ValueError or OverflowError,
-memory exhaustion, or a report that cannot be written.
+stderr and no traceback: a bad flag or config value, a flag or key the
+command does not read, an unreadable or invalid input or config file, a
+library ValueError or OverflowError, memory exhaustion, or a report that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -53,8 +57,6 @@ from .kernels import (
 )
 from .means import deviation_ladder, kfun_ladder
 from .verify import CheckResult, run_all_checks
-
-COMMANDS = ("verify", "kernel", "bernstein", "approximate", "rates", "kfun")
 
 #: largest rho-kmax of the kernel command, whose series cutoff grows like
 #: k 2^k: 5068 terms at k = 7, 40685 at k = 10
@@ -206,16 +208,21 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 
 def build_config(ns: argparse.Namespace) -> ExperimentConfig:
-    """Defaults, then config-file keys, then flags; each in _OPTIONS order."""
+    """Defaults, then config-file keys, then flags; each in _OPTIONS order.
+    A key the command does not read is rejected, from the file or as a flag."""
     cfg = ExperimentConfig(command=ns.command)
     doc = {} if ns.config is None else _load_config_file(ns.config)
+    flags = {key: getattr(ns, key.replace("-", "_")) for key in _OPTIONS}
+    reads = COMMANDS[ns.command][1] + ("out", "format")
+    for key in _OPTIONS:
+        if key not in reads and (key in doc or flags[key] is not None):
+            raise ConfigError(f"{ns.command} does not read --{key}")
     for key, (field, coerce) in _OPTIONS.items():
         if key in doc:  # a JSON null is coerced, and rejected, like any value
             cfg = replace(cfg, **{field: coerce(key, doc[key])})
     for key, (field, coerce) in _OPTIONS.items():
-        value = getattr(ns, key.replace("-", "_"))
-        if value is not None:
-            cfg = replace(cfg, **{field: coerce(key, value)})
+        if flags[key] is not None:
+            cfg = replace(cfg, **{field: coerce(key, flags[key])})
     validate_config(cfg)
     return cfg
 
@@ -546,13 +553,14 @@ def run_kfun(cfg: ExperimentConfig):
     return rows, assertions
 
 
-_RUNNERS = {
-    "verify": run_verify,
-    "kernel": run_kernel,
-    "bernstein": run_bernstein,
-    "approximate": run_approximate,
-    "rates": run_rates,
-    "kfun": run_kfun,
+#: command -> (runner, the _OPTIONS keys it reads besides out and format)
+COMMANDS = {
+    "verify": (run_verify, ("seed", "input")),
+    "kernel": (run_kernel, ("rho-kmin", "rho-kmax", "grid", "seed")),
+    "bernstein": (run_bernstein, ("rho-kmin", "rho-kmax", "r", "grid")),
+    "approximate": (run_approximate, ("rho-kmin", "rho-kmax", "r", "p", "grid", "input")),
+    "rates": (run_rates, ("rho-kmin", "rho-kmax", "r", "p", "input")),
+    "kfun": (run_kfun, ("rho-kmin", "rho-kmax", "n", "p", "grid", "input")),
 }
 
 
@@ -656,7 +664,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = build_config(ns)
-        rows, assertions = _RUNNERS[cfg.command](cfg)
+        rows, assertions = COMMANDS[cfg.command][0](cfg)
     except SpectralFormatError as exc:
         print(f"error: invalid spectral input: {exc}", file=sys.stderr)
         return 2

@@ -84,28 +84,22 @@ def basis_family(nu: int) -> FamilySpec:
     return FamilySpec(f"basis(nu={nu})", f, 0.0)
 
 
-def random_spectrum(
-    max_degree: int,
-    rng: np.random.Generator,
-    real_symmetric: bool = True,
-) -> SpectralFunction:
-    """Random coefficients on every frequency up to max_degree, of unit L2 norm.
+def random_spectrum(max_degree: int, rng: np.random.Generator) -> SpectralFunction:
+    """Random real-symmetric coefficients on every frequency up to max_degree, of
+    unit L2 norm.
 
-    With ``real_symmetric`` the negated-frequency coefficient is the
-    conjugate, so synthesized values are real.  Draw order is canonical (shell-major), so a seeded
-    generator reproduces the same spectrum.
+    The negated-frequency coefficient is the conjugate, so synthesized values
+    are real.  Draw order is canonical (shell-major), so a seeded generator
+    reproduces the same spectrum.
     """
     k1, k2, _ = frequency_arrays(max_degree)
-    if real_symmetric:
-        # one draw per (k1, k2) >= (-k1, -k2), the origin first and real; the
-        # conjugate goes on every negated frequency but the origin
-        half = (k1 > 0) | ((k1 == 0) & (k2 >= 0))
-        k1, k2 = k1[half], k2[half]
-        re, im = np.insert(rng.standard_normal(2 * k1.size - 1), 1, 0.0).reshape(-1, 2).T
-        k1, k2 = np.concatenate([k1, -k1[1:]]), np.concatenate([k2, -k2[1:]])
-        re, im = np.concatenate([re, re[1:]]), np.concatenate([im, -im[1:]])
-    else:
-        re, im = rng.standard_normal(2 * k1.size).reshape(-1, 2).T
+    # one draw per (k1, k2) >= (-k1, -k2), the origin first and real; the
+    # conjugate goes on every negated frequency but the origin
+    half = (k1 > 0) | ((k1 == 0) & (k2 >= 0))
+    k1, k2 = k1[half], k2[half]
+    re, im = np.insert(rng.standard_normal(2 * k1.size - 1), 1, 0.0).reshape(-1, 2).T
+    k1, k2 = np.concatenate([k1, -k1[1:]]), np.concatenate([k2, -k2[1:]])
+    re, im = np.concatenate([re, re[1:]]), np.concatenate([im, -im[1:]])
     norm = math.sqrt(math.fsum((re * re + im * im).tolist()))
     if norm > 0.0:
         re, im = re / norm, im / norm

@@ -31,9 +31,10 @@ from .lattice import HexIndex, fold_arrays, frequency_arrays
 
 TWO_PI_OVER_3 = 2.0 * math.pi / 3.0
 
-#: a grid with n samples per axis integrates degree-d polynomials exactly
-#: when n > 4 d; analyze() warns below this resolution
 def exactness_threshold(max_degree: int) -> int:
+    """Least grid resolution n > 4 max_degree: a grid with n samples per axis
+    integrates degree-d polynomials exactly when n > 4 d, and analyze() warns
+    below this resolution."""
     return 4 * max_degree + 1
 
 
@@ -289,14 +290,18 @@ class SpectralFunction:
         )
 
 
-def scale_shells(f: SpectralFunction, multiplier: Callable[[int], complex]) -> SpectralFunction:
-    """Apply a shell-dependent multiplier; entries scaled to exactly 0 drop.
+def scale_shells(
+    f: SpectralFunction, multipliers: Callable[[np.ndarray], np.ndarray]
+) -> SpectralFunction:
+    """Scale every coefficient of f by its shell's multiplier; entries scaled to
+    exactly 0 drop.
 
-    ``multiplier`` is called once per shell present in the support.
+    ``multipliers`` is called once, with the ascending int64 array of the
+    shells occupied in f, and returns one real or complex multiplier per shell.
     """
     k1, k2, shell, coeffs = f._support()
     shells, at = _shell_groups(shell)
-    m = np.array([multiplier(nu) for nu in shells.tolist()], dtype=complex)[at]
+    m = np.asarray(multipliers(shells), dtype=complex)[at]
     v = np.empty_like(coeffs)  # Python's complex product term by term; numpy's may fuse
     v.real = m.real * coeffs.real - m.imag * coeffs.imag
     v.imag = m.real * coeffs.imag + m.imag * coeffs.real

@@ -19,12 +19,15 @@ Below r they are exactly 1.0 and 0.0.  The same operator is sum_{k<r}
 implemented here too as an independent float path for cross-checking.
 
 Every mean, deviation, derivative norm and K-functional candidate is a
-shell multiplier applied to f.  One norm plan per (f, p, grid), from
-_norm_plan, turns multipliers into norms; it alone chooses between the
-exact L2 norm from shell masses and the grid p-norm, and the ladder
-functions build it once for all their radii or scales.  Deviations admit
-an exact integral representation integrating the r-th derivative of the
-Poisson integral against (1-zeta)^{r-1} from rho to 1.
+shell multiplier applied to f; rho and r are plain numbers throughout.
+Every operator is scale_shells(f, fn_of_shells), fn_of_shells mapping the
+array of f's occupied shells to their multipliers.  Every norm comes from
+_norm_plan: one plan per (f, p, grid) turns multipliers into norms; it
+alone chooses between the exact L2 norm from shell masses and the grid
+p-norm, and the ladder functions build it once for all their radii or
+scales.  Deviations admit an exact integral representation integrating
+the r-th derivative of the Poisson integral against (1-zeta)^{r-1} from
+rho to 1.
 """
 
 from __future__ import annotations
@@ -50,21 +53,14 @@ from .fourier import (
     scale_shells,
     synthesize,
 )
-from .kernels import hex_kernel_closed_values
+from .kernels import _check_rho, hex_kernel_closed_values
 
 
-@dataclass(frozen=True)
-class SummationParams:
-    """Order and radius of a Taylor-Abel-Poisson mean."""
-
-    rho: float
-    r: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.rho < 1.0:
-            raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
-        if self.r < 1:
-            raise ValueError(f"order r must be a positive integer, got {self.r}")
+def _check_mean(rho: float, r: int) -> None:
+    """Raise ValueError unless 0 <= rho < 1 and the order r is positive."""
+    _check_rho(rho)
+    if r < 1:
+        raise ValueError(f"order r must be positive, got {r}")
 
 
 # --------------------------------------------------------------------------
@@ -75,10 +71,7 @@ def lambda_shells(shells: np.ndarray, r: int, rho: float) -> tuple[np.ndarray, n
     """Shell multipliers lambda_{nu,r}(rho) = P[Bin(nu, 1-rho) <= r-1] at each of
     shells, and their complements P[Bin(nu, 1-rho) >= r]; both in [0, 1], each
     accurate down to underflow, and each row independent of the others."""
-    if r < 1:
-        raise ValueError("order r must be positive")
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"rho must lie in [0, 1), got {rho}")
+    _check_mean(rho, r)
     if shells.min(initial=0) < 0:
         raise ValueError("shell index must be nonnegative")
     lam, comp = np.ones(len(shells)), np.zeros(len(shells))
@@ -172,31 +165,20 @@ def _perm_shells(shells: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _scale_occupied(
-    f: SpectralFunction, multipliers: Callable[[np.ndarray], np.ndarray]
-) -> SpectralFunction:
-    """f with its occupied shells scaled by multipliers(occupied shells)."""
-    shells = _shell_groups(f._support()[2])[0]
-    mult = dict(zip(shells.tolist(), multipliers(shells).tolist()))
-    return scale_shells(f, mult.__getitem__)
-
-
 # --------------------------------------------------------------------------
 # operators
 # --------------------------------------------------------------------------
 
-def apply_operator(f: SpectralFunction, params: SummationParams) -> SpectralFunction:
+def apply_operator(f: SpectralFunction, rho: float, r: int) -> SpectralFunction:
     """A_{rho,r}(f): scale shell nu by lambda_{nu,r}(rho).
 
     Shells with multiplier exactly 1 pass through bitwise unchanged;
     rho=0 zeroes every shell nu >= r, leaving the partial sum S_{r-1}.
     """
-    return _scale_occupied(f, lambda shells: lambda_shells(shells, params.r, params.rho)[0])
+    return scale_shells(f, lambda shells: lambda_shells(shells, r, rho)[0])
 
 
-def apply_operator_derivative_form(
-    f: SpectralFunction, params: SummationParams
-) -> SpectralFunction:
+def apply_operator_derivative_form(f: SpectralFunction, rho: float, r: int) -> SpectralFunction:
     """A_{rho,r}(f) assembled from Poisson-integral derivatives.
 
     Realizes sum_{k<r} (1-rho)^k/k! * d^k/drho^k P(f)(rho, .) through the
@@ -204,7 +186,7 @@ def apply_operator_derivative_form(
     apply_operator; numerically an independent association of the same
     binomial terms (agreement within 1e-12 is a library contract).
     """
-    rho, r = params.rho, params.r
+    _check_mean(rho, r)
 
     def multiplier(nu: int) -> float:
         terms = []
@@ -214,21 +196,21 @@ def apply_operator_derivative_form(
             terms.append(outer * inner)
         return math.fsum(terms)
 
-    return scale_shells(f, multiplier)
+    return scale_shells(f, lambda shells: np.array([multiplier(nu) for nu in shells.tolist()]))
 
 
 def radial_derivative(f: SpectralFunction, n: int) -> SpectralFunction:
     """Order-n radial derivative: shell nu scaled by nu!/(nu-n)!, low shells dropped."""
     if n < 1:
         raise ValueError(f"derivative order must be positive, got {n}")
-    return _scale_occupied(f, lambda shells: _perm_shells(shells, n))
+    return scale_shells(f, lambda shells: _perm_shells(shells, n))
 
 
 def poisson_integral_spectral(f: SpectralFunction, rho: float) -> SpectralFunction:
-    """Poisson integral of f: shell nu scaled by rho^nu."""
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"rho must lie in [0, 1), got {rho}")
-    return scale_shells(f, lambda nu: rho**nu)
+    """Poisson integral of f: shell nu scaled by rho^nu, each a Python float power
+    (numpy's power of an array may round some differently)."""
+    _check_rho(rho)
+    return scale_shells(f, lambda shells: np.array([rho**nu for nu in shells.tolist()]))
 
 
 def poisson_integral_convolution(g, rho: float):
@@ -351,7 +333,7 @@ def deviation_ladder(
     when grid is None.  Formed with the complement multipliers, so there is
     no 1 - lambda cancellation."""
     for rho in rhos:
-        SummationParams(rho, r)  # raises ValueError on a bad rho or r
+        _check_mean(rho, r)
     shells, norm, _ = _norm_plan(f, p, grid)
     return [norm(lambda_shells(shells, r, rho)[1]) for rho in rhos]
 
@@ -366,10 +348,7 @@ def m_p(
     rho-derivative multipliers); exact L2 when grid is None, else on the
     grid.
     """
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"rho must lie in [0, 1), got {rho}")
-    if r < 1:
-        raise ValueError(f"order r must be positive, got {r}")
+    _check_mean(rho, r)
     shells, norm, _ = _norm_plan(f, p, grid)
     return norm(_perm_shells(shells, r) * rho**shells)
 
@@ -473,7 +452,7 @@ def remainder_coefficient_check(nu: int, r: int, rho: float) -> tuple[float, flo
 
 
 def remainder_integral_norm(
-    f: SpectralFunction, params: SummationParams, p: float, grid: HexGrid
+    f: SpectralFunction, rho: float, r: int, p: float, grid: HexGrid
 ) -> float:
     """||integral form of f - A_{rho,r}(f)||_p.
 
@@ -486,7 +465,7 @@ def remainder_integral_norm(
     coefficient.  Requires r >= 2 (at r = 1 the identity degenerates to
     the plain Poisson deviation).
     """
-    rho, r = params.rho, params.r
+    _check_rho(rho)
     if r < 2:
         raise ValueError(f"order r must be at least 2, got {r}")
     _, _, shell, coeffs = f._support()
@@ -503,5 +482,5 @@ def remainder_integral_norm(
         vals = wu * u ** (r - 1) * (1.0 - one * u) ** (nu - r)
         return prefactor * math.perm(nu, r) * math.fsum(vals.tolist())
 
-    remainder = scale_shells(f, multiplier)
+    remainder = scale_shells(f, lambda shells: np.array([multiplier(nu) for nu in shells.tolist()]))
     return lp_norm(synthesize(remainder, grid), p)

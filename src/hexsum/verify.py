@@ -46,7 +46,6 @@ from .lattice import (
     from_cartesian,
     to_cartesian,
 )
-from .means import SummationParams
 
 
 @dataclass
@@ -467,9 +466,8 @@ def check_operator_equivalence(rng) -> CheckResult:
         f = families.random_spectrum(10, rng)
         r = int(rng.integers(1, 5))
         for rho in (0.3, 0.7):
-            params = SummationParams(rho, r)
-            a = means.apply_operator(f, params)
-            b = means.apply_operator_derivative_form(f, params)
+            a = means.apply_operator(f, rho, r)
+            b = means.apply_operator_derivative_form(f, rho, r)
             worst = max(worst, max_coeff_diff(a, b))
     return _result("means.operator_equivalence", worst, 1e-12, "30 spectra, r <= 4")
 
@@ -479,7 +477,7 @@ def check_saturation(rng) -> CheckResult:
     bad = 0
     for r in (1, 2, 3):
         f = families.random_spectrum(r - 1, rng) if r > 1 else families.basis_family(0).function
-        out = means.apply_operator(f, SummationParams(0.6, r))
+        out = means.apply_operator(f, 0.6, r)
         bad += int(np.count_nonzero(_at_support(f, out) != f._support()[3]))
         for rho in (0.05, 0.5, 0.95):
             lam = means.lambda_shells(np.arange(r, r + 31), r, rho)[0]
@@ -525,8 +523,10 @@ def check_commutation(rng) -> CheckResult:
             a = means.poisson_integral_spectral(means.radial_derivative(f, n), rho)
             b = fourier.scale_shells(
                 f,
-                lambda nu: (rho**n)
-                * (math.perm(nu, n) * rho ** (nu - n) if nu >= n else 0.0),
+                lambda shells: np.array([
+                    (rho**n) * (math.perm(nu, n) * rho ** (nu - n) if nu >= n else 0.0)
+                    for nu in shells.tolist()
+                ]),
             )
             worst = max(worst, _relative_gap_on(a, b))
     return _result("means.commutation", worst, 1e-13, "n <= 4, two float paths")
@@ -576,8 +576,7 @@ def check_remainder_norm(rng) -> CheckResult:
     grid = make_grid(64)
     worst = 0.0
     for r, rho in ((2, 0.5), (3, 0.8)):
-        params = SummationParams(rho, r)
-        a = means.remainder_integral_norm(f, params, 2.0, grid)
+        a = means.remainder_integral_norm(f, rho, r, 2.0, grid)
         b = means.deviation_ladder(f, [rho], r, 2.0, grid)[0]
         worst = max(worst, abs(a - b))
     return _result("means.remainder_norm", worst, 1e-8, "64 nodes")

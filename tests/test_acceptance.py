@@ -36,7 +36,6 @@ from hexsum.kernels import (
 )
 from hexsum.lattice import frequency_arrays
 from hexsum.means import (
-    SummationParams,
     apply_operator,
     apply_operator_derivative_form,
     deviation_ladder,
@@ -185,9 +184,8 @@ def test_criterion_06_operator_forms_agree():
         r = int(rng.integers(1, 5))
         rho = float(rng.uniform(0.0, 0.99))
         f = random_spectrum(degree, rng)
-        params = SummationParams(rho, r)
         gap = max_coeff_diff(
-            apply_operator(f, params), apply_operator_derivative_form(f, params)
+            apply_operator(f, rho, r), apply_operator_derivative_form(f, rho, r)
         )
         worst = max(worst, gap)
     ok = worst <= 1e-12
@@ -229,7 +227,7 @@ def test_criterion_08_saturation():
     for r in (1, 2, 3, 4):
         f = random_spectrum(r - 1, rng)
         for rho in (0.3, 0.9):
-            g = apply_operator(f, SummationParams(rho, r))
+            g = apply_operator(f, rho, r)
             fixed_ok = fixed_ok and max_coeff_diff(f, g) == 0.0
     damped_ok = True
     for r in (1, 2, 3):
@@ -274,7 +272,7 @@ def test_criterion_10_poisson_convolution_oracle():
     start = time.perf_counter()
     f = polynomial_family(5).function
     norm = f.l2_norm()
-    f = scale_shells(f, lambda nu: 1.0 / norm)
+    f = scale_shells(f, lambda shells: np.full(len(shells), 1.0 / norm))
     grid = make_grid(48)
     direct = poisson_integral_convolution(synthesize(f, grid), 0.5)
     spectral = synthesize(poisson_integral_spectral(f, 0.5), grid)

@@ -5,7 +5,7 @@ import hexsum
 PUBLIC = [
     "BernsteinResult", "CheckResult", "FamilySpec", "GridFunction", "HexGrid", "HexIndex",
     "KfunEstimate", "ResolutionWarning", "SpectralFormatError", "SpectralFunction",
-    "SummationParams", "__version__", "analyze", "apply_operator",
+    "__version__", "analyze", "apply_operator",
     "apply_operator_derivative_form", "basis_family", "bernstein_integral", "builtin_families",
     "classical_kernel_deriv", "from_cartesian", "index_shell", "kernel_family", "lambda_shells",
     "load_spectral", "lp_norm", "m_p", "make_grid", "min_resolution", "pairwise_sum",
@@ -28,6 +28,7 @@ def test_public_names_resolve():
         "phi", "LATTICE", "HexPoint", "fold", "indices_up_to", "is_in_omega",
         "hex_kernel_closed", "hex_kernel_deriv", "deviation_l2_spectral", "kfun_estimate",
         "lambda_coeff", "lambda_complement", "deviation_norm", "auto_grid_size",
+        "SummationParams",
     ):
         assert gone not in hexsum.__all__
         assert not hasattr(hexsum, gone)
@@ -38,6 +39,7 @@ def test_public_names_resolve():
         (hexsum.means, (
             "deviation_l2_spectral", "kfun_estimate", "lambda_coeff", "lambda_complement",
             "deviation_norm", "_lambda_shells", "_check_multiplier_args",
+            "SummationParams", "_scale_occupied",
         )),
         (hexsum.SpectralFunction, ("coeff", "_coeffs")),
         (hexsum.HexIndex, ("degree", "negate")),
@@ -52,5 +54,6 @@ def test_keyword_options_no_caller_sets_are_gone():
         (hexsum.scale_shells, "max_degree"),
         (hexsum.SpectralFunction.is_real_symmetric, "tol"),
         (hexsum.random_spectrum, "normalize"),
+        (hexsum.random_spectrum, "real_symmetric"),
     ):
         assert name not in inspect.signature(fn).parameters, (fn.__name__, name)

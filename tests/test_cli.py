@@ -57,10 +57,10 @@ def test_config_defaults():
 
 def test_config_file_then_flags_precedence(tmp_path):
     conf = tmp_path / "conf.json"
-    conf.write_text(json.dumps({"rho-kmax": 3, "r": 2, "seed": 9}))
+    conf.write_text(json.dumps({"rho-kmax": 3, "r": 2, "grid": 48}))
     cfg = _cfg(["bernstein", "--config", str(conf), "--r", "4"])
     assert cfg.k_max == 3      # from file
-    assert cfg.seed == 9       # from file
+    assert cfg.grid_n == 48    # from file
     assert cfg.r == 4          # flag overrides file
 
 
@@ -422,6 +422,33 @@ def test_main_negative_seed_is_exit_2(tmp_path, monkeypatch, capsys, command):
     validate_config(ExperimentConfig(command, seed=0))
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("verify", "p", "3"),
+        ("kernel", "n", "2"),
+        ("bernstein", "input", "missing.json"),
+        ("approximate", "seed", "5"),
+        ("rates", "grid", "64"),
+        ("kfun", "r", "2"),
+    ],
+)
+def test_main_key_the_command_does_not_read_is_exit_2(
+    tmp_path, monkeypatch, capsys, command, key, value
+):
+    # a flag or config-file key the command would ignore is rejected, not dropped
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked on a rejected config"))
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({key: value}))
+    for argv in ([command, f"--{key}", value], [command, "--config", str(conf)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {command} does not read --{key}"]
+    assert not list(tmp_path.glob("*_report.*"))
+
+
 def test_main_kfun_delta_underflow_is_exit_2(tmp_path, monkeypatch, capsys):
     # delta = 2^-1075 underflows to 0.0; 2^-1074 is the smallest subnormal
     monkeypatch.chdir(tmp_path)
@@ -489,7 +516,7 @@ def test_main_exact_norm_sum_beyond_float_range(tmp_path, monkeypatch, command):
     coeffs = {(1, -1, 0): 1e154, (2, -1, -1): 1e154, (3, -1, -2): 3.0}
     inp = tmp_path / "wide.json"
     save_spectral(SpectralFunction(coeffs), inp)
-    rc, rows = _json_report(tmp_path, [command, "--n", "1", "--input", str(inp)])
+    rc, rows = _json_report(tmp_path, [command, "--input", str(inp)])  # r = n = 1
     assert rc == 0 and rows[-1]["status"] == "ok"
     if command == "kfun":
         # identity wins: upper = delta ||f^[1]||_2, f^[1] scaling shell nu by nu

@@ -11,9 +11,9 @@ from hexsum.families import (
     random_spectrum,
     shell_decay_family,
 )
-from hexsum.fourier import max_coeff_diff
+from hexsum.fourier import SpectralFunction, max_coeff_diff
 from hexsum.kernels import series_tail_bound
-from hexsum.lattice import index_shell
+from hexsum.lattice import frequency_arrays, index_shell
 
 
 def test_kernel_family_masses_and_tail():
@@ -88,7 +88,9 @@ def test_random_spectrum_properties():
     assert f.degree() == 8
     assert f.is_real_symmetric()
     assert f.l2_norm() == pytest.approx(1.0, rel=1e-12)
-    h = random_spectrum(4, np.random.default_rng(2), real_symmetric=False)
+    k1, k2, _ = frequency_arrays(4)
+    re, im = np.random.default_rng(2).standard_normal((2, k1.size))
+    h = SpectralFunction._from_arrays(k1, k2, -k1 - k2, re + 1j * im)
     assert not h.is_real_symmetric()
 
 

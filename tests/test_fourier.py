@@ -146,6 +146,16 @@ def _sample_spectrum(max_degree=4, seed=0):
     return SpectralFunction(coeffs)
 
 
+def _spectrum(max_degree, rng, real_symmetric):
+    """random_spectrum, or independent complex normals on every frequency up to
+    max_degree, built from arrays: a spectrum that is not real-symmetric."""
+    if real_symmetric:
+        return random_spectrum(max_degree, rng)
+    k1, k2, _ = frequency_arrays(max_degree)
+    re, im = rng.standard_normal((2, k1.size))
+    return SpectralFunction._from_arrays(k1, k2, -k1 - k2, re + 1j * im, max_degree)
+
+
 def test_spectral_function_validation():
     with pytest.raises(ValueError):
         SpectralFunction({(1, 1, 1): 1.0})
@@ -177,7 +187,7 @@ def test_support_size_leaves_lookup_dict_unbuilt():
 
 @pytest.mark.parametrize("real_symmetric", [True, False])
 def test_lookups_agree_between_constructors(real_symmetric):
-    f = random_spectrum(5, np.random.default_rng(4), real_symmetric)
+    f = _spectrum(5, np.random.default_rng(4), real_symmetric)
     coeffs = dict(f.items())
     by_init = SpectralFunction(coeffs)
     k1, k2, _, c = f._support()
@@ -218,31 +228,27 @@ def test_kernel_family_coefficients_bitwise():
     assert f.support_size == 1 + 3 * 64 * 65
 
 
-def _random_spectrum_oracle(max_degree, rng, real_symmetric):
+def _random_spectrum_oracle(max_degree, rng):
     """random_spectrum drawn one normal at a time, as a dict of coefficients."""
     coeffs = {}
     for k in (k for nu in range(max_degree + 1) for k in index_shell(nu)):
         neg = HexIndex(-k.k1, -k.k2, -k.k3)
-        if real_symmetric:
-            if (k.k1, k.k2) < (neg.k1, neg.k2):
-                continue
-            if k == neg:
-                coeffs[k] = complex(rng.standard_normal(), 0.0)
-            else:
-                c = complex(rng.standard_normal(), rng.standard_normal())
-                coeffs[k] = c
-                coeffs[neg] = c.conjugate()
+        if (k.k1, k.k2) < (neg.k1, neg.k2):
+            continue
+        if k == neg:
+            coeffs[k] = complex(rng.standard_normal(), 0.0)
         else:
-            coeffs[k] = complex(rng.standard_normal(), rng.standard_normal())
+            c = complex(rng.standard_normal(), rng.standard_normal())
+            coeffs[k] = c
+            coeffs[neg] = c.conjugate()
     norm = math.sqrt(math.fsum(c.real * c.real + c.imag * c.imag for c in coeffs.values()))
     return {k: c / norm for k, c in coeffs.items()}
 
 
-@pytest.mark.parametrize("real_symmetric", [True, False])
 @pytest.mark.parametrize("seed", [0, 7])
-def test_random_spectrum_matches_scalar_draws(seed, real_symmetric):
-    f = random_spectrum(12, np.random.default_rng(seed), real_symmetric)
-    want = _random_spectrum_oracle(12, np.random.default_rng(seed), real_symmetric)
+def test_random_spectrum_matches_scalar_draws(seed):
+    f = random_spectrum(12, np.random.default_rng(seed))
+    want = _random_spectrum_oracle(12, np.random.default_rng(seed))
     got = dict(f.items())
     assert got.keys() == want.keys()
     for k, c in want.items():
@@ -275,8 +281,9 @@ def test_is_real_symmetric():
 def test_scale_shells_drops_zeros():
     f = _sample_spectrum(3)
     calls = []
-    g = scale_shells(f, lambda nu: calls.append(nu) or (0.0 if nu == 2 else 1.0))
-    assert calls == [0, 1, 2, 3]  # once per shell, not per coefficient
+    g = scale_shells(f, lambda shells: calls.append(shells) or (shells != 2).astype(float))
+    assert len(calls) == 1  # once per call, with the occupied shells ascending
+    assert calls[0].dtype == np.int64 and calls[0].tolist() == [0, 1, 2, 3]
     assert g.support_size == f.support_size - len(index_shell(2))
     got = dict(g.items())
     for k, c in f.items():
@@ -294,7 +301,7 @@ def test_shell_groups_equal_unique_on_sorted_shells(shells):
 
 def test_truncate_and_subtract():
     f = _sample_spectrum(4)
-    g = scale_shells(f, lambda nu: float(nu <= 2))
+    g = scale_shells(f, lambda shells: (shells <= 2).astype(float))
     assert g.degree() == 2
     assert g.support_size == 1 + 3 * 2 * 3
     kept = dict(g.items())
@@ -733,7 +740,7 @@ def test_json_roundtrip_keeps_signed_zeros(tmp_path):
 @settings(max_examples=30, deadline=None)
 def test_shuffled_input_stores_the_canonical_arrays(seed, real_symmetric):
     rng = np.random.default_rng(seed)
-    f = random_spectrum(4, rng, real_symmetric)
+    f = _spectrum(4, rng, real_symmetric)
     k1, k2, _, c = f._support()
     perm = rng.permutation(len(k1))
     shuffled = SpectralFunction._from_arrays(k1[perm], k2[perm], -(k1 + k2)[perm], c[perm], 4)
@@ -752,7 +759,7 @@ def test_canonical_input_is_stored_without_a_sort(monkeypatch):
     monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(len(keys[0])) or lexsort(keys))
     assert _bits(spectral_from_json_dict(doc)) == _bits(f)
     assert analyze(synthesize(f, make_grid(24)), 5).support_size == f.support_size
-    assert scale_shells(f, lambda nu: 0.5**nu).support_size == f.support_size
+    assert scale_shells(f, lambda shells: 0.5**shells).support_size == f.support_size
     assert sorts == []
     doc["entries"].reverse()
     assert _bits(spectral_from_json_dict(doc)) == _bits(f)

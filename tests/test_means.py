@@ -25,7 +25,6 @@ from hexsum.kernels import hex_kernel_closed_values
 from hexsum.lattice import HexIndex, index_shell
 from hexsum.means import (
     KfunEstimate,
-    SummationParams,
     _norm_plan,
     _perm_shells,
     apply_operator,
@@ -198,13 +197,24 @@ def test_lambda_matches_exact_binomial_tails_wide():
 
 
 def test_summation_params_validation():
-    SummationParams(0.0, 1)
-    with pytest.raises(ValueError):
-        SummationParams(1.0, 1)
-    with pytest.raises(ValueError):
-        SummationParams(-0.2, 1)
-    with pytest.raises(ValueError):
-        SummationParams(0.5, 0)
+    # every function of (rho, r) rejects rho outside [0, 1) and r < 1 alike
+    f = _random_f(0, degree=2)
+    calls = (
+        lambda rho, r: apply_operator(f, rho, r),
+        lambda rho, r: apply_operator_derivative_form(f, rho, r),
+        lambda rho, r: deviation_ladder(f, [rho], r, 2.0, None),
+        lambda rho, r: m_p(f, rho, r, 2.0, None),
+    )
+    for call in calls:
+        call(0.0, 1)
+        for rho, r, message in (
+            (1.0, 1, "rho must lie in [0, 1), got 1.0"),
+            (-0.2, 1, "rho must lie in [0, 1), got -0.2"),
+            (0.5, 0, "order r must be positive, got 0"),
+        ):
+            with pytest.raises(ValueError) as error:
+                call(rho, r)
+            assert str(error.value) == message
 
 
 # ------------------------------------------------------------------ operators
@@ -217,13 +227,13 @@ def _random_f(seed, degree=6):
 def test_operator_at_rho_zero_is_partial_sum():
     f = _random_f(1)
     for r in (1, 3):
-        g = apply_operator(f, SummationParams(0.0, r))
-        assert max_coeff_diff(g, scale_shells(f, lambda nu: float(nu < r))) == 0.0
+        g = apply_operator(f, 0.0, r)
+        assert max_coeff_diff(g, scale_shells(f, lambda shells: (shells < r).astype(float))) == 0.0
 
 
 def test_operator_fixes_low_degree_exactly():
     f = _random_f(2, degree=2)
-    g = apply_operator(f, SummationParams(0.7, 3))
+    g = apply_operator(f, 0.7, 3)
     # degree(f) = 2 < r = 3, so every multiplier is exactly 1
     assert g.items() == f.items()
 
@@ -232,19 +242,56 @@ def test_operator_fixes_low_degree_exactly():
 @settings(max_examples=25, deadline=None)
 def test_operator_forms_agree(seed):
     f = _random_f(seed)
-    params = SummationParams(0.55, 3)
-    a = apply_operator(f, params)
-    b = apply_operator_derivative_form(f, params)
+    a = apply_operator(f, 0.55, 3)
+    b = apply_operator_derivative_form(f, 0.55, 3)
     assert max_coeff_diff(a, b) < 1e-12
 
 
 def test_operator_damps_strictly():
     f = _random_f(3)
-    params = SummationParams(0.4, 2)
-    g = dict(apply_operator(f, params).items())
+    g = dict(apply_operator(f, 0.4, 2).items())
     for k, c in f.items():
         if max(map(abs, k.as_tuple())) >= 2:
             assert abs(g.get(k, 0.0)) < abs(c)
+
+
+def _scalar_scaled(f, multiplier):
+    """The per-shell scalar path: the coefficient c on shell nu becomes
+    complex(multiplier(nu)) * c, Python's complex product, and exact zeros drop."""
+    k1, k2, shell, coeffs = f._support()
+    kept = []
+    for a, b, nu, c in zip(k1.tolist(), k2.tolist(), shell.tolist(), coeffs.tolist()):
+        v = complex(multiplier(nu)) * c
+        if v != 0:
+            kept.append(((a, b, -a - b), v))
+    return SpectralFunction(kept, f.max_degree)
+
+
+def _derivative_form_multiplier(nu, rho, r):
+    return math.fsum(
+        (1.0 - rho) ** k / math.factorial(k) * (math.perm(nu, k) * rho ** (nu - k))
+        for k in range(min(r - 1, nu) + 1)
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_operators_match_the_scalar_path_bitwise(seed):
+    f = _random_f(seed, degree=10)
+    for rho, r in ((0.0, 2), (0.3, 1), (0.7, 3), (0.95, 4)):
+        pairs = (
+            (apply_operator(f, rho, r),
+             lambda nu: lambda_shells(np.array([nu]), r, rho)[0][0]),
+            (apply_operator_derivative_form(f, rho, r),
+             lambda nu: _derivative_form_multiplier(nu, rho, r)),
+            (radial_derivative(f, r),
+             lambda nu: float(math.perm(nu, r)) if nu >= r else 0.0),
+            (poisson_integral_spectral(f, rho), lambda nu: rho**nu),
+        )
+        for got, multiplier in pairs:
+            want = _scalar_scaled(f, multiplier)
+            for a, b in zip(got._support(), want._support()):
+                assert np.array_equal(a, b), (rho, r)
+            assert got.max_degree == want.max_degree
 
 
 def test_radial_derivative():
@@ -372,9 +419,8 @@ def test_remainder_coefficient_validation():
 
 def test_remainder_integral_matches_deviation():
     f = _random_f(7, degree=6)
-    params = SummationParams(0.35, 2)
     grid = make_grid(48)
-    got = remainder_integral_norm(f, params, 2.0, grid)
+    got = remainder_integral_norm(f, 0.35, 2, 2.0, grid)
     (want,) = deviation_ladder(f, [0.35], 2, 2.0, grid)
     assert got == pytest.approx(want, abs=1e-8)
 
@@ -383,7 +429,9 @@ def test_remainder_integral_validation():
     f = _random_f(8, degree=3)
     grid = make_grid(32)
     with pytest.raises(ValueError):
-        remainder_integral_norm(f, SummationParams(0.5, 1), 2.0, grid)
+        remainder_integral_norm(f, 0.5, 1, 2.0, grid)
+    with pytest.raises(ValueError):
+        remainder_integral_norm(f, 1.0, 2, 2.0, grid)
 
 
 def _recorded_node_counts(monkeypatch):
@@ -399,14 +447,13 @@ def _recorded_node_counts(monkeypatch):
 def test_remainder_integral_exact_shells_only(monkeypatch):
     # N Gauss-Legendre nodes are exact up to shell 2N; N is at least 64
     counts = _recorded_node_counts(monkeypatch)
-    params = SummationParams(0.5, 2)
     grid = make_grid(16)
     edge = basis_family(128).function
-    got = remainder_integral_norm(edge, params, 2.0, grid)
+    got = remainder_integral_norm(edge, 0.5, 2, 2.0, grid)
     assert got == pytest.approx(lambda_shells(np.array([128]), 2, 0.5)[1][0], rel=1e-12)
     # an exact zero stored on shell 400 carries no shell, and takes no more nodes
     padded = SpectralFunction(edge.items() + [(HexIndex(400, -400, 0), 0.0)])
-    assert remainder_integral_norm(padded, params, 2.0, grid) == got
+    assert remainder_integral_norm(padded, 0.5, 2, 2.0, grid) == got
     assert counts == [64, 64]
 
 
@@ -415,7 +462,7 @@ def test_remainder_integral_nodes_follow_the_top_shell(monkeypatch):
     counts = _recorded_node_counts(monkeypatch)
     for r, rho in ((2, 0.5), (3, 0.9), (5, 0.97)):
         got = remainder_integral_norm(
-            basis_family(200).function, SummationParams(rho, r), 2.0, make_grid(16)
+            basis_family(200).function, rho, r, 2.0, make_grid(16)
         )
         assert got == pytest.approx(lambda_shells(np.array([200]), r, rho)[1][0], abs=1e-12)
     assert counts == [100] * 3
