@@ -7,7 +7,6 @@ their deviation and K-functional machinery, and a CLI experiment driver.
 """
 
 from .lattice import (
-    HexIndex,
     from_cartesian,
     index_shell,
     to_cartesian,
@@ -61,7 +60,6 @@ from .verify import CheckResult, run_all_checks
 __version__ = "0.1.0"
 
 __all__ = [
-    "HexIndex",
     "from_cartesian",
     "index_shell",
     "to_cartesian",

@@ -16,15 +16,17 @@ Each sweep family ends in a summary row whose status is ok (rates: or
 exact-zero) or names the problem; non-finite marks an inf or nan
 deviation, upper or lower_proxy and always fails an assertion.
 
-Each command reads the keys COMMANDS lists for it, plus out, format and
-config; a flag or config-file key it does not read is rejected.
+_OPTIONS declares every option once: its --flag, its config-file key,
+and one coercion that reads a JSON value or its command-line spelling
+alike.  Each command reads the keys COMMANDS lists for it, plus out,
+format and config; a flag or config-file key it does not read is rejected.
 
-Exit codes: 0 all assertions pass; 1 an assertion failed (the report is
-still written); 2 the run was rejected, with one "error: ..." line on
-stderr and no traceback: a bad flag or config value, a flag or key the
-command does not read, an unreadable or invalid input or config file, a
-library ValueError or OverflowError, memory exhaustion, or a report that
-cannot be written.
+Exit codes: 0 all assertions pass (or --help); 1 an assertion failed (the
+report is still written); 2 the run was rejected, with one "error: ..."
+line on stderr, no usage block and no traceback: an unknown command or
+flag, a bad flag or config value, a flag or key the command does not
+read, an unreadable or invalid input or config file, a library ValueError
+or OverflowError, memory exhaustion, or a report that cannot be written.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import json
 import locale  # noqa: F401 - argparse's gettext imports it on every parser build
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -90,59 +92,56 @@ class ExperimentConfig:
     seed: int = 0
 
 
-def _coerce_int(key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
+def _parse(key: str, value, types, parse, what: str):
+    """value if it has one of types; a string is first parsed with parse,
+    so a JSON value and its command-line spelling are read alike."""
+    if isinstance(value, str):
+        try:
+            value = parse(value)
+        except ValueError:
+            raise ConfigError(f"{key} must be {what}, got {value!r}") from None
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
     return value
 
 
+def _coerce_int(key: str, value) -> int:
+    return _parse(key, value, int, int, "an integer")
+
+
 def _coerce_p(key: str, value) -> float:
-    if isinstance(value, str):
-        if value.strip().lower() == "inf":
-            return math.inf
-        try:
-            value = float(value)
-        except ValueError:
-            raise ConfigError(f"p must be a number or 'inf', got {value!r}") from None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"p must be a number or 'inf', got {value!r}")
-    p = float(value)
+    p = float(_parse(key, value, (int, float), float, "a number or 'inf'"))
     if not p >= 1.0:
         raise ConfigError(f"p must satisfy p >= 1, got {p}")
     return p
 
 
 def _coerce_grid(key: str, value) -> int | str:
-    if isinstance(value, str):
-        if value.strip().lower() == "auto":
-            return "auto"
-        try:
-            value = int(value)
-        except ValueError:
-            raise ConfigError(f"grid must be an integer or 'auto', got {value!r}") from None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"grid must be an integer or 'auto', got {value!r}")
-    if value < 4:
-        raise ConfigError(f"grid resolution must be at least 4, got {value}")
-    return value
+    if isinstance(value, str) and value.strip().lower() == "auto":
+        return "auto"
+    n = _parse(key, value, int, int, "an integer or 'auto'")
+    if n < 4:
+        raise ConfigError(f"grid resolution must be at least 4, got {n}")
+    return n
 
 
 def _coerce_str(key: str, value) -> str:
-    return str(value)
+    return _parse(key, value, str, str, "a string")
 
 
-#: config-file key (and flag name) -> (ExperimentConfig field, coercion)
+#: every option, as config-file key and as flag --key -> (ExperimentConfig
+#: field, coercion of a JSON value or a command-line string, metavar, help)
 _OPTIONS = {
-    "rho-kmin": ("k_min", _coerce_int),
-    "rho-kmax": ("k_max", _coerce_int),
-    "r": ("r", _coerce_int),
-    "n": ("n", _coerce_int),
-    "p": ("p", _coerce_p),
-    "grid": ("grid_n", _coerce_grid),
-    "input": ("input_path", _coerce_str),
-    "out": ("output_path", _coerce_str),
-    "format": ("fmt", _coerce_str),
-    "seed": ("seed", _coerce_int),
+    "rho-kmin": ("k_min", _coerce_int, "K", "ladder start: rho = 1 - 2^-K (default 1)"),
+    "rho-kmax": ("k_max", _coerce_int, "K", "ladder end (default 7)"),
+    "r": ("r", _coerce_int, "R", "derivative / mean order (default 1)"),
+    "n": ("n", _coerce_int, "N", "K-functional order for kfun (default 1)"),
+    "p": ("p", _coerce_p, "P", "norm order, a number or 'inf' (default 2)"),
+    "grid": ("grid_n", _coerce_grid, "N|auto", "grid resolution (default auto)"),
+    "input": ("input_path", _coerce_str, "PATH", "spectral-function JSON input"),
+    "out": ("output_path", _coerce_str, "PATH", "report path (default <command>_report.<format>)"),
+    "format": ("fmt", _coerce_str, "csv|json", "report format (default csv)"),
+    "seed": ("seed", _coerce_int, "SEED", "seed for randomized checks (default 0)"),
 }
 
 
@@ -208,21 +207,21 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 
 def build_config(ns: argparse.Namespace) -> ExperimentConfig:
-    """Defaults, then config-file keys, then flags; each in _OPTIONS order.
+    """Defaults, then config-file keys, then flags, merged into one dict;
+    every value is coerced as it is read, each source in _OPTIONS order.
     A key the command does not read is rejected, from the file or as a flag."""
-    cfg = ExperimentConfig(command=ns.command)
     doc = {} if ns.config is None else _load_config_file(ns.config)
-    flags = {key: getattr(ns, key.replace("-", "_")) for key in _OPTIONS}
+    flags = {key: value for key, value in vars(ns).items() if key in _OPTIONS and value is not None}
     reads = COMMANDS[ns.command][1] + ("out", "format")
     for key in _OPTIONS:
-        if key not in reads and (key in doc or flags[key] is not None):
+        if key not in reads and (key in doc or key in flags):
             raise ConfigError(f"{ns.command} does not read --{key}")
-    for key, (field, coerce) in _OPTIONS.items():
-        if key in doc:  # a JSON null is coerced, and rejected, like any value
-            cfg = replace(cfg, **{field: coerce(key, doc[key])})
-    for key, (field, coerce) in _OPTIONS.items():
-        if flags[key] is not None:
-            cfg = replace(cfg, **{field: coerce(key, flags[key])})
+    values = {}
+    for source in (doc, flags):
+        for key, (field, coerce, _, _) in _OPTIONS.items():
+            if key in source:  # a JSON null is coerced, and rejected, like any value
+                values[field] = coerce(key, source[key])
+    cfg = ExperimentConfig(ns.command, **values)
     validate_config(cfg)
     return cfg
 
@@ -625,58 +624,50 @@ def write_report(cfg: ExperimentConfig, rows: list[dict]) -> str:
 # entry points
 # --------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's rejections as ConfigError, so that they leave
+    through main's exit-2 handler as one line, not as a usage block."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hexsum",
         description="Verification suites and sweep experiments for hexagonal "
         "Fourier summation.",
     )
     parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--rho-kmin", type=int, default=None, metavar="K",
-                        help="ladder start: rho = 1 - 2^-K (default 1)")
-    parser.add_argument("--rho-kmax", type=int, default=None, metavar="K",
-                        help="ladder end (default 7)")
-    parser.add_argument("--r", type=int, default=None,
-                        help="derivative / mean order (default 1)")
-    parser.add_argument("--n", type=int, default=None,
-                        help="K-functional order for kfun (default 1)")
-    parser.add_argument("--p", type=str, default=None,
-                        help="norm order, a number or 'inf' (default 2)")
-    parser.add_argument("--grid", type=str, default=None, metavar="N|auto",
-                        help="grid resolution (default auto)")
-    parser.add_argument("--input", type=str, default=None, metavar="PATH",
-                        help="spectral-function JSON input")
-    parser.add_argument("--out", type=str, default=None, metavar="PATH",
-                        help="report path (default <command>_report.<format>)")
-    parser.add_argument("--format", type=str, default=None, choices=("csv", "json"))
-    parser.add_argument("--config", type=str, default=None, metavar="PATH",
-                        help="JSON config file with flag-style keys")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized checks (default 0)")
+    for key, (_, _, metavar, text) in _OPTIONS.items():
+        parser.add_argument(f"--{key}", dest=key, metavar=metavar, help=text)
+    parser.add_argument("--config", metavar="PATH",
+                        help="JSON config file whose keys are the options above")
     return parser
 
 
+def _reject(message: str) -> int:
+    """Print a rejected run's one stderr line, even if the message holds a
+    line break (a flag or a path may), and return exit code 2."""
+    print("error: " + " ".join(message.splitlines()), file=sys.stderr)
+    return 2
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        cfg = build_config(ns)
+        cfg = build_config(_build_parser().parse_args(argv))
         rows, assertions = COMMANDS[cfg.command][0](cfg)
+    except SystemExit as exc:  # --help; argparse's rejections raise ConfigError
+        return int(exc.code or 0)
     except SpectralFormatError as exc:
-        print(f"error: invalid spectral input: {exc}", file=sys.stderr)
-        return 2
+        return _reject(f"invalid spectral input: {exc}")
     except (ConfigError, OSError, ValueError, OverflowError, MemoryError) as exc:
         # the run cannot produce a report; exit 1 is kept for failed assertions
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return 2
+        return _reject(str(exc) or type(exc).__name__)
     try:
         path = write_report(cfg, rows)
     except OSError as exc:
-        print(f"error: cannot write report: {exc}", file=sys.stderr)
-        return 2
+        return _reject(f"cannot write report: {exc}")
     failed = 0
     for label, ok in assertions:
         print(("PASS" if ok else "FAIL") + f": {label}")

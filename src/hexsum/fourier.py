@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 import numpy.fft  # noqa: F401 - loaded with the module, not on first use
 
-from .lattice import HexIndex, fold_arrays, frequency_arrays
+from .lattice import fold_arrays, frequency_arrays
 
 TWO_PI_OVER_3 = 2.0 * math.pi / 3.0
 
@@ -175,6 +175,17 @@ def _shell_groups(shell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return shell[start], np.cumsum(start) - 1
 
 
+class _Key(tuple):
+    """A (k1, k2, k3) key of SpectralFunction.items(): a tuple that also has
+    as_tuple(), which the benchmark's round-trip step (perfbench/worker.py)
+    calls on each key."""
+
+    __slots__ = ()
+
+    def as_tuple(self) -> tuple[int, int, int]:
+        return tuple(self)
+
+
 class SpectralFunction:
     """Finite map from zero-sum frequency triples to coefficients.
 
@@ -192,12 +203,11 @@ class SpectralFunction:
 
     def __init__(
         self,
-        coeffs: Mapping[HexIndex | tuple[int, int, int], complex] | Iterable,
+        coeffs: Mapping[tuple[int, int, int], complex] | Iterable,
         max_degree: int | None = None,
     ):
         items = list(coeffs.items() if hasattr(coeffs, "items") else coeffs)
-        keys = [k.as_tuple() if isinstance(k, HexIndex) else tuple(k) for k, _ in items]
-        k1, k2, k3 = np.array(keys, dtype=np.int64).reshape(-1, 3).T
+        k1, k2, k3 = np.array([k for k, _ in items], dtype=np.int64).reshape(-1, 3).T
         self._set_support(k1, k2, k3, [complex(c) for _, c in items], max_degree)
 
     @classmethod
@@ -246,11 +256,12 @@ class SpectralFunction:
         """Read-only k1, k2, shell and coefficient arrays in canonical order."""
         return self._arrays
 
-    def items(self) -> list[tuple[HexIndex, complex]]:
-        """Coefficients in canonical (shell-major, lexicographic) order."""
+    def items(self) -> list[tuple[tuple[int, int, int], complex]]:
+        """(k1, k2, k3) keys and coefficients in canonical (shell-major,
+        lexicographic) order."""
         k1, k2, _, coeffs = self._support()
         return [
-            (HexIndex(a, b, -a - b), c)
+            (_Key((a, b, -a - b)), c)
             for a, b, c in zip(k1.tolist(), k2.tolist(), coeffs.tolist())
         ]
 

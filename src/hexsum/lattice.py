@@ -2,8 +2,8 @@
 
 Points are triples t = (t1, t2, t3) with t1 + t2 + t3 = 0 and frequencies
 are integer triples with the same zero-sum constraint, both handled as
-coordinate arrays (HexIndex and index_shell are per-entry views of
-frequency_arrays).  The fundamental domain
+coordinate arrays (index_shell is a per-entry view of frequency_arrays,
+as (k1, k2, k3) tuples).  The fundamental domain
 
     Omega = {t : -1 <= t1 < 1, -1 <= t2 < 1, -1 < t3 <= 1}
 
@@ -17,7 +17,6 @@ matrix H = [[sqrt(3), 0], [-1, 2]], with area element dx = (2 sqrt(3)/3) dt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,25 +29,6 @@ OMEGA_AREA = 3.0
 # onto Omega.  Exactly one of them applies to any given point; this is the
 # tiling property and is asserted by the test suite.
 _OMEGA_SHIFTS = ((0, 0), (1, 1), (3, 0), (4, 1))
-
-
-@dataclass(frozen=True, order=True)
-class HexIndex:
-    """Integer frequency triple with k1 + k2 + k3 = 0."""
-
-    k1: int
-    k2: int
-    k3: int
-
-    def __post_init__(self) -> None:
-        if self.k1 + self.k2 + self.k3 != 0:
-            raise ValueError(
-                "frequency triple must sum to 0, got "
-                f"({self.k1}, {self.k2}, {self.k3})"
-            )
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.k1, self.k2, self.k3)
 
 
 def from_cartesian(x1, x2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -138,7 +118,7 @@ def frequency_arrays(
     return k1, k2, shell
 
 
-def index_shell(nu: int) -> list[HexIndex]:
+def index_shell(nu: int) -> list[tuple[int, int, int]]:
     """All frequencies of degree exactly nu, in lexicographic (k1, k2) order.
 
     The shell has 6 * nu elements for nu >= 1 and a single element for
@@ -147,4 +127,4 @@ def index_shell(nu: int) -> list[HexIndex]:
     if nu < 0:
         raise ValueError(f"shell number must be nonnegative, got {nu}")
     k1, k2, _ = frequency_arrays(nu, nu)
-    return [HexIndex(a, b, -a - b) for a, b in zip(k1.tolist(), k2.tolist())]
+    return [(a, b, -a - b) for a, b in zip(k1.tolist(), k2.tolist())]

@@ -3,7 +3,7 @@ import inspect
 import hexsum
 
 PUBLIC = [
-    "BernsteinResult", "CheckResult", "FamilySpec", "GridFunction", "HexGrid", "HexIndex",
+    "BernsteinResult", "CheckResult", "FamilySpec", "GridFunction", "HexGrid",
     "KfunEstimate", "ResolutionWarning", "SpectralFormatError", "SpectralFunction",
     "__version__", "analyze", "apply_operator",
     "apply_operator_derivative_form", "basis_family", "bernstein_integral", "builtin_families",
@@ -28,13 +28,13 @@ def test_public_names_resolve():
         "phi", "LATTICE", "HexPoint", "fold", "indices_up_to", "is_in_omega",
         "hex_kernel_closed", "hex_kernel_deriv", "deviation_l2_spectral", "kfun_estimate",
         "lambda_coeff", "lambda_complement", "deviation_norm", "auto_grid_size",
-        "SummationParams",
+        "SummationParams", "HexIndex",
     ):
         assert gone not in hexsum.__all__
         assert not hasattr(hexsum, gone)
     # nor do they stay behind in the modules that held them
     for module, names in (
-        (hexsum.lattice, ("HexPoint", "fold", "indices_up_to", "is_in_omega")),
+        (hexsum.lattice, ("HexPoint", "HexIndex", "fold", "indices_up_to", "is_in_omega")),
         (hexsum.kernels, ("hex_kernel_closed", "hex_kernel_deriv", "auto_grid_size")),
         (hexsum.means, (
             "deviation_l2_spectral", "kfun_estimate", "lambda_coeff", "lambda_complement",
@@ -42,7 +42,6 @@ def test_public_names_resolve():
             "SummationParams", "_scale_occupied",
         )),
         (hexsum.SpectralFunction, ("coeff", "_coeffs")),
-        (hexsum.HexIndex, ("degree", "negate")),
     ):
         for name in names:
             assert not hasattr(module, name), name

@@ -458,8 +458,109 @@ def test_main_kfun_delta_underflow_is_exit_2(tmp_path, monkeypatch, capsys):
     assert "rho-kmax <= 1074" in capsys.readouterr().err
 
 
-def test_main_argparse_error_is_exit_2():
-    assert main(["frobnicate"]) == 2
+def test_main_argparse_error_is_exit_2(capsys):
+    # argparse's rejections and the coercions' leave by one path: one line, no usage block
+    for argv, message in (
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        ([], "the following arguments are required: command"),
+        (["bernstein", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        (["bernstein", "--r", "abc"], "r must be an integer, got 'abc'"),
+        (["verify", "--seed", "x"], "seed must be an integer, got 'x'"),
+        (["bernstein", "--format", "xml"], "format must be 'csv' or 'json', got 'xml'"),
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: " + message), argv
+
+
+def test_main_help_is_exit_0_and_lists_every_option(capsys):
+    assert main(["--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    for key, (_, _, metavar, _) in cli._OPTIONS.items():
+        assert f"--{key} {metavar}" in captured.out
+    assert "--config PATH" in captured.out
+
+
+def test_options_are_declared_once_in_the_table():
+    # the parser's flags are the table's keys plus --config, and none coerces
+    # or restricts its value: every value goes through the table's coercion
+    flags = {}
+    for action in _build_parser()._actions:
+        for flag in action.option_strings:
+            flags[flag] = action
+    assert set(flags) == {f"--{key}" for key in cli._OPTIONS} | {"--config", "-h", "--help"}
+    for flag, action in flags.items():
+        assert action.type is None and action.choices is None, flag
+
+
+@pytest.mark.parametrize("key, value", [("out", None), ("out", ["a"]), ("input", 3), ("format", None)])
+def test_config_file_non_string_path_or_format_is_exit_2(tmp_path, monkeypatch, capsys, key, value):
+    # a non-string is rejected, not stringified into a report named None or ['a']
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked on a rejected config"))
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({key: value}))
+    assert main(["verify", "--config", str(conf)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {key} must be a string, got {value!r}"]
+    assert os.listdir(tmp_path) == ["conf.json"]
+
+
+def test_config_file_takes_command_line_spellings(tmp_path):
+    # each key has one coercion: a JSON value and its command-line string agree
+    conf = tmp_path / "conf.json"
+    spelled = {"rho-kmin": "2", "rho-kmax": "3", "r": "2", "p": "inf", "grid": "48"}
+    conf.write_text(json.dumps(spelled))
+    from_file = _cfg(["approximate", "--config", str(conf)])
+    conf.write_text(json.dumps({"rho-kmin": 2, "rho-kmax": 3, "r": 2, "p": "inf", "grid": 48}))
+    assert _cfg(["approximate", "--config", str(conf)]) == from_file
+    flags = [word for key, value in spelled.items() for word in (f"--{key}", value)]
+    assert _cfg(["approximate", *flags]) == from_file
+    assert (from_file.k_min, from_file.k_max, from_file.r, from_file.grid_n) == (2, 3, 2, 48)
+    assert from_file.p == math.inf
+
+
+_argv_tokens = st.lists(
+    st.sampled_from([f"--{key}" for key in cli._OPTIONS] + ["--config", "--bogus", "-x", "--help", "--"])
+    | st.sampled_from(["0", "1", "2", "-1", "4", "1.5", "inf", "nan", "auto", "csv", "json"])
+    | st.sampled_from(["@input", "@config"])
+    | st.text(max_size=4),
+    max_size=8,
+)
+
+
+@given(st.sampled_from(sorted(cli.COMMANDS)) | st.text(max_size=6), _argv_tokens)
+@settings(max_examples=100, deadline=None)
+def test_main_fuzzed_command_line(tmp_path_factory, command, tokens):
+    # the overrides come last, so they win: the report stays in the example's
+    # directory, and a command that reads them gets a short ladder and no grid
+    work = tmp_path_factory.mktemp("argv")
+    paths = {"@input": _write_input(work), "@config": str(work / "conf.json")}
+    (work / "conf.json").write_text('{"format": "json"}')
+    argv = [command, *(paths.get(token, token) for token in tokens), "--out", str(work / "report")]
+    reads = cli.COMMANDS[command][1] if command in cli.COMMANDS else ()
+    argv += ["--rho-kmax", "4"] if "rho-kmax" in reads else []
+    argv += ["--grid", "auto"] if "grid" in reads else []
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(work)  # a junk relative --input or --config path is looked up here
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if rc == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert out.getvalue() == ""
+    else:
+        assert err.getvalue() == ""
 
 
 def test_main_kfun_multiplier_overflow_is_exit_2(tmp_path, monkeypatch, capsys):

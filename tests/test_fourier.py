@@ -30,7 +30,7 @@ from hexsum.fourier import (
     synthesize,
 )
 from hexsum.families import kernel_family, random_spectrum
-from hexsum.lattice import HexIndex, _omega_mask, frequency_arrays, index_shell
+from hexsum.lattice import _omega_mask, frequency_arrays, index_shell
 
 
 # ---------------------------------------------------------------- pairwise sum
@@ -160,7 +160,7 @@ def test_spectral_function_validation():
     with pytest.raises(ValueError):
         SpectralFunction({(1, 1, 1): 1.0})
     f = SpectralFunction({(1, 0, -1): 2.0, (0, 0, 0): 1.0})
-    assert f.items() == [(HexIndex(0, 0, 0), 1.0), (HexIndex(1, 0, -1), 2.0)]
+    assert f.items() == [((0, 0, 0), 1.0), ((1, 0, -1), 2.0)]
     assert f.support_size == 2
     assert f.degree() == 1
 
@@ -232,8 +232,8 @@ def _random_spectrum_oracle(max_degree, rng):
     """random_spectrum drawn one normal at a time, as a dict of coefficients."""
     coeffs = {}
     for k in (k for nu in range(max_degree + 1) for k in index_shell(nu)):
-        neg = HexIndex(-k.k1, -k.k2, -k.k3)
-        if (k.k1, k.k2) < (neg.k1, neg.k2):
+        neg = tuple(-v for v in k)
+        if k < neg:
             continue
         if k == neg:
             coeffs[k] = complex(rng.standard_normal(), 0.0)
@@ -258,7 +258,7 @@ def test_random_spectrum_matches_scalar_draws(seed):
 
 def test_spectral_items_canonical_order():
     f = _sample_spectrum(3, seed=5)
-    keys = [k.as_tuple() for k, _ in f.items()]
+    keys = [k for k, _ in f.items()]
     decorated = [(max(abs(a), abs(b), abs(c)), a, b) for a, b, c in keys]
     assert decorated == sorted(decorated)
 
@@ -287,7 +287,7 @@ def test_scale_shells_drops_zeros():
     assert g.support_size == f.support_size - len(index_shell(2))
     got = dict(g.items())
     for k, c in f.items():
-        if max(map(abs, k.as_tuple())) != 2:
+        if max(map(abs, k)) != 2:
             assert got[k] == c
 
 
@@ -306,7 +306,7 @@ def test_truncate_and_subtract():
     assert g.support_size == 1 + 3 * 2 * 3
     kept = dict(g.items())
     for k, c in f.items():
-        if max(map(abs, k.as_tuple())) <= 2:
+        if max(map(abs, k)) <= 2:
             assert kept[k] == c
         else:
             assert k not in kept
@@ -381,10 +381,10 @@ def test_synthesize_matches_direct_sum(n):
         f = _sample_spectrum(degree, seed=n)
         want = np.zeros(g.size, dtype=complex)
         for k, c in f.items():
-            want += c * phi_values(k.k1, k.k2, t1, t2, t3)
+            want += c * phi_values(k[0], k[1], t1, t2, t3)
         got = synthesize(f, g).values
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (n, degree)
-    k1, k2 = np.array([(k.k1, k.k2) for k, _ in f.items()]).T
+    k1, k2, _ = np.array([k for k, _ in f.items()]).T
     bins = {((2 * a + b) % n, (a + 2 * b) % n) for a, b in zip(k1, k2)}
     assert len(bins) < f.support_size  # the top degree puts two frequencies in one bin
 
@@ -484,7 +484,7 @@ def test_json_dict_shape():
     assert e["k"] == [1, 0, -1]
     assert e["re"] == 0.5
     assert e["im"] == -0.25
-    assert spectral_from_json_dict(d).items() == [(HexIndex(1, 0, -1), 0.5 - 0.25j)]
+    assert spectral_from_json_dict(d).items() == [((1, 0, -1), 0.5 - 0.25j)]
 
 
 def test_json_rejects_bad_payloads():
@@ -581,7 +581,7 @@ def test_load_spectral_invalid_json(tmp_path):
 
 def _reference_from_json_dict(doc):
     """Entry-by-entry reference reader, each entry's checks in order with a
-    HexIndex and a dict: the oracle for spectral_from_json_dict's messages
+    tuple key and a dict: the oracle for spectral_from_json_dict's messages
     and stored support."""
     def is_int(value):
         return isinstance(value, int) and not isinstance(value, bool)
@@ -623,7 +623,7 @@ def _reference_from_json_dict(doc):
             raise SpectralFormatError(f"entry {pos}: k must be a list of 3 integers, got {k!r}")
         if sum(k) != 0:
             raise SpectralFormatError(f"entry {pos}: frequency {tuple(k)} does not sum to zero")
-        idx = HexIndex(*k)
+        idx = tuple(k)
         if max(map(abs, k)) > max_degree:
             raise SpectralFormatError(
                 f"entry {pos}: frequency {tuple(k)} exceeds max_degree {max_degree}"
@@ -794,4 +794,4 @@ def test_bulk_construction_owns_its_arrays(order):
         assert not any(np.shares_memory(given_array, a) for a in f._support())
         given_array[:] = given_array[::-1] * 3
     assert _bits(f) == before
-    assert (HexIndex(1, -1, 0), 4 - 8j) in f.items()
+    assert ((1, -1, 0), 4 - 8j) in f.items()

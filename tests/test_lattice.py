@@ -9,7 +9,6 @@ from hexsum.fourier import SpectralFunction, phi_values
 from hexsum.kernels import _z_arrays
 from hexsum.lattice import (
     OMEGA_AREA,
-    HexIndex,
     _omega_mask,
     fold_arrays,
     frequency_arrays,
@@ -46,17 +45,19 @@ def test_generator_matrix_and_area():
     assert OMEGA_AREA == 3.0
 
 
-def test_hexindex_rejects_nonzero_sum():
-    with pytest.raises(ValueError):
-        HexIndex(1, 1, 1)
+def test_tuple_key_rejects_nonzero_sum():
+    with pytest.raises(ValueError, match=r"must sum to 0, got \(1, 1, 1\)"):
+        SpectralFunction({(1, 1, 1): 1.0})
 
 
-def test_hexindex_as_tuple():
-    k = HexIndex(3, -1, -2)
-    assert k.as_tuple() == (3, -1, -2)
-    # its shell is read from the support arrays
-    k1, k2, shell, _ = SpectralFunction({k: 1.0})._support()
+def test_tuple_key_round_trips_through_the_store():
+    k = (3, -1, -2)
+    assert k in index_shell(3)
+    f = SpectralFunction({k: 1.0})
+    # its shell is read from the support arrays, and items() gives the tuple back
+    k1, k2, shell, _ = f._support()
     assert (k1.tolist(), k2.tolist(), shell.tolist()) == ([3], [-1], [3])
+    assert f.items() == [(k, 1.0)] and isinstance(f.items()[0][0], tuple)
 
 
 def test_z_angles():
@@ -83,7 +84,7 @@ def test_shell_matches_brute_force():
                 k3 = -k1 - k2
                 if max(abs(k1), abs(k2), abs(k3)) == nu:
                     brute.add((k1, k2, k3))
-        got = [k.as_tuple() for k in index_shell(nu)]
+        got = index_shell(nu)
         assert set(got) == brute
         assert len(got) == len(brute)
         assert got == sorted(got)
@@ -111,7 +112,7 @@ def test_frequency_arrays_match_cube_scan():
     k1, k2, shell = frequency_arrays(9, min_degree=4)
     assert shell.tolist() == sorted(shell.tolist()) and set(shell.tolist()) == set(range(4, 10))
     assert [(a, b, -a - b) for a, b in zip(k1.tolist(), k2.tolist())] == [
-        k.as_tuple() for nu in range(4, 10) for k in index_shell(nu)
+        k for nu in range(4, 10) for k in index_shell(nu)
     ]
 
 
