@@ -190,8 +190,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
                 f"kfun needs rho-kmax <= {DELTA_KMAX} so delta = 2^-k stays "
                 f"positive, got {cfg.k_max}"
             )
-    if cfg.command == "rates" and cfg.p != 2.0:
-        raise ConfigError("rates uses the exact spectral L2 deviation; p must be 2")
     if cfg.command == "kernel" and cfg.k_max > KERNEL_KMAX:
         raise ConfigError(
             f"kernel needs rho-kmax <= {KERNEL_KMAX} so its series cutoff stays "
@@ -558,7 +556,7 @@ COMMANDS = {
     "kernel": (run_kernel, ("rho-kmin", "rho-kmax", "grid", "seed")),
     "bernstein": (run_bernstein, ("rho-kmin", "rho-kmax", "r", "grid")),
     "approximate": (run_approximate, ("rho-kmin", "rho-kmax", "r", "p", "grid", "input")),
-    "rates": (run_rates, ("rho-kmin", "rho-kmax", "r", "p", "input")),
+    "rates": (run_rates, ("rho-kmin", "rho-kmax", "r", "input")),
     "kfun": (run_kfun, ("rho-kmin", "rho-kmax", "n", "p", "grid", "input")),
 }
 

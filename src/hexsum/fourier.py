@@ -13,10 +13,17 @@ because frequency differences in the (t1, t2)-dual chart are bounded by
 The transforms are 2-D DFTs, since phi_k(m) = exp(2 pi i ((k1 - k3) m1 +
 (k2 - k3) m2) / n) on the grid (Li, Sun and Xu, SIAM J. Numer. Anal. 46,
 2008); numpy's pocketfft is deterministic, so reruns agree bit for bit.
+
+Every norm of f with its shells rescaled comes from one norm plan,
+_norm_plan(f, p, grid): the exact L2 norm from the shell masses when grid
+is None, else the grid p-norm of one inverse FFT, refused with ValueError
+on a grid where two coefficients share a DFT bin.  The means' ladders,
+remainder_integral_norm and SpectralFunction.l2_norm all go through it.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -30,6 +37,9 @@ import numpy.fft  # noqa: F401 - loaded with the module, not on first use
 from .lattice import fold_arrays, frequency_arrays
 
 TWO_PI_OVER_3 = 2.0 * math.pi / 3.0
+#: numpy overflow warnings off: inf and nan in a norm are results, handled or
+#: reported.  Use it as a decorator: the decorator form may nest, a with block not.
+_QUIET = np.errstate(over="ignore", invalid="ignore")
 
 def exactness_threshold(max_degree: int) -> int:
     """Least grid resolution n > 4 max_degree: a grid with n samples per axis
@@ -280,10 +290,12 @@ class SpectralFunction:
         _, _, shell, c = self._support()
         return np.bincount(shell, c.real * c.real + c.imag * c.imag, self.max_degree + 1)
 
+    @_QUIET
     def l2_norm(self) -> float:
-        """Exact L2 norm over Omega via the coefficient sums."""
-        c = self._arrays[3]
-        return math.sqrt(math.fsum((c.real * c.real + c.imag * c.imag).tolist()))  # exact sum
+        """Exact L2 norm over Omega: the norm plan's, at multiplier 1 on every
+        shell, so it is finite and nonzero wherever the norm is."""
+        shells, norm, _ = _norm_plan(self, 2.0, None)
+        return norm(np.ones(len(shells)))
 
     def is_real_symmetric(self) -> bool:
         """True when the coefficient at -k is within _SYMMETRY_TOL of the conjugate
@@ -400,6 +412,91 @@ def lp_norm(g: GridFunction, p: float) -> float:
         if 0.0 < top < math.inf:
             return top * (float(pairwise_sum((mags / top) ** p)) * g.grid.weight) ** (1.0 / p)
     return total ** (1.0 / p)
+
+
+# --------------------------------------------------------------------------
+# norms of shell-scaled functions
+# --------------------------------------------------------------------------
+
+#: sums of squares, in units of 2^-1074, that round to a normal float
+_NORMAL = range(2**52, (2**1024 - 2**970) << 1074)
+
+
+def _norm_plan(
+    f: SpectralFunction, p: float, grid: HexGrid | None
+) -> tuple[np.ndarray, Callable[[np.ndarray], float], Callable[[np.ndarray, bool], np.ndarray]]:
+    """Norm plan of f: occupied shells, norm and cut_norms.
+
+    norm(mult) is ||f with shell shells[i] scaled by mult[i]||_p, and
+    cut_norms(w, upto) the array of norm(w * (shells <= m)) (upto) or
+    norm(w * (shells > m)) over m in shells.  The only place that chooses
+    how a norm is evaluated: grid=None is the exact L2 norm from the shell
+    masses, else the grid p-norm of one inverse FFT of the scaled
+    coefficients in their DFT bins.  Set-up happens once per plan, and cost
+    follows the occupied shells.  An exact sum of squares that overflows,
+    or underflows to a subnormal or 0, is summed again in units of its
+    largest term (exact powers of two), so only norms beyond the float
+    range are inf; callers run under _QUIET.  Exact cut_norms sums the
+    terms t = w w masses of norm as integers t 2^1074, prefix by prefix,
+    and divides once: norm's fsum bit for bit.  A sum outside _NORMAL takes
+    norm, as does every cut if a mass is inf (norm sums 0 * inf = nan).  A
+    grid on which two nonzero coefficients share a DFT bin would alias
+    them silently, so it raises ValueError.
+    """
+    k1, k2, shell, coeffs = f._support()
+    shells, at = _shell_groups(shell)
+    if grid is None:
+        if p != 2:
+            raise ValueError("a grid is required for p != 2")
+        masses = np.bincount(at, coeffs.real * coeffs.real + coeffs.imag * coeffs.imag)
+        c_mant, c_exp = np.frexp(np.concatenate([coeffs.real, coeffs.imag]))
+        at2 = np.concatenate([at, at])
+
+        def norm(mult: np.ndarray) -> float:
+            try:
+                total = math.fsum((mult * mult * masses).tolist())
+            except OverflowError:  # finite terms whose sum passes the float range
+                total = math.inf
+            if sys.float_info.min <= total < math.inf:
+                return math.sqrt(total)
+            if total == 0.0 and not mult.any():  # every term is 0, none 0 * inf = nan
+                return 0.0
+            m_mant, m_exp = np.frexp(mult[at2])
+            mant, exp = m_mant * c_mant, m_exp + c_exp
+            top = int(np.max(exp, where=mant != 0, initial=-4096))  # below every exponent
+            total = math.fsum(np.ldexp(mant * mant, 2 * (exp - top)).tolist())
+            try:
+                return math.ldexp(math.sqrt(total), top)
+            except OverflowError:
+                return math.inf
+    else:
+        bins = _dft_bins(k1, k2, grid.n)
+        # a sort, not np.unique: its hash path is several times slower on a few
+        # hundred bins and pays a one-off set-up in every process
+        occupied = np.sort(bins[coeffs != 0])
+        if np.any(occupied[1:] == occupied[:-1]):
+            raise ValueError(
+                f"grid n={grid.n} aliases degree {f.degree()}: two coefficients share "
+                f"a DFT bin (any n > {4 * f.degree()} avoids it)"
+            )
+
+        def norm(mult: np.ndarray) -> float:
+            return lp_norm(_grid_function(grid, bins, mult[at] * coeffs), p)
+
+    def cut_norms(w: np.ndarray, upto: bool) -> np.ndarray:
+        sums = [-1] * len(shells)  # outside _NORMAL
+        if grid is None and np.isfinite(masses).all():
+            ratios = (t.as_integer_ratio() if math.isfinite(t) else (_NORMAL.stop, 2**1074)
+                      for t in (w * w * masses).tolist())
+            sums = list(itertools.accumulate(a << 1075 - b.bit_length() for a, b in ratios))
+            sums = sums if upto else [sums[-1] - s for s in sums]
+        return np.array([
+            math.sqrt(s / 2**1074) if s in _NORMAL
+            else norm(w * ((shells <= m) if upto else (shells > m)))
+            for m, s in zip(shells.tolist(), sums)
+        ])
+
+    return shells, norm, cut_norms
 
 
 # --------------------------------------------------------------------------

@@ -434,30 +434,17 @@ def bernstein_integral(
     return BernsteinResult(value, grid.n, grid.n >= min_resolution(rho))
 
 
-#: how many circle factors each product integral takes
-_FACTOR_COUNT = {"I1": 1, "I2": 2, "I3": 3}
-
-
-def product_integral(
-    rho: float,
-    which: str,
-    orders: Sequence[int],
-    grid: HexGrid | None = None,
-) -> float:
+def product_integral(rho: float, orders: Sequence[int], grid: HexGrid | None = None) -> float:
     """Mean over the hexagon of |product of circle-factor derivatives|.
 
-    which="I1" integrates a single factor at z1, "I2" the pair (z1, z2),
-    "I3" all three coordinates; ``orders`` gives the derivative order of
+    One order integrates a single factor at z1, two the pair (z1, z2),
+    three all three coordinates; ``orders`` gives the derivative order of
     each factor.
     """
     _check_rho(rho)
-    if which not in _FACTOR_COUNT:
-        raise ValueError(f"which must be one of {sorted(_FACTOR_COUNT)}, got {which!r}")
     orders = [int(o) for o in orders]
-    if len(orders) != _FACTOR_COUNT[which]:
-        raise ValueError(
-            f"{which} takes {_FACTOR_COUNT[which]} orders, got {len(orders)}"
-        )
+    if not 1 <= len(orders) <= 3:
+        raise ValueError(f"product_integral takes 1 to 3 orders, got {len(orders)}")
     for o in orders:
         _check_order(o)
     grid = _resolve_grid(rho, grid)

@@ -21,13 +21,13 @@ implemented here too as an independent float path for cross-checking.
 Every mean, deviation, derivative norm and K-functional candidate is a
 shell multiplier applied to f; rho and r are plain numbers throughout.
 Every operator is scale_shells(f, fn_of_shells), fn_of_shells mapping the
-array of f's occupied shells to their multipliers.  Every norm comes from
-_norm_plan: one plan per (f, p, grid) turns multipliers into norms; it
-alone chooses between the exact L2 norm from shell masses and the grid
-p-norm, and the ladder functions build it once for all their radii or
-scales.  Deviations admit an exact integral representation integrating
-the r-th derivative of the Poisson integral against (1-zeta)^{r-1} from
-rho to 1.
+array of f's occupied shells to their multipliers.  This module keeps the
+multipliers, operators and ladders; every norm comes from fourier's
+_norm_plan, which turns multipliers into norms, and the ladder functions
+build one plan for all their radii or scales.  Deviations admit an exact
+integral representation integrating the r-th derivative of the Poisson
+integral against (1-zeta)^{r-1} from rho to 1; remainder_integral_norm
+takes its norm from the plan too.
 """
 
 from __future__ import annotations
@@ -38,21 +38,11 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 import numpy.polynomial  # noqa: F401 - loaded with the module, not on first use
 
-from .fourier import (
-    HexGrid,
-    SpectralFunction,
-    _dft_bins,
-    _grid_function,
-    _shell_groups,
-    lp_norm,
-    scale_shells,
-    synthesize,
-)
+from .fourier import GridFunction, HexGrid, SpectralFunction, _QUIET, _norm_plan, scale_shells
 from .kernels import _check_rho, hex_kernel_closed_values
 
 
@@ -224,8 +214,6 @@ def poisson_integral_convolution(g, rho: float):
     with the circulant matrix of K[d1, .].  O(N^4) — intended for
     cross-checks at small n, not production use.
     """
-    from .fourier import GridFunction  # local import to keep module DAG flat
-
     grid = g.grid
     n = grid.n
     t1, t2, t3 = grid.t_arrays
@@ -239,91 +227,8 @@ def poisson_integral_convolution(g, rho: float):
 
 
 # --------------------------------------------------------------------------
-# norms of shell-scaled functions
+# deviation and derivative norms
 # --------------------------------------------------------------------------
-
-#: numpy overflow warnings off: inf and nan in a norm are results, handled or reported
-_QUIET = np.errstate(over="ignore", invalid="ignore")
-#: sums of squares, in units of 2^-1074, that round to a normal float
-_NORMAL = range(2**52, (2**1024 - 2**970) << 1074)
-
-
-def _norm_plan(
-    f: SpectralFunction, p: float, grid: HexGrid | None
-) -> tuple[np.ndarray, Callable[[np.ndarray], float], Callable[[np.ndarray, bool], np.ndarray]]:
-    """Norm plan of f: occupied shells, norm and cut_norms.
-
-    norm(mult) is ||f with shell shells[i] scaled by mult[i]||_p, and
-    cut_norms(w, upto) the array of norm(w * (shells <= m)) (upto) or
-    norm(w * (shells > m)) over m in shells.  The only place that chooses
-    how a norm is evaluated: grid=None is the exact L2 norm from the shell
-    masses, else the grid p-norm of one inverse FFT of the scaled
-    coefficients in their DFT bins.  Set-up happens once per plan, and cost
-    follows the occupied shells.  An exact sum of squares that overflows,
-    or underflows to a subnormal or 0, is summed again in units of its
-    largest term (exact powers of two), so only norms beyond the float
-    range are inf; callers run under _QUIET.  Exact cut_norms sums the
-    terms t = w w masses of norm as integers t 2^1074, prefix by prefix,
-    and divides once: norm's fsum bit for bit.  A sum outside _NORMAL takes
-    norm, as does every cut if a mass is inf (norm sums 0 * inf = nan).  A
-    grid on which two nonzero coefficients share a DFT bin would alias
-    them silently, so it raises ValueError.
-    """
-    k1, k2, shell, coeffs = f._support()
-    shells, at = _shell_groups(shell)
-    if grid is None:
-        if p != 2:
-            raise ValueError("a grid is required for p != 2")
-        masses = np.bincount(at, coeffs.real * coeffs.real + coeffs.imag * coeffs.imag)
-        c_mant, c_exp = np.frexp(np.concatenate([coeffs.real, coeffs.imag]))
-        at2 = np.concatenate([at, at])
-
-        def norm(mult: np.ndarray) -> float:
-            try:
-                total = math.fsum((mult * mult * masses).tolist())
-            except OverflowError:  # finite terms whose sum passes the float range
-                total = math.inf
-            if sys.float_info.min <= total < math.inf:
-                return math.sqrt(total)
-            if total == 0.0 and not mult.any():  # every term is 0, none 0 * inf = nan
-                return 0.0
-            m_mant, m_exp = np.frexp(mult[at2])
-            mant, exp = m_mant * c_mant, m_exp + c_exp
-            top = int(np.max(exp, where=mant != 0, initial=-4096))  # below every exponent
-            total = math.fsum(np.ldexp(mant * mant, 2 * (exp - top)).tolist())
-            try:
-                return math.ldexp(math.sqrt(total), top)
-            except OverflowError:
-                return math.inf
-    else:
-        bins = _dft_bins(k1, k2, grid.n)
-        # a sort, not np.unique: its hash path is several times slower on a few
-        # hundred bins and pays a one-off set-up in every process
-        occupied = np.sort(bins[coeffs != 0])
-        if np.any(occupied[1:] == occupied[:-1]):
-            raise ValueError(
-                f"grid n={grid.n} aliases degree {f.degree()}: two coefficients share "
-                f"a DFT bin (any n > {4 * f.degree()} avoids it)"
-            )
-
-        def norm(mult: np.ndarray) -> float:
-            return lp_norm(_grid_function(grid, bins, mult[at] * coeffs), p)
-
-    def cut_norms(w: np.ndarray, upto: bool) -> np.ndarray:
-        sums = [-1] * len(shells)  # outside _NORMAL
-        if grid is None and np.isfinite(masses).all():
-            ratios = (t.as_integer_ratio() if math.isfinite(t) else (_NORMAL.stop, 2**1074)
-                      for t in (w * w * masses).tolist())
-            sums = list(itertools.accumulate(a << 1075 - b.bit_length() for a, b in ratios))
-            sums = sums if upto else [sums[-1] - s for s in sums]
-        return np.array([
-            math.sqrt(s / 2**1074) if s in _NORMAL
-            else norm(w * ((shells <= m) if upto else (shells > m)))
-            for m, s in zip(shells.tolist(), sums)
-        ])
-
-    return shells, norm, cut_norms
-
 
 @_QUIET
 def deviation_ladder(
@@ -451,6 +356,7 @@ def remainder_coefficient_check(nu: int, r: int, rho: float) -> tuple[float, flo
     return (lhs, rhs)
 
 
+@_QUIET
 def remainder_integral_norm(
     f: SpectralFunction, rho: float, r: int, p: float, grid: HexGrid
 ) -> float:
@@ -463,7 +369,8 @@ def remainder_integral_norm(
     in u, so N nodes are exact for every shell nu <= 2 N; N is
     max(64, ceil(top / 2)) for the top shell carrying a nonzero
     coefficient.  Requires r >= 2 (at r = 1 the identity degenerates to
-    the plain Poisson deviation).
+    the plain Poisson deviation).  The norm comes from the norm plan, so
+    a grid that aliases two coefficients raises ValueError.
     """
     _check_rho(rho)
     if r < 2:
@@ -482,5 +389,5 @@ def remainder_integral_norm(
         vals = wu * u ** (r - 1) * (1.0 - one * u) ** (nu - r)
         return prefactor * math.perm(nu, r) * math.fsum(vals.tolist())
 
-    remainder = scale_shells(f, lambda shells: np.array([multiplier(nu) for nu in shells.tolist()]))
-    return lp_norm(synthesize(remainder, grid), p)
+    shells, norm, _ = _norm_plan(f, p, grid)
+    return norm(np.array([multiplier(nu) for nu in shells.tolist()]))

@@ -409,26 +409,26 @@ def check_product_integrals(rng) -> CheckResult:
     worst = 0.0
     for rho in (0.3, 0.7):
         one = 1.0 - rho
-        worst = max(worst, abs(kernels.product_integral(rho, "I1", [0]) - 1.0))
-        worst = max(worst, abs(kernels.product_integral(rho, "I2", [0, 0]) - 1.0))
+        worst = max(worst, abs(kernels.product_integral(rho, [0]) - 1.0))
+        worst = max(worst, abs(kernels.product_integral(rho, [0, 0]) - 1.0))
         exact3 = (1.0 + rho**3) / (1.0 - rho**3)
         worst = max(
             worst,
-            abs(kernels.product_integral(rho, "I3", [0, 0, 0]) - exact3) / exact3 * 1e-3,
+            abs(kernels.product_integral(rho, [0, 0, 0]) - exact3) / exact3 * 1e-3,
         )
         for r1 in (1, 2, 3):
             bound = 2.0 * math.factorial(r1) / one**r1
-            val = kernels.product_integral(rho, "I1", [r1])
+            val = kernels.product_integral(rho, [r1])
             worst = max(worst, (val - bound) / bound)
         for orders in ((1, 1), (2, 1)):
             r = sum(orders)
             bound = 4.0 * math.prod(math.factorial(o) for o in orders) / one**r
-            val = kernels.product_integral(rho, "I2", list(orders))
+            val = kernels.product_integral(rho, orders)
             worst = max(worst, (val - bound) / bound)
         for orders in ((1, 0, 0), (1, 1, 1)):
             r = sum(orders)
             bound = 8.0 * math.prod(math.factorial(o) for o in orders) / one ** (r + 1)
-            val = kernels.product_integral(rho, "I3", list(orders))
+            val = kernels.product_integral(rho, orders)
             worst = max(worst, (val - bound) / bound)
     return _result("kernels.product_integrals", worst, 1e-6, "bounds + exact r=0 values")
 

@@ -135,8 +135,8 @@ def test_criterion_04_product_integral_exact_values():
     worst_pair = 0.0
     worst_triple = 0.0
     for rho in [round(0.1 * i, 1) for i in range(1, 10)]:
-        pair = product_integral(rho, "I2", [0, 0])
-        triple = product_integral(rho, "I3", [0, 0, 0])
+        pair = product_integral(rho, [0, 0])
+        triple = product_integral(rho, [0, 0, 0])
         want = (1.0 + rho**3) / (1.0 - rho**3)
         worst_pair = max(worst_pair, abs(pair - 1.0))
         worst_triple = max(worst_triple, abs(triple - want) / want)

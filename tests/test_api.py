@@ -1,4 +1,6 @@
+import ast
 import inspect
+from pathlib import Path
 
 import hexsum
 
@@ -56,3 +58,40 @@ def test_keyword_options_no_caller_sets_are_gone():
         (hexsum.random_spectrum, "real_symmetric"),
     ):
         assert name not in inspect.signature(fn).parameters, (fn.__name__, name)
+
+
+def _named(tree: ast.AST) -> set[str]:
+    """Every identifier a module names: variables, attributes, imports, definitions."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def test_the_norm_plan_is_the_only_user_of_the_fourier_bin_privates():
+    # the DFT bins, grid synthesis and shell groups stay behind fourier's
+    # public names and its norm plan; means takes the plan, not its parts
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(hexsum.__file__).parent.glob("*.py"))
+    }
+    privates = {"_dft_bins", "_grid_function", "_shell_groups"}
+    for name, tree in trees.items():
+        if name != "fourier.py":
+            assert not _named(tree) & privates, name
+    assert privates <= _named(trees["fourier.py"])
+    from_fourier = {
+        alias.name
+        for node in ast.walk(trees["means.py"])
+        if isinstance(node, ast.ImportFrom) and node.module == "fourier"
+        for alias in node.names
+    }
+    assert "_norm_plan" in from_fourier
+    assert {n for n in from_fourier if n.startswith("_")} <= {"_norm_plan", "_QUIET"}

@@ -173,8 +173,6 @@ def test_validate_config_rules():
     with pytest.raises(ConfigError):
         validate_config(ExperimentConfig("kfun", k_min=0))
     with pytest.raises(ConfigError):
-        validate_config(ExperimentConfig("rates", p=3.0))
-    with pytest.raises(ConfigError):
         validate_config(ExperimentConfig("bernstein", fmt="xml"))
 
 
@@ -430,6 +428,7 @@ def test_main_negative_seed_is_exit_2(tmp_path, monkeypatch, capsys, command):
         ("bernstein", "input", "missing.json"),
         ("approximate", "seed", "5"),
         ("rates", "grid", "64"),
+        ("rates", "p", "3"),
         ("kfun", "r", "2"),
     ],
 )

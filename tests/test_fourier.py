@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hexsum.fourier import (
+    _norm_plan,
     _shell_groups,
     GridFunction,
     HexGrid,
@@ -29,7 +30,7 @@ from hexsum.fourier import (
     spectral_to_json_dict,
     synthesize,
 )
-from hexsum.families import kernel_family, random_spectrum
+from hexsum.families import builtin_families, kernel_family, random_spectrum
 from hexsum.lattice import _omega_mask, frequency_arrays, index_shell
 
 
@@ -269,6 +270,23 @@ def test_shell_masses_and_l2():
     assert masses[0] == pytest.approx(9.0)
     assert masses[1] == pytest.approx(16.0)
     assert f.l2_norm() == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize(
+    "c, want", [(1e200, 1e200), (1e-200, 1e-200), (1e308 + 1e308j, 1.4142135623730951e308)]
+)
+def test_l2_norm_at_the_float_range_edges(c, want):
+    # |c|^2 overflows or underflows, but the norm itself is a float: no inf,
+    # no 0, and no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert SpectralFunction({(1, -1, 0): c}).l2_norm() == want
+
+
+def test_l2_norm_is_the_plan_norm_at_multiplier_one():
+    for fam in builtin_families(64):
+        shells, norm, _ = _norm_plan(fam.function, 2.0, None)
+        assert fam.function.l2_norm() == norm(np.ones(len(shells))), fam.name
 
 
 def test_is_real_symmetric():

@@ -358,20 +358,20 @@ def test_bernstein_positive_and_finite():
 
 def test_product_integral_frozen():
     for rho in (0.2, 0.5, 0.8):
-        assert product_integral(rho, "I1", [0]) == pytest.approx(1.0, abs=1e-8)
-        assert product_integral(rho, "I2", [0, 0]) == pytest.approx(1.0, abs=1e-6)
+        assert product_integral(rho, [0]) == pytest.approx(1.0, abs=1e-8)
+        assert product_integral(rho, [0, 0]) == pytest.approx(1.0, abs=1e-6)
     # mean of the 3-factor product with all orders zero: (1 + rho^3)/(1 - rho^3)
-    got = product_integral(0.5, "I3", [0, 0, 0])
+    got = product_integral(0.5, [0, 0, 0])
     assert got == pytest.approx((1 + 0.125) / (1 - 0.125), rel=1e-4)
 
 
 def test_product_integral_validation():
+    with pytest.raises(ValueError, match="1 to 3 orders, got 0"):
+        product_integral(0.5, [])
+    with pytest.raises(ValueError, match="1 to 3 orders, got 4"):
+        product_integral(0.5, [0, 0, 0, 0])
     with pytest.raises(ValueError):
-        product_integral(0.5, "I4", [0])
-    with pytest.raises(ValueError):
-        product_integral(0.5, "I2", [0])
-    with pytest.raises(ValueError):
-        product_integral(0.5, "I1", [R_MAX + 1])
+        product_integral(0.5, [R_MAX + 1])
 
 
 @pytest.mark.parametrize("n", range(1, 61))
@@ -427,23 +427,14 @@ def test_product_integral_matches_pointwise_sum(n, rho):
         TWO_PI_OVER_3 * (t3 - t1),
         TWO_PI_OVER_3 * (t1 - t2),
     )
-    cases = [
-        ("I1", [0]),
-        ("I1", [4]),
-        ("I2", [0, 0]),
-        ("I2", [2, 5]),
-        ("I2", [3, 0]),
-        ("I3", [0, 0, 0]),
-        ("I3", [1, 0, 3]),
-        ("I3", [6, 2, 1]),
-    ]
-    for which, orders in cases:
+    cases = [[0], [4], [0, 0], [2, 5], [3, 0], [0, 0, 0], [1, 0, 3], [6, 2, 1]]
+    for orders in cases:
         prod = np.ones(g.size)
         for z, order in zip(zs, orders):
             prod = prod * _classical_deriv_table(rho, z, order)[order]
         want = math.fsum(np.abs(prod)) * g.weight
-        got = product_integral(rho, which, orders, grid=g)
-        assert abs(got - want) <= 1e-12 * want, (n, which, orders)
+        got = product_integral(rho, orders, grid=g)
+        assert abs(got - want) <= 1e-12 * want, (n, orders)
 
 
 def test_deriv_values_keep_input_shape():

@@ -15,6 +15,7 @@ from hexsum.families import (
 )
 from hexsum.fourier import (
     SpectralFunction,
+    _norm_plan,
     load_spectral,
     make_grid,
     max_coeff_diff,
@@ -25,7 +26,6 @@ from hexsum.kernels import hex_kernel_closed_values
 from hexsum.lattice import index_shell
 from hexsum.means import (
     KfunEstimate,
-    _norm_plan,
     _perm_shells,
     apply_operator,
     apply_operator_derivative_form,
@@ -432,6 +432,19 @@ def test_remainder_integral_validation():
         remainder_integral_norm(f, 0.5, 1, 2.0, grid)
     with pytest.raises(ValueError):
         remainder_integral_norm(f, 1.0, 2, 2.0, grid)
+
+
+def test_remainder_integral_refuses_an_aliasing_grid():
+    # below n = 4 * 8 two coefficients of a degree-8 spectrum share a DFT bin,
+    # where a synthesized remainder would be silently wrong (0.775..0.897
+    # against 0.8436), so the norm plan raises as deviation_ladder does
+    f = random_spectrum(8, np.random.default_rng(1))
+    for n in (8, 10, 12, 14, 16):
+        with pytest.raises(ValueError, match=f"grid n={n} aliases degree 8"):
+            remainder_integral_norm(f, 0.5, 2, 2.0, make_grid(n))
+        with pytest.raises(ValueError, match=f"grid n={n} aliases degree 8"):
+            deviation_ladder(f, [0.5], 2, 2.0, make_grid(n))
+    assert remainder_integral_norm(f, 0.5, 2, 2.0, make_grid(64)) == 0.8435908323800154
 
 
 def _recorded_node_counts(monkeypatch):
