@@ -255,10 +255,15 @@ class SpectralFunction:
             raise ValueError(
                 f"coefficient at degree {deg} exceeds declared max_degree {max_degree}"
             )
+        self._store(k1, k2, shell, coeffs, deg if max_degree is None else int(max_degree))
+
+    def _store(self, k1, k2, shell, coeffs, max_degree: int) -> None:
+        """Keep arrays that already form a canonical support, made read-only;
+        no other object may hold them."""
         self._arrays = (k1, k2, shell, coeffs)
         for a in self._arrays:
             a.flags.writeable = False
-        self.max_degree = deg if max_degree is None else int(max_degree)
+        self.max_degree = max_degree
 
     # -- access ------------------------------------------------------------
 
@@ -329,8 +334,10 @@ def scale_shells(
     v.real = m.real * coeffs.real - m.imag * coeffs.imag
     v.imag = m.real * coeffs.imag + m.imag * coeffs.real
     keep = v != 0
-    k1, k2 = k1[keep], k2[keep]
-    return SpectralFunction._from_arrays(k1, k2, -k1 - k2, v[keep], f.max_degree)
+    out = SpectralFunction.__new__(SpectralFunction)
+    # any subsequence of a canonical support is canonical: no checks, no sort
+    out._store(k1[keep], k2[keep], shell[keep], v[keep], f.max_degree)
+    return out
 
 
 def max_coeff_diff(f: SpectralFunction, g: SpectralFunction) -> float:

@@ -16,6 +16,7 @@ matrix H = [[sqrt(3), 0], [-1, 2]], with area element dx = (2 sqrt(3)/3) dt.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -96,15 +97,19 @@ def fold_arrays(t1: np.ndarray, t2: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return out1, out2, -(out1 + out2)
 
 
+@functools.lru_cache(maxsize=1)
 def frequency_arrays(
     max_degree: int, min_degree: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """k1, k2 and shell of every frequency with min_degree <= degree <= max_degree.
+    """k1, k2 and shell of every frequency with min_degree <= degree <= max_degree,
+    as read-only arrays.
 
     The order is canonical: shell-major, lexicographic in (k1, k2) within a
     shell.  Shell nu >= 1 holds 6 nu frequencies: (-nu, 0..nu), then the two
     ends k2 = -nu - min(k1, 0) and nu - max(k1, 0) of each row -nu < k1 < nu,
-    then (nu, -nu..0).  The cost is linear in the number of frequencies.
+    then (nu, -nu..0).  The cost is linear in the number of frequencies, and
+    the last result is kept, so callers that ask for the same degrees in a row
+    (the families of one battery, the spectra of one check) build it once.
     """
     if max_degree < 0:
         raise ValueError(f"max degree must be nonnegative, got {max_degree}")
@@ -115,6 +120,8 @@ def frequency_arrays(
     k1 = np.clip((j - shell - 1) // 2 - shell + 1, -shell, shell)
     k2 = np.where((j - shell) % 2, -shell - np.minimum(k1, 0), shell - np.maximum(k1, 0))
     k2 = np.where(j <= shell, j, np.where(k1 == shell, j + 1 - 6 * shell, k2))
+    for a in (k1, k2, shell):
+        a.flags.writeable = False
     return k1, k2, shell
 
 

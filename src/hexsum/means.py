@@ -64,17 +64,25 @@ def lambda_shells(shells: np.ndarray, r: int, rho: float) -> tuple[np.ndarray, n
     _check_mean(rho, r)
     if shells.min(initial=0) < 0:
         raise ValueError("shell index must be nonnegative")
-    lam, comp = np.ones(len(shells)), np.zeros(len(shells))
     high = shells >= r
-    low = shells >= (r - 0.5) / (1.0 - rho)  # the mean nu (1-rho) is past r - 1/2, so nu >= r
-    n_low, n_high = np.count_nonzero(low), np.count_nonzero(high)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for lower, count in ((True, n_low), (False, n_high - n_low)):
-            if count:
-                rows = slice(None) if count == len(shells) else low if lower else high ^ low
-                tail = _binomial_tail(shells[rows], r, rho, lower)
-                lam[rows], comp[rows] = (tail, 1.0 - tail) if lower else (1.0 - tail, tail)
-    return lam, comp
+    nu = shells[high]
+    if not nu.size:
+        return np.ones(len(shells)), np.zeros(len(shells))
+    lower = nu >= (r - 0.5) / (1.0 - rho)  # the mean nu (1-rho) is past r - 1/2
+    n_low = np.count_nonzero(lower)
+    if n_low in (0, len(nu)):
+        lower = bool(n_low)  # every row takes the same tail
+    tail = _binomial_tail(nu, r, rho, lower)
+    other = 1.0 - tail
+    if isinstance(lower, bool):
+        lam, comp = (tail, other) if lower else (other, tail)
+    else:
+        lam, comp = np.where(lower, tail, other), np.where(lower, other, tail)
+    if len(nu) == len(shells):
+        return lam, comp
+    out = np.ones(len(shells)), np.zeros(len(shells))
+    out[0][high], out[1][high] = lam, comp
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -87,24 +95,36 @@ def _orders(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return i, r - i, k - 1.0, 1.0 / (r - 1.0 + k)
 
 
-def _binomial_tail(nu: np.ndarray, r: int, rho: float, lower: bool) -> np.ndarray:
-    """P[X <= r-1] (lower) or P[X >= r], X ~ Bin(nu, 1-rho), with the mean beyond r - 1/2.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _binomial_tail(nu: np.ndarray, r: int, rho: float, lower: bool | np.ndarray) -> np.ndarray:
+    """P[X <= r-1] on the rows where lower, else P[X >= r], X ~ Bin(nu, 1-rho), nu >= r:
+    each row takes the tail beyond r - 1/2 from the mean; lower is a row mask, or
+    one bool for every row.
 
     Summed, one row per shell, from t = P[X = r-1] by the term ratio, at most
     r/(r+k) past the first: the K terms of _orders(r) miss < 2^-56 of the sum.  t
     is rho**nu at r = 1, else the quotients of C(nu, r-1) (1-rho)^(r-1) times
-    rho^m in halves, or _loader_point past 531 quotients or the float range.
+    rho^m in halves, or _loader_point past 531 quotients or the float range.  The
+    two tails share one pass over t.
     """
     q, b = 1.0 - rho, r - 1
     i, r_minus_i, k_minus_1, inv_bk = _orders(r)
     m = nu - float(b)
     mi = m[:, None] + i  # C(nu, b) = prod (m + i) / i; lower ratios (r - i) / (m + i)
-    if lower:
-        terms = r_minus_i * (rho / q) / mi
-    else:  # ratios (m + 1 - k) / (b + k), 0 from k = m + 1 on
-        terms = (m[:, None] - k_minus_1) * (q / rho * inv_bk)
-    np.multiply.accumulate(terms, axis=1, out=terms)
-    sums = lower + np.add.reduce(terms, axis=1)
+
+    def side_sums(below: bool, rows) -> np.ndarray:
+        if below:
+            terms = r_minus_i * (rho / q) / mi[rows]
+        else:  # ratios (m + 1 - k) / (b + k), 0 from k = m + 1 on
+            terms = (m[rows, None] - k_minus_1) * (q / rho * inv_bk)
+        np.multiply.accumulate(terms, axis=1, out=terms)
+        return below + np.add.reduce(terms, axis=1)
+
+    if isinstance(lower, bool):
+        sums = side_sums(lower, slice(None))
+    else:
+        sums = np.empty(len(m))
+        sums[lower], sums[~lower] = side_sums(True, lower), side_sums(False, ~lower)
     if b == 0:
         return np.array([rho**e for e in m.tolist()]) * sums
     cq = np.multiply.reduce(mi * (q / i), axis=1) if b <= 531 else np.full(len(m), np.inf)
@@ -356,6 +376,16 @@ def remainder_coefficient_check(nu: int, r: int, rho: float) -> tuple[float, flo
     return (lhs, rhs)
 
 
+@functools.lru_cache(maxsize=4)
+def _unit_gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The count-node Gauss-Legendre rule moved to [0, 1]: read-only nodes and
+    weights, built once per count (numpy's leggauss takes milliseconds at 64)."""
+    x, w = np.polynomial.legendre.leggauss(count)
+    u, wu = 0.5 * (x + 1.0), 0.5 * w
+    u.flags.writeable = wu.flags.writeable = False
+    return u, wu
+
+
 @_QUIET
 def remainder_integral_norm(
     f: SpectralFunction, rho: float, r: int, p: float, grid: HexGrid
@@ -377,9 +407,7 @@ def remainder_integral_norm(
         raise ValueError(f"order r must be at least 2, got {r}")
     _, _, shell, coeffs = f._support()
     top = int(shell[coeffs != 0].max(initial=0))
-    x, w = np.polynomial.legendre.leggauss(max(64, (top + 1) // 2))
-    u = 0.5 * (x + 1.0)
-    wu = 0.5 * w
+    u, wu = _unit_gauss_legendre(max(64, (top + 1) // 2))
     one = 1.0 - rho
     prefactor = one**r / math.factorial(r - 1)
 

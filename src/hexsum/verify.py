@@ -5,11 +5,13 @@ tolerance; run_all_checks returns the full list of CheckResults in a
 fixed order.  Randomized checks draw from a seeded generator with
 tolerance-safe margins, so pass/fail verdicts do not depend on the seed.
 
-The battery spreads over the usable CPUs: check i runs in process
-i mod w, the caller being process 0 and the others forked helpers that
-send their results back as JSON over a pipe.  Each check has its own
-generator, so no result depends on the process that ran it.  The checks
-of a helper that fails in any way are rerun in the caller.
+The battery spreads over the usable CPUs through one work queue: the
+check indices wait in a pipe, and the caller and the forked helpers each
+take the next one whenever they are idle, so no process waits on a fixed
+share.  Helpers send their [index, result] rows back as JSON over a pipe.
+Each check has its own generator, so no result depends on the process
+that ran it.  Every index left without a result, because its helper failed
+in any way, is rerun in the caller.
 """
 
 from __future__ import annotations
@@ -658,13 +660,25 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+#: the queue sends each check index as one byte
+_MAX_CHECKS = 256
+
+
 def _run_check(checks: list, seed: int, i: int) -> CheckResult:
     return checks[i](np.random.default_rng([seed, i]))
 
 
-def _start_helper(checks: list, seed: int, share: range):
-    """Fork a process that runs share and writes its results as one JSON
-    document to a pipe; returns its pid and the read end of the pipe."""
+def _taken(queue: int):
+    """Check indices taken from the queue, one at a time, until it is empty.  A
+    one-byte read of a pipe is atomic, so no two processes take the same index."""
+    while byte := os.read(queue, 1):
+        yield byte[0]
+
+
+def _start_helper(checks: list, seed: int, queue: int):
+    """Fork a process that runs the checks it takes from the queue and writes
+    [i, *fields] rows as one JSON document to a pipe; returns its pid and the
+    read end of the pipe."""
     read_fd, write_fd = os.pipe()
     sys.stdout.flush()
     sys.stderr.flush()
@@ -678,7 +692,7 @@ def _start_helper(checks: list, seed: int, share: range):
         code = 1
         try:
             os.close(read_fd)
-            rows = [astuple(_run_check(checks, seed, i)) for i in share]
+            rows = [[i, *astuple(_run_check(checks, seed, i))] for i in _taken(queue)]
             with open(write_fd, "w", encoding="utf-8") as pipe:
                 json.dump(rows, pipe)
             code = 0
@@ -688,52 +702,70 @@ def _start_helper(checks: list, seed: int, share: range):
     return pid, open(read_fd, "rb")
 
 
-def _reply_results(reply: bytes | None, count: int) -> list[CheckResult] | None:
-    """A helper's CheckResults, or None unless its reply holds count of them."""
+def _reply_results(reply: bytes | None, count: int) -> dict[int, CheckResult]:
+    """A helper's CheckResults by check index; none unless every row of its
+    reply is readable."""
     try:
-        results = [CheckResult(*row) for row in json.loads(reply)]
+        results = {}
+        for i, *fields in json.loads(reply):
+            if not (type(i) is int and 0 <= i < count):
+                return {}
+            results[i] = CheckResult(*fields)
+        return results
     except (TypeError, ValueError):
-        return None
-    return results if len(results) == count else None
+        return {}
 
 
 def run_all_checks(seed: int = 0) -> list[CheckResult]:
     """Run the whole battery; results in ALL_CHECKS order.
 
-    Check i draws from np.random.default_rng([seed, i]) and runs in process
-    i mod w, w being the usable CPUs: process 0 is the caller, and w = 1
-    forks nothing.  The checks of a helper that exits non-zero or sends no
-    readable reply are rerun here, so a check that raises raises in the
-    caller.  Every helper is reaped before this returns or raises.  Python
-    3.12 and later warn (DeprecationWarning) on a fork from a process that
-    runs several threads, such as a BLAS pool; the fork still happens.
+    Check i draws from np.random.default_rng([seed, i]), so its result does
+    not depend on the process that runs it.  The indices wait in one queue,
+    a pipe, and the caller and w - 1 forked helpers (w being the usable
+    CPUs) each take the next index whenever they are idle; w = 1, or a fork
+    that fails, leaves the caller to take them all.  After every helper is
+    reaped, each index with no result, because its helper exited non-zero
+    or sent no readable reply, is rerun here in index order, so a check
+    that raises raises in the caller.  Every helper is reaped before this
+    returns or raises.  Python 3.12 and later warn (DeprecationWarning) on
+    a fork from a process that runs several threads, such as a BLAS pool;
+    the fork still happens.
     """
     checks = list(ALL_CHECKS)
+    if len(checks) > _MAX_CHECKS:
+        raise ValueError(f"the check queue holds at most {_MAX_CHECKS} checks, got {len(checks)}")
     width = max(1, min(_usable_cpus(), len(checks)))
-    shares = [range(p, len(checks), width) for p in range(width)]
     results = [None] * len(checks)
-    helpers = []  # (share, pid, read end of its pipe)
+    queue, feed = os.pipe()
+    os.write(feed, bytes(range(len(checks))))  # far below a pipe's capacity
+    os.close(feed)  # an empty queue now reads as end of file
+    helpers = []  # (pid, read end of its pipe)
     replies = {}
     try:
-        for share in shares[1:]:
+        for _ in range(width - 1):
             try:
-                helpers.append((share, *_start_helper(checks, seed, share)))
-            except OSError:  # no process to be had: the shares left run here
+                helpers.append(_start_helper(checks, seed, queue))
+            except OSError:  # no process to be had: the caller takes the rest
                 break
-        for i in shares[0]:
+        for i in _taken(queue):
             results[i] = _run_check(checks, seed, i)
-        for share, _, pipe in helpers:
-            replies[share] = pipe.read()
+        for pid, pipe in helpers:
+            replies[pid] = pipe.read()
     finally:
-        for share, pid, pipe in helpers:
+        while os.read(queue, _MAX_CHECKS):  # after a raise, helpers find the queue empty
+            pass
+        os.close(queue)
+        for pid, pipe in helpers:
             pipe.close()  # a helper still writing stops on the broken pipe
             try:
                 if os.waitpid(pid, 0)[1] != 0:
-                    replies.pop(share, None)
+                    replies.pop(pid, None)
             except ChildProcessError:  # reaped elsewhere: its exit status is unknown
-                replies.pop(share, None)
-    for share in shares[1:]:
-        got = _reply_results(replies.get(share), len(share))
-        for j, i in enumerate(share):
-            results[i] = got[j] if got else _run_check(checks, seed, i)
+                replies.pop(pid, None)
+    for reply in replies.values():
+        for i, result in _reply_results(reply, len(checks)).items():
+            results[i] = result
+    for i, result in enumerate(results):
+        if result is None:
+            results[i] = _run_check(checks, seed, i)
     return results

@@ -841,6 +841,15 @@ def test_main_kernel_certifies_the_top_of_its_ladder(tmp_path, monkeypatch, caps
     assert rows[0]["cutoff"] < rows[1]["cutoff"]
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: graded quadrature")
+def test_main_kernel_passes_at_k9(tmp_path, monkeypatch, capsys):
+    # a known defect: the mean check reads 1.0020 on the grid capped at 4096,
+    # so the run exits 1; the assertion is right and the quadrature too coarse
+    monkeypatch.chdir(tmp_path)
+    assert main(["kernel", "--rho-kmin", "9", "--rho-kmax", "9"]) == 0
+    assert "kernel: 2/2 assertions passed" in capsys.readouterr().out
+
+
 def test_main_kernel_ladder_above_k10_is_exit_2(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["kernel", "--rho-kmax", "11"]) == 2

@@ -309,6 +309,23 @@ def test_scale_shells_drops_zeros():
             assert got[k] == c
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_scale_shells_stores_what_the_checked_constructor_would(seed):
+    # the kept entries go straight into the store; the checked constructor
+    # gives the same read-only arrays, bit for bit
+    rng = np.random.default_rng(seed)
+    f = random_spectrum(6, rng)
+    weights = rng.standard_normal(7) * (rng.uniform(size=7) < 0.7)
+    g = scale_shells(f, lambda shells: weights[shells])
+    k1, k2, _, c = g._support()
+    checked = SpectralFunction._from_arrays(k1, k2, -k1 - k2, c, f.max_degree)
+    assert g.max_degree == checked.max_degree == 6
+    for a, b in zip(g._support(), checked._support()):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert not a.flags.writeable
+    assert all(a.base is None for a in g._support())  # not views of f's arrays
+
+
 @given(st.lists(st.integers(0, 6), max_size=30).map(sorted))
 def test_shell_groups_equal_unique_on_sorted_shells(shells):
     shell = np.array(shells, dtype=np.int64)

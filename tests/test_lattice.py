@@ -116,6 +116,29 @@ def test_frequency_arrays_match_cube_scan():
     ]
 
 
+#: every (max_degree, min_degree) that the test suite asks frequency_arrays for
+SUITE_DEGREES = (
+    [(d, 0) for d in [*range(25), 27, 28, 32, 40, 64]]
+    + [(d, d) for d in [*range(48), 128, 200]]
+    + [(9, 4)]
+)
+
+
+def test_frequency_arrays_memo_is_read_only_and_fresh():
+    # the one kept result is handed out again, read-only, and equals a fresh
+    # enumeration whatever was asked for before
+    for max_degree, min_degree in SUITE_DEGREES + SUITE_DEGREES[::-1]:
+        got = frequency_arrays(max_degree, min_degree)
+        assert all(a is b for a, b in zip(got, frequency_arrays(max_degree, min_degree)))
+        fresh = frequency_arrays.__wrapped__(max_degree, min_degree)
+        for a, b in zip(got, fresh):
+            assert a is not b and a.dtype == b.dtype == np.int64
+            assert np.array_equal(a, b)
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[:1] = 7
+
+
 def test_negative_arguments_rejected():
     with pytest.raises(ValueError):
         index_shell(-1)

@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hexsum import means
 from hexsum.families import (
     basis_family,
     builtin_families,
@@ -106,6 +108,22 @@ def test_lambda_matches_high_precision_binomial_sums():
                         if ref >= 1e-300:
                             worst = max(worst, float(abs(got - ref) / ref))
     assert worst <= 1e-13
+
+
+def test_lambda_frozen_grid_bit_for_bit():
+    # values of the two-pass implementation this one replaced, as float.hex: the
+    # whole array and each one-shell array give them, bit for bit
+    doc = json.loads((Path(__file__).parent / "data" / "lambda_shells_frozen.json").read_text())
+    shells = np.array(doc["shells"])
+    assert len(doc["rows"]) == 16
+    for row in doc["rows"]:
+        r, rho = row["r"], float.fromhex(row["rho"])
+        want = [[float.fromhex(x) for x in row[key]] for key in ("lam", "comp")]
+        got = lambda_shells(shells, r, rho)
+        assert [a.tobytes() for a in got] == [np.array(x).tobytes() for x in want], (r, rho)
+        for j in range(len(shells)):
+            (lam,), (comp,) = lambda_shells(shells[j:j + 1], r, rho)
+            assert (lam.hex(), comp.hex()) == (want[0][j].hex(), want[1][j].hex()), (r, rho, j)
 
 
 def test_lambda_validation():
@@ -448,12 +466,11 @@ def test_remainder_integral_refuses_an_aliasing_grid():
 
 
 def _recorded_node_counts(monkeypatch):
-    """Node counts of every Gauss-Legendre rule built from now on."""
+    """Node counts of every Gauss-Legendre rule asked for from now on, whether
+    the memo builds it or already holds it."""
     counts = []
-    leggauss = np.polynomial.legendre.leggauss
-    monkeypatch.setattr(
-        np.polynomial.legendre, "leggauss", lambda deg: counts.append(deg) or leggauss(deg)
-    )
+    rule = means._unit_gauss_legendre
+    monkeypatch.setattr(means, "_unit_gauss_legendre", lambda deg: counts.append(deg) or rule(deg))
     return counts
 
 
@@ -468,6 +485,16 @@ def test_remainder_integral_exact_shells_only(monkeypatch):
     padded = SpectralFunction(edge.items() + [((400, -400, 0), 0.0)])
     assert remainder_integral_norm(padded, 0.5, 2, 2.0, grid) == got
     assert counts == [64, 64]
+
+
+def test_unit_gauss_legendre_is_a_read_only_copy_of_a_fresh_rule():
+    for count in (64, 100, 64):
+        u, wu = means._unit_gauss_legendre(count)
+        x, w = np.polynomial.legendre.leggauss(count)
+        assert u.tobytes() == (0.5 * (x + 1.0)).tobytes()
+        assert wu.tobytes() == (0.5 * w).tobytes()
+        assert not (u.flags.writeable or wu.flags.writeable)
+    assert means._unit_gauss_legendre(64)[0] is means._unit_gauss_legendre(64)[0]
 
 
 def test_remainder_integral_nodes_follow_the_top_shell(monkeypatch):

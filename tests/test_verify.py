@@ -1,6 +1,9 @@
+import json
 import math
 import os
 import signal
+import time
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -128,23 +131,70 @@ def _two_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
-def test_helper_results_round_trip_every_field(monkeypatch):
+def _wait_for(path, seconds=60.0):
+    deadline = time.monotonic() + seconds
+    while not path.exists():
+        assert time.monotonic() < deadline, f"nothing made {path.name}"
+        time.sleep(0.001)
+
+
+def _gates(flag):
+    """Two checks for the head of the queue.  Run in the caller, a gate waits
+    until a helper has made flag; in a helper it passes at once.  The caller
+    takes one of them and waits, so the helper takes the other and then every
+    index up to the check that makes flag, whatever the timing."""
+    caller = os.getpid()
+
+    def gate(rng):
+        if os.getpid() == caller:
+            _wait_for(flag)
+        return _pass(rng)
+
+    return [gate, gate]
+
+
+def _making(flag, check):
+    """check, having first made flag."""
+
+    def made(rng):
+        flag.touch()
+        return check(rng)
+
+    return made
+
+
+def test_helper_results_round_trip_every_field(monkeypatch, tmp_path):
+    # after the gates, the NaN, inf and text results all run in the helper
+    # and come back through its JSON reply
     _two_cpus(monkeypatch)
-    checks = [_pass, _nan, _pass, _inf, _pass]  # odd positions run in the helper
+    flag = tmp_path / "done"
+    checks = [*_gates(flag), _nan, _inf, _pass, _making(flag, _pass)]
     monkeypatch.setattr(verify, "ALL_CHECKS", checks)
     results = run_all_checks(7)
     _no_child_left()
     alone = [fn(np.random.default_rng([7, i])) for i, fn in enumerate(checks)]
     assert all(_same_result(a, b) for a, b in zip(results, alone))
-    assert [r.passed for r in results] == [True, False, True, False, True]
+    assert [r.passed for r in results] == [True, True, False, False, True, True]
 
 
-def test_check_raising_in_a_helper_raises_in_the_caller(monkeypatch):
+def test_reply_rows_round_trip_every_field():
+    rows = [_pass(np.random.default_rng(1)), _nan(None), _inf(None)]
+    reply = json.dumps([[i, *astuple(r)] for i, r in zip((4, 0, 2), rows)]).encode()
+    got = verify._reply_results(reply, 5)
+    assert sorted(got) == [0, 2, 4]
+    assert all(_same_result(got[i], r) for i, r in zip((4, 0, 2), rows))
+    for bad in (b"", b"{", b"[[5, 1]]", b'[["0", "a", true, 0.0, 1.0, ""]]',
+                b'[[0, "a", true, 0.0, 1.0, ""], [7, "b", true, 0.0, 1.0, ""]]', None):
+        assert verify._reply_results(bad, 5) == {}
+
+
+def test_check_raising_in_a_helper_raises_in_the_caller(monkeypatch, tmp_path):
     def fails(rng):
         raise ZeroDivisionError("in the check")
 
     _two_cpus(monkeypatch)
-    monkeypatch.setattr(verify, "ALL_CHECKS", [_pass, fails, _pass])
+    flag = tmp_path / "failing"
+    monkeypatch.setattr(verify, "ALL_CHECKS", [*_gates(flag), _making(flag, fails), _pass])
     with pytest.raises(ZeroDivisionError, match="in the check"):
         run_all_checks(0)
     _no_child_left()
@@ -155,13 +205,13 @@ def test_caller_raising_still_reaps_its_helpers(monkeypatch):
         raise KeyError("caller share")
 
     _two_cpus(monkeypatch)
-    monkeypatch.setattr(verify, "ALL_CHECKS", [fails, _pass, _pass, _pass])
+    monkeypatch.setattr(verify, "ALL_CHECKS", [fails, fails, _pass, _pass])
     with pytest.raises(KeyError):
         run_all_checks(0)
     _no_child_left()
 
 
-def test_killed_helper_has_its_checks_rerun(monkeypatch):
+def test_killed_helper_has_its_checks_rerun(monkeypatch, tmp_path):
     caller = os.getpid()
 
     def killed_in_helper(rng):
@@ -170,12 +220,71 @@ def test_killed_helper_has_its_checks_rerun(monkeypatch):
         return _pass(rng)
 
     _two_cpus(monkeypatch)
-    checks = [_pass, killed_in_helper, _pass, _pass]
+    flag = tmp_path / "killing"
+    checks = [*_gates(flag), _making(flag, killed_in_helper), _pass]
     monkeypatch.setattr(verify, "ALL_CHECKS", checks)
     results = run_all_checks(3)
     _no_child_left()
     alone = [fn(np.random.default_rng([3, i])) for i, fn in enumerate(checks)]
     assert all(_same_result(a, b) for a, b in zip(results, alone))
+
+
+def _logging(log, count):
+    """count checks that each append 'index pid' to log as they run."""
+
+    def logged(i):
+        def check(rng):
+            with open(log, "a") as fh:
+                fh.write(f"{i} {os.getpid()}\n")
+            return verify._result(f"test.logged{i}", 0.0, 1.0)
+
+        return check
+
+    return [logged(i) for i in range(count)]
+
+
+def _log_rows(log):
+    return [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+
+
+def test_each_index_runs_exactly_once_across_processes(monkeypatch, tmp_path):
+    _two_cpus(monkeypatch)
+    log, flag = tmp_path / "log", tmp_path / "helper"
+    checks = [*_gates(flag), *_logging(log, 12)]
+    checks[2] = _making(flag, checks[2])  # the caller waits until the helper is at index 2
+    monkeypatch.setattr(verify, "ALL_CHECKS", checks)
+    results = run_all_checks(5)
+    _no_child_left()
+    assert [r.name for r in results[2:]] == [f"test.logged{i}" for i in range(12)]
+    rows = _log_rows(log)
+    assert sorted(i for i, _ in rows) == list(range(12))
+    assert {pid for _, pid in rows} != {os.getpid()}  # the helper took some
+
+
+def test_fork_failure_runs_everything_in_the_caller(monkeypatch, tmp_path):
+    def no_fork():
+        raise OSError("no process to be had")
+
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(os, "fork", no_fork)
+    log = tmp_path / "log"
+    monkeypatch.setattr(verify, "ALL_CHECKS", _logging(log, 6))
+    results = run_all_checks(2)
+    _no_child_left()
+    assert [r.name for r in results] == [f"test.logged{i}" for i in range(6)]
+    assert _log_rows(log) == [(i, os.getpid()) for i in range(6)]
+
+
+def test_check_count_limited_to_one_byte_indices(monkeypatch):
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(verify, "ALL_CHECKS", [_pass] * (verify._MAX_CHECKS + 1))
+    with pytest.raises(ValueError, match="at most 256 checks, got 257"):
+        run_all_checks(0)
+    _no_child_left()
+    monkeypatch.setattr(verify, "ALL_CHECKS", [_pass] * verify._MAX_CHECKS)
+    results = run_all_checks(0)
+    _no_child_left()
+    assert len(results) == 256 and all(r.passed for r in results)
 
 
 @pytest.mark.parametrize("cpus", ["one", "unknown"])
