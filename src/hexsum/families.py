@@ -71,7 +71,7 @@ def polynomial_family(degree: int = 2) -> FamilySpec:
     coeffs = np.empty(len(shell), dtype=complex)
     coeffs.real, coeffs.imag = mag * cos, np.where(upper, 1.0, -1.0) * (mag * sin)
     coeffs[0] = 1.0
-    f = SpectralFunction._from_arrays(k1, k2, -k1 - k2, coeffs)
+    f = SpectralFunction.from_arrays(k1, k2, coeffs)
     return FamilySpec(f"polynomial(degree={degree})", f, 0.0)
 
 
@@ -80,7 +80,7 @@ def basis_family(nu: int) -> FamilySpec:
     if nu < 0:
         raise ValueError("shell index must be nonnegative")
     k1, k2, _ = frequency_arrays(nu, nu)
-    f = SpectralFunction._from_arrays(k1[:1], k2[:1], -k1[:1] - k2[:1], np.ones(1, dtype=complex))
+    f = SpectralFunction.from_arrays(k1[:1], k2[:1], np.ones(1, dtype=complex))
     return FamilySpec(f"basis(nu={nu})", f, 0.0)
 
 
@@ -92,26 +92,28 @@ def random_spectrum(max_degree: int, rng: np.random.Generator) -> SpectralFuncti
     are real.  Draw order is canonical (shell-major), so a seeded generator
     reproduces the same spectrum.
     """
-    k1, k2, _ = frequency_arrays(max_degree)
-    # one draw per (k1, k2) >= (-k1, -k2), the origin first and real; the
-    # conjugate goes on every negated frequency but the origin
-    half = (k1 > 0) | ((k1 == 0) & (k2 >= 0))
-    k1, k2 = k1[half], k2[half]
-    re, im = np.insert(rng.standard_normal(2 * k1.size - 1), 1, 0.0).reshape(-1, 2).T
-    k1, k2 = np.concatenate([k1, -k1[1:]]), np.concatenate([k2, -k2[1:]])
-    re, im = np.concatenate([re, re[1:]]), np.concatenate([im, -im[1:]])
+    k1, k2, shell = frequency_arrays(max_degree)
+    # draws in canonical order on the origin (real) and each shell's upper half,
+    # k > -k; negation takes place j of shell nu to 6 nu - 1 - j, the conjugate's
+    pos = np.arange(len(shell)) - 3 * shell * (shell - 1) - (shell > 0)  # place in the shell
+    upper = pos >= 3 * shell
+    re, im = np.empty((2, len(shell)))
+    draws = np.insert(rng.standard_normal(2 * np.count_nonzero(upper) - 1), 1, 0.0)
+    re[upper], im[upper] = draws.reshape(-1, 2).T
+    mirror = (np.arange(len(shell)) + 6 * shell - 1 - 2 * pos)[~upper]
+    re[~upper], im[~upper] = re[mirror], -im[mirror]
     norm = math.sqrt(math.fsum((re * re + im * im).tolist()))
     if norm > 0.0:
         re, im = re / norm, im / norm
     coeffs = np.empty(re.size, dtype=complex)
     coeffs.real, coeffs.imag = re, im
-    return SpectralFunction._from_arrays(k1, k2, -k1 - k2, coeffs, max_degree)
+    return SpectralFunction.from_arrays(k1, k2, coeffs, max_degree)
 
 
 def _shell_weighted(weights: list[float]) -> SpectralFunction:
     """weights[nu] on every frequency of shell nu, for nu <= len(weights) - 1."""
     k1, k2, shell = frequency_arrays(len(weights) - 1)
-    return SpectralFunction._from_arrays(k1, k2, -k1 - k2, np.array(weights, dtype=complex)[shell])
+    return SpectralFunction.from_arrays(k1, k2, np.array(weights, dtype=complex)[shell])
 
 
 def builtin_families(max_degree: int = 64) -> list[FamilySpec]:

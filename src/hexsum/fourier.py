@@ -14,6 +14,9 @@ The transforms are 2-D DFTs, since phi_k(m) = exp(2 pi i ((k1 - k3) m1 +
 (k2 - k3) m2) / n) on the grid (Li, Sun and Xu, SIAM J. Numer. Anal. 46,
 2008); numpy's pocketfft is deterministic, so reruns agree bit for bit.
 
+A SpectralFunction is read through its canonical support arrays f.k1, f.k2,
+f.shell and f.coeffs, and built from arrays by SpectralFunction.from_arrays.
+
 Every norm of f with its shells rescaled comes from one norm plan,
 _norm_plan(f, p, grid): the exact L2 norm from the shell masses when grid
 is None, else the grid p-norm of one inverse FFT, refused with ValueError
@@ -199,10 +202,10 @@ class _Key(tuple):
 class SpectralFunction:
     """Finite map from zero-sum frequency triples to coefficients.
 
-    Coefficients are stored sparsely, as read-only canonical arrays of k1,
-    k2, shell and coefficient (k3 is implied), computed once per instance.
-    The library works on these arrays; the mapping constructor and items()
-    are per-entry views of them.
+    The support is stored once, as the read-only canonical arrays ``f.k1``,
+    ``f.k2``, ``f.shell`` and ``f.coeffs`` (k3 is implied), which the library
+    reads and ``from_arrays(k1, k2, coeffs)`` builds; the mapping constructor
+    and items() are per-entry views of them.
     ``max_degree`` is a declared bound: every stored key must satisfy
     degree(k) <= max_degree.  Iteration order is canonical (shell by
     shell, lexicographic within a shell), which downstream code relies on
@@ -218,38 +221,40 @@ class SpectralFunction:
     ):
         items = list(coeffs.items() if hasattr(coeffs, "items") else coeffs)
         k1, k2, k3 = np.array([k for k, _ in items], dtype=np.int64).reshape(-1, 3).T
-        self._set_support(k1, k2, k3, [complex(c) for _, c in items], max_degree)
+        bad = np.flatnonzero(k1 + k2 + k3)
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"frequency triple must sum to 0, got ({k1[i]}, {k2[i]}, {k3[i]})")
+        self._set_support(k1, k2, [complex(c) for _, c in items], max_degree)
 
     @classmethod
-    def _from_arrays(cls, k1, k2, k3, coeffs, max_degree=None) -> "SpectralFunction":
-        """Bulk construction from frequency and coefficient arrays."""
+    def from_arrays(cls, k1, k2, coeffs, max_degree=None) -> "SpectralFunction":
+        """The spectrum with coefficient coeffs[j] at (k1[j], k2[j], -k1[j] - k2[j]),
+        in any order; duplicates and keys above max_degree raise ValueError."""
         f = cls.__new__(cls)
-        f._set_support(k1, k2, k3, coeffs, max_degree)
+        f._set_support(k1, k2, coeffs, max_degree)
         return f
 
-    def _set_support(self, k1, k2, k3, coeffs, max_degree) -> None:
-        """Check zero sums, duplicates and max_degree in one place, then store
-        the support once as read-only canonical arrays.
+    def _set_support(self, k1, k2, coeffs, max_degree) -> None:
+        """Check lengths, duplicates and max_degree in one place, then store the
+        support once as read-only canonical arrays.
 
         Input whose (shell, k1, k2) strictly increases is canonical and free
         of duplicates, so it is only copied: linear time.  Other input is
         sorted.  Either way the stored arrays are new, never the caller's.
         """
-        bad = np.flatnonzero(k1 + k2 + k3)
-        if bad.size:
-            i = bad[0]
-            raise ValueError(f"frequency triple must sum to 0, got ({k1[i]}, {k2[i]}, {k3[i]})")
-        shell = np.maximum(np.maximum(np.abs(k1), np.abs(k2)), np.abs(k3))
+        k1, k2 = np.array(k1, dtype=np.int64), np.array(k2, dtype=np.int64)
+        coeffs = np.array(coeffs, dtype=complex)
+        if k1.ndim != 1 or not k1.shape == k2.shape == coeffs.shape:
+            raise ValueError("k1, k2 and coeffs must be 1-D arrays of one length")
+        shell = np.maximum(np.maximum(np.abs(k1), np.abs(k2)), np.abs(k1 + k2))
         order = _canonical_order(k1, k2, shell)
-        if order is None:
-            k1, k2, coeffs = np.array(k1), np.array(k2), np.array(coeffs, dtype=complex)
-        else:
-            k1, k2, shell = k1[order], k2[order], shell[order]
+        if order is not None:
+            k1, k2, shell, coeffs = k1[order], k2[order], shell[order], coeffs[order]
             dup = np.flatnonzero(_repeats(k1, k2))
             if dup.size:
                 i = dup[0]
                 raise ValueError(f"duplicate frequency ({k1[i]}, {k2[i]}, {-k1[i] - k2[i]})")
-            coeffs = np.asarray(coeffs, dtype=complex)[order]
         deg = int(shell.max(initial=0))
         if max_degree is not None and deg > max_degree:
             raise ValueError(
@@ -260,40 +265,35 @@ class SpectralFunction:
     def _store(self, k1, k2, shell, coeffs, max_degree: int) -> None:
         """Keep arrays that already form a canonical support, made read-only;
         no other object may hold them."""
-        self._arrays = (k1, k2, shell, coeffs)
-        for a in self._arrays:
+        for a in (k1, k2, shell, coeffs):
             a.flags.writeable = False
+        self.k1, self.k2, self.shell, self.coeffs = k1, k2, shell, coeffs
         self.max_degree = max_degree
 
     # -- access ------------------------------------------------------------
 
-    def _support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only k1, k2, shell and coefficient arrays in canonical order."""
-        return self._arrays
-
     def items(self) -> list[tuple[tuple[int, int, int], complex]]:
         """(k1, k2, k3) keys and coefficients in canonical (shell-major,
         lexicographic) order."""
-        k1, k2, _, coeffs = self._support()
         return [
             (_Key((a, b, -a - b)), c)
-            for a, b, c in zip(k1.tolist(), k2.tolist(), coeffs.tolist())
+            for a, b, c in zip(self.k1.tolist(), self.k2.tolist(), self.coeffs.tolist())
         ]
 
     @property
     def support_size(self) -> int:
-        return len(self._arrays[0])
+        return len(self.k1)
 
     def degree(self) -> int:
         """Largest shell actually carrying a coefficient (0 if empty)."""
-        return int(self._arrays[2].max(initial=0))
+        return int(self.shell.max(initial=0))
 
     # -- diagnostics ---------------------------------------------------------
 
     def shell_masses(self) -> np.ndarray:
         """Sum of |coeff|^2 per shell, indexed 0..max_degree."""
-        _, _, shell, c = self._support()
-        return np.bincount(shell, c.real * c.real + c.imag * c.imag, self.max_degree + 1)
+        c = self.coeffs
+        return np.bincount(self.shell, c.real * c.real + c.imag * c.imag, self.max_degree + 1)
 
     @_QUIET
     def l2_norm(self) -> float:
@@ -305,9 +305,8 @@ class SpectralFunction:
     def is_real_symmetric(self) -> bool:
         """True when the coefficient at -k is within _SYMMETRY_TOL of the conjugate
         at k: f against its conjugate reflection, so a NaN coefficient gives False."""
-        k1, k2, _, coeffs = self._support()
-        reflection = SpectralFunction._from_arrays(
-            -k1, -k2, k1 + k2, coeffs.conj(), self.max_degree
+        reflection = SpectralFunction.from_arrays(
+            -self.k1, -self.k2, self.coeffs.conj(), self.max_degree
         )
         return max_coeff_diff(self, reflection) <= _SYMMETRY_TOL
 
@@ -327,16 +326,15 @@ def scale_shells(
     ``multipliers`` is called once, with the ascending int64 array of the
     shells occupied in f, and returns one real or complex multiplier per shell.
     """
-    k1, k2, shell, coeffs = f._support()
-    shells, at = _shell_groups(shell)
+    shells, at = _shell_groups(f.shell)
     m = np.asarray(multipliers(shells), dtype=complex)[at]
-    v = np.empty_like(coeffs)  # Python's complex product term by term; numpy's may fuse
-    v.real = m.real * coeffs.real - m.imag * coeffs.imag
-    v.imag = m.real * coeffs.imag + m.imag * coeffs.real
+    v = np.empty_like(f.coeffs)  # Python's complex product term by term; numpy's may fuse
+    v.real = m.real * f.coeffs.real - m.imag * f.coeffs.imag
+    v.imag = m.real * f.coeffs.imag + m.imag * f.coeffs.real
     keep = v != 0
     out = SpectralFunction.__new__(SpectralFunction)
     # any subsequence of a canonical support is canonical: no checks, no sort
-    out._store(k1[keep], k2[keep], shell[keep], v[keep], f.max_degree)
+    out._store(f.k1[keep], f.k2[keep], f.shell[keep], v[keep], f.max_degree)
     return out
 
 
@@ -344,13 +342,12 @@ def max_coeff_diff(f: SpectralFunction, g: SpectralFunction) -> float:
     """Largest coefficientwise difference over the union of supports, merged by
     one stable sort: a frequency in both is an adjacent pair a, -b, whose sum
     rounds as a - b; np.hypot rounds each modulus as abs() does."""
-    (a1, a2, _, a), (b1, b2, _, b) = f._support(), g._support()
-    k1, k2 = np.concatenate((a1, b1)), np.concatenate((a2, b2))
+    k1, k2 = np.concatenate((f.k1, g.k1)), np.concatenate((f.k2, g.k2))
     order = np.lexsort((k2, k1))
     k1, k2 = k1[order], k2[order]
     first = np.ones(len(order), dtype=bool)  # first of its frequency
     first[1:] = (k1[1:] != k1[:-1]) | (k2[1:] != k2[:-1])
-    d = np.add.reduceat(np.concatenate((a, -b))[order], np.flatnonzero(first))
+    d = np.add.reduceat(np.concatenate((f.coeffs, -g.coeffs))[order], np.flatnonzero(first))
     return float(np.max(np.hypot(d.real, d.imag), initial=0.0))
 
 
@@ -372,8 +369,7 @@ def _grid_function(grid: HexGrid, bins: np.ndarray, coeffs: np.ndarray) -> GridF
 
 def synthesize(f: SpectralFunction, grid: HexGrid) -> GridFunction:
     """Evaluate f on every grid point with one inverse 2-D FFT."""
-    k1, k2, _, coeffs = f._support()
-    return _grid_function(grid, _dft_bins(k1, k2, grid.n), coeffs)
+    return _grid_function(grid, _dft_bins(f.k1, f.k2, grid.n), f.coeffs)
 
 
 def analyze(g: GridFunction, max_degree: int) -> SpectralFunction:
@@ -397,7 +393,7 @@ def analyze(g: GridFunction, max_degree: int) -> SpectralFunction:
     spectrum = np.fft.fft2(g.values.reshape(n, n), norm="forward").ravel()
     k1, k2, _ = frequency_arrays(max_degree)
     coeffs = spectrum[_dft_bins(k1, k2, n)]
-    return SpectralFunction._from_arrays(k1, k2, -k1 - k2, coeffs, max_degree)
+    return SpectralFunction.from_arrays(k1, k2, coeffs, max_degree)
 
 
 def lp_norm(g: GridFunction, p: float) -> float:
@@ -450,8 +446,8 @@ def _norm_plan(
     grid on which two nonzero coefficients share a DFT bin would alias
     them silently, so it raises ValueError.
     """
-    k1, k2, shell, coeffs = f._support()
-    shells, at = _shell_groups(shell)
+    coeffs = f.coeffs
+    shells, at = _shell_groups(f.shell)
     if grid is None:
         if p != 2:
             raise ValueError("a grid is required for p != 2")
@@ -477,7 +473,7 @@ def _norm_plan(
             except OverflowError:
                 return math.inf
     else:
-        bins = _dft_bins(k1, k2, grid.n)
+        bins = _dft_bins(f.k1, f.k2, grid.n)
         # a sort, not np.unique: its hash path is several times slower on a few
         # hundred bins and pays a one-off set-up in every process
         occupied = np.sort(bins[coeffs != 0])
@@ -518,10 +514,9 @@ _K_BOUND = 2**62
 
 
 def spectral_to_json_dict(f: SpectralFunction) -> dict:
-    k1, k2, _, coeffs = f._support()
     entries = [
         {"k": [a, b, -a - b], "re": c.real, "im": c.imag}
-        for a, b, c in zip(k1.tolist(), k2.tolist(), coeffs.tolist())
+        for a, b, c in zip(f.k1.tolist(), f.k2.tolist(), f.coeffs.tolist())
     ]
     return {"max_degree": f.max_degree, "entries": entries}
 
@@ -628,8 +623,8 @@ def spectral_from_json_dict(doc: dict) -> SpectralFunction:
     if stop is not None:
         raise stop
     if order is not None:  # sorted once here; the store then only copies
-        k1, k2, k3, coeffs = k1[order], k2[order], k3[order], coeffs[order]
-    return SpectralFunction._from_arrays(k1, k2, k3, coeffs, max_degree)
+        k1, k2, coeffs = k1[order], k2[order], coeffs[order]
+    return SpectralFunction.from_arrays(k1, k2, coeffs, max_degree)
 
 
 def load_spectral(path) -> SpectralFunction:

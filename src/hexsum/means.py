@@ -167,6 +167,8 @@ def _perm_shells(shells: np.ndarray, n: int) -> np.ndarray:
     for i, nu in enumerate(shells.tolist()):
         if nu >= n:
             try:
+                if n > 170:  # nu!/(nu-n)! >= n! >= 171!, past the float range: skip the product
+                    raise OverflowError
                 out[i] = float(math.perm(nu, n))
             except OverflowError:
                 raise ValueError(
@@ -405,8 +407,7 @@ def remainder_integral_norm(
     _check_rho(rho)
     if r < 2:
         raise ValueError(f"order r must be at least 2, got {r}")
-    _, _, shell, coeffs = f._support()
-    top = int(shell[coeffs != 0].max(initial=0))
+    top = int(f.shell[f.coeffs != 0].max(initial=0))
     u, wu = _unit_gauss_legendre(max(64, (top + 1) // 2))
     one = 1.0 - rho
     prefactor = one**r / math.factorial(r - 1)

@@ -182,7 +182,7 @@ def check_roundtrip_parseval(rng) -> CheckResult:
     g = synthesize(f, grid)
     back = analyze(g, 6)
     worst = max_coeff_diff(f, back)
-    mass = math.fsum(abs(c) ** 2 for c in f._support()[3].tolist())
+    mass = math.fsum(abs(c) ** 2 for c in f.coeffs.tolist())
     mean_sq = float(pairwise_sum(np.abs(g.values) ** 2)) * grid.weight
     worst = max(worst, abs(mass - mean_sq))
     return _result("fourier.roundtrip_parseval", worst, 1e-12, "deg 6 at n=64")
@@ -480,7 +480,7 @@ def check_saturation(rng) -> CheckResult:
     for r in (1, 2, 3):
         f = families.random_spectrum(r - 1, rng) if r > 1 else families.basis_family(0).function
         out = means.apply_operator(f, 0.6, r)
-        bad += int(np.count_nonzero(_at_support(f, out) != f._support()[3]))
+        bad += int(np.count_nonzero(_at_support(f, out) != f.coeffs))
         for rho in (0.05, 0.5, 0.95):
             lam = means.lambda_shells(np.arange(r, r + 31), r, rho)[0]
             bad += int(np.count_nonzero(~(lam < 1.0)))
@@ -500,19 +500,17 @@ def check_deviation_monotone(rng) -> CheckResult:
 
 def _at_support(a, b) -> np.ndarray:
     """b's coefficients at the frequencies of a, in a's order; 0 off b's support."""
-    (a1, a2, a_shell, _), (b1, b2, b_shell, cb) = a._support(), b._support()
-    span = int(max(a_shell.max(initial=0), b_shell.max(initial=0)))
+    span = max(a.degree(), b.degree())
     side = 2 * span + 1
     on_b = np.zeros(side * side, dtype=complex)  # b on the square |k1|, |k2| <= span
-    on_b[(b1 + span) * side + b2 + span] = cb
-    return on_b[(a1 + span) * side + a2 + span]
+    on_b[(b.k1 + span) * side + b.k2 + span] = b.coeffs
+    return on_b[(a.k1 + span) * side + a.k2 + span]
 
 
 def _relative_gap_on(a, b) -> float:
     """max |a_k - b_k| / (1 + |a_k|) over the support of a, b_k = 0 off b's."""
-    ca = a._support()[3]
-    d = ca - _at_support(a, b)
-    gap = np.hypot(d.real, d.imag) / (1.0 + np.hypot(ca.real, ca.imag))
+    d = a.coeffs - _at_support(a, b)
+    gap = np.hypot(d.real, d.imag) / (1.0 + np.hypot(a.coeffs.real, a.coeffs.imag))
     return float(gap.max(initial=0.0))
 
 

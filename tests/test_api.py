@@ -43,7 +43,7 @@ def test_public_names_resolve():
             "deviation_norm", "_lambda_shells", "_check_multiplier_args",
             "SummationParams", "_scale_occupied",
         )),
-        (hexsum.SpectralFunction, ("coeff", "_coeffs")),
+        (hexsum.SpectralFunction, ("coeff", "_coeffs", "_support", "_from_arrays", "_arrays")),
     ):
         for name in names:
             assert not hasattr(module, name), name
@@ -95,3 +95,18 @@ def test_the_norm_plan_is_the_only_user_of_the_fourier_bin_privates():
     }
     assert "_norm_plan" in from_fourier
     assert {n for n in from_fourier if n.startswith("_")} <= {"_norm_plan", "_QUIET"}
+
+
+def test_the_store_is_entered_through_from_arrays_and_read_through_its_fields():
+    # fourier alone writes the support arrays; every other module and test builds
+    # a spectrum with from_arrays and reads the k1, k2, shell and coeffs fields
+    src = sorted(Path(hexsum.__file__).parent.glob("*.py"))
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    named = {path: _named(ast.parse(path.read_text(encoding="utf-8"))) for path in src + tests}
+    for path in src:
+        if path.name != "fourier.py":
+            assert not named[path] & {"_set_support", "_store"}, path.name
+    for path in src + tests:
+        assert not named[path] & {"_support", "_from_arrays", "_arrays"}, path.name
+    params = inspect.signature(hexsum.SpectralFunction.from_arrays).parameters
+    assert list(params) == ["k1", "k2", "coeffs", "max_degree"]

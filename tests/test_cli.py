@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import mpmath
@@ -574,6 +575,21 @@ def test_main_kfun_multiplier_overflow_is_exit_2(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "n=180" in err and "degree 180" in err
+
+
+def test_main_kfun_order_past_170_fails_before_the_exact_product(tmp_path, monkeypatch, capsys):
+    # nu!/(nu-n)! >= n! > 170! for nu >= n, so the multiplier is refused
+    # without math.perm(nu, n), which alone takes seconds at this order
+    monkeypatch.chdir(tmp_path)
+    n = 600_000
+    inp = tmp_path / "one.json"
+    save_spectral(SpectralFunction({(n, -n, 0): 1.0}), inp)
+    start = time.perf_counter()
+    assert main(["kfun", "--n", str(n), "--rho-kmax", "1", "--input", str(inp)]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: order n={n}: nu!/(nu-n)! exceeds the float range at degree {n}"
+    ]
 
 
 def _json_report(tmp_path, argv):

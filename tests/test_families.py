@@ -90,7 +90,7 @@ def test_random_spectrum_properties():
     assert f.l2_norm() == pytest.approx(1.0, rel=1e-12)
     k1, k2, _ = frequency_arrays(4)
     re, im = np.random.default_rng(2).standard_normal((2, k1.size))
-    h = SpectralFunction._from_arrays(k1, k2, -k1 - k2, re + 1j * im)
+    h = SpectralFunction.from_arrays(k1, k2, re + 1j * im)
     assert not h.is_real_symmetric()
 
 

@@ -154,7 +154,11 @@ def _spectrum(max_degree, rng, real_symmetric):
         return random_spectrum(max_degree, rng)
     k1, k2, _ = frequency_arrays(max_degree)
     re, im = rng.standard_normal((2, k1.size))
-    return SpectralFunction._from_arrays(k1, k2, -k1 - k2, re + 1j * im, max_degree)
+    return SpectralFunction.from_arrays(k1, k2, re + 1j * im, max_degree)
+
+
+def _fields(f):
+    return f.k1, f.k2, f.shell, f.coeffs
 
 
 def test_spectral_function_validation():
@@ -173,7 +177,7 @@ def test_spectral_function_max_degree_enforced():
 
 def test_support_arrays_are_read_only():
     f = _sample_spectrum(3)
-    for a in f._support():
+    for a in _fields(f):
         with pytest.raises(ValueError):
             a[0] = 0
 
@@ -183,7 +187,7 @@ def test_support_size_leaves_lookup_dict_unbuilt():
     f = _sample_spectrum(3)
     assert f.support_size == 1 + 3 * 3 * 4
     f.items()
-    assert set(vars(f)) == {"_arrays", "max_degree"}
+    assert set(vars(f)) == {"k1", "k2", "shell", "coeffs", "max_degree"}
 
 
 @pytest.mark.parametrize("real_symmetric", [True, False])
@@ -191,11 +195,10 @@ def test_lookups_agree_between_constructors(real_symmetric):
     f = _spectrum(5, np.random.default_rng(4), real_symmetric)
     coeffs = dict(f.items())
     by_init = SpectralFunction(coeffs)
-    k1, k2, _, c = f._support()
-    back = np.arange(len(k1))[::-1]  # bulk path sorts its input
-    by_arrays = SpectralFunction._from_arrays(k1[back], k2[back], -(k1 + k2)[back], c[back])
+    back = np.arange(f.support_size)[::-1]  # bulk path sorts its input
+    by_arrays = SpectralFunction.from_arrays(f.k1[back], f.k2[back], f.coeffs[back])
     other = _sample_spectrum(6, seed=1)
-    for a, b in zip(by_init._support(), by_arrays._support()):
+    for a, b in zip(_fields(by_init), _fields(by_arrays)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     assert by_init.l2_norm() == by_arrays.l2_norm()
     assert by_init.is_real_symmetric() == by_arrays.is_real_symmetric() == real_symmetric
@@ -216,13 +219,28 @@ def test_bulk_construction_rejects_what_init_rejects(keys, max_degree):
     with pytest.raises(ValueError) as init_error:
         SpectralFunction([(k, 1.0) for k in keys], max_degree=max_degree)
     k1, k2, k3 = np.array(keys).T
-    with pytest.raises(type(init_error.value)):
-        SpectralFunction._from_arrays(k1, k2, k3, np.ones(len(keys), complex), max_degree)
+    if (k1 + k2 + k3).any():  # from_arrays implies k3 = -k1 - k2: only a triple can miss 0
+        assert str(init_error.value) == "frequency triple must sum to 0, got (1, 1, 1)"
+    else:
+        with pytest.raises(ValueError) as bulk_error:
+            SpectralFunction.from_arrays(k1, k2, np.ones(len(keys), complex), max_degree)
+        assert str(bulk_error.value) == str(init_error.value)
+
+
+@pytest.mark.parametrize("k1, k2, coeffs", [
+    ([0, 1], [0], [1.0, 2.0]),
+    ([0, 1], [0, -1], [1.0]),
+    (np.zeros((2, 1), int), np.zeros((2, 1), int), np.ones((2, 1))),
+    (0, 0, 1.0),
+])
+def test_from_arrays_rejects_arrays_of_other_shapes(k1, k2, coeffs):
+    with pytest.raises(ValueError, match="must be 1-D arrays of one length"):
+        SpectralFunction.from_arrays(k1, k2, coeffs)
 
 
 def test_kernel_family_coefficients_bitwise():
     f = kernel_family(0.5).function
-    k1, k2, shell, c = f._support()
+    k1, k2, shell, c = _fields(f)
     for got, want in zip((k1, k2, shell), frequency_arrays(64)):
         assert np.array_equal(got, want)
     assert c.tolist() == [0.5**nu for nu in shell.tolist()]
@@ -255,6 +273,38 @@ def test_random_spectrum_matches_scalar_draws(seed):
     for k, c in want.items():
         assert (got[k].real.hex(), got[k].imag.hex()) == (c.real.hex(), c.imag.hex())
     assert f.max_degree == 12
+
+
+def _random_spectrum_by_negation(max_degree, rng):
+    """random_spectrum built from the origin and the upper half, then their
+    negations, left for the store to sort."""
+    k1, k2, _ = frequency_arrays(max_degree)
+    half = (k1 > 0) | ((k1 == 0) & (k2 >= 0))
+    k1, k2 = k1[half], k2[half]
+    re, im = np.insert(rng.standard_normal(2 * k1.size - 1), 1, 0.0).reshape(-1, 2).T
+    k1, k2 = np.concatenate([k1, -k1[1:]]), np.concatenate([k2, -k2[1:]])
+    re, im = np.concatenate([re, re[1:]]), np.concatenate([im, -im[1:]])
+    norm = math.sqrt(math.fsum((re * re + im * im).tolist()))
+    if norm > 0.0:
+        re, im = re / norm, im / norm
+    coeffs = np.empty(re.size, dtype=complex)
+    coeffs.real, coeffs.imag = re, im
+    return SpectralFunction.from_arrays(k1, k2, coeffs, max_degree)
+
+
+@pytest.mark.parametrize("max_degree", [0, 1, 2, 5, 10, 64])
+def test_random_spectrum_is_drawn_in_canonical_order(monkeypatch, max_degree):
+    # the store only copies the draw, and it equals the sorted construction
+    # bit for bit, signed zeros included
+    def no_sort(keys):
+        raise AssertionError("random_spectrum sorted its draw")
+
+    for seed in range(20):
+        want = _random_spectrum_by_negation(max_degree, np.random.default_rng(seed))
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "lexsort", no_sort)
+            got = random_spectrum(max_degree, np.random.default_rng(seed))
+        assert _bits(got) == _bits(want), seed
 
 
 def test_spectral_items_canonical_order():
@@ -317,13 +367,12 @@ def test_scale_shells_stores_what_the_checked_constructor_would(seed):
     f = random_spectrum(6, rng)
     weights = rng.standard_normal(7) * (rng.uniform(size=7) < 0.7)
     g = scale_shells(f, lambda shells: weights[shells])
-    k1, k2, _, c = g._support()
-    checked = SpectralFunction._from_arrays(k1, k2, -k1 - k2, c, f.max_degree)
+    checked = SpectralFunction.from_arrays(g.k1, g.k2, g.coeffs, f.max_degree)
     assert g.max_degree == checked.max_degree == 6
-    for a, b in zip(g._support(), checked._support()):
+    for a, b in zip(_fields(g), _fields(checked)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert not a.flags.writeable
-    assert all(a.base is None for a in g._support())  # not views of f's arrays
+    assert all(a.base is None for a in _fields(g))  # not views of f's arrays
 
 
 @given(st.lists(st.integers(0, 6), max_size=30).map(sorted))
@@ -370,12 +419,11 @@ def test_max_coeff_diff_matches_the_dict_walk():
     for _ in range(200):
         halves = []
         for _ in range(2):
-            k1, k2, _, c = random_spectrum(int(rng.integers(0, 5)), rng)._support()
-            keep = rng.random(len(k1)) < 0.6
+            h = random_spectrum(int(rng.integers(0, 5)), rng)
+            keep = rng.random(h.support_size) < 0.6
+            c = h.coeffs
             c = np.where(rng.random(len(c)) < 0.2, 0.0, c * np.exp(rng.normal(0.0, 30.0, len(c))))
-            halves.append(SpectralFunction._from_arrays(
-                k1[keep], k2[keep], -k1[keep] - k2[keep], c[keep]
-            ))
+            halves.append(SpectralFunction.from_arrays(h.k1[keep], h.k2[keep], c[keep]))
         pairs.append(tuple(halves))
     for f, g in pairs:
         for a, b in ((f, g), (g, f), (f, f)):
@@ -437,9 +485,8 @@ def test_analyze_matches_grid_average(n):
             warnings.simplefilter("ignore", ResolutionWarning)
             back = analyze(samples, degree)
         assert back.support_size == len(k1)
-        b1, b2, _, got = back._support()
-        assert np.array_equal(b1, k1) and np.array_equal(b2, k2)
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (n, degree)
+        assert np.array_equal(back.k1, k1) and np.array_equal(back.k2, k2)
+        assert np.abs(back.coeffs - want).max() <= 1e-13 * np.abs(want).max(), (n, degree)
 
 
 def test_analyze_warns_below_threshold():
@@ -674,7 +721,7 @@ def _reference_from_json_dict(doc):
 
 def _bits(f):
     """The stored support as dtypes and raw bytes: -0.0 differs from 0.0."""
-    return [(a.dtype.str, a.tobytes()) for a in f._support()] + [f.max_degree]
+    return [(a.dtype.str, a.tobytes()) for a in _fields(f)] + [f.max_degree]
 
 
 _small_k = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(lambda t: [t[0], t[1], -t[0] - t[1]])
@@ -763,12 +810,12 @@ def test_json_huge_frequencies_get_the_entry_message(k, fault):
 def test_json_roundtrip_keeps_signed_zeros(tmp_path):
     k1, k2 = np.array([0, 1, 1, 2]), np.array([0, -1, 0, -2])
     zeros = np.array([[-0.0, -0.0], [-0.0, 1.0], [1.0, -0.0], [0.0, 0.0]]).view(complex).ravel()
-    f = SpectralFunction._from_arrays(k1, k2, -k1 - k2, zeros)
+    f = SpectralFunction.from_arrays(k1, k2, zeros)
     path = tmp_path / "zeros.json"
     save_spectral(f, path)
     g = load_spectral(path)
     assert _bits(g) == _bits(f)
-    assert np.signbit(g._support()[3].view(float)).tolist() == [True, True, True, False, False, True, False, False]
+    assert np.signbit(g.coeffs.view(float)).tolist() == [True, True, True, False, False, True, False, False]
 
 
 @given(st.integers(0, 2**32 - 1), st.booleans())
@@ -776,10 +823,10 @@ def test_json_roundtrip_keeps_signed_zeros(tmp_path):
 def test_shuffled_input_stores_the_canonical_arrays(seed, real_symmetric):
     rng = np.random.default_rng(seed)
     f = _spectrum(4, rng, real_symmetric)
-    k1, k2, _, c = f._support()
+    k1, k2, c = f.k1, f.k2, f.coeffs
     perm = rng.permutation(len(k1))
-    shuffled = SpectralFunction._from_arrays(k1[perm], k2[perm], -(k1 + k2)[perm], c[perm], 4)
-    canonical = SpectralFunction._from_arrays(k1, k2, -k1 - k2, c, 4)
+    shuffled = SpectralFunction.from_arrays(k1[perm], k2[perm], c[perm], 4)
+    canonical = SpectralFunction.from_arrays(k1, k2, c, 4)
     assert _bits(shuffled) == _bits(canonical) == _bits(f)
     doc = spectral_to_json_dict(f)
     doc["entries"] = [doc["entries"][i] for i in perm.tolist()]
@@ -811,7 +858,7 @@ def test_reversed_grid_file_loads_as_the_canonical_one(tmp_path):
     backwards.write_text(json.dumps(doc))
     a, b = load_spectral(canonical), load_spectral(backwards)
     assert f.support_size == 469 and a.max_degree == b.max_degree == 12
-    for x, y in zip(a._support(), b._support()):
+    for x, y in zip(_fields(a), _fields(b)):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
         assert not y.flags.writeable
 
@@ -820,13 +867,12 @@ def test_reversed_grid_file_loads_as_the_canonical_one(tmp_path):
 def test_bulk_construction_owns_its_arrays(order):
     k1, k2 = np.array([0, -1, 0, 1, 1]), np.array([0, 1, 1, -1, 0])  # canonical
     step = 1 if order == "canonical" else -1
-    inputs = [k1[::step].copy(), k2[::step].copy(), (-k1 - k2)[::step].copy(),
-              np.arange(1.0, 6.0)[::step] * (1 - 2j)]
-    f = SpectralFunction._from_arrays(*inputs, max_degree=1)
+    inputs = [k1[::step].copy(), k2[::step].copy(), np.arange(1.0, 6.0)[::step] * (1 - 2j)]
+    f = SpectralFunction.from_arrays(*inputs, max_degree=1)
     before = _bits(f)
     for given_array in inputs:
         assert given_array.flags.writeable
-        assert not any(np.shares_memory(given_array, a) for a in f._support())
+        assert not any(np.shares_memory(given_array, a) for a in _fields(f))
         given_array[:] = given_array[::-1] * 3
     assert _bits(f) == before
     assert ((1, -1, 0), 4 - 8j) in f.items()

@@ -55,8 +55,7 @@ def test_tuple_key_round_trips_through_the_store():
     assert k in index_shell(3)
     f = SpectralFunction({k: 1.0})
     # its shell is read from the support arrays, and items() gives the tuple back
-    k1, k2, shell, _ = f._support()
-    assert (k1.tolist(), k2.tolist(), shell.tolist()) == ([3], [-1], [3])
+    assert (f.k1.tolist(), f.k2.tolist(), f.shell.tolist()) == ([3], [-1], [3])
     assert f.items() == [(k, 1.0)] and isinstance(f.items()[0][0], tuple)
 
 

@@ -276,9 +276,8 @@ def test_operator_damps_strictly():
 def _scalar_scaled(f, multiplier):
     """The per-shell scalar path: the coefficient c on shell nu becomes
     complex(multiplier(nu)) * c, Python's complex product, and exact zeros drop."""
-    k1, k2, shell, coeffs = f._support()
     kept = []
-    for a, b, nu, c in zip(k1.tolist(), k2.tolist(), shell.tolist(), coeffs.tolist()):
+    for a, b, nu, c in zip(f.k1.tolist(), f.k2.tolist(), f.shell.tolist(), f.coeffs.tolist()):
         v = complex(multiplier(nu)) * c
         if v != 0:
             kept.append(((a, b, -a - b), v))
@@ -307,7 +306,8 @@ def test_operators_match_the_scalar_path_bitwise(seed):
         )
         for got, multiplier in pairs:
             want = _scalar_scaled(f, multiplier)
-            for a, b in zip(got._support(), want._support()):
+            for a, b in zip((got.k1, got.k2, got.shell, got.coeffs),
+                            (want.k1, want.k2, want.shell, want.coeffs)):
                 assert np.array_equal(a, b), (rho, r)
             assert got.max_degree == want.max_degree
 
