@@ -179,6 +179,10 @@ def _repeats(*keys: np.ndarray) -> np.ndarray:
 #: SpectralFunction.is_real_symmetric accepts
 _SYMMETRY_TOL = 1e-12
 
+#: every stored k1 and k2, and every k_i and max_degree of a spectral file,
+#: lies in (-2^62, 2^62), so every int64 sum k1 + k2 + k3 and shell is exact
+_K_BOUND = 2**62
+
 
 def _shell_groups(shell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.unique(shell, return_inverse=True) for non-decreasing shells, as in
@@ -230,14 +234,15 @@ class SpectralFunction:
     @classmethod
     def from_arrays(cls, k1, k2, coeffs, max_degree=None) -> "SpectralFunction":
         """The spectrum with coefficient coeffs[j] at (k1[j], k2[j], -k1[j] - k2[j]),
-        in any order; duplicates and keys above max_degree raise ValueError."""
+        in any order; duplicates, |k1| or |k2| >= 2^62 and keys above max_degree
+        raise ValueError."""
         f = cls.__new__(cls)
         f._set_support(k1, k2, coeffs, max_degree)
         return f
 
     def _set_support(self, k1, k2, coeffs, max_degree) -> None:
-        """Check lengths, duplicates and max_degree in one place, then store the
-        support once as read-only canonical arrays.
+        """Check lengths, the frequency bound, duplicates and max_degree in one
+        place, then store the support once as read-only canonical arrays.
 
         Input whose (shell, k1, k2) strictly increases is canonical and free
         of duplicates, so it is only copied: linear time.  Other input is
@@ -247,6 +252,12 @@ class SpectralFunction:
         coeffs = np.array(coeffs, dtype=complex)
         if k1.ndim != 1 or not k1.shape == k2.shape == coeffs.shape:
             raise ValueError("k1, k2 and coeffs must be 1-D arrays of one length")
+        # compared on both sides, since np.abs(-2^63) wraps to -2^63
+        outside = (k1 <= -_K_BOUND) | (k1 >= _K_BOUND) | (k2 <= -_K_BOUND) | (k2 >= _K_BOUND)
+        if outside.any():
+            i = int(outside.argmax())
+            a, b = int(k1[i]), int(k2[i])
+            raise ValueError(f"frequency ({a}, {b}, {-a - b}) lies outside |k1|, |k2| < 2^62")
         shell = np.maximum(np.maximum(np.abs(k1), np.abs(k2)), np.abs(k1 + k2))
         order = _canonical_order(k1, k2, shell)
         if order is not None:
@@ -339,15 +350,19 @@ def scale_shells(
 
 
 def max_coeff_diff(f: SpectralFunction, g: SpectralFunction) -> float:
-    """Largest coefficientwise difference over the union of supports, merged by
-    one stable sort: a frequency in both is an adjacent pair a, -b, whose sum
-    rounds as a - b; np.hypot rounds each modulus as abs() does."""
-    k1, k2 = np.concatenate((f.k1, g.k1)), np.concatenate((f.k2, g.k2))
-    order = np.lexsort((k2, k1))
-    k1, k2 = k1[order], k2[order]
-    first = np.ones(len(order), dtype=bool)  # first of its frequency
-    first[1:] = (k1[1:] != k1[:-1]) | (k2[1:] != k2[:-1])
-    d = np.add.reduceat(np.concatenate((f.coeffs, -g.coeffs))[order], np.flatnonzero(first))
+    """Largest coefficientwise difference over the union of supports.  Equal
+    supports take f - g; others are merged by one stable sort, where a
+    frequency in both is an adjacent pair a, -b, whose sum rounds as a - b.
+    np.hypot rounds each modulus as abs() does."""
+    if np.array_equal(f.k1, g.k1) and np.array_equal(f.k2, g.k2):
+        d = f.coeffs - g.coeffs
+    else:
+        k1, k2 = np.concatenate((f.k1, g.k1)), np.concatenate((f.k2, g.k2))
+        order = np.lexsort((k2, k1))
+        k1, k2 = k1[order], k2[order]
+        first = np.ones(len(order), dtype=bool)  # first of its frequency
+        first[1:] = (k1[1:] != k1[:-1]) | (k2[1:] != k2[:-1])
+        d = np.add.reduceat(np.concatenate((f.coeffs, -g.coeffs))[order], np.flatnonzero(first))
     return float(np.max(np.hypot(d.real, d.imag), initial=0.0))
 
 
@@ -452,8 +467,6 @@ def _norm_plan(
         if p != 2:
             raise ValueError("a grid is required for p != 2")
         masses = np.bincount(at, coeffs.real * coeffs.real + coeffs.imag * coeffs.imag)
-        c_mant, c_exp = np.frexp(np.concatenate([coeffs.real, coeffs.imag]))
-        at2 = np.concatenate([at, at])
 
         def norm(mult: np.ndarray) -> float:
             try:
@@ -464,7 +477,9 @@ def _norm_plan(
                 return math.sqrt(total)
             if total == 0.0 and not mult.any():  # every term is 0, none 0 * inf = nan
                 return 0.0
-            m_mant, m_exp = np.frexp(mult[at2])
+            # real, then imaginary parts: split here, since only the rescue reads them
+            c_mant, c_exp = np.frexp(np.concatenate([coeffs.real, coeffs.imag]))
+            m_mant, m_exp = np.frexp(mult[np.concatenate([at, at])])
             mant, exp = m_mant * c_mant, m_exp + c_exp
             top = int(np.max(exp, where=mant != 0, initial=-4096))  # below every exponent
             total = math.fsum(np.ldexp(mant * mant, 2 * (exp - top)).tolist())
@@ -508,9 +523,6 @@ def _norm_plan(
 
 _TOP_LEVEL_KEYS = {"max_degree", "entries"}
 _ENTRY_KEYS = {"k", "re", "im"}
-#: max_degree < 2^62, so an entry with some |k_i| >= 2^62 fails its checks;
-#: below the bound every int64 sum k1 + k2 + k3 is exact
-_K_BOUND = 2**62
 
 
 def spectral_to_json_dict(f: SpectralFunction) -> dict:

@@ -8,10 +8,11 @@ tolerance-safe margins, so pass/fail verdicts do not depend on the seed.
 The battery spreads over the usable CPUs through one work queue: the
 check indices wait in a pipe, and the caller and the forked helpers each
 take the next one whenever they are idle, so no process waits on a fixed
-share.  Helpers send their [index, result] rows back as JSON over a pipe.
-Each check has its own generator, so no result depends on the process
-that ran it.  Every index left without a result, because its helper failed
-in any way, is rerun in the caller.
+share.  Each helper writes one JSON line [index, *fields] per finished
+check to a pipe of its own.  Each check has its own generator, so no
+result depends on the process that ran it.  Every index left without a
+complete result line, because its check raised or its helper died, is
+rerun in the caller.
 """
 
 from __future__ import annotations
@@ -658,10 +659,6 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-#: the queue sends each check index as one byte
-_MAX_CHECKS = 256
-
-
 def _run_check(checks: list, seed: int, i: int) -> CheckResult:
     return checks[i](np.random.default_rng([seed, i]))
 
@@ -675,8 +672,8 @@ def _taken(queue: int):
 
 def _start_helper(checks: list, seed: int, queue: int):
     """Fork a process that runs the checks it takes from the queue and writes
-    [i, *fields] rows as one JSON document to a pipe; returns its pid and the
-    read end of the pipe."""
+    one JSON line [i, *fields] per finished check to a pipe of its own;
+    returns its pid and the read end of the pipe."""
     read_fd, write_fd = os.pipe()
     sys.stdout.flush()
     sys.stderr.flush()
@@ -687,31 +684,16 @@ def _start_helper(checks: list, seed: int, queue: int):
         os.close(write_fd)
         raise
     if pid == 0:
-        code = 1
         try:
             os.close(read_fd)
-            rows = [[i, *astuple(_run_check(checks, seed, i))] for i in _taken(queue)]
             with open(write_fd, "w", encoding="utf-8") as pipe:
-                json.dump(rows, pipe)
-            code = 0
+                for i in _taken(queue):
+                    row = json.dumps([i, *astuple(_run_check(checks, seed, i))])
+                    print(row, file=pipe, flush=True)  # dumps escapes every newline
         finally:
-            os._exit(code)  # no cleanup of the caller's state, no traceback
+            os._exit(0)  # no cleanup of the caller's state, no traceback
     os.close(write_fd)
     return pid, open(read_fd, "rb")
-
-
-def _reply_results(reply: bytes | None, count: int) -> dict[int, CheckResult]:
-    """A helper's CheckResults by check index; none unless every row of its
-    reply is readable."""
-    try:
-        results = {}
-        for i, *fields in json.loads(reply):
-            if not (type(i) is int and 0 <= i < count):
-                return {}
-            results[i] = CheckResult(*fields)
-        return results
-    except (TypeError, ValueError):
-        return {}
 
 
 def run_all_checks(seed: int = 0) -> list[CheckResult]:
@@ -722,23 +704,21 @@ def run_all_checks(seed: int = 0) -> list[CheckResult]:
     a pipe, and the caller and w - 1 forked helpers (w being the usable
     CPUs) each take the next index whenever they are idle; w = 1, or a fork
     that fails, leaves the caller to take them all.  After every helper is
-    reaped, each index with no result, because its helper exited non-zero
-    or sent no readable reply, is rerun here in index order, so a check
+    reaped, each index with no complete result line, because its check
+    raised or its helper died, is rerun here in index order, so a check
     that raises raises in the caller.  Every helper is reaped before this
     returns or raises.  Python 3.12 and later warn (DeprecationWarning) on
     a fork from a process that runs several threads, such as a BLAS pool;
     the fork still happens.
     """
     checks = list(ALL_CHECKS)
-    if len(checks) > _MAX_CHECKS:
-        raise ValueError(f"the check queue holds at most {_MAX_CHECKS} checks, got {len(checks)}")
+    indices = bytes(range(len(checks)))  # ValueError past 256 checks, before any pipe
     width = max(1, min(_usable_cpus(), len(checks)))
     results = [None] * len(checks)
     queue, feed = os.pipe()
-    os.write(feed, bytes(range(len(checks))))  # far below a pipe's capacity
+    os.write(feed, indices)  # far below a pipe's capacity
     os.close(feed)  # an empty queue now reads as end of file
     helpers = []  # (pid, read end of its pipe)
-    replies = {}
     try:
         for _ in range(width - 1):
             try:
@@ -747,22 +727,20 @@ def run_all_checks(seed: int = 0) -> list[CheckResult]:
                 break
         for i in _taken(queue):
             results[i] = _run_check(checks, seed, i)
-        for pid, pipe in helpers:
-            replies[pid] = pipe.read()
+        for _, pipe in helpers:
+            for line in pipe.read().split(b"\n")[:-1]:  # every newline-terminated line
+                i, *fields = json.loads(line)
+                results[i] = CheckResult(*fields)
     finally:
-        while os.read(queue, _MAX_CHECKS):  # after a raise, helpers find the queue empty
+        while os.read(queue, len(checks)):  # after a raise, helpers find the queue empty
             pass
         os.close(queue)
         for pid, pipe in helpers:
             pipe.close()  # a helper still writing stops on the broken pipe
             try:
-                if os.waitpid(pid, 0)[1] != 0:
-                    replies.pop(pid, None)
-            except ChildProcessError:  # reaped elsewhere: its exit status is unknown
-                replies.pop(pid, None)
-    for reply in replies.values():
-        for i, result in _reply_results(reply, len(checks)).items():
-            results[i] = result
+                os.waitpid(pid, 0)
+            except ChildProcessError:  # reaped elsewhere
+                pass
     for i, result in enumerate(results):
         if result is None:
             results[i] = _run_check(checks, seed, i)

@@ -44,6 +44,7 @@ def test_public_names_resolve():
             "SummationParams", "_scale_occupied",
         )),
         (hexsum.SpectralFunction, ("coeff", "_coeffs", "_support", "_from_arrays", "_arrays")),
+        (hexsum.verify, ("_reply_results", "_MAX_CHECKS")),
     ):
         for name in names:
             assert not hasattr(module, name), name

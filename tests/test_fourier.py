@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -238,6 +239,27 @@ def test_from_arrays_rejects_arrays_of_other_shapes(k1, k2, coeffs):
         SpectralFunction.from_arrays(k1, k2, coeffs)
 
 
+@pytest.mark.parametrize("make, frequency", [
+    (lambda: SpectralFunction.from_arrays([0, -2**63], [1, 0], [1.0, 2.0]), (-2**63, 0, 2**63)),
+    (lambda: SpectralFunction.from_arrays([2**62], [2**62], [1.0]), (2**62, 2**62, -2**63)),
+    (lambda: SpectralFunction({(2**62, 2**62, -2**63): 1.0}), (2**62, 2**62, -2**63)),
+], ids=["arrays-min-int64", "arrays-shell-2^63", "mapping-shell-2^63"])
+def test_store_rejects_frequencies_at_or_past_2_pow_62(make, frequency):
+    # at the bound an int64 shell can wrap: these were stored with shells 0, 2^62, 2^62
+    with pytest.raises(ValueError, match=re.escape(f"frequency {frequency} lies outside")):
+        make()
+
+
+def test_store_accepts_frequencies_just_below_2_pow_62():
+    top = 2**62 - 1
+    k1, k2 = [top, 0, -top, top, -top], [0, -top, top, top, -top]
+    f = SpectralFunction.from_arrays(k1, k2, np.ones(5))
+    want = sorted((max(abs(a), abs(b), abs(a + b)), a, b) for a, b in zip(k1, k2))
+    assert list(zip(f.shell.tolist(), f.k1.tolist(), f.k2.tolist())) == want
+    assert f.degree() == 2**63 - 2
+    assert SpectralFunction({(top, top, -2 * top): 1.0}).degree() == 2**63 - 2
+
+
 def test_kernel_family_coefficients_bitwise():
     f = kernel_family(0.5).function
     k1, k2, shell, c = _fields(f)
@@ -430,6 +452,41 @@ def test_max_coeff_diff_matches_the_dict_walk():
             got = max_coeff_diff(a, b)
             assert type(got) is float
             assert got == _max_coeff_diff_by_dicts(a, b)
+
+
+def _merged_diff(f, g):
+    """max_coeff_diff by the merge of the two supports, whatever they are."""
+    k1, k2 = np.concatenate((f.k1, g.k1)), np.concatenate((f.k2, g.k2))
+    order = np.lexsort((k2, k1))
+    k1, k2 = k1[order], k2[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (k1[1:] != k1[:-1]) | (k2[1:] != k2[:-1])
+    d = np.add.reduceat(np.concatenate((f.coeffs, -g.coeffs))[order], np.flatnonzero(first))
+    return float(np.max(np.hypot(d.real, d.imag), initial=0.0))
+
+
+def test_max_coeff_diff_skips_the_merge_on_equal_supports(monkeypatch):
+    sorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
+    rng = np.random.default_rng(29)
+    special = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, 5e-324])
+    for degree in (0, 1, 3, 10):
+        for _ in range(20):
+            f = random_spectrum(degree, rng)
+            c = f.coeffs * np.exp(rng.normal(0.0, 30.0, f.support_size))
+            pick = rng.random(len(c)) < 0.3
+            c.real[pick] = rng.choice(special, int(pick.sum()))  # keeps the sign of -0.0
+            g = SpectralFunction.from_arrays(f.k1, f.k2, c)
+            keep = rng.random(f.support_size) < 0.7
+            keep[rng.integers(f.support_size)] = False  # a proper subset of the support
+            h = SpectralFunction.from_arrays(f.k1[keep], f.k2[keep], c[keep])
+            for a, b, equal in ((f, g, True), (g, f, True), (g, g, True), (f, h, False), (h, g, False)):
+                del sorts[:]
+                with np.errstate(invalid="ignore"):  # inf - inf
+                    got = max_coeff_diff(a, b)
+                    assert len(sorts) == (0 if equal else 1)
+                    assert got.hex() == _merged_diff(a, b).hex()
 
 
 # -------------------------------------------------------- analyze / synthesize

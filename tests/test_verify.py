@@ -1,9 +1,7 @@
-import json
 import math
 import os
 import signal
 import time
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -96,6 +94,17 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.fixture(autouse=True)
+def _no_fd_left():
+    """Every test here closes each file descriptor it opens, pipes included;
+    not checked where /proc/self/fd does not list them."""
+    fds = "/proc/self/fd"
+    before = set(os.listdir(fds)) if os.path.isdir(fds) else None
+    yield
+    if before is not None:
+        assert set(os.listdir(fds)) <= before
+
+
 def _same_result(a, b):
     nan_pair = math.isnan(a.residual) and math.isnan(b.residual)
     return (
@@ -177,15 +186,19 @@ def test_helper_results_round_trip_every_field(monkeypatch, tmp_path):
     assert [r.passed for r in results] == [True, True, False, False, True, True]
 
 
-def test_reply_rows_round_trip_every_field():
-    rows = [_pass(np.random.default_rng(1)), _nan(None), _inf(None)]
-    reply = json.dumps([[i, *astuple(r)] for i, r in zip((4, 0, 2), rows)]).encode()
-    got = verify._reply_results(reply, 5)
-    assert sorted(got) == [0, 2, 4]
-    assert all(_same_result(got[i], r) for i, r in zip((4, 0, 2), rows))
-    for bad in (b"", b"{", b"[[5, 1]]", b'[["0", "a", true, 0.0, 1.0, ""]]',
-                b'[[0, "a", true, 0.0, 1.0, ""], [7, "b", true, 0.0, 1.0, ""]]', None):
-        assert verify._reply_results(bad, 5) == {}
+def test_result_a_helper_cannot_write_is_rerun_in_the_caller(monkeypatch, tmp_path):
+    # json.dumps raises on a bytes detail, so the helper writes no line for it
+    def unwritable(rng):
+        return CheckResult("test.bytes", True, 0.0, 1.0, b"not text")
+
+    _two_cpus(monkeypatch)
+    flag = tmp_path / "unwritable"
+    checks = [*_gates(flag), _pass, _making(flag, unwritable), _pass]
+    monkeypatch.setattr(verify, "ALL_CHECKS", checks)
+    results = run_all_checks(6)
+    _no_child_left()
+    alone = [fn(np.random.default_rng([6, i])) for i, fn in enumerate(checks)]
+    assert all(_same_result(a, b) for a, b in zip(results, alone))
 
 
 def test_check_raising_in_a_helper_raises_in_the_caller(monkeypatch, tmp_path):
@@ -261,6 +274,31 @@ def test_each_index_runs_exactly_once_across_processes(monkeypatch, tmp_path):
     assert {pid for _, pid in rows} != {os.getpid()}  # the helper took some
 
 
+def test_dead_helper_keeps_its_finished_results(monkeypatch, tmp_path):
+    # the helper logs checks 0..3, then is killed in check 4 after logging it;
+    # only index 4 may run again, in the caller
+    caller = os.getpid()
+    log, flag = tmp_path / "log", tmp_path / "killing"
+    logged = _logging(log, 6)
+
+    def killed_in_helper(rng):
+        result = logged[4](rng)
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return result
+
+    _two_cpus(monkeypatch)
+    checks = [*_gates(flag), *logged[:4], _making(flag, killed_in_helper), logged[5]]
+    monkeypatch.setattr(verify, "ALL_CHECKS", checks)
+    results = run_all_checks(4)
+    _no_child_left()
+    assert [r.name for r in results[2:]] == [f"test.logged{i}" for i in range(6)]
+    rows = _log_rows(log)
+    helper = rows[0][1]
+    assert helper != caller
+    assert sorted(rows) == sorted([(i, helper) for i in range(5)] + [(4, caller), (5, caller)])
+
+
 def test_fork_failure_runs_everything_in_the_caller(monkeypatch, tmp_path):
     def no_fork():
         raise OSError("no process to be had")
@@ -276,12 +314,17 @@ def test_fork_failure_runs_everything_in_the_caller(monkeypatch, tmp_path):
 
 
 def test_check_count_limited_to_one_byte_indices(monkeypatch):
+    def no_pipe():
+        raise AssertionError("made a pipe")
+
     _two_cpus(monkeypatch)
-    monkeypatch.setattr(verify, "ALL_CHECKS", [_pass] * (verify._MAX_CHECKS + 1))
-    with pytest.raises(ValueError, match="at most 256 checks, got 257"):
-        run_all_checks(0)
+    monkeypatch.setattr(verify, "ALL_CHECKS", [_pass] * 257)
+    with monkeypatch.context() as m:
+        m.setattr(os, "pipe", no_pipe)
+        with pytest.raises(ValueError):
+            run_all_checks(0)
     _no_child_left()
-    monkeypatch.setattr(verify, "ALL_CHECKS", [_pass] * verify._MAX_CHECKS)
+    monkeypatch.setattr(verify, "ALL_CHECKS", [_pass] * 256)
     results = run_all_checks(0)
     _no_child_left()
     assert len(results) == 256 and all(r.passed for r in results)
