@@ -20,6 +20,8 @@ _OPTIONS declares every option once: its --flag, its config-file key,
 and one coercion that reads a JSON value or its command-line spelling
 alike.  Each command reads the keys COMMANDS lists for it, plus out,
 format and config; a flag or config-file key it does not read is rejected.
+The command may come before, between or after the flags, each written
+--KEY VALUE or --KEY=VALUE with KEY in full; a repeated flag's last value wins.
 
 Exit codes: 0 all assertions pass (or --help); 1 an assertion failed (the
 report is still written); 2 the run was rejected, with one "error: ..."
@@ -31,9 +33,7 @@ or OverflowError, memory exhaustion, or a report that cannot be written.
 
 from __future__ import annotations
 
-import argparse
 import json
-import locale  # noqa: F401 - argparse's gettext imports it on every parser build
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -143,6 +143,7 @@ _OPTIONS = {
     "format": ("fmt", _coerce_str, "csv|json", "report format (default csv)"),
     "seed": ("seed", _coerce_int, "SEED", "seed for randomized checks (default 0)"),
 }
+_FLAGS = {f"--{key}" for key in (*_OPTIONS, "config")}
 
 
 def _load_config_file(path: str) -> dict:
@@ -204,22 +205,21 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("p != 2 requires an explicit --grid N")
 
 
-def build_config(ns: argparse.Namespace) -> ExperimentConfig:
+def build_config(command: str, flags: dict, config_path: str | None) -> ExperimentConfig:
     """Defaults, then config-file keys, then flags, merged into one dict;
     every value is coerced as it is read, each source in _OPTIONS order.
     A key the command does not read is rejected, from the file or as a flag."""
-    doc = {} if ns.config is None else _load_config_file(ns.config)
-    flags = {key: value for key, value in vars(ns).items() if key in _OPTIONS and value is not None}
-    reads = COMMANDS[ns.command][1] + ("out", "format")
+    doc = {} if config_path is None else _load_config_file(config_path)
+    reads = COMMANDS[command][1] + ("out", "format")
     for key in _OPTIONS:
         if key not in reads and (key in doc or key in flags):
-            raise ConfigError(f"{ns.command} does not read --{key}")
+            raise ConfigError(f"{command} does not read --{key}")
     values = {}
     for source in (doc, flags):
         for key, (field, coerce, _, _) in _OPTIONS.items():
             if key in source:  # a JSON null is coerced, and rejected, like any value
                 values[field] = coerce(key, source[key])
-    cfg = ExperimentConfig(ns.command, **values)
+    cfg = ExperimentConfig(command, **values)
     validate_config(cfg)
     return cfg
 
@@ -622,26 +622,45 @@ def write_report(cfg: ExperimentConfig, rows: list[dict]) -> str:
 # entry points
 # --------------------------------------------------------------------------
 
-class _Parser(argparse.ArgumentParser):
-    """Raises argparse's rejections as ConfigError, so that they leave
-    through main's exit-2 handler as one line, not as a usage block."""
+def _is_flag(word: str) -> bool:
+    r"""--KEY[=VALUE] or a word that starts with '-', is not '-', has no space and is no negative
+    number (^-\d+$|^-\d*\.\d+$, $ also before a final newline; str tests: a re compile costs more)."""
+    whole, dot, frac = word[1:].removesuffix("\n").partition(".")
+    number = frac.isdecimal() and (whole.isdecimal() or not whole) if dot else whole.isdecimal()
+    looks = word[:1] == "-" and word != "-" and " " not in word and not number
+    return looks or word.partition("=")[0] in _FLAGS
 
-    def error(self, message: str):
-        raise ConfigError(message)
+
+def parse_argv(argv: list[str]) -> tuple[str, dict, str | None] | None:
+    """(command, {KEY: raw value}, config path) from argv, or None on -h or
+    --help.  The word after --KEY is its value unless _is_flag(word)."""
+    command, flags, extras = None, {}, []
+    words = iter(argv)
+    for word in words:
+        if word in ("-h", "--help"):
+            return None
+        name, eq, value = word.partition("=")
+        if name in _FLAGS:
+            value = value if eq else next(words, "--")  # at the end, like a flag: no value
+            if not eq and _is_flag(value):
+                raise ConfigError(f"argument {name}: expected one argument")
+            flags[name[2:]] = value
+        elif _is_flag(word) or command is not None:
+            extras.append(word)
+        elif word not in COMMANDS:
+            raise ConfigError(f"argument command: invalid choice: {word!r} (choose from {', '.join(map(repr, COMMANDS))})")
+        else:
+            command = word
+    if command is None:
+        raise ConfigError("the following arguments are required: command")
+    if extras:
+        raise ConfigError("unrecognized arguments: " + " ".join(extras))
+    return command, flags, flags.pop("config", None)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="hexsum",
-        description="Verification suites and sweep experiments for hexagonal "
-        "Fourier summation.",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    for key, (_, _, metavar, text) in _OPTIONS.items():
-        parser.add_argument(f"--{key}", dest=key, metavar=metavar, help=text)
-    parser.add_argument("--config", metavar="PATH",
-                        help="JSON config file whose keys are the options above")
-    return parser
+_HELP = f"usage: hexsum {{{','.join(COMMANDS)}}} [--KEY VALUE | --KEY=VALUE ...]\n\noptions:\n" + "".join(
+    f"  {f'--{key} {metavar}':<19}{text}\n" for key, (_, _, metavar, text) in _OPTIONS.items()
+) + "  --config PATH      JSON config file whose keys are the options above"
 
 
 def _reject(message: str) -> int:
@@ -653,10 +672,11 @@ def _reject(message: str) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        cfg = build_config(_build_parser().parse_args(argv))
+        if (parsed := parse_argv(sys.argv[1:] if argv is None else argv)) is None:  # -h, --help
+            print(_HELP)
+            return 0
+        cfg = build_config(*parsed)
         rows, assertions = COMMANDS[cfg.command][0](cfg)
-    except SystemExit as exc:  # --help; argparse's rejections raise ConfigError
-        return int(exc.code or 0)
     except SpectralFormatError as exc:
         return _reject(f"invalid spectral input: {exc}")
     except (ConfigError, OSError, ValueError, OverflowError, MemoryError) as exc:

@@ -224,7 +224,11 @@ class SpectralFunction:
         max_degree: int | None = None,
     ):
         items = list(coeffs.items() if hasattr(coeffs, "items") else coeffs)
-        k1, k2, k3 = np.array([k for k, _ in items], dtype=np.int64).reshape(-1, 3).T
+        keys = [k for k, _ in items]
+        try:
+            k1, k2, k3 = np.array(keys, dtype=np.int64).reshape(-1, 3).T
+        except OverflowError:  # an int past int64 fails the zero sum or _set_support's bound
+            k1, k2, k3 = np.array(keys, dtype=object).reshape(-1, 3).T
         bad = np.flatnonzero(k1 + k2 + k3)
         if bad.size:
             i = bad[0]
@@ -248,7 +252,10 @@ class SpectralFunction:
         of duplicates, so it is only copied: linear time.  Other input is
         sorted.  Either way the stored arrays are new, never the caller's.
         """
-        k1, k2 = np.array(k1, dtype=np.int64), np.array(k2, dtype=np.int64)
+        try:
+            k1, k2 = np.array(k1, dtype=np.int64), np.array(k2, dtype=np.int64)
+        except OverflowError:  # an int past int64, which the bound below names
+            k1, k2 = np.array(k1, dtype=object), np.array(k2, dtype=object)
         coeffs = np.array(coeffs, dtype=complex)
         if k1.ndim != 1 or not k1.shape == k2.shape == coeffs.shape:
             raise ValueError("k1, k2 and coeffs must be 1-D arrays of one length")

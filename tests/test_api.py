@@ -3,6 +3,7 @@ import inspect
 from pathlib import Path
 
 import hexsum
+import hexsum.cli
 
 PUBLIC = [
     "BernsteinResult", "CheckResult", "FamilySpec", "GridFunction", "HexGrid",
@@ -45,6 +46,7 @@ def test_public_names_resolve():
         )),
         (hexsum.SpectralFunction, ("coeff", "_coeffs", "_support", "_from_arrays", "_arrays")),
         (hexsum.verify, ("_reply_results", "_MAX_CHECKS")),
+        (hexsum.cli, ("_Parser", "_build_parser")),
     ):
         for name in names:
             assert not hasattr(module, name), name

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -11,7 +12,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hexsum
@@ -19,13 +20,13 @@ from hexsum import cli
 from hexsum.cli import (
     ConfigError,
     ExperimentConfig,
-    _build_parser,
     _csv_text,
     _fit_slope,
     _format_cell,
     _json_safe,
     build_config,
     main,
+    parse_argv,
     rho_ladder,
     validate_config,
 )
@@ -36,7 +37,7 @@ from hexsum.means import lambda_shells
 
 
 def _cfg(argv):
-    return build_config(_build_parser().parse_args(argv))
+    return build_config(*parse_argv(argv))
 
 
 def _write_input(tmp_path, degree=3, seed=0, name="f.json"):
@@ -459,7 +460,7 @@ def test_main_kfun_delta_underflow_is_exit_2(tmp_path, monkeypatch, capsys):
 
 
 def test_main_argparse_error_is_exit_2(capsys):
-    # argparse's rejections and the coercions' leave by one path: one line, no usage block
+    # parse_argv's rejections and the coercions' leave by one path: one line, no usage block
     for argv, message in (
         (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
         ([], "the following arguments are required: command"),
@@ -467,6 +468,7 @@ def test_main_argparse_error_is_exit_2(capsys):
         (["bernstein", "--r", "abc"], "r must be an integer, got 'abc'"),
         (["verify", "--seed", "x"], "seed must be an integer, got 'x'"),
         (["bernstein", "--format", "xml"], "format must be 'csv' or 'json', got 'xml'"),
+        (["bernstein", "--rho-kma", "5"], "unrecognized arguments: --rho-kma 5"),
     ):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
@@ -484,16 +486,81 @@ def test_main_help_is_exit_0_and_lists_every_option(capsys):
     assert "--config PATH" in captured.out
 
 
-def test_options_are_declared_once_in_the_table():
-    # the parser's flags are the table's keys plus --config, and none coerces
-    # or restricts its value: every value goes through the table's coercion
-    flags = {}
-    for action in _build_parser()._actions:
-        for flag in action.option_strings:
-            flags[flag] = action
-    assert set(flags) == {f"--{key}" for key in cli._OPTIONS} | {"--config", "-h", "--help"}
-    for flag, action in flags.items():
-        assert action.type is None and action.choices is None, flag
+def test_options_are_declared_once_in_the_table(capsys):
+    # the help lists the table's flags plus --config, and none coerces or
+    # restricts its value: the raw string reaches build_config, whose
+    # coercion from the table reads it
+    assert main(["--help"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    listed = [line.split()[0] for line in lines if line.startswith("  --")]
+    assert listed == [f"--{key}" for key in cli._OPTIONS] + ["--config"]
+    for key in cli._OPTIONS:
+        for argv in (["verify", f"--{key}", " 07 "], [f"--{key}= 07 ", "verify"]):
+            assert parse_argv(argv) == ("verify", {key: " 07 "}, None)
+    assert parse_argv(["verify", "--config", " 07 "]) == ("verify", {}, " 07 ")
+
+
+class _ArgparseOracle(argparse.ArgumentParser):
+    """The parser parse_argv replaced, built from the table with exact flag
+    spellings only and without -h; it raises its rejections as ConfigError."""
+
+    def __init__(self):
+        super().__init__(prog="hexsum", allow_abbrev=False, add_help=False)
+        self.add_argument("command", choices=cli.COMMANDS)
+        for key in (*cli._OPTIONS, "config"):
+            self.add_argument(f"--{key}", dest=key)
+
+    def error(self, message):
+        raise ConfigError(message)
+
+    def parse_argv(self, argv):
+        ns = vars(self.parse_args(argv))
+        command, config = ns.pop("command"), ns.pop("config")
+        return command, {key: value for key, value in ns.items() if value is not None}, config
+
+
+def _outcome(parse, argv):
+    """(command, flags, config) from parse, or the message it rejects argv with."""
+    try:
+        return parse(argv)
+    except ConfigError as exc:
+        return str(exc)
+
+
+_flag_keys = st.sampled_from([*cli._OPTIONS, "config"])
+_flag_values = st.sampled_from(["-1", "-.5", "-x", "-1e5", "inf", "1.5", "a b"])
+_junk_words = st.sampled_from(
+    ["", "-", "frob", "--bogus", "--bogus=1", "--rho-kma", "-1.", "-1\n", "-.5\n", "-a b", "--r=a b"]
+) | st.text(max_size=5).filter(lambda w: w != "--" and w.partition("=")[0] not in ("-h", "--help"))
+_flag_groups = st.one_of(
+    st.tuples(_flag_keys, _flag_values | _junk_words).map(lambda kv: [f"--{kv[0]}", kv[1]]),
+    st.tuples(_flag_keys, _flag_values).map(lambda kv: [f"--{kv[0]}={kv[1]}"]),
+)
+_odd_groups = st.one_of(
+    _flag_keys.map(lambda key: [f"--{key}"]),  # its value missing, or the next group's word
+    _flag_values.map(lambda value: [value]),
+    _junk_words.map(lambda word: [word]),
+)
+
+
+@st.composite
+def _argvs(draw):
+    """Flags in both spellings, repeats, junk, and the command anywhere or missing;
+    -h, --help and "--" stay out: the fuzzed main test covers them."""
+    groups = draw(st.lists(_flag_groups, max_size=5)) + draw(st.lists(_odd_groups, max_size=2))
+    argv = [word for group in draw(st.permutations(groups)) for word in group]
+    command = draw(st.sampled_from([*sorted(cli.COMMANDS), None]))
+    if command is not None:
+        argv.insert(draw(st.integers(min_value=0, max_value=len(argv))), command)
+    return argv
+
+
+@given(_argvs())
+@example(["verify", "--r", "-a b", "--p", "-1\n", "--n", "-.5", "--out", "-", "--grid=-x y"])
+@example(["--seed", "1", "verify", "--seed=2"])
+@settings(max_examples=400, deadline=None)
+def test_parse_argv_agrees_with_argparse(argv):
+    assert _outcome(parse_argv, argv) == _outcome(_ArgparseOracle().parse_argv, argv), argv
 
 
 @pytest.mark.parametrize("key, value", [("out", None), ("out", ["a"]), ("input", 3), ("format", None)])
@@ -955,6 +1022,28 @@ def test_unwritable_report_is_exit_2(tmp_path, monkeypatch, capsys):
     rc = main(["rates", "--input", inp, "--out", "no/such/dir/rep.csv"])
     assert rc == 2
     assert "cannot write report" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_argparse_and_gettext_unloaded(tmp_path):
+    # the command line is read from the option table: hexsum.cli loads
+    # neither module unless a bare numpy interpreter has it too
+    code = "import json, sys, {}; print(json.dumps(sorted({{'argparse', 'gettext'}} & set(sys.modules))))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hexsum.__file__)))
+    loaded = []
+    for module in ("numpy", "hexsum.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-c", code.format(module)], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded.append(set(json.loads(proc.stdout)))
+    assert loaded[1] <= loaded[0]
+    proc = subprocess.run(
+        [sys.executable, "-m", "hexsum", "--help"], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "--config PATH" in proc.stdout
 
 
 def test_cli_runs_with_scipy_blocked(tmp_path):

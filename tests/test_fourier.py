@@ -243,9 +243,17 @@ def test_from_arrays_rejects_arrays_of_other_shapes(k1, k2, coeffs):
     (lambda: SpectralFunction.from_arrays([0, -2**63], [1, 0], [1.0, 2.0]), (-2**63, 0, 2**63)),
     (lambda: SpectralFunction.from_arrays([2**62], [2**62], [1.0]), (2**62, 2**62, -2**63)),
     (lambda: SpectralFunction({(2**62, 2**62, -2**63): 1.0}), (2**62, 2**62, -2**63)),
-], ids=["arrays-min-int64", "arrays-shell-2^63", "mapping-shell-2^63"])
+    (lambda: SpectralFunction.from_arrays([1, 2**63], [0, 0], [1.0, 2.0]), (2**63, 0, -2**63)),
+    (lambda: SpectralFunction.from_arrays([0], [-2**63 - 1], [1.0]), (0, -2**63 - 1, 2**63 + 1)),
+    (lambda: SpectralFunction({(1, -1, 0): 1.0, (2**63, 0, -2**63): 2.0}), (2**63, 0, -2**63)),
+    (lambda: SpectralFunction({(0, -2**63 - 1, 2**63 + 1): 1.0}), (0, -2**63 - 1, 2**63 + 1)),
+], ids=[
+    "arrays-min-int64", "arrays-shell-2^63", "mapping-shell-2^63",
+    "arrays-2^63", "arrays-below-int64", "mapping-2^63", "mapping-below-int64",
+])
 def test_store_rejects_frequencies_at_or_past_2_pow_62(make, frequency):
-    # at the bound an int64 shell can wrap: these were stored with shells 0, 2^62, 2^62
+    # at the bound an int64 shell can wrap: the first three were stored with
+    # shells 0, 2^62, 2^62; past int64 the conversion itself overflows
     with pytest.raises(ValueError, match=re.escape(f"frequency {frequency} lies outside")):
         make()
 
