@@ -78,15 +78,33 @@ def pairwise_sum(values: np.ndarray, axis: int | None = None) -> np.ndarray:
     n = a.shape[0]
     if n == 0:
         return np.zeros(a.shape[1:], dtype=a.dtype if a.dtype.kind in "fc" else float)[()]
-    m = 1
-    while m < n:
-        m *= 2
-    if m != n:
-        pad = np.zeros((m - n,) + a.shape[1:], dtype=a.dtype)
-        a = np.concatenate([a, pad], axis=0)
-    while a.shape[0] > 1:
-        a = a[0::2] + a[1::2]
-    return a[0]
+    m = 1 << (n - 1).bit_length()
+    total = _tree_sum(a, np.empty((3 * m // 4,) + a.shape[1:], dtype=a.dtype))
+    return total.copy() if a.ndim > 1 else total
+
+
+def _tree_sum(a: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """a[0] after zero-padding a to m entries on axis 0, m a power of two, and
+    halving it, x[0::2] + x[1::2], until one entry is left.
+
+    a is only read, and nothing is allocated: the padding is implicit, and
+    the levels ping-pong between work[:m/2] and work[m/2:3m/4], so work
+    needs 3m/4 entries.  The pairs, the pad and the order of every addition
+    are those of the padded array, so the sum agrees with it bit for bit.
+    """
+    n = len(a)
+    if n == 1:
+        return a[0]
+    m = 1 << (n - 1).bit_length()
+    x, spare = work[:m // 2], work[m // 2:]
+    half = n // 2
+    np.add(a[0:2 * half:2], a[1:2 * half:2], out=x[:half])
+    x[half:] = 0
+    if n % 2:  # the last entry pairs with the first pad
+        np.add(a[n - 1:], x[half:half + 1], out=x[half:half + 1])
+    while len(x) > 1:
+        x, spare = np.add(x[0::2], x[1::2], out=spare[:len(x) // 2]), x
+    return x[0]
 
 
 # --------------------------------------------------------------------------
@@ -175,6 +193,36 @@ def _repeats(*keys: np.ndarray) -> np.ndarray:
     return np.logical_and.reduce([a[1:] == a[:-1] for a in keys])
 
 
+def _integer_columns(columns, label: str) -> list[np.ndarray]:
+    """Equal-length frequency columns as new int64 arrays, or as object
+    arrays of ints when one lies past int64, for the store's bound to name.
+
+    Integer and bool input takes one cast.  Other input is checked entry by
+    entry, and a row holding an entry that is not an integer, such as 1.5,
+    inf or NaN, raises ValueError naming it as ``label`` = row: a cast
+    alone would truncate 1.5 to 1.
+    """
+    arrays = [np.asarray(c) for c in columns]
+    if all(a.dtype.kind in "bi" for a in arrays):
+        return [np.array(a, dtype=np.int64) for a in arrays]
+    lists = [a.tolist() for a in arrays]
+    for row in zip(*lists):
+        if not all(map(_is_integral, row)):
+            raise ValueError(f"frequency {label} = {row} must have integer entries")
+    ints = [[int(x) for x in col] for col in lists]
+    try:
+        return [np.array(col, dtype=np.int64) for col in ints]
+    except OverflowError:  # an int past int64, which the store's bound names
+        return [np.array(col, dtype=object) for col in ints]
+
+
+def _is_integral(x) -> bool:
+    try:
+        return int(x) == x
+    except (TypeError, ValueError, OverflowError):  # complex, NaN, inf, ...
+        return False
+
+
 #: largest coefficient gap between f and its conjugate reflection that
 #: SpectralFunction.is_real_symmetric accepts
 _SYMMETRY_TOL = 1e-12
@@ -224,11 +272,9 @@ class SpectralFunction:
         max_degree: int | None = None,
     ):
         items = list(coeffs.items() if hasattr(coeffs, "items") else coeffs)
-        keys = [k for k, _ in items]
-        try:
-            k1, k2, k3 = np.array(keys, dtype=np.int64).reshape(-1, 3).T
-        except OverflowError:  # an int past int64 fails the zero sum or _set_support's bound
-            k1, k2, k3 = np.array(keys, dtype=object).reshape(-1, 3).T
+        keys = np.asarray([k for k, _ in items]).reshape(-1, 3)
+        # an int past int64 fails the zero sum or _set_support's bound
+        k1, k2, k3 = _integer_columns(keys.T, "(k1, k2, k3)")
         bad = np.flatnonzero(k1 + k2 + k3)
         if bad.size:
             i = bad[0]
@@ -238,8 +284,8 @@ class SpectralFunction:
     @classmethod
     def from_arrays(cls, k1, k2, coeffs, max_degree=None) -> "SpectralFunction":
         """The spectrum with coefficient coeffs[j] at (k1[j], k2[j], -k1[j] - k2[j]),
-        in any order; duplicates, |k1| or |k2| >= 2^62 and keys above max_degree
-        raise ValueError."""
+        in any order; entries that are not integers, duplicates, |k1| or
+        |k2| >= 2^62 and keys above max_degree raise ValueError."""
         f = cls.__new__(cls)
         f._set_support(k1, k2, coeffs, max_degree)
         return f
@@ -252,13 +298,10 @@ class SpectralFunction:
         of duplicates, so it is only copied: linear time.  Other input is
         sorted.  Either way the stored arrays are new, never the caller's.
         """
-        try:
-            k1, k2 = np.array(k1, dtype=np.int64), np.array(k2, dtype=np.int64)
-        except OverflowError:  # an int past int64, which the bound below names
-            k1, k2 = np.array(k1, dtype=object), np.array(k2, dtype=object)
-        coeffs = np.array(coeffs, dtype=complex)
+        k1, k2, coeffs = np.asarray(k1), np.asarray(k2), np.array(coeffs, dtype=complex)
         if k1.ndim != 1 or not k1.shape == k2.shape == coeffs.shape:
             raise ValueError("k1, k2 and coeffs must be 1-D arrays of one length")
+        k1, k2 = _integer_columns((k1, k2), "(k1, k2)")
         # compared on both sides, since np.abs(-2^63) wraps to -2^63
         outside = (k1 <= -_K_BOUND) | (k1 >= _K_BOUND) | (k2 <= -_K_BOUND) | (k2 >= _K_BOUND)
         if outside.any():

@@ -64,6 +64,65 @@ def test_pairwise_sum_is_deterministic():
     assert pairwise_sum(a) == pairwise_sum(a.copy())
 
 
+def _concat_halve_sum(values, axis=None):
+    """pairwise_sum as it was before its levels shared one buffer: a
+    zero-padded concatenate, then one new array per halving level."""
+    a = np.asarray(values)
+    if axis is None:
+        a = a.ravel()
+    elif axis != 0:
+        a = np.moveaxis(a, axis, 0)
+    n = a.shape[0]
+    if n == 0:
+        return np.zeros(a.shape[1:], dtype=a.dtype if a.dtype.kind in "fc" else float)[()]
+    m = 1
+    while m < n:
+        m *= 2
+    if m != n:
+        pad = np.zeros((m - n,) + a.shape[1:], dtype=a.dtype)
+        a = np.concatenate([a, pad], axis=0)
+    while a.shape[0] > 1:
+        a = a[0::2] + a[1::2]
+    return a[0]
+
+
+_TREE_LENGTHS = st.one_of(
+    st.integers(0, 7).flatmap(lambda k: st.sampled_from([2**k, 2**k + 1])),
+    st.integers(0, 70),
+)
+# padding adds +0.0, so a -0.0 leaf shows whether the pad and its place are kept
+_LEAVES = st.one_of(
+    st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan]),
+    st.floats(-1e300, 1e300),
+)
+
+
+@pytest.mark.parametrize("kind", ["float", "complex", "int", "rows"])
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_pairwise_sum_equals_concatenate_and_halve(kind, data):
+    n = data.draw(_TREE_LENGTHS)
+    axis = None
+    if kind == "int":
+        x = np.array(data.draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n)),
+                     dtype=np.int64)
+    else:
+        shape = (n, data.draw(st.integers(0, 3))) if kind == "rows" else (n,)
+        count = math.prod(shape) * (2 if kind == "complex" else 1)
+        x = np.array(data.draw(st.lists(_LEAVES, min_size=count, max_size=count)))
+        x = x.view(complex) if kind == "complex" else x
+        x = x.reshape(shape)
+        axis = 0 if kind == "rows" else None
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, and overflow
+        got = np.asarray(pairwise_sum(x, axis=axis))
+        want = np.asarray(_concat_halve_sum(x, axis=axis))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=kind != "int")
+    for part in (np.real, np.imag):
+        zeros = part(want) == 0
+        assert np.array_equal(np.signbit(part(got))[zeros], np.signbit(part(want))[zeros])
+
+
 # ----------------------------------------------------------------------- grid
 
 
@@ -256,6 +315,31 @@ def test_store_rejects_frequencies_at_or_past_2_pow_62(make, frequency):
     # shells 0, 2^62, 2^62; past int64 the conversion itself overflows
     with pytest.raises(ValueError, match=re.escape(f"frequency {frequency} lies outside")):
         make()
+
+
+@pytest.mark.parametrize("make, frequency", [
+    (lambda: SpectralFunction.from_arrays([1.5], [0], [1.0]), "(k1, k2) = (1.5, 0)"),
+    (lambda: SpectralFunction.from_arrays([0, 2], [1, -0.5], [1.0, 2.0]), "(k1, k2) = (2, -0.5)"),
+    (lambda: SpectralFunction.from_arrays([math.inf], [0], [1.0]), "(k1, k2) = (inf, 0)"),
+    (lambda: SpectralFunction.from_arrays([0], [math.nan], [1.0]), "(k1, k2) = (0, nan)"),
+    (lambda: SpectralFunction({(1.7, -1.7, 0.0): 1.0}), "(k1, k2, k3) = (1.7, -1.7, 0.0)"),
+    (lambda: SpectralFunction({(0, 0, 0): 1.0, (1, -1, 0.5): 2.0}), "(k1, k2, k3) = (1.0, -1.0, 0.5)"),
+    (lambda: SpectralFunction({(math.inf, -math.inf, 0): 1.0}), "(k1, k2, k3) = (inf, -inf, 0.0)"),
+], ids=["arrays-half", "arrays-second", "arrays-inf", "arrays-nan",
+        "mapping-1.7", "mapping-k3", "mapping-inf"])
+def test_store_rejects_frequencies_that_are_not_integers(make, frequency):
+    # a cast alone truncated 1.5 to 1 and (1.7, -1.7, 0.0) to (1, -1, 0)
+    with pytest.raises(ValueError, match=re.escape(f"frequency {frequency} must have integer")):
+        make()
+
+
+def test_store_takes_integral_floats_as_their_integers():
+    f = SpectralFunction.from_arrays([1.0, -2.0, 2**61], np.array([0.0, 1.0, 0.0]), [1, 2, 3])
+    assert f.k1.dtype == f.k2.dtype == np.int64
+    assert f.k1.tolist() == [1, -2, 2**61] and f.k2.tolist() == [0, 1, 0]
+    g = SpectralFunction({(1.0, -1.0, 0.0): 1.0, (0, 0, 0): 2.0})
+    assert g.items() == [((0, 0, 0), 2.0), ((1, -1, 0), 1.0)]
+    assert SpectralFunction.from_arrays(np.array([3], dtype=np.int8), [True], [1.0]).k2.tolist() == [1]
 
 
 def test_store_accepts_frequencies_just_below_2_pow_62():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hexsum import kernels
 from hexsum.fourier import TWO_PI_OVER_3, make_grid, phi_values
 from hexsum.kernels import (
     GRID_CAP,
@@ -273,6 +274,18 @@ def test_deriv_series_memory_stays_small():
     assert peak < 4_000_000
 
 
+def test_grid_integral_memory_stays_small():
+    # every block is evaluated and reduced in two buffers allocated once per
+    # call; fresh block-sized temporaries took the peak to 1.57 MB
+    tracemalloc.start()
+    try:
+        bernstein_integral(1 - 2**-5, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_250_000
+
+
 def test_closed_matches_series_within_tail():
     rng = np.random.default_rng(12)
     for rho, cutoff in ((0.4, 60), (0.8, 400)):
@@ -405,6 +418,7 @@ def test_domain_blocks_hit_every_orbit_once(n):
 # directly.  n = 81, 96 and 321 are multiples of 3, where the reindexing
 # covers the a = b (mod 3) sublattice; 101 is odd and prime to 3.
 ORACLE_GRIDS = [(64, 0.5), (81, 0.6), (96, 0.65), (101, 0.65), (321, 0.9)]
+PRODUCT_CASES = [[0], [4], [0, 0], [2, 5], [3, 0], [0, 0, 0], [1, 0, 3], [6, 2, 1]]
 
 
 @pytest.mark.parametrize("n, rho", ORACLE_GRIDS)
@@ -427,8 +441,7 @@ def test_product_integral_matches_pointwise_sum(n, rho):
         TWO_PI_OVER_3 * (t3 - t1),
         TWO_PI_OVER_3 * (t1 - t2),
     )
-    cases = [[0], [4], [0, 0], [2, 5], [3, 0], [0, 0, 0], [1, 0, 3], [6, 2, 1]]
-    for orders in cases:
+    for orders in PRODUCT_CASES:
         prod = np.ones(g.size)
         for z, order in zip(zs, orders):
             prod = prod * _classical_deriv_table(rho, z, order)[order]
@@ -455,3 +468,85 @@ def test_bernstein_integral_row_blocks_match_pointwise_sum():
     want = math.fsum(np.abs(vals)) * g.weight
     got = bernstein_integral(0.95, 2, grid=g).value
     assert abs(got - want) <= 1e-12 * want
+
+
+# The reference below is the block loop as it was before the blocks shared
+# two buffers: the orbit weights from three masks, np.abs(vals) * w, and a
+# zero-padded concatenate halved into one new array per level.  The buffered
+# loop keeps its partition, weights and association order, so every value
+# agrees bit for bit.
+
+
+def _reference_domain_blocks(n):
+    step = 3 if n % 3 == 0 else 1
+    for residue in range(step):
+        rows = np.arange(residue, n // 3 + 1, step)
+        start = 0
+        while start < len(rows):
+            a0 = int(rows[start])
+            b = np.arange(a0, (n - a0) // 2 + 1, step)
+            a = rows[start:start + max(1, kernels._BLOCK_POINTS // len(b))]
+            p = np.arange(len(a))
+            last = (n - a - 2 * a0) // (2 * step)
+            q = np.arange(len(b))
+            w = 12.0 * ((q >= p[:, None]) & (q <= last[:, None]))
+            far = p[a + 2 * b[last] == n]
+            top = q[:last[0] + 1] if a0 == 0 else q[:0]
+            ip = np.concatenate([p, far, np.zeros_like(top)])
+            iq = np.concatenate([p, last[far], top])
+            ea, eb = a[ip], b[iq]
+            ec = (n - ea - eb) % n
+            perms = np.array([[6, 3], [3, 1]])[(ea == eb).astype(int), (eb == ec).astype(int)]
+            w[ip, iq] = perms * np.where(ea == 0, 1, 2)
+            yield a, b, w
+            start += len(a)
+
+
+def _reference_tree_sum(x):
+    x = np.concatenate([x, np.zeros((1 << (len(x) - 1).bit_length()) - len(x))])
+    while len(x) > 1:
+        x = x[0::2] + x[1::2]
+    return x[0]
+
+
+def _reference_grid_mean_abs(table, coeffs, grid):
+    n, r = grid.n, coeffs.shape[0] - 2
+    slices = np.flatnonzero(np.any(coeffs, axis=(0, 2))).tolist()
+    step = 3 if n % 3 == 0 else 1
+    totals = []
+    for a, b, w in _reference_domain_blocks(n):
+        a_table, b_table = table[:, a].T, table[:, b]
+        sums = (-(2 * a[0] + step * np.arange(len(a) + len(b) - 1))) % n
+        hankel = np.lib.stride_tricks.sliding_window_view(table[:, sums], len(b), axis=1)
+        vals = 0.0
+        for j in slices:
+            term = (a_table @ coeffs[:, j, :]) @ b_table
+            if j <= r:
+                term *= hankel[j]
+            vals += term
+        totals.append(float(_reference_tree_sum((np.abs(vals) * w).ravel())))
+    return math.fsum(totals) * step * grid.weight
+
+
+@pytest.mark.parametrize("n, rho, block_points", [
+    *((n, rho, kernels._BLOCK_POINTS) for n, rho in ORACLE_GRIDS),
+    (1024, 0.95, kernels._BLOCK_POINTS),
+    (4096, 0.99, kernels._BLOCK_POINTS),
+    # many blocks: rows wider than the bound one to a block, then several
+    # rows to a block, on Z_n^2 and on the three residue classes mod 3
+    (101, 0.65, 40),
+    (96, 0.65, 40),
+])
+def test_grid_integrals_equal_reference_block_loop_bitwise(monkeypatch, n, rho, block_points):
+    monkeypatch.setattr(kernels, "_BLOCK_POINTS", block_points)
+    g = make_grid(n)
+
+    def values():
+        return (
+            [bernstein_integral(rho, r, grid=g).value for r in range(R_MAX + 1)],
+            [product_integral(rho, orders, grid=g) for orders in PRODUCT_CASES],
+        )
+
+    got = values()
+    monkeypatch.setattr(kernels, "_grid_mean_abs", _reference_grid_mean_abs)
+    assert got == values()
