@@ -133,8 +133,8 @@ class HexGrid:
     """
 
     def __init__(self, n: int):
-        if n < 4:
-            raise ValueError(f"grid resolution must be at least 4, got {n}")
+        if not _is_int(n) or n < 4:
+            raise ValueError(f"grid resolution must be an integer of at least 4, got {n!r}")
         self.n = int(n)
         self.weight = 1.0 / (self.n * self.n)
 
@@ -590,8 +590,8 @@ def save_spectral(f: SpectralFunction, path) -> None:
 
 
 def _is_int(value) -> bool:
-    """JSON integer: ``bool`` is an ``int`` subclass but not a number here."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """Python or numpy integer: ``bool`` is an ``int`` subclass but not a number here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _as_float(value) -> float:

@@ -18,7 +18,9 @@ Leibniz rule: the circle-kernel derivatives have the closed form
 2 r! Re(e^{irz} / (1 - rho e^{iz})^{r+1}) and the weight derivatives come
 from partial fractions in 1 + rho, summed exactly in integers and rounded
 once.
-The expansion is one coefficient tensor C[i, j, k] over the factor orders.
+The expansion is one coefficient tensor C[i, j, k] over the factor orders,
+on one factor table per coordinate: rows for the orders 0..r, then a row
+of ones that stands for an absent factor.
 
 Grid sample (m1, m2) has z1 = 2 pi a / n, z3 = 2 pi b / n and
 z2 = -2 pi (a + b) / n, (a, b) = ((m1 + 2 m2) mod n, (m1 - m2) mod n) (Li,
@@ -31,10 +33,12 @@ z -> -z) permute the grid, so a grid integral sums one fundamental domain
 {0 <= a <= b, a + 2b <= n}, about a twelfth of the points, each weighted by
 the size of its orbit.  The Leibniz tensor is symmetric in its factors; a
 product integral |T_i(z1) T_j(z2) T_k(z3)| takes its tensor averaged over
-the permutations of the factors, on the tables |T|.  The domain goes in
-row blocks, each evaluated and reduced by the pairwise tree in two buffers
-allocated once per call and reused across blocks, since new block-sized
-arrays would fault in their pages again on every block.
+the permutations of the factors, on the tables |T|.  Both build only
+their tensor: one entry, _kernel_mean, checks rho, picks the grid, builds
+the tables and sums.  The domain goes in row blocks, each evaluated and
+reduced by the pairwise tree in two buffers allocated once per call and
+reused across blocks, since new block-sized arrays would fault in their
+pages again on every block.
 
 The truncated shell series serves as an independent oracle, with the
 tail sum_{nu > c} 6 nu rho^nu available in closed form.  It sums every
@@ -52,7 +56,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fourier import TWO_PI_OVER_3, HexGrid, _tree_sum
+from .fourier import TWO_PI_OVER_3, HexGrid, _is_int, _tree_sum
 
 #: largest derivative order of the kernels and their integrals
 R_MAX = 6
@@ -67,8 +71,13 @@ def _check_rho(rho: float) -> None:
 
 
 def _check_order(r: int) -> None:
-    if not 0 <= r <= R_MAX:
-        raise ValueError(f"derivative order must lie in 0..{R_MAX}, got {r}")
+    if not _is_int(r) or not 0 <= r <= R_MAX:
+        raise ValueError(f"derivative order must be an integer in 0..{R_MAX}, got {r!r}")
+
+
+def _check_cutoff(cutoff: int) -> None:
+    if not _is_int(cutoff) or cutoff < 0:
+        raise ValueError(f"cutoff must be a nonnegative integer, got {cutoff!r}")
 
 
 # --------------------------------------------------------------------------
@@ -127,22 +136,23 @@ def classical_kernel_deriv(rho, z, r: int):
     return float(value[0]) if scalar else value
 
 
-def _classical_deriv_table(rho: float, z: np.ndarray, r_max: int) -> list[np.ndarray]:
-    """Circle-kernel rho-derivatives of all orders 0..r_max at angles z.
+def _classical_deriv_table(rho: float, z: np.ndarray, r_max: int) -> np.ndarray:
+    """Factor table at angles z: rows 0..r_max the circle-kernel
+    rho-derivatives of those orders, row r_max + 1 all ones (an absent factor).
 
-    Built iteratively from u = 1/(1 - rho e^{iz}): the order-j entry is
-    2 j! Re(e^{ijz} u^{j+1}); order 0 is (1 - rho^2)|u|^2.
+    Built iteratively from u = 1/(1 - rho e^{iz}): row j is
+    2 j! Re(e^{ijz} u^{j+1}); row 0 is (1 - rho^2)|u|^2.
     """
     w = np.exp(1j * np.asarray(z, dtype=float))
     u = 1.0 / (1.0 - rho * w)
-    table = [(1.0 - rho * rho) * (u.real * u.real + u.imag * u.imag)]
-    c = u
-    step = w * u
+    table = np.ones((r_max + 2,) + w.shape)
+    table[0] = (1.0 - rho * rho) * (u.real * u.real + u.imag * u.imag)
+    w *= u  # the step e^{iz} u from one order to the next
     fact = 1
     for j in range(1, r_max + 1):
-        c = c * step
+        u *= w
         fact *= j
-        table.append(2.0 * fact * c.real)
+        table[j] = 2.0 * fact * u.real
     return table
 
 
@@ -170,8 +180,7 @@ def hex_kernel_closed_values(rho: float, t1, t2, t3) -> np.ndarray:
 def series_tail_bound(rho: float, cutoff: int) -> float:
     """Exact value of sum_{nu > cutoff} 6 nu rho^nu."""
     _check_rho(rho)
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
+    _check_cutoff(cutoff)
     if rho == 0.0:
         return 0.0
     one = 1.0 - rho
@@ -240,12 +249,8 @@ def hex_kernel_series_values(
 
     Values are complex; the exact sum is real, so the imaginary part is a rounding diagnostic.
     """
-    _check_rho(rho)
-    weights = rho ** np.arange(cutoff + 1, dtype=float)
-    return (
-        shell_weighted_values(weights, t1, t2, t3),
-        series_tail_bound(rho, cutoff),
-    )
+    tail = series_tail_bound(rho, cutoff)
+    return shell_weighted_values(rho ** np.arange(cutoff + 1, dtype=float), t1, t2, t3), tail
 
 
 def hex_deriv_series_values(rho: float, t1, t2, t3, r, cutoff: int) -> np.ndarray:
@@ -255,7 +260,8 @@ def hex_deriv_series_values(rho: float, t1, t2, t3, r, cutoff: int) -> np.ndarra
     per order from a single series evaluation.
     """
     _check_rho(rho)
-    orders = [int(o) for o in np.atleast_1d(r)]
+    _check_cutoff(cutoff)
+    orders = np.atleast_1d(r).tolist()
     weights = np.zeros((len(orders), cutoff + 1))
     for row, o in zip(weights, orders):
         _check_order(o)
@@ -292,10 +298,7 @@ def hex_kernel_deriv_values(rho: float, t1, t2, t3, r: int) -> np.ndarray:
     _check_order(r)
     if r == 0:
         return hex_kernel_closed_values(rho, t1, t2, t3)
-    d1, d2, d3 = (
-        np.array(_classical_deriv_table(rho, z, r) + [np.ones_like(z)])
-        for z in _z_arrays(t1, t2, t3)
-    )
+    d1, d2, d3 = (_classical_deriv_table(rho, z, r) for z in _z_arrays(t1, t2, t3))
     return np.einsum("ijk,i...,j...,k...->...", _leibniz_tensor(rho, r), d1, d2, d3)
 
 
@@ -315,19 +318,6 @@ def min_resolution(rho: float) -> int:
     """
     _check_rho(rho)
     return math.ceil(32.0 / (1.0 - rho))
-
-
-def _resolve_grid(rho: float, grid: HexGrid | None) -> HexGrid:
-    """grid, or for None the auto-scaled max(64, min_resolution(rho)); the
-    resolution required is min_resolution(rho) capped at GRID_CAP."""
-    need = min(min_resolution(rho), GRID_CAP)
-    if grid is None:
-        return HexGrid(max(64, need))
-    if grid.n < need:
-        raise ValueError(
-            f"grid resolution {grid.n} is below the required {need} for rho={rho}"
-        )
-    return grid
 
 
 #: most points in one block of the fundamental domain
@@ -389,12 +379,6 @@ def _domain_blocks(n: int):
             start += len(a)
 
 
-def _circle_table(rho: float, r: int, n: int) -> np.ndarray:
-    """Circle-kernel derivatives of orders 0..r at the n roots of unity, plus a row of ones."""
-    roots = (2.0 * math.pi / n) * np.arange(n)
-    return np.array(_classical_deriv_table(rho, roots, r) + [np.ones(n)])
-
-
 def _grid_mean_abs(table: np.ndarray, coeffs: np.ndarray, grid: HexGrid) -> float:
     """Grid mean of |F| = |sum_ijk C[i, j, k] T[i](z1) T[j](z2) T[k](z3)|.
 
@@ -448,20 +432,34 @@ class BernsteinResult(NamedTuple):
     full_resolution: bool
 
 
-def bernstein_integral(
-    rho: float, r: int, grid: HexGrid | None = None
-) -> BernsteinResult:
+def _kernel_mean(rho: float, coeffs, grid: HexGrid | None, absolute=False) -> BernsteinResult:
+    """_grid_mean_abs of the tensor coeffs on the factor table at rho (its
+    moduli if ``absolute``).  The grid must resolve min_resolution(rho) up to
+    GRID_CAP: None auto-scales to the larger of 64 and that, and a coarser
+    grid raises.  ``full_resolution`` is False on a grid capped below it.
+    """
+    full = min_resolution(rho)
+    need = min(full, GRID_CAP)
+    if grid is None:
+        grid = HexGrid(max(64, need))
+    elif grid.n < need:
+        raise ValueError(f"grid resolution {grid.n} is below the required {need} for rho={rho}")
+    roots = (2.0 * math.pi / grid.n) * np.arange(grid.n)
+    table = _classical_deriv_table(rho, roots, coeffs.shape[0] - 2)
+    if absolute:
+        table = np.abs(table)
+    return BernsteinResult(_grid_mean_abs(table, coeffs, grid), grid.n, grid.n >= full)
+
+
+def bernstein_integral(rho: float, r: int, grid: HexGrid | None = None) -> BernsteinResult:
     """Mean over the hexagon of |r-th rho-derivative of the kernel|.
 
-    ``grid=None`` selects the auto-scaled resolution.  ``full_resolution``
-    is False when the evaluation grid is coarser than min_resolution(rho)
-    (possible only at the GRID_CAP).
+    ``grid=None`` auto-scales the resolution; ``full_resolution`` is False
+    when the grid is capped below min_resolution(rho).
     """
-    _check_rho(rho)
+    _check_rho(rho)  # before _leibniz_tensor reads rho
     _check_order(r)
-    grid = _resolve_grid(rho, grid)
-    value = _grid_mean_abs(_circle_table(rho, r, grid.n), _leibniz_tensor(rho, r), grid)
-    return BernsteinResult(value, grid.n, grid.n >= min_resolution(rho))
+    return _kernel_mean(rho, _leibniz_tensor(rho, r), grid)
 
 
 def product_integral(rho: float, orders: Sequence[int], grid: HexGrid | None = None) -> float:
@@ -471,18 +469,15 @@ def product_integral(rho: float, orders: Sequence[int], grid: HexGrid | None = N
     three all three coordinates; ``orders`` gives the derivative order of
     each factor.
     """
-    _check_rho(rho)
-    orders = [int(o) for o in orders]
     if not 1 <= len(orders) <= 3:
         raise ValueError(f"product_integral takes 1 to 3 orders, got {len(orders)}")
     for o in orders:
         _check_order(o)
-    grid = _resolve_grid(rho, grid)
     r = max(orders)
     coeffs = np.zeros((r + 2, r + 2, r + 2))
-    coeffs[tuple(orders + [r + 1] * (3 - len(orders)))] = 1.0
+    coeffs[tuple(orders) + (r + 1,) * (3 - len(orders))] = 1.0
     # |T_i T_j T_k| = |T_i| |T_j| |T_k| is linear in the tensor on the |T|
     # tables, so its grid sum is that of the tensor averaged over the axis
     # permutations, which _grid_mean_abs takes
     coeffs = sum(np.transpose(coeffs, s) for s in itertools.permutations(range(3))) / 6
-    return _grid_mean_abs(np.abs(_circle_table(rho, r, grid.n)), coeffs, grid)
+    return _kernel_mean(rho, coeffs, grid, absolute=True).value

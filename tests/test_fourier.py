@@ -141,6 +141,18 @@ def test_grid_basics():
         make_grid(3)
 
 
+@pytest.mark.parametrize("n", [64.7, 64.0, math.inf, math.nan, "64", True, np.float64(64), None])
+def test_grid_resolution_must_be_an_integer(n):
+    # a fractional resolution would be truncated to a coarser grid
+    with pytest.raises(ValueError, match="grid resolution must be an integer of at least 4"):
+        HexGrid(n)
+
+
+def test_grid_takes_numpy_integers():
+    g = HexGrid(np.int64(64))
+    assert type(g.n) is int and g.n == 64 and g.weight == make_grid(64).weight
+
+
 def test_grid_points_are_folded():
     g = make_grid(9)
     t1, t2, t3 = g.t_arrays

@@ -17,7 +17,7 @@ from hexsum.kernels import (
     classical_kernel_deriv,
     _classical_deriv_table,
     _domain_blocks,
-    _resolve_grid,
+    _leibniz_tensor,
     hex_deriv_series_values,
     hex_kernel_closed_values,
     hex_kernel_deriv_values,
@@ -93,6 +93,10 @@ def test_classical_kernel_array_matches_scalar_calls(r):
     assert type(classical_kernel_deriv(np.float64(0.5), np.float64(0.25), r)) is float
 
 
+#: orders that are not integers: each raises the order check's ValueError
+BAD_ORDERS = [1.5, 1.0, "1", True, np.float64(1.0), None]
+
+
 def test_classical_kernel_validation():
     for bad in (1.0, -0.1):
         with pytest.raises(ValueError):
@@ -105,6 +109,9 @@ def test_classical_kernel_validation():
         classical_kernel_deriv(0.5, 0.0, -1)
     with pytest.raises(ValueError):
         classical_kernel_deriv(0.5, 0.0, R_MAX + 1)
+    for r in BAD_ORDERS:
+        with pytest.raises(ValueError, match="derivative order must be an integer"):
+            classical_kernel_deriv(0.5, 0.1, r)
 
 
 # ----------------------------------------------------------- exact weights
@@ -213,6 +220,20 @@ def test_series_tail_bound_frozen():
     assert series_tail_bound(0.0, 5) == 0.0
     with pytest.raises(ValueError):
         series_tail_bound(0.5, -1)
+
+
+@pytest.mark.parametrize("cutoff", [-1, 1.5, 2.0, "2", True, None])
+def test_series_cutoff_must_be_a_nonnegative_integer(cutoff):
+    # a fractional cutoff would sum the shells up to its ceiling but bound
+    # the tail beyond the fraction
+    t = ([0.1], [0.2], [-0.3])
+    for call in (
+        lambda: series_tail_bound(0.5, cutoff),
+        lambda: hex_kernel_series_values(0.5, *t, cutoff),
+        lambda: hex_deriv_series_values(0.5, *t, 1, cutoff),
+    ):
+        with pytest.raises(ValueError, match="cutoff must be a nonnegative integer"):
+            call()
 
 
 def test_tail_bound_matches_brute_sum():
@@ -330,6 +351,16 @@ def test_deriv_validation():
         hex_kernel_deriv_values(0.5, *t, -1)
     with pytest.raises(ValueError):
         hex_kernel_deriv_values(1.0, *t, 1)
+    for r in BAD_ORDERS:
+        with pytest.raises(ValueError, match="derivative order must be an integer"):
+            hex_kernel_deriv_values(0.5, *t, r)
+
+
+@pytest.mark.parametrize("r", [*BAD_ORDERS, [1, 1.5], ["1"]])
+def test_deriv_series_order_must_be_an_integer(r):
+    t = ([0.3], [0.1], [-0.4])
+    with pytest.raises(ValueError, match="derivative order must be an integer"):
+        hex_deriv_series_values(0.5, *t, r, 10)
 
 
 # ---------------------------------------------------------------- integrals
@@ -343,11 +374,9 @@ def test_min_resolution_frozen():
 
 
 def test_auto_grid_size():
-    assert _resolve_grid(0.0, None).n == 64
-    assert _resolve_grid(0.9, None).n == 321
-    assert _resolve_grid(1.0 - 2.0**-9, None).n == GRID_CAP
+    assert bernstein_integral(0.0, 0).grid_n == 64
+    assert bernstein_integral(0.9, 0).grid_n == 321
     assert min_resolution(1.0 - 2.0**-9) > GRID_CAP
-    # bernstein_integral flags the capped grid itself
     res = bernstein_integral(1.0 - 2.0**-9, 0)
     assert (res.grid_n, res.full_resolution) == (GRID_CAP, False)
 
@@ -355,6 +384,18 @@ def test_auto_grid_size():
 def test_explicit_coarse_grid_rejected():
     with pytest.raises(ValueError):
         bernstein_integral(0.5, 1, grid=make_grid(16))
+
+
+def test_explicit_grid_is_required_only_up_to_the_cap():
+    # min_resolution(1 - 2^-9) = 16384: an explicit grid must reach GRID_CAP only
+    rho = 1.0 - 2.0**-9
+    for integral in (lambda g: bernstein_integral(rho, 0, g), lambda g: product_integral(rho, [0], g)):
+        with pytest.raises(ValueError, match=f"below the required {GRID_CAP} "):
+            integral(make_grid(GRID_CAP // 2))
+    res = bernstein_integral(rho, 0, make_grid(GRID_CAP))
+    assert (res.grid_n, res.full_resolution) == (GRID_CAP, False)
+    assert res.value == bernstein_integral(rho, 0).value
+    assert product_integral(rho, [0], make_grid(GRID_CAP)) == product_integral(rho, [0])
 
 
 def test_bernstein_order_zero_is_one():
@@ -385,6 +426,36 @@ def test_product_integral_validation():
         product_integral(0.5, [0, 0, 0, 0])
     with pytest.raises(ValueError):
         product_integral(0.5, [R_MAX + 1])
+    # the orders are checked before rho, and rho before any grid is built
+    with pytest.raises(ValueError, match="1 to 3 orders, got 0"):
+        product_integral(1.0, [])
+    with pytest.raises(ValueError, match="rho must lie in"):
+        product_integral(1.0, [1], grid=make_grid(16))
+    with pytest.raises(ValueError, match="rho must lie in"):
+        bernstein_integral(1.0, R_MAX + 1)
+
+
+@pytest.mark.parametrize("r", BAD_ORDERS)
+def test_integral_orders_must_be_integers(r):
+    with pytest.raises(ValueError, match="derivative order must be an integer"):
+        bernstein_integral(0.5, r)
+    for orders in ([r], [0, r], [r, 0, 0]):
+        with pytest.raises(ValueError, match="derivative order must be an integer"):
+            product_integral(0.5, orders)
+
+
+def test_numpy_integer_orders_and_cutoffs_are_accepted():
+    t = ([0.3], [0.1], [-0.4])
+    two, ten = np.int64(2), np.int64(10)
+    assert classical_kernel_deriv(0.5, 0.1, two) == classical_kernel_deriv(0.5, 0.1, 2)
+    assert np.array_equal(hex_kernel_deriv_values(0.5, *t, two), hex_kernel_deriv_values(0.5, *t, 2))
+    assert np.array_equal(
+        hex_deriv_series_values(0.5, *t, np.array([1, 2]), ten),
+        hex_deriv_series_values(0.5, *t, (1, 2), 10),
+    )
+    assert series_tail_bound(0.5, ten) == series_tail_bound(0.5, 10)
+    assert bernstein_integral(0.5, np.int64(3)) == bernstein_integral(0.5, 3)
+    assert product_integral(0.5, np.array([2, 1])) == product_integral(0.5, [2, 1])
 
 
 @pytest.mark.parametrize("n", range(1, 61))
@@ -450,6 +521,30 @@ def test_product_integral_matches_pointwise_sum(n, rho):
         assert abs(got - want) <= 1e-12 * want, (n, orders)
 
 
+def test_grid_tensors_are_symmetric_in_their_axes_bitwise(monkeypatch):
+    # _grid_mean_abs sums one fundamental domain of D6, so the tensor it
+    # takes must equal all its axis transposes
+    def assert_symmetric(coeffs):
+        for axes in itertools.permutations(range(3)):
+            assert np.array_equal(np.transpose(coeffs, axes), coeffs), axes
+
+    for rho in (0.0, 0.3, 0.5, 0.9, 1.0 - 2.0**-9, 1.0 - 3.7e-9):
+        for r in range(R_MAX + 1):
+            assert_symmetric(_leibniz_tensor(rho, r))
+    seen = []
+
+    def capture(rho, coeffs, grid, absolute=False):
+        seen.append(coeffs)
+        return kernels.BernsteinResult(0.0, 0, True)
+
+    monkeypatch.setattr(kernels, "_kernel_mean", capture)
+    for orders in PRODUCT_CASES:
+        product_integral(0.5, orders)
+    assert len(seen) == len(PRODUCT_CASES)
+    for coeffs in seen:
+        assert_symmetric(coeffs)
+
+
 def test_deriv_values_keep_input_shape():
     g = make_grid(6)
     t1, t2, t3 = (t.reshape(6, 6) for t in g.t_arrays)
@@ -457,6 +552,11 @@ def test_deriv_values_keep_input_shape():
     assert vals.shape == (6, 6)
     flat = hex_kernel_deriv_values(0.4, t1.ravel(), t2.ravel(), t3.ravel(), 2)
     np.testing.assert_array_equal(vals.ravel(), flat)
+    # scalar coordinates give one value, the factor tables one row per order
+    for i in (0, 13, 35):
+        point = (t.ravel()[i] for t in (t1, t2, t3))
+        assert np.ndim(value := hex_kernel_deriv_values(0.4, *point, 2)) == 0
+        assert value == flat[i]
 
 
 def test_bernstein_integral_row_blocks_match_pointwise_sum():

@@ -36,6 +36,10 @@ def test_worker_generates_inputs_and_runs_traced_steps(tmp_path):
             "op": "step", "span": "cli.verify", "trace": True, "roundtrip": None,
             "argv": ["verify", "--seed", "0", "--format", "json", "--out", str(tmp_path / "v.json")],
         },
+        {
+            "op": "step", "span": "cli.bernstein", "trace": True, "roundtrip": None,
+            "argv": ["bernstein", "--r", "3", "--rho-kmax", "3", "--out", str(tmp_path / "b.csv")],
+        },
     ]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
@@ -53,3 +57,7 @@ def test_worker_generates_inputs_and_runs_traced_steps(tmp_path):
         assert reply["rc"] == 0, reply["stderr"]
         assert reply["trace"]["spans"] > 1
     assert len(json.loads((tmp_path / "roundtrip.json").read_text())) == 1 + 3 * 6 * 7
+    # perfbench/spans.py counts the work of bernstein_integral as
+    # BernsteinResult.grid_n**2: rho = 1/2, 3/4, 7/8 take the auto grids 64, 128, 256
+    bernstein = steps[-1]["trace"]["functions"]["kernels.bernstein_integral"]
+    assert (bernstein["calls"], bernstein["work"]) == (3, 64**2 + 128**2 + 256**2)
