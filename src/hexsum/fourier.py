@@ -490,6 +490,14 @@ def lp_norm(g: GridFunction, p: float) -> float:
 _NORMAL = range(2**52, (2**1024 - 2**970) << 1074)
 
 
+def _from_units(s: int) -> float:
+    """s 2^-1074 for s in _NORMAL, correctly rounded: float() rounds the top 64
+    bits once, their last bit set if any bit below them is (a sticky bit)."""
+    k = max(s.bit_length() - 64, 0)
+    top = s >> k
+    return math.ldexp(float(top | (top << k != s)), k - 1074)
+
+
 def _norm_plan(
     f: SpectralFunction, p: float, grid: HexGrid | None
 ) -> tuple[np.ndarray, Callable[[np.ndarray], float], Callable[[np.ndarray, bool], np.ndarray]]:
@@ -506,10 +514,10 @@ def _norm_plan(
     largest term (exact powers of two), so only norms beyond the float
     range are inf; callers run under _QUIET.  Exact cut_norms sums the
     terms t = w w masses of norm as integers t 2^1074, prefix by prefix,
-    and divides once: norm's fsum bit for bit.  A sum outside _NORMAL takes
-    norm, as does every cut if a mass is inf (norm sums 0 * inf = nan).  A
-    grid on which two nonzero coefficients share a DFT bin would alias
-    them silently, so it raises ValueError.
+    and rounds each sum once: norm's fsum bit for bit.  A sum outside
+    _NORMAL takes norm, as does every cut if a mass is inf (norm sums
+    0 * inf = nan).  A grid on which two nonzero coefficients share a DFT
+    bin would alias them silently, so it raises ValueError.
     """
     coeffs = f.coeffs
     shells, at = _shell_groups(f.shell)
@@ -554,12 +562,19 @@ def _norm_plan(
     def cut_norms(w: np.ndarray, upto: bool) -> np.ndarray:
         sums = [-1] * len(shells)  # outside _NORMAL
         if grid is None and np.isfinite(masses).all():
-            ratios = (t.as_integer_ratio() if math.isfinite(t) else (_NORMAL.stop, 2**1074)
-                      for t in (w * w * masses).tolist())
-            sums = list(itertools.accumulate(a << 1075 - b.bit_length() for a, b in ratios))
+            terms = w * w * masses
+            finite = np.isfinite(terms)
+            mant, exp = np.frexp(np.where(finite, terms, 0.0))
+            ints, shifts = (mant * 2.0**53).astype(np.int64).tolist(), (exp + 1021).tolist()
+            # t 2^1074 = (mantissa 2^53) 2^(exponent + 1021), where a subnormal t's right
+            # shift drops only zero bits; an inf term takes the sums past _NORMAL
+            sums = list(itertools.accumulate(
+                (a << e if e >= 0 else a >> -e) if ok else _NORMAL.stop
+                for ok, a, e in zip(finite.tolist(), ints, shifts)
+            ))
             sums = sums if upto else [sums[-1] - s for s in sums]
         return np.array([
-            math.sqrt(s / 2**1074) if s in _NORMAL
+            math.sqrt(_from_units(s)) if s in _NORMAL
             else norm(w * ((shells <= m) if upto else (shells > m)))
             for m, s in zip(shells.tolist(), sums)
         ])

@@ -145,8 +145,12 @@ def _classical_deriv_table(rho: float, z: np.ndarray, r_max: int) -> np.ndarray:
     """
     w = np.exp(1j * np.asarray(z, dtype=float))
     u = 1.0 / (1.0 - rho * w)
-    table = np.ones((r_max + 2,) + w.shape)
-    table[0] = (1.0 - rho * rho) * (u.real * u.real + u.imag * u.imag)
+    table = np.empty((r_max + 2,) + w.shape)
+    row = table[0, ...]  # a view, also for a scalar z
+    np.multiply(u.real, u.real, out=row)
+    row += u.imag * u.imag
+    row *= 1.0 - rho * rho
+    table[-1] = 1.0
     w *= u  # the step e^{iz} u from one order to the next
     fact = 1
     for j in range(1, r_max + 1):
@@ -168,7 +172,8 @@ def _z_arrays(t1, t2, t3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def hex_kernel_closed_values(rho: float, t1, t2, t3) -> np.ndarray:
     """Closed-form lattice kernel P(rho, t) on coordinate arrays; strictly positive."""
     _check_rho(rho)
-    p1, p2, p3 = (_classical_deriv_table(rho, z, 0)[0] for z in _z_arrays(t1, t2, t3))
+    # copies: a view of row 0 would keep its table's row of ones alive
+    p1, p2, p3 = (_classical_deriv_table(rho, z, 0)[0].copy() for z in _z_arrays(t1, t2, t3))
     (w3,), (w2,) = _weight_derivs(rho, 0)
     return w3 * (p1 * p2 * p3) + w2 * (p1 * p2 + p1 * p3 + p2 * p3)
 

@@ -19,7 +19,8 @@ Below r they are exactly 1.0 and 0.0.  The same operator is sum_{k<r}
 implemented here too as an independent float path for cross-checking.
 
 Every mean, deviation, derivative norm and K-functional candidate is a
-shell multiplier applied to f; rho and r are plain numbers throughout.
+shell multiplier applied to f; rho and r are plain numbers throughout,
+except that lambda_shells also takes a ladder's radii as one array.
 Every operator is scale_shells(f, fn_of_shells), fn_of_shells mapping the
 array of f's occupied shells to their multipliers.  This module keeps the
 multipliers, operators and ladders; every norm comes from fourier's
@@ -46,9 +47,10 @@ from .fourier import GridFunction, HexGrid, SpectralFunction, _QUIET, _norm_plan
 from .kernels import _check_rho, hex_kernel_closed_values
 
 
-def _check_mean(rho: float, r: int) -> None:
-    """Raise ValueError unless 0 <= rho < 1 and the order r is positive."""
-    _check_rho(rho)
+def _check_mean(rho, r: int) -> None:
+    """Raise ValueError unless 0 <= rho < 1 (each radius of an array rho) and r > 0."""
+    for x in np.ravel(rho).tolist():
+        _check_rho(x)
     if r < 1:
         raise ValueError(f"order r must be positive, got {r}")
 
@@ -57,32 +59,34 @@ def _check_mean(rho: float, r: int) -> None:
 # multipliers
 # --------------------------------------------------------------------------
 
-def lambda_shells(shells: np.ndarray, r: int, rho: float) -> tuple[np.ndarray, np.ndarray]:
+#: most (pair, term) table entries in one _binomial_tail block
+_TAIL_ENTRIES = 1 << 14
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def lambda_shells(shells: np.ndarray, r: int, rho) -> tuple[np.ndarray, np.ndarray]:
     """Shell multipliers lambda_{nu,r}(rho) = P[Bin(nu, 1-rho) <= r-1] at each of
     shells, and their complements P[Bin(nu, 1-rho) >= r]; both in [0, 1], each
-    accurate down to underflow, and each row independent of the others."""
+    accurate down to underflow, and each entry independent of the others.  A
+    1-D array of radii rho gives one row per radius, its own call bit for bit."""
     _check_mean(rho, r)
     if shells.min(initial=0) < 0:
         raise ValueError("shell index must be nonnegative")
+    radii = np.atleast_1d(np.asarray(rho, dtype=float))
     high = shells >= r
-    nu = shells[high]
-    if not nu.size:
-        return np.ones(len(shells)), np.zeros(len(shells))
-    lower = nu >= (r - 0.5) / (1.0 - rho)  # the mean nu (1-rho) is past r - 1/2
-    n_low = np.count_nonzero(lower)
-    if n_low in (0, len(nu)):
-        lower = bool(n_low)  # every row takes the same tail
-    tail = _binomial_tail(nu, r, rho, lower)
+    n_high = np.count_nonzero(high)
+    nu, at = np.tile(shells[high], len(radii)), np.repeat(radii, n_high)
+    lower = nu >= (r - 0.5) / (1.0 - at)  # the mean nu (1-rho) is past r - 1/2
+    tail = np.empty(len(nu))
+    step = max(1, _TAIL_ENTRIES // max(map(len, _orders(r))))
+    for s in range(0, len(nu), step):
+        block = slice(s, s + step)
+        tail[block] = _binomial_tail(nu[block], r, at[block], lower[block])
     other = 1.0 - tail
-    if isinstance(lower, bool):
-        lam, comp = (tail, other) if lower else (other, tail)
-    else:
-        lam, comp = np.where(lower, tail, other), np.where(lower, other, tail)
-    if len(nu) == len(shells):
-        return lam, comp
-    out = np.ones(len(shells)), np.zeros(len(shells))
-    out[0][high], out[1][high] = lam, comp
-    return out
+    lam, comp = np.ones((len(radii), len(shells))), np.zeros((len(radii), len(shells)))
+    lam[:, high] = np.where(lower, tail, other).reshape(len(radii), n_high)
+    comp[:, high] = np.where(lower, other, tail).reshape(len(radii), n_high)
+    return (lam, comp) if np.ndim(rho) else (lam[0], comp[0])
 
 
 @functools.lru_cache(maxsize=None)
@@ -95,51 +99,49 @@ def _orders(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return i, r - i, k - 1.0, 1.0 / (r - 1.0 + k)
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _binomial_tail(nu: np.ndarray, r: int, rho: float, lower: bool | np.ndarray) -> np.ndarray:
-    """P[X <= r-1] on the rows where lower, else P[X >= r], X ~ Bin(nu, 1-rho), nu >= r:
-    each row takes the tail beyond r - 1/2 from the mean; lower is a row mask, or
-    one bool for every row.
+def _binomial_tail(nu: np.ndarray, r: int, rho: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """P[X <= r-1] on the rows where lower, else P[X >= r], X ~ Bin(nu, 1-rho), nu >= r,
+    with nu, rho and lower given per row: each row takes the tail beyond r - 1/2
+    from the mean.
 
-    Summed, one row per shell, from t = P[X = r-1] by the term ratio, at most
-    r/(r+k) past the first: the K terms of _orders(r) miss < 2^-56 of the sum.  t
-    is rho**nu at r = 1, else the quotients of C(nu, r-1) (1-rho)^(r-1) times
-    rho^m in halves, or _loader_point past 531 quotients or the float range.  The
-    two tails share one pass over t.
+    Summed, one row per (radius, shell) pair, from t = P[X = r-1] by the term
+    ratio, at most r/(r+k) past the first: the K terms of _orders(r) miss < 2^-56
+    of the sum.  t is rho**nu at r = 1, else the quotients of C(nu, r-1)
+    (1-rho)^(r-1) times rho^m in halves, or _loader_point past 531 quotients or
+    the float range.  The two tails share one pass over t.
     """
     q, b = 1.0 - rho, r - 1
     i, r_minus_i, k_minus_1, inv_bk = _orders(r)
     m = nu - float(b)
     mi = m[:, None] + i  # C(nu, b) = prod (m + i) / i; lower ratios (r - i) / (m + i)
-
-    def side_sums(below: bool, rows) -> np.ndarray:
+    sums = np.empty(len(m))
+    for below, rows in ((True, lower), (False, ~lower)):
+        if not rows.any():
+            continue
         if below:
-            terms = r_minus_i * (rho / q) / mi[rows]
+            terms = r_minus_i * (rho[rows] / q[rows])[:, None]
+            terms /= mi[rows]
         else:  # ratios (m + 1 - k) / (b + k), 0 from k = m + 1 on
-            terms = (m[rows, None] - k_minus_1) * (q / rho * inv_bk)
+            terms = m[rows, None] - k_minus_1
+            terms *= (q[rows] / rho[rows])[:, None] * inv_bk
         np.multiply.accumulate(terms, axis=1, out=terms)
-        return below + np.add.reduce(terms, axis=1)
-
-    if isinstance(lower, bool):
-        sums = side_sums(lower, slice(None))
-    else:
-        sums = np.empty(len(m))
-        sums[lower], sums[~lower] = side_sums(True, lower), side_sums(False, ~lower)
+        sums[rows] = below + np.add.reduce(terms, axis=1)
     if b == 0:
-        return np.array([rho**e for e in m.tolist()]) * sums
-    cq = np.multiply.reduce(mi * (q / i), axis=1) if b <= 531 else np.full(len(m), np.inf)
+        return np.array([x**e for x, e in zip(rho.tolist(), m.tolist())]) * sums
+    cq = np.multiply.reduce(mi * (q[:, None] / i), axis=1) if b <= 531 else np.full(len(m), np.inf)
     power = rho**m
     t = cq * power
     if not power.min() >= sys.float_info.min:  # in halves, neither underflows before t does
         thin = power < sys.float_info.min
-        t[thin] = cq[thin] * rho ** (m[thin] // 2) * rho ** (m[thin] - m[thin] // 2)
+        half = m[thin] // 2
+        t[thin] = cq[thin] * rho[thin] ** half * rho[thin] ** (m[thin] - half)
     if not cq.max() < math.inf:
         huge = np.isinf(cq)
-        t[huge] = _loader_point(nu[huge].astype(float), float(b), q, rho)
+        t[huge] = _loader_point(nu[huge].astype(float), float(b), q[huge], rho[huge])
     return t * sums
 
 
-def _loader_point(n: np.ndarray, x: float, q: float, rho: float) -> np.ndarray:
+def _loader_point(n: np.ndarray, x: float, q: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """C(n, x) q^x rho^(n-x), 0 < x < n, q = 1 - rho, in the saddle-point form of
     C. Loader, "Fast and accurate computation of binomial probabilities" (2000)."""
     k = np.stack(np.broadcast_arrays(n, x, n - x))  # n, x, n - x
@@ -256,13 +258,12 @@ def poisson_integral_convolution(g, rho: float):
 def deviation_ladder(
     f: SpectralFunction, rhos: list[float], r: int, p: float, grid: HexGrid | None
 ) -> list[float]:
-    """||f - A_{rho,r}(f)||_p at each rho of rhos from one norm plan; exact L2
-    when grid is None.  Formed with the complement multipliers, so there is
-    no 1 - lambda cancellation."""
-    for rho in rhos:
-        _check_mean(rho, r)
+    """||f - A_{rho,r}(f)||_p at each rho of rhos from one norm plan and one
+    lambda_shells call; exact L2 when grid is None.  Formed with the
+    complement multipliers, so there is no 1 - lambda cancellation."""
+    _check_mean(rhos, r)
     shells, norm, _ = _norm_plan(f, p, grid)
-    return [norm(lambda_shells(shells, r, rho)[1]) for rho in rhos]
+    return [norm(comp) for comp in lambda_shells(shells, r, np.array(rhos, dtype=float))[1]]
 
 
 @_QUIET
@@ -312,9 +313,9 @@ def kfun_ladder(
     a lower bound up to a constant depending only on n.
 
     One norm plan serves the ladder: the error and roughness norms of zero,
-    f and the partial sums do not depend on delta and are taken once; only
-    the means and the lower proxy are evaluated per delta.  delta lies in
-    (0, 1/2], so every zeta is in [0, 1).  For p=2 with grid=None both
+    f and the partial sums do not depend on delta and are taken once, those
+    of each distinct mean (one lambda_shells call for every zeta in [0, 1))
+    once, and only the lower proxy per delta.  For p=2 with grid=None both
     sides are exact from shell masses; otherwise a grid is required.
     """
     for delta in deltas:
@@ -328,15 +329,18 @@ def kfun_ladder(
     fixed = [("zero", norm(ones), norm(zeros)), ("identity", norm(zeros), norm(perm))]
     cut_names = [f"partial_sum({m})" for m in shells.tolist()]
     cut_err, cut_rough = cut_norms(ones, False), cut_norms(perm, True)
+    ladder = [[1.0 - delta * 2.0**j for j in range(-2, 3)] for delta in deltas]
+    zetas = list(dict.fromkeys(z for row in ladder for z in row if 0.0 <= z < 1.0))
+    lam, comp = lambda_shells(shells, n, np.array(zetas))
+    mean_norms = dict(zip(zetas, zip(map(norm, comp), map(norm, perm * lam))))
     estimates = []
-    for delta in deltas:
+    for delta, row in zip(deltas, ladder):
         dn = delta**n
         scored = [(name, err + dn * rough) for name, err, rough in fixed]
-        for j in range(-2, 3):
-            zeta = 1.0 - delta * 2.0**j
-            if 0.0 <= zeta < 1.0:
-                lam, comp = lambda_shells(shells, n, zeta)
-                scored.append((f"mean(zeta={zeta:.17g})", norm(comp) + dn * norm(perm * lam)))
+        for zeta in row:
+            if zeta in mean_norms:
+                err, rough = mean_norms[zeta]
+                scored.append((f"mean(zeta={zeta:.17g})", err + dn * rough))
         scored += zip(cut_names, (cut_err + dn * cut_rough).tolist())
         upper, winner = math.inf, "none"
         for name, score in scored:  # strict: the first least score wins

@@ -307,6 +307,31 @@ def test_grid_integral_memory_stays_small():
     assert peak < 1_250_000
 
 
+def test_closed_values_memory_stays_small_and_keeps_its_bits():
+    # each factor is an array of its own, not a view that keeps its table's
+    # unused row of ones alive (30 MiB here); the table's rows are written in
+    # place, with no table-sized temporary (26 MiB)
+    rng = np.random.default_rng(6)
+    t1, t2 = rng.uniform(-1.5, 1.5, size=(2, 1 << 18))
+    t3 = -(t1 + t2)
+    rho = 0.7
+    tracemalloc.start()
+    try:
+        got = hex_kernel_closed_values(rho, t1, t2, t3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25 * 2**20
+    factors = []
+    for z in (t2 - t3, t3 - t1, t1 - t2):
+        u = 1.0 / (1.0 - rho * np.exp(1j * (TWO_PI_OVER_3 * z)))
+        factors.append((1.0 - rho * rho) * (u.real * u.real + u.imag * u.imag))
+    p1, p2, p3 = factors
+    (w3,), (w2,) = kernels._weight_derivs(rho, 0)
+    want = w3 * (p1 * p2 * p3) + w2 * (p1 * p2 + p1 * p3 + p2 * p3)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_closed_matches_series_within_tail():
     rng = np.random.default_rng(12)
     for rho, cutoff in ((0.4, 60), (0.8, 400)):

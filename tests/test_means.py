@@ -160,6 +160,64 @@ def test_lambda_shell_rows_do_not_depend_on_each_other():
                 assert (one, one_comp) == (lam[j], comp[j])
 
 
+RADII = (0.0, 1e-300, 1e-10, 0.01, 0.1, 0.3, 0.5, 0.75, 0.9, 0.99, 0.999,
+         1.0 - 2.0**-20, 1.0 - 2.0**-40, 1.0 - 2.0**-52)
+
+
+@pytest.mark.parametrize("r", (1, 2, 3, 4, 5, 6, 10, 50, 531, 532, 600, 1000))
+def test_lambda_radius_rows_equal_scalar_calls_bitwise(r):
+    # one row per radius, each the scalar call at that radius bit for bit: both
+    # tails, underflowing powers, Loader's form past 531 quotients, and (at
+    # r >= 531, where a pair's table has ~530 terms) several blocks per call
+    shells = np.array([0, 1, 2, 3, 5, 7, 10, 20, 50, 100, 200, 500, 530, 531, 532, 533,
+                       600, 777, 1000, 1031, 2000, 5000, 10**4, 10**5, 7 * 10**5, 10**6,
+                       10**7, 10**8, 2 * 10**8])
+    lam, comp = lambda_shells(shells, r, np.array(RADII))
+    assert lam.shape == comp.shape == (len(RADII), len(shells))
+    for j, rho in enumerate(RADII):
+        one_lam, one_comp = lambda_shells(shells, r, rho)
+        assert lam[j].tobytes() == one_lam.tobytes(), (r, rho)
+        assert comp[j].tobytes() == one_comp.tobytes(), (r, rho)
+
+
+def test_lambda_radius_vectors_at_the_edges():
+    # no radii (kfun --rho-kmin 1074 has no zeta in [0, 1)) and no shells; a
+    # radius outside [0, 1) anywhere in the vector raises
+    lam, comp = lambda_shells(np.arange(5), 2, np.array([]))
+    assert lam.shape == comp.shape == (0, 5)
+    lam, comp = lambda_shells(np.array([], dtype=np.int64), 2, np.array([0.5, 0.25]))
+    assert lam.shape == comp.shape == (2, 0)
+    (lam,), (comp,) = lambda_shells(np.array([2]), 2, np.array([0.5]))
+    assert (lam.tolist(), comp.tolist()) == ([0.75], [0.25])
+    for radii in ([0.5, 1.0], [-0.1, 0.5]):
+        with pytest.raises(ValueError, match="rho must lie in"):
+            lambda_shells(np.arange(5), 2, np.array(radii))
+    with pytest.raises(ValueError, match="order r must be positive"):
+        lambda_shells(np.arange(5), 0, np.array([]))
+
+
+def test_ladders_take_one_multiplier_call(monkeypatch):
+    # kfun's default ladder delta = 2^-1..2^-7 has 35 candidate zetas, 10 of
+    # them distinct and in [0, 1); a rates ladder is one call too
+    calls = []
+    real = means.lambda_shells
+
+    def counted(shells, r, rho):
+        calls.append(np.ravel(rho).tolist())
+        return real(shells, r, rho)
+
+    monkeypatch.setattr(means, "lambda_shells", counted)
+    f = _random_f(3, degree=40)
+    deltas = [2.0**-k for k in range(1, 8)]
+    ests = kfun_ladder(f, deltas, 2, 2.0)
+    assert calls == [[1.0 - 2.0**-3, 1.0 - 2.0**-2, 0.5, 0.0] + [1.0 - 2.0**-k for k in range(4, 10)]]
+    assert len(ests) == 7
+    calls.clear()
+    rhos = [1.0 - 2.0**-k for k in range(2, 9)]
+    deviation_ladder(f, rhos, 2, 2.0, None)
+    assert calls == [rhos]
+
+
 def _binomial_tails(nu, r, rho):
     """(P[X <= r-1], P[X >= r]) for X ~ Bin(nu, 1-rho), exact to 60 digits at the binary rho.
 
