@@ -53,8 +53,8 @@ from .fourier import (
 from .kernels import (
     R_MAX,
     bernstein_integral,
+    hex_deriv_series_values,
     hex_kernel_closed_values,
-    hex_kernel_series_values,
     series_tail_bound,
 )
 from .means import deviation_ladder, kfun_ladder
@@ -295,7 +295,8 @@ def run_kernel(cfg: ExperimentConfig):
         peak = 1.0 + series_tail_bound(rho, 0)  # the kernel's value at t = 0
         cutoff = _kernel_cutoff(rho, eps * peak)
         closed = hex_kernel_closed_values(rho, t1, t2, t3)
-        series, tail = hex_kernel_series_values(rho, t1, t2, t3, cutoff)
+        series = hex_deriv_series_values(rho, t1, t2, t3, 0, cutoff)
+        tail = series_tail_bound(rho, cutoff)
         gap = float(np.abs(closed - series.real).max())
         # the series sums terms of total size below peak, so rounding may add
         # a few dozen ulps of it on top of the tail

@@ -68,7 +68,9 @@ def pairwise_sum(values: np.ndarray, axis: int | None = None) -> np.ndarray:
 
     The array is zero-padded to a power of two and halved repeatedly, so
     the association order depends only on the length, never on chunking or
-    thread count.  ``axis=None`` reduces the flattened array.
+    thread count.  ``axis=None`` reduces the flattened array.  The sum is
+    taken in np.sum's accumulator dtype, so bool and narrow integers widen
+    (an empty input gives its zero), and float and complex keep theirs.
     """
     a = np.asarray(values)
     if axis is None:
@@ -76,8 +78,10 @@ def pairwise_sum(values: np.ndarray, axis: int | None = None) -> np.ndarray:
     elif axis != 0:
         a = np.moveaxis(a, axis, 0)
     n = a.shape[0]
+    empty = np.add.reduce(a[:0], axis=0, keepdims=True)  # an array even for dtype object
     if n == 0:
-        return np.zeros(a.shape[1:], dtype=a.dtype if a.dtype.kind in "fc" else float)[()]
+        return empty[0]
+    a = a.astype(empty.dtype, copy=False)
     m = 1 << (n - 1).bit_length()
     total = _tree_sum(a, np.empty((3 * m // 4,) + a.shape[1:], dtype=a.dtype))
     return total.copy() if a.ndim > 1 else total
@@ -444,8 +448,8 @@ def analyze(g: GridFunction, max_degree: int) -> SpectralFunction:
     satisfies 4 d < n; otherwise aliasing corrupts coefficients and a
     ResolutionWarning is emitted.
     """
-    if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
+    if not _is_int(max_degree) or max_degree < 0:
+        raise ValueError(f"max_degree must be a nonnegative integer, got {max_degree!r}")
     n = g.grid.n
     if n < exactness_threshold(max_degree):
         warnings.warn(
@@ -461,6 +465,11 @@ def analyze(g: GridFunction, max_degree: int) -> SpectralFunction:
     return SpectralFunction.from_arrays(k1, k2, coeffs, max_degree)
 
 
+def _check_p(p: float) -> None:
+    if not p >= 1:  # NaN fails too
+        raise ValueError(f"order p must satisfy p >= 1, got {p}")
+
+
 def lp_norm(g: GridFunction, p: float) -> float:
     """Grid L_p norm with the uniform probability weight.
 
@@ -468,8 +477,7 @@ def lp_norm(g: GridFunction, p: float) -> float:
     lower bound on the true sup-norm converging as the grid refines.  A sum
     of |v|^p beyond the normal range is taken again in units of max|v|.
     """
-    if p < 1:
-        raise ValueError(f"order p must satisfy p >= 1, got {p}")
+    _check_p(p)
     mags = np.abs(g.values)
     if math.isinf(p):
         return float(mags.max(initial=0.0))
@@ -517,8 +525,9 @@ def _norm_plan(
     and rounds each sum once: norm's fsum bit for bit.  A sum outside
     _NORMAL takes norm, as does every cut if a mass is inf (norm sums
     0 * inf = nan).  A grid on which two nonzero coefficients share a DFT
-    bin would alias them silently, so it raises ValueError.
+    bin would alias them silently, so it raises ValueError, as does p < 1.
     """
+    _check_p(p)
     coeffs = f.coeffs
     shells, at = _shell_groups(f.shell)
     if grid is None:

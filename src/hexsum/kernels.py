@@ -40,8 +40,10 @@ reduced by the pairwise tree in two buffers allocated once per call and
 reused across blocks, since new block-sized arrays would fault in their
 pages again on every block.
 
-The truncated shell series serves as an independent oracle, with the
-tail sum_{nu > c} 6 nu rho^nu available in closed form.  It sums every
+The truncated shell series serves as an independent oracle, with one
+entry, hex_deriv_series_values: order 0 is the kernel itself, with the
+tail sum_{nu > c} 6 nu rho^nu in closed form (series_tail_bound), and
+order r its termwise r-th rho-derivative.  It sums every
 frequency of every shell term by term, ring by ring: shell nu is the six
 edges k = nu c_i + j c_{i+2}, 0 <= j < nu, of the unit-shell corners
 c_0..c_5, so its sum is sum_i phi_{nu c_i} sum_{j < nu} phi_{j c_{i+2}},
@@ -218,51 +220,17 @@ def _shell_sums(cutoff: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return sums
 
 
-def shell_weighted_values(weights, t1, t2, t3) -> np.ndarray:
-    """sum_nu weights[nu] * (shell-nu basis sum) at points, as complex values.
-
-    ``weights`` is one weight vector or a stack of them, one row per
-    series; a stack returns one row of values per series.  Every frequency
-    of every shell nu <= cutoff is summed term by term, ring by ring: shell
-    nu is the six edges k = nu c_i + j c_{i+2}, 0 <= j < nu, of the
-    unit-shell corners c_0..c_5, so its sum is
-    sum_i phi_{nu c_i} sum_{j < nu} phi_{j c_{i+2}}, one cumsum along nu of
-    the corner exponentials (_shell_sums).  Points go in chunks that bound
-    the corner table.  Each row is one real product of its weights with the
-    shell sums (real and imaginary parts interleaved), row by row, so a
-    stack equals its single rows bit for bit.
-    """
-    weights = np.asarray(weights, dtype=float)
-    cutoff = weights.shape[-1] - 1
-    weight_rows = weights.reshape(-1, cutoff + 1)
-    t1, t2, t3 = (np.asarray(t, dtype=float) for t in (t1, t2, t3))
-    x, y = TWO_PI_OVER_3 * (t1 - t3).ravel(), TWO_PI_OVER_3 * (t2 - t3).ravel()
-    out = np.empty((len(weight_rows), len(x)), dtype=complex)
-    chunk = max(1, _RING_ENTRIES // (6 * (cutoff + 1)))
-    for start in range(0, len(x), chunk):
-        part = slice(start, start + chunk)
-        sums = _shell_sums(cutoff, x[part], y[part]).view(float)
-        for row, w in zip(out, weight_rows):
-            row[part] = (w @ sums).view(complex)
-    return out.reshape(weights.shape[:-1] + (len(x),))
-
-
-def hex_kernel_series_values(
-    rho: float, t1, t2, t3, cutoff: int
-) -> tuple[np.ndarray, float]:
-    """Shell series truncated at ``cutoff`` plus its closed-form tail bound.
-
-    Values are complex; the exact sum is real, so the imaginary part is a rounding diagnostic.
-    """
-    tail = series_tail_bound(rho, cutoff)
-    return shell_weighted_values(rho ** np.arange(cutoff + 1, dtype=float), t1, t2, t3), tail
-
-
 def hex_deriv_series_values(rho: float, t1, t2, t3, r, cutoff: int) -> np.ndarray:
     """Termwise-differentiated shell series: sum_nu nu!/(nu-r)! rho^{nu-r} (shell sum).
 
-    ``r`` is one order or a sequence of orders; a sequence returns one row
-    per order from a single series evaluation.
+    r = 0 is the kernel's own series, whose tail series_tail_bound(rho,
+    cutoff) bounds.  ``r`` is one order or a sequence of orders; a sequence
+    returns one row per order from a single series evaluation.  Values are
+    complex; the exact sum is real, so the imaginary part is a rounding
+    diagnostic.  The shell sums come from _shell_sums, with the points in
+    chunks that bound its corner table.  Each row is one real product of
+    its weights with the shell sums (real and imaginary parts interleaved),
+    row by row, so a sequence equals its single orders bit for bit.
     """
     _check_rho(rho)
     _check_cutoff(cutoff)
@@ -271,7 +239,16 @@ def hex_deriv_series_values(rho: float, t1, t2, t3, r, cutoff: int) -> np.ndarra
     for row, o in zip(weights, orders):
         _check_order(o)
         row[o:] = [math.perm(nu, o) * rho ** (nu - o) for nu in range(o, cutoff + 1)]
-    return shell_weighted_values(weights.reshape(np.shape(r) + (cutoff + 1,)), t1, t2, t3)
+    t1, t2, t3 = (np.asarray(t, dtype=float) for t in (t1, t2, t3))
+    x, y = TWO_PI_OVER_3 * (t1 - t3).ravel(), TWO_PI_OVER_3 * (t2 - t3).ravel()
+    out = np.empty((len(orders), len(x)), dtype=complex)
+    chunk = max(1, _RING_ENTRIES // (6 * (cutoff + 1)))
+    for start in range(0, len(x), chunk):
+        part = slice(start, start + chunk)
+        sums = _shell_sums(cutoff, x[part], y[part]).view(float)
+        for row, w in zip(out, weights):
+            row[part] = (w @ sums).view(complex)
+    return out.reshape(np.shape(r) + (len(x),))
 
 
 # --------------------------------------------------------------------------

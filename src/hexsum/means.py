@@ -44,15 +44,23 @@ import numpy as np
 import numpy.polynomial  # noqa: F401 - loaded with the module, not on first use
 
 from .fourier import GridFunction, HexGrid, SpectralFunction, _QUIET, _norm_plan, scale_shells
-from .kernels import _check_rho, hex_kernel_closed_values
+from .kernels import _check_rho, _is_int, hex_kernel_closed_values
+
+
+def _check_int(name: str, value, least: int = 1) -> None:
+    """Raise ValueError unless value is a Python or numpy int (no bool) >= least."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        bound = "positive" if least == 1 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 def _check_mean(rho, r: int) -> None:
-    """Raise ValueError unless 0 <= rho < 1 (each radius of an array rho) and r > 0."""
+    """Raise ValueError unless 0 <= rho < 1 (each radius of an array rho) and int r > 0."""
     for x in np.ravel(rho).tolist():
         _check_rho(x)
-    if r < 1:
-        raise ValueError(f"order r must be positive, got {r}")
+    _check_int("order r", r)
 
 
 # --------------------------------------------------------------------------
@@ -215,8 +223,7 @@ def apply_operator_derivative_form(f: SpectralFunction, rho: float, r: int) -> S
 
 def radial_derivative(f: SpectralFunction, n: int) -> SpectralFunction:
     """Order-n radial derivative: shell nu scaled by nu!/(nu-n)!, low shells dropped."""
-    if n < 1:
-        raise ValueError(f"derivative order must be positive, got {n}")
+    _check_int("derivative order", n)
     return scale_shells(f, lambda shells: _perm_shells(shells, n))
 
 
@@ -321,8 +328,7 @@ def kfun_ladder(
     for delta in deltas:
         if not 0.0 < delta <= 0.5:
             raise ValueError(f"delta must lie in (0, 1/2], got {delta}")
-    if n < 1:
-        raise ValueError(f"order n must be positive, got {n}")
+    _check_int("order n", n)
     shells, norm, cut_norms = _norm_plan(f, p, grid)
     perm = _perm_shells(shells, n)
     zeros, ones = np.zeros(len(shells)), np.ones(len(shells))
@@ -368,8 +374,7 @@ def remainder_coefficient_check(nu: int, r: int, rho: float) -> tuple[float, flo
     integral correctly rounded, independent of the tail sum and of any
     quadrature.  The two sides agree to 1e-10 or better.
     """
-    if r < 2:
-        raise ValueError(f"order r must be at least 2, got {r}")
+    _check_int("order r", r, 2)
     if nu < r:
         raise ValueError(f"shell index must be at least r={r}, got {nu}")
     lhs = float(lambda_shells(np.array([nu]), r, rho)[1][0])  # raises ValueError on a bad rho
@@ -409,8 +414,7 @@ def remainder_integral_norm(
     a grid that aliases two coefficients raises ValueError.
     """
     _check_rho(rho)
-    if r < 2:
-        raise ValueError(f"order r must be at least 2, got {r}")
+    _check_int("order r", r, 2)
     top = int(f.shell[f.coeffs != 0].max(initial=0))
     u, wu = _unit_gauss_legendre(max(64, (top + 1) // 2))
     one = 1.0 - rho

@@ -334,7 +334,8 @@ def check_closed_vs_series(rng) -> CheckResult:
     for rho in (0.3, 0.6):
         closed = kernels.hex_kernel_closed_values(rho, t1, t2, t3)
         for cutoff in (10, 25):
-            vals, tail = kernels.hex_kernel_series_values(rho, t1, t2, t3, cutoff)
+            vals = kernels.hex_deriv_series_values(rho, t1, t2, t3, 0, cutoff)
+            tail = kernels.series_tail_bound(rho, cutoff)
             gap = float(np.abs(closed - vals.real).max())
             worst = max(worst, gap - tail, float(np.abs(vals.imag).max()) - 1e-12)
     return _result("kernels.closed_vs_series", worst, 1e-12, "tail bound certifies")

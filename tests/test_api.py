@@ -38,7 +38,10 @@ def test_public_names_resolve():
     # nor do they stay behind in the modules that held them
     for module, names in (
         (hexsum.lattice, ("HexPoint", "HexIndex", "fold", "indices_up_to", "is_in_omega")),
-        (hexsum.kernels, ("hex_kernel_closed", "hex_kernel_deriv", "auto_grid_size")),
+        (hexsum.kernels, (
+            "hex_kernel_closed", "hex_kernel_deriv", "auto_grid_size",
+            "hex_kernel_series_values", "shell_weighted_values",
+        )),
         (hexsum.means, (
             "deviation_l2_spectral", "kfun_estimate", "lambda_coeff", "lambda_complement",
             "deviation_norm", "_lambda_shells", "_check_multiplier_args",

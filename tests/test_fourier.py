@@ -58,6 +58,26 @@ def test_pairwise_sum_empty_and_axis():
     assert pairwise_sum(a) == pytest.approx(66.0)
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.array([True] * 3),
+        np.array([100] * 3, dtype=np.int8),
+        np.array([200, 200], dtype=np.uint8),
+        np.array([2**62, 2**62 - 1, -5], dtype=np.int64),
+        np.array([], dtype=np.int64),
+        np.array([], dtype=bool),
+        np.array([[100, -100, 27], [100, -100, 100]], dtype=np.int8),
+        np.array([1, 2**70], dtype=object),
+    ],
+    ids=["bool", "int8", "uint8", "int64", "empty-int64", "empty-bool", "int8-rows", "object"],
+)
+def test_pairwise_sum_widens_like_np_sum(values):
+    # np.add on bool is a logical or, and on narrow integers it wraps
+    got, want = np.asarray(pairwise_sum(values, axis=0)), np.asarray(np.sum(values, axis=0))
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_pairwise_sum_is_deterministic():
     rng = np.random.default_rng(0)
     a = rng.standard_normal(1000)
@@ -74,7 +94,7 @@ def _concat_halve_sum(values, axis=None):
         a = np.moveaxis(a, axis, 0)
     n = a.shape[0]
     if n == 0:
-        return np.zeros(a.shape[1:], dtype=a.dtype if a.dtype.kind in "fc" else float)[()]
+        return np.sum(a, axis=0)
     m = 1
     while m < n:
         m *= 2
@@ -658,6 +678,13 @@ def test_analyze_warns_below_threshold():
         analyze(samples, max_degree=4)
 
 
+@pytest.mark.parametrize("max_degree", [1.5, 2.0, True, "2", None, -1])
+def test_analyze_degree_must_be_a_nonnegative_integer(max_degree):
+    samples = synthesize(_sample_spectrum(2, seed=1), make_grid(16))
+    with pytest.raises(ValueError, match="max_degree must be a nonnegative integer"):
+        analyze(samples, max_degree)
+
+
 def test_gridfunction_shape_validated():
     g = make_grid(8)
     with pytest.raises(ValueError):
@@ -672,8 +699,9 @@ def test_lp_norm_basics():
     one = GridFunction(g, np.ones(g.size, dtype=complex))
     for p in (1.0, 2.0, 3.5, math.inf):
         assert lp_norm(one, p) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        lp_norm(one, 0.5)
+    for p in (0.5, math.nan):
+        with pytest.raises(ValueError, match="order p must satisfy p >= 1"):
+            lp_norm(one, p)
 
 
 def test_lp_norm_monotone_in_p():

@@ -26,6 +26,7 @@ GOLDEN = {
     "battery_approximate_r2": ["approximate", "--r", "2"],
     "bernstein_r3": ["bernstein", "--r", "3", "--rho-kmax", "5"],
     "deg256_kfun_n2": ["kfun", "--n", "2", "--input", "deg256.json"],
+    "kernel_seed0": ["kernel", "--seed", "0", "--rho-kmax", "5"],
     "small_kfun_grid40_p3": ["kfun", "--grid", "40", "--p", "3", "--input", "small.json"],
     "small_approximate_grid40_pinf": [
         "approximate", "--r", "2", "--grid", "40", "--p", "inf", "--input", "small.json"

@@ -21,11 +21,9 @@ from hexsum.kernels import (
     hex_deriv_series_values,
     hex_kernel_closed_values,
     hex_kernel_deriv_values,
-    hex_kernel_series_values,
     min_resolution,
     product_integral,
     series_tail_bound,
-    shell_weighted_values,
     _weight_derivs,
 )
 from hexsum.lattice import frequency_arrays
@@ -229,7 +227,7 @@ def test_series_cutoff_must_be_a_nonnegative_integer(cutoff):
     t = ([0.1], [0.2], [-0.3])
     for call in (
         lambda: series_tail_bound(0.5, cutoff),
-        lambda: hex_kernel_series_values(0.5, *t, cutoff),
+        lambda: hex_deriv_series_values(0.5, *t, 0, cutoff),
         lambda: hex_deriv_series_values(0.5, *t, 1, cutoff),
     ):
         with pytest.raises(ValueError, match="cutoff must be a nonnegative integer"):
@@ -242,42 +240,37 @@ def test_tail_bound_matches_brute_sum():
         assert series_tail_bound(rho, c) == pytest.approx(brute, rel=1e-12)
 
 
-def test_shell_weighted_values_matches_basis_sum():
-    g = make_grid(12)
-    t1, t2, t3 = g.t_arrays
-    for nu in (1, 3, 5):
-        weights = [0.0] * nu + [1.0]
-        got = shell_weighted_values(weights, t1, t2, t3)
-        k1, k2, _ = frequency_arrays(nu, nu)
-        want = phi_values(k1, k2, t1, t2, t3).sum(axis=0)
-        np.testing.assert_allclose(got, want, atol=1e-10)
-
-
-def test_shell_weighted_stack_matches_single_rows():
-    rng = np.random.default_rng(3)
-    t1, t2 = rng.uniform(-2, 2, size=(2, 40))
-    t3 = -(t1 + t2)
-    stack = rng.standard_normal((3, 9))
-    got = shell_weighted_values(stack, t1, t2, t3)
-    assert got.shape == (3, 40)
-    for row, weights in zip(got, stack):
-        assert np.array_equal(row, shell_weighted_values(weights, t1, t2, t3))
-
-
 @pytest.mark.parametrize("cutoff", [*range(9), 20, 40])
-def test_shell_weighted_values_matches_frequency_sum(cutoff):
+def test_deriv_series_matches_frequency_sum(cutoff):
+    # the ring sums against every frequency of every shell, one by one, for
+    # the kernel (order 0) and its first two derivatives
     rng = np.random.default_rng(cutoff)
     t1, t2 = rng.uniform(-3, 3, size=(2, 50))
     t3 = -(t1 + t2)
-    weights = rng.standard_normal(cutoff + 1)
-    want = np.zeros(t1.shape, dtype=complex)
+    shells = np.zeros((cutoff + 1, 50), dtype=complex)
     for a, b, nu in zip(*(k.tolist() for k in frequency_arrays(cutoff))):
-        want += weights[nu] * phi_values(a, b, t1, t2, t3)
-    # absolute sum of the series' terms: |J_nu| = 6 nu frequencies of modulus 1
-    scale = float(np.abs(weights) @ np.maximum(6 * np.arange(cutoff + 1), 1))
-    got = shell_weighted_values(weights, t1, t2, t3)
-    np.testing.assert_allclose(got.real, want.real, rtol=0, atol=1e-13 * scale)
-    np.testing.assert_allclose(got.imag, want.imag, rtol=0, atol=1e-13 * scale)
+        shells[nu] += phi_values(a, b, t1, t2, t3)
+    got = hex_deriv_series_values(0.7, t1, t2, t3, (0, 1, 2), cutoff)
+    for r, row in enumerate(got):
+        weights = np.array([math.perm(nu, r) * 0.7 ** (nu - r) if nu >= r else 0.0
+                            for nu in range(cutoff + 1)])
+        want = weights @ shells
+        # absolute sum of the series' terms: |J_nu| = 6 nu frequencies of modulus 1
+        scale = float(weights @ np.maximum(6 * np.arange(cutoff + 1), 1))
+        np.testing.assert_allclose(row.real, want.real, rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(row.imag, want.imag, rtol=0, atol=1e-13 * scale)
+
+
+def test_deriv_series_orders_match_single_calls_in_every_chunk():
+    # 150 points at cutoff 40 take three chunks of the corner table
+    rng = np.random.default_rng(3)
+    t1, t2 = rng.uniform(-2, 2, size=(2, 150))
+    t3 = -(t1 + t2)
+    orders = (0, 2, 0, 1)
+    got = hex_deriv_series_values(0.6, t1, t2, t3, orders, 40)
+    assert got.shape == (4, 150)
+    for row, r in zip(got, orders):
+        assert np.array_equal(row, hex_deriv_series_values(0.6, t1, t2, t3, r, 40))
 
 
 def test_deriv_series_memory_stays_small():
@@ -336,7 +329,8 @@ def test_closed_matches_series_within_tail():
     rng = np.random.default_rng(12)
     for rho, cutoff in ((0.4, 60), (0.8, 400)):
         a, b = rng.uniform(-1, 1, size=(10, 2)).T
-        vals, tail_bound = hex_kernel_series_values(rho, a, b, -a - b, cutoff)
+        vals = hex_deriv_series_values(rho, a, b, -a - b, 0, cutoff)
+        tail_bound = series_tail_bound(rho, cutoff)
         closed = hex_kernel_closed_values(rho, a, b, -a - b)
         assert np.abs(vals.imag).max() < 1e-9
         assert np.abs(vals.real - closed).max() <= tail_bound + 1e-9

@@ -293,6 +293,47 @@ def test_summation_params_validation():
             assert str(error.value) == message
 
 
+_ORDER_CALLS = {
+    "apply_operator": lambda f, r: apply_operator(f, 0.5, r),
+    "apply_operator_derivative_form": lambda f, r: apply_operator_derivative_form(f, 0.5, r),
+    "lambda_shells": lambda f, r: lambda_shells(np.arange(5), r, 0.5),
+    "deviation_ladder": lambda f, r: deviation_ladder(f, [0.5], r, 2.0, None),
+    "m_p": lambda f, r: m_p(f, 0.5, r, 2.0, None),
+    "radial_derivative": lambda f, r: radial_derivative(f, r),
+    "kfun_ladder": lambda f, r: kfun_ladder(f, [0.25], r, 2.0),
+    "remainder_coefficient_check": lambda f, r: remainder_coefficient_check(4, r, 0.5),
+    "remainder_integral_norm": lambda f, r: remainder_integral_norm(f, 0.5, r, 2.0, make_grid(32)),
+}
+
+
+@pytest.mark.parametrize("r", [1.5, 2.0, True, "2", None])
+@pytest.mark.parametrize("call", list(_ORDER_CALLS.values()), ids=list(_ORDER_CALLS))
+def test_orders_must_be_integers(call, r):
+    # a fractional order gave a mean between two orders, and True read as 1
+    f = _random_f(0, degree=3)
+    call(f, 2)
+    with pytest.raises(ValueError, match="order( [rn])? must be an integer, got "):
+        call(f, r)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f, grid: deviation_ladder(f, [0.5], 1, math.nan, grid),
+        lambda f, grid: kfun_ladder(f, [0.5], 1, math.nan, grid),
+        lambda f, grid: m_p(f, 0.5, 1, math.nan, grid),
+        lambda f, grid: remainder_integral_norm(f, 0.5, 2, math.nan, grid),
+    ],
+    ids=["deviation_ladder", "kfun_ladder", "m_p", "remainder_integral_norm"],
+)
+@pytest.mark.parametrize("n", [None, 32])
+def test_nan_norm_order_is_refused(call, n):
+    # a NaN p returned nan deviations, and kfun an upper bound of inf
+    f = _random_f(0, degree=3)
+    with pytest.raises(ValueError, match="order p must satisfy p >= 1, got nan"):
+        call(f, None if n is None else make_grid(n))
+
+
 # ------------------------------------------------------------------ operators
 
 
