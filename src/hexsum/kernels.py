@@ -38,7 +38,10 @@ their tensor: one entry, _kernel_mean, checks rho, picks the grid, builds
 the tables and sums.  The domain goes in row blocks, each evaluated and
 reduced by the pairwise tree in two buffers allocated once per call and
 reused across blocks, since new block-sized arrays would fault in their
-pages again on every block.
+pages again on every block.  The orbit weights take no third buffer: on a
+block they are two 1-D step functions read through strided views, one in
+b - a and one in a + 2b, times |F| in place, with the few edge points of
+the domain written back times their own orbit sizes.
 
 The truncated shell series serves as an independent oracle, with one
 entry, hex_deriv_series_values: order 0 is the kernel itself, with the
@@ -315,20 +318,24 @@ def _domain_blocks(n: int):
     The grid point (a, b) stands for the angle triple (a, -(a + b), b) mod n,
     on which D6 acts by permutations and negation.  D holds one point of
     every orbit, on all of Z_n^2, or on the a = b (mod 3) sublattice when
-    3 | n.  Yields (a, b, w): row and column indices, both in steps of 1
-    (or of 3, one residue class at a time), and the orbit sizes w[p, q] of
-    the points (a[p], b[q]): 12 inside D, 6 on each edge a = 0, a = b and
-    a + 2b = n, 3 at (0, n/2), 2 at (n/3, n/3), 1 at (0, 0), and 0 on the
-    part of the block's rectangle outside D.  The sizes sum to the number
-    of points covered, and each rectangle holds at most _BLOCK_POINTS.
-    w is a view of one buffer that every block overwrites, so it is valid
-    only until the next block is drawn.
+    3 | n.  Yields (a, b, steps, edges): row and column indices, both in
+    steps of 1 (or of 3, one residue class at a time), of a rectangle of at
+    most _BLOCK_POINTS points (a[p], b[q]), and the orbit sizes of those
+    points in two parts, so that no block-sized weight array is built.
+    steps is two read-only (len(a), len(b)) views whose product is 12 on D
+    and 0 on the rest of the rectangle.  With a = a[0] + step p and
+    b = a[0] + step q, a <= b is j = q - p >= 0 and a + 2b <= n is
+    k = p + 2q <= K = (n - 3 a[0]) // step, so the views are two 1-D step
+    functions, 12 [j >= 0] read with strides (-1, 1) and [k <= K] read with
+    strides (1, 2).  edges = (ip, iq, w) puts the orbit sizes w in place of
+    12 at the points (a[ip], b[iq]) on the edges of D: 6 on each edge
+    a = 0, a = b and a + 2b = n, 3 at (0, n/2), 2 at (n/3, n/3), 1 at
+    (0, 0).  The sizes sum to the number of points covered.
     A point of D is the sorted triple (a, b, c), c = (n - a - b) mod n: its
     distinct permutations count 6, 3 or 1, and negation doubles them
     unless a = 0, where it maps (0, b, c) to the permutation (0, c, b).
     """
     step = 3 if n % 3 == 0 else 1
-    buf = np.empty(0)
     for residue in range(step):
         rows = np.arange(residue, n // 3 + 1, step)
         start = 0
@@ -336,28 +343,30 @@ def _domain_blocks(n: int):
             a0 = int(rows[start])
             b = np.arange(a0, (n - a0) // 2 + 1, step)
             a = rows[start:start + max(1, _BLOCK_POINTS // len(b))]
-            if len(buf) < len(a) * len(b):
-                buf = np.empty(1 << (len(a) * len(b) - 1).bit_length())
-            w = buf[:len(a) * len(b)].reshape(len(a), len(b))
-            # row p holds the columns p..last[p] (b >= a, a + 2b <= n), the
-            # q with |2q - (p + last[p])| <= last[p] - p
+            shape = (len(a), len(b))
+            upper = np.zeros(len(a) + len(b) - 1)  # at j = 1 - len(a) .. len(b) - 1
+            upper[len(a) - 1:] = 12.0
+            lower = np.zeros(len(a) + 2 * len(b) - 2)  # at k = 0 .. len(a) + 2 len(b) - 3
+            lower[:(n - 3 * a0) // step + 1] = 1.0
+            s = upper.itemsize
+            steps = (
+                np.ndarray(shape, buffer=upper, offset=(len(a) - 1) * s, strides=(-s, s)),
+                np.ndarray(shape, buffer=lower, strides=(s, 2 * s)),
+            )
+            for view in steps:
+                view.flags.writeable = False
+            # row p holds the columns p..last[p]; the edges a = b, a + 2b = n
+            # and a = 0 take their orbit sizes
             p = np.arange(len(a))
             last = (n - a - 2 * a0) // (2 * step)
-            q = np.arange(len(b))
-            np.subtract(2 * q, (p + last)[:, None], out=w)
-            np.abs(w, out=w)
-            np.less_equal(w, (last - p)[:, None], out=w)
-            w *= 12.0
-            # the edges a = b, a + 2b = n and a = 0 take their orbit sizes
             far = p[a + 2 * b[last] == n]
-            top = q[:last[0] + 1] if a0 == 0 else q[:0]
+            top = np.arange(last[0] + 1) if a0 == 0 else p[:0]
             ip = np.concatenate([p, far, np.zeros_like(top)])
             iq = np.concatenate([p, last[far], top])
             ea, eb = a[ip], b[iq]
             ec = (n - ea - eb) % n
             perms = _PERMUTATIONS[(ea == eb).astype(int), (eb == ec).astype(int)]
-            w[ip, iq] = perms * np.where(ea == 0, 1, 2)
-            yield a, b, w
+            yield a, b, steps, (ip, iq, perms * np.where(ea == 0, 1.0, 2.0))
             start += len(a)
 
 
@@ -369,32 +378,39 @@ def _grid_mean_abs(table: np.ndarray, coeffs: np.ndarray, grid: HexGrid) -> floa
     the permutations of z1, z2, z3), and the grid sum runs over the
     fundamental domain of _domain_blocks only, each point weighted by the
     size of its orbit.  A block is a few small matrix products in a and b
-    times the Hankel factor T[j](z2) in a + b, reduced by the zero-padded
-    pairwise tree of pairwise_sum; fsum combines the blocks, so reruns
-    agree bit for bit.
+    times the Hankel factor T[j](z2) in a + b, a strided view of T[j]
+    gathered at the block's len(a) + len(b) - 1 sums, reduced by the
+    zero-padded pairwise tree of pairwise_sum; fsum combines the blocks, so
+    reruns agree bit for bit.
     Every block is evaluated and reduced in the same two buffers, allocated
     once per call: the products go into them in place, and _tree_sum reads
     the block's values from the first and halves them inside the second.
-    Fresh block-sized temporaries fault in every 4 KiB page on every block:
-    a warm call at n = 1024 took 538-742 minor faults (287-351 at n = 512),
-    against 96-160 with the buffers, and 2.8-3.9 ms against 1.6-2.6 ms at
-    r = 0 (2 cores, numpy 2.4).
+    The orbit sizes take no third buffer: |F| is multiplied in place by
+    the two step-function views of _domain_blocks, and the edge values,
+    read before, are written back times their sizes.  So a value is
+    |F| * 12 * 1 inside D, |F| * 0 outside and |F| * w on an edge, the same
+    bits as |F| times a weight array.  Block-sized arrays fault in every
+    4 KiB page each time they are mapped: after import hexsum.cli a warm
+    call at n = 512 or 1024 took 160 minor faults with the two buffers and
+    a weight buffer, and 96 with the two buffers alone (538-742 at
+    n = 1024 with fresh temporaries; 2 cores, numpy 2.4).
     """
     n, r = grid.n, coeffs.shape[0] - 2
     slices = np.flatnonzero(np.any(coeffs, axis=(0, 2))).tolist()
     step = 3 if n % 3 == 0 else 1
     vbuf = tbuf = np.empty(0)
     totals = []
-    for a, b, w in _domain_blocks(n):
+    for a, b, (upper, lower), (ip, iq, edge_w) in _domain_blocks(n):
         a_table, b_table = table[:, a].T, table[:, b]
+        shape, size = upper.shape, upper.size
         # T[j][-(a[p] + b[q]) mod n] with a[p] + b[q] = 2 a[0] + step (p + q)
-        sums = (-(2 * a[0] + step * np.arange(len(a) + len(b) - 1))) % n
-        hankel = np.lib.stride_tricks.sliding_window_view(table[:, sums], len(b), axis=1)
-        size = w.size
+        at_sums = table.take((-(2 * a[0] + step * np.arange(sum(shape) - 1))) % n, axis=1)
+        row, s = at_sums.strides
+        hankel = np.ndarray((len(table),) + shape, buffer=at_sums, strides=(row, s, s))
         if len(vbuf) < size:  # tbuf is also _tree_sum's work, 3/4 of the padded m
             m = 1 << (size - 1).bit_length()
             vbuf, tbuf = np.empty(m), np.empty(m)
-        vals, term = vbuf[:size].reshape(w.shape), tbuf[:size].reshape(w.shape)
+        vals, term = vbuf[:size].reshape(shape), tbuf[:size].reshape(shape)
         for i, j in enumerate(slices):
             out = term if i else vals
             np.matmul(a_table @ coeffs[:, j, :], b_table, out=out)
@@ -403,7 +419,10 @@ def _grid_mean_abs(table: np.ndarray, coeffs: np.ndarray, grid: HexGrid) -> floa
             if i:
                 vals += term
         np.abs(vals, out=vals)
-        vals *= w
+        edges = vals[ip, iq]
+        vals *= upper
+        vals *= lower
+        vals[ip, iq] = edges * edge_w
         totals.append(float(_tree_sum(vbuf[:size], tbuf)))
     return math.fsum(totals) * step * grid.weight
 

@@ -78,6 +78,8 @@ def lambda_shells(shells: np.ndarray, r: int, rho) -> tuple[np.ndarray, np.ndarr
     accurate down to underflow, and each entry independent of the others.  A
     1-D array of radii rho gives one row per radius, its own call bit for bit."""
     _check_mean(rho, r)
+    if shells.dtype.kind not in "iu":  # bool is kind "b"
+        raise ValueError(f"shell indices must be integers, got dtype {shells.dtype}")
     if shells.min(initial=0) < 0:
         raise ValueError("shell index must be nonnegative")
     radii = np.atleast_1d(np.asarray(rho, dtype=float))
@@ -375,8 +377,7 @@ def remainder_coefficient_check(nu: int, r: int, rho: float) -> tuple[float, flo
     quadrature.  The two sides agree to 1e-10 or better.
     """
     _check_int("order r", r, 2)
-    if nu < r:
-        raise ValueError(f"shell index must be at least r={r}, got {nu}")
+    _check_int("shell index nu", nu, r)
     lhs = float(lambda_shells(np.array([nu]), r, rho)[1][0])  # raises ValueError on a bad rho
     x = Fraction(rho)
     integral = sum(

@@ -289,15 +289,19 @@ def test_deriv_series_memory_stays_small():
 
 
 def test_grid_integral_memory_stays_small():
-    # every block is evaluated and reduced in two buffers allocated once per
-    # call; fresh block-sized temporaries took the peak to 1.57 MB
-    tracemalloc.start()
-    try:
-        bernstein_integral(1 - 2**-5, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_250_000
+    # at n = 1024 a block holds 2^15 points: two 256 KiB buffers for the
+    # values and the tree, and the orbit weights as 1-D step functions;
+    # fresh block-sized temporaries took the peak to 1.57 MB, and a third
+    # buffer for the weights to 1058-1164 KiB
+    g = make_grid(1024)
+    for r in range(R_MAX + 1):
+        tracemalloc.start()
+        try:
+            bernstein_integral(0.95, r, grid=g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 900 * 1024, (r, peak)
 
 
 def test_closed_values_memory_stays_small_and_keeps_its_bits():
@@ -478,29 +482,35 @@ def test_numpy_integer_orders_and_cutoffs_are_accepted():
 
 
 @pytest.mark.parametrize("n", range(1, 61))
-def test_domain_blocks_hit_every_orbit_once(n):
+def test_domain_blocks_hit_every_orbit_once(monkeypatch, n):
     # brute-force D6 orbits of the angle triples (a, -(a + b), b) mod n, on
-    # Z_n^2 or, when 3 | n, on the a = b (mod 3) sublattice
+    # Z_n^2 or, when 3 | n, on the a = b (mod 3) sublattice; 40 points a
+    # block gives many blocks, one-row blocks and, when 3 | n, several
+    # blocks in each residue class
     points = [(a, b) for a in range(n) for b in range(n) if n % 3 or (a - b) % 3 == 0]
-    weights = {}
-    for a, b, w in _domain_blocks(n):
-        for p, q in zip(*np.nonzero(w)):
-            key = (int(a[p]), int(b[q]))
-            assert key not in weights
-            weights[key] = w[p, q]
-    hit = set()
-    for a, b in points:
-        triple = (a, (-a - b) % n, b)
-        orbit = {
-            (y[0], y[2])
-            for s in itertools.permutations(triple)
-            for y in (s, tuple(-v % n for v in s))
-        }
-        (rep,) = orbit & weights.keys()
-        assert weights[rep] == len(orbit), (n, rep)
-        hit.add(rep)
-    assert hit == weights.keys()
-    assert sum(weights.values()) == len(points)
+    for block_points in (kernels._BLOCK_POINTS, 40):
+        monkeypatch.setattr(kernels, "_BLOCK_POINTS", block_points)
+        weights = {}
+        for a, b, (upper, lower), (ip, iq, edge_w) in _domain_blocks(n):
+            w = upper * lower
+            w[ip, iq] = edge_w
+            for p, q in zip(*np.nonzero(w)):
+                key = (int(a[p]), int(b[q]))
+                assert key not in weights
+                weights[key] = w[p, q]
+        hit = set()
+        for a, b in points:
+            triple = (a, (-a - b) % n, b)
+            orbit = {
+                (y[0], y[2])
+                for s in itertools.permutations(triple)
+                for y in (s, tuple(-v % n for v in s))
+            }
+            (rep,) = orbit & weights.keys()
+            assert weights[rep] == len(orbit), (n, block_points, rep)
+            hit.add(rep)
+        assert hit == weights.keys()
+        assert sum(weights.values()) == len(points)
 
 
 # The grid engine works from root-of-unity tables and (a, b) reindexing over
@@ -587,6 +597,27 @@ def test_bernstein_integral_row_blocks_match_pointwise_sum():
     want = math.fsum(np.abs(vals)) * g.weight
     got = bernstein_integral(0.95, 2, grid=g).value
     assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("n, rhos", [
+    (64, (0.0, 0.25, 0.5)),
+    (100, (0.3, 0.6, 0.67)),
+    (1000, (0.9, 0.95, 0.968)),
+    (1024, (0.5, 0.9375, 1.0 - 2.0**-5)),
+    # the last two rungs are capped below their full resolution
+    (4096, (0.99, 1.0 - 2.0**-7, 1.0 - 2.0**-9, 1.0 - 2.0**-10)),
+])
+def test_order_zero_grid_mean_is_exact(n, rhos):
+    # for 3 not dividing n the grid mean keeps the coefficients rho^nu of the
+    # frequencies that alias to 0: 6 j of them on each shell nu = j n, so the
+    # mean is 1 + sum_j 6 j x^j = 1 + 6 x / (1 - x)^2 with x = rho^n, whatever
+    # the partition into blocks
+    g = make_grid(n)
+    for rho in rhos:
+        x = rho**n
+        want = 1.0 + 6.0 * x / (1.0 - x) ** 2
+        got = bernstein_integral(rho, 0, grid=g).value
+        assert abs(got - want) <= 1e-12 * want, (n, rho)
 
 
 # The reference below is the block loop as it was before the blocks shared

@@ -136,6 +136,18 @@ def test_lambda_validation():
     assert lam.size == comp.size == 0
 
 
+def test_lambda_shells_must_be_integers():
+    # shell 4.5 once read 0.2431, between shells 4 and 5, and [True, False]
+    # read as shells 1 and 0
+    for shells in ([4.0, 4.5, 5.0], [4.0], [True, False], []):
+        with pytest.raises(ValueError, match="shell indices must be integers"):
+            lambda_shells(np.array(shells), 2, 0.5)
+    for dtype in (np.int32, np.uint8, np.uint64):
+        got = lambda_shells(np.array([4, 5], dtype=dtype), 2, 0.5)
+        want = lambda_shells(np.array([4, 5]), 2, 0.5)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
 def test_lambda_scalars_match_shell_rows_bitwise():
     # a one-shell array (a scalar multiplier) equals its own row of the
     # whole array bit for bit, exactly 1.0 / 0.0 below r
@@ -532,6 +544,13 @@ def test_remainder_coefficient_validation():
         remainder_coefficient_check(1, 2, 0.5)
     with pytest.raises(ValueError):
         remainder_coefficient_check(4, 2, 1.0)
+
+
+def test_remainder_coefficient_check_takes_integer_shells_only():
+    for nu in (4.5, np.float64(4.0), 4.0, True):
+        with pytest.raises(ValueError, match="shell index nu must be an integer"):
+            remainder_coefficient_check(nu, 2, 0.5)
+    assert remainder_coefficient_check(np.int64(4), 2, 0.5) == remainder_coefficient_check(4, 2, 0.5)
 
 
 def test_remainder_integral_matches_deviation():
