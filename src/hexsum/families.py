@@ -13,8 +13,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .fourier import SpectralFunction
-from .kernels import series_tail_bound
-from .lattice import frequency_arrays
+from .kernels import _check_rho, series_tail_bound
+from .lattice import _check_int, frequency_arrays
 
 
 class FamilySpec(NamedTuple):
@@ -30,8 +30,8 @@ def kernel_family(rho0: float = 0.5, max_degree: int = 64) -> FamilySpec:
     sqrt(sum_{nu > D} 6 nu rho0^{2 nu}), evaluated in closed form; at the
     default (0.5, 64) it is ~2e-20, machine-negligible.
     """
-    if not 0.0 <= rho0 < 1.0:
-        raise ValueError(f"rho0 must lie in [0, 1), got {rho0}")
+    _check_rho(rho0, name="rho0")
+    _check_int("max_degree", max_degree)
     f = _shell_weighted([rho0**nu for nu in range(max_degree + 1)])
     tail = math.sqrt(series_tail_bound(rho0 * rho0, max_degree)) if rho0 else 0.0
     return FamilySpec(f"kernel(rho0={rho0:g})", f, tail)
@@ -45,8 +45,9 @@ def shell_decay_family(s: float, max_degree: int = 64) -> FamilySpec:
     The reported L2 tail uses the integral comparison
     sum_{nu > D} (1+nu)^{-2s} <= (1+D)^{1-2s}/(2s-1).
     """
-    if s <= 0.5:
+    if not s > 0.5:  # NaN fails too
         raise ValueError(f"decay exponent must exceed 1/2, got {s}")
+    _check_int("max_degree", max_degree)
     weights = [1.0] + [(1.0 + nu) ** (-s) / math.sqrt(6.0 * nu) for nu in range(1, max_degree + 1)]
     # sum_{m >= D+2} m^{-2s} <= integral_{D+1}^inf x^{-2s} dx
     tail = math.sqrt((1.0 + max_degree) ** (1.0 - 2.0 * s) / (2.0 * s - 1.0))
@@ -59,8 +60,7 @@ def polynomial_family(degree: int = 2) -> FamilySpec:
     The origin carries 1; on shell nu, the frequency k > -k at place pos carries
     0.5 / (nu (1 + pos mod 3)) e^{2 pi i (pos mod 5) / 5}, and -k, at 6 nu - 1 - pos, its conjugate.
     """
-    if degree < 0:
-        raise ValueError(f"degree must be nonnegative, got {degree}")
+    _check_int("degree", degree)
     k1, k2, shell = frequency_arrays(degree)
     pos = np.arange(len(shell)) - 3 * shell * (shell - 1) - (shell > 0)  # place in the shell
     upper = (k1 > 0) | ((k1 == 0) & (k2 > 0))
@@ -77,8 +77,7 @@ def polynomial_family(degree: int = 2) -> FamilySpec:
 
 def basis_family(nu: int) -> FamilySpec:
     """A single unit coefficient on one shell-nu frequency."""
-    if nu < 0:
-        raise ValueError("shell index must be nonnegative")
+    _check_int("shell index nu", nu)
     k1, k2, _ = frequency_arrays(nu, nu)
     f = SpectralFunction.from_arrays(k1[:1], k2[:1], np.ones(1, dtype=complex))
     return FamilySpec(f"basis(nu={nu})", f, 0.0)

@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 import numpy.fft  # noqa: F401 - loaded with the module, not on first use
 
-from .lattice import fold_arrays, frequency_arrays
+from .lattice import _check_int, _is_int, fold_arrays, frequency_arrays
 
 TWO_PI_OVER_3 = 2.0 * math.pi / 3.0
 #: numpy overflow warnings off: inf and nan in a norm are results, handled or
@@ -137,8 +137,7 @@ class HexGrid:
     """
 
     def __init__(self, n: int):
-        if not _is_int(n) or n < 4:
-            raise ValueError(f"grid resolution must be an integer of at least 4, got {n!r}")
+        _check_int("grid resolution n", n, 4)
         self.n = int(n)
         self.weight = 1.0 / (self.n * self.n)
 
@@ -289,7 +288,8 @@ class SpectralFunction:
     def from_arrays(cls, k1, k2, coeffs, max_degree=None) -> "SpectralFunction":
         """The spectrum with coefficient coeffs[j] at (k1[j], k2[j], -k1[j] - k2[j]),
         in any order; entries that are not integers, duplicates, |k1| or
-        |k2| >= 2^62 and keys above max_degree raise ValueError."""
+        |k2| >= 2^62, a max_degree that is not an integer >= 0 and keys above
+        it raise ValueError."""
         f = cls.__new__(cls)
         f._set_support(k1, k2, coeffs, max_degree)
         return f
@@ -302,6 +302,8 @@ class SpectralFunction:
         of duplicates, so it is only copied: linear time.  Other input is
         sorted.  Either way the stored arrays are new, never the caller's.
         """
+        if max_degree is not None:
+            _check_int("max_degree", max_degree)
         k1, k2, coeffs = np.asarray(k1), np.asarray(k2), np.array(coeffs, dtype=complex)
         if k1.ndim != 1 or not k1.shape == k2.shape == coeffs.shape:
             raise ValueError("k1, k2 and coeffs must be 1-D arrays of one length")
@@ -448,8 +450,7 @@ def analyze(g: GridFunction, max_degree: int) -> SpectralFunction:
     satisfies 4 d < n; otherwise aliasing corrupts coefficients and a
     ResolutionWarning is emitted.
     """
-    if not _is_int(max_degree) or max_degree < 0:
-        raise ValueError(f"max_degree must be a nonnegative integer, got {max_degree!r}")
+    _check_int("max_degree", max_degree)
     n = g.grid.n
     if n < exactness_threshold(max_degree):
         warnings.warn(
@@ -611,11 +612,6 @@ def save_spectral(f: SpectralFunction, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(spectral_to_json_dict(f), fh, indent=2)
         fh.write("\n")
-
-
-def _is_int(value) -> bool:
-    """Python or numpy integer: ``bool`` is an ``int`` subclass but not a number here."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _as_float(value) -> float:

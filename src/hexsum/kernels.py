@@ -61,7 +61,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fourier import TWO_PI_OVER_3, HexGrid, _is_int, _tree_sum
+from .fourier import TWO_PI_OVER_3, HexGrid, _tree_sum
+from .lattice import _check_int
 
 #: largest derivative order of the kernels and their integrals
 R_MAX = 6
@@ -70,19 +71,19 @@ R_MAX = 6
 GRID_CAP = 4096
 
 
-def _check_rho(rho: float) -> None:
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"rho must lie in [0, 1), got {rho}")
-
-
-def _check_order(r: int) -> None:
-    if not _is_int(r) or not 0 <= r <= R_MAX:
-        raise ValueError(f"derivative order must be an integer in 0..{R_MAX}, got {r!r}")
-
-
-def _check_cutoff(cutoff: int) -> None:
-    if not _is_int(cutoff) or cutoff < 0:
-        raise ValueError(f"cutoff must be a nonnegative integer, got {cutoff!r}")
+def _check_rho(rho, ndims: tuple[int, ...] | None = (0,), name: str = "rho") -> None:
+    """Raise ValueError naming ``name`` unless rho has ndims dimensions (None: any)
+    and its radii lie in [0, 1); a float or int is compared without numpy."""
+    if isinstance(rho, (float, int)):
+        ndim, outside = 0, [] if 0.0 <= rho < 1.0 else [rho]
+    else:
+        a = np.asarray(rho)
+        ndim, outside = a.ndim, a[~((0.0 <= a) & (a < 1.0))]
+    if ndims is not None and ndim not in ndims:
+        what = " or ".join(("one radius", "a 1-D array of radii")[d] for d in ndims)
+        raise ValueError(f"{name} must be {what}, got a {ndim}-D {type(rho).__name__}")
+    if len(outside):
+        raise ValueError(f"{name} must lie in [0, 1), got {float(outside[0])}")
 
 
 # --------------------------------------------------------------------------
@@ -127,12 +128,10 @@ def classical_kernel_deriv(rho, z, r: int):
     broadcast against each other; scalars give a float, evaluated as a
     one-element array so that it equals the array evaluation bit for bit.
     """
+    _check_rho(rho, None)
+    _check_int("derivative order", r, 0, R_MAX)
     scalar = np.ndim(rho) == np.ndim(z) == 0
     rho, z = np.atleast_1d(np.asarray(rho, dtype=float), np.asarray(z, dtype=float))
-    outside = rho[~((0.0 <= rho) & (rho < 1.0))]
-    if outside.size:
-        _check_rho(float(outside[0]))
-    _check_order(r)
     if r == 0:
         value = (1.0 - rho * rho) / (1.0 - 2.0 * rho * np.cos(z) + rho * rho)
     else:
@@ -190,7 +189,7 @@ def hex_kernel_closed_values(rho: float, t1, t2, t3) -> np.ndarray:
 def series_tail_bound(rho: float, cutoff: int) -> float:
     """Exact value of sum_{nu > cutoff} 6 nu rho^nu."""
     _check_rho(rho)
-    _check_cutoff(cutoff)
+    _check_int("cutoff", cutoff)
     if rho == 0.0:
         return 0.0
     one = 1.0 - rho
@@ -236,11 +235,11 @@ def hex_deriv_series_values(rho: float, t1, t2, t3, r, cutoff: int) -> np.ndarra
     row by row, so a sequence equals its single orders bit for bit.
     """
     _check_rho(rho)
-    _check_cutoff(cutoff)
+    _check_int("cutoff", cutoff)
     orders = np.atleast_1d(r).tolist()
     weights = np.zeros((len(orders), cutoff + 1))
     for row, o in zip(weights, orders):
-        _check_order(o)
+        _check_int("derivative order", o, 0, R_MAX)
         row[o:] = [math.perm(nu, o) * rho ** (nu - o) for nu in range(o, cutoff + 1)]
     t1, t2, t3 = (np.asarray(t, dtype=float) for t in (t1, t2, t3))
     x, y = TWO_PI_OVER_3 * (t1 - t3).ravel(), TWO_PI_OVER_3 * (t2 - t3).ravel()
@@ -280,7 +279,7 @@ def _leibniz_tensor(rho: float, r: int) -> np.ndarray:
 def hex_kernel_deriv_values(rho: float, t1, t2, t3, r: int) -> np.ndarray:
     """r-th rho-derivative of the lattice kernel on coordinate arrays; r=0 is the closed form."""
     _check_rho(rho)
-    _check_order(r)
+    _check_int("derivative order", r, 0, R_MAX)
     if r == 0:
         return hex_kernel_closed_values(rho, t1, t2, t3)
     d1, d2, d3 = (_classical_deriv_table(rho, z, r) for z in _z_arrays(t1, t2, t3))
@@ -390,10 +389,9 @@ def _grid_mean_abs(table: np.ndarray, coeffs: np.ndarray, grid: HexGrid) -> floa
     read before, are written back times their sizes.  So a value is
     |F| * 12 * 1 inside D, |F| * 0 outside and |F| * w on an edge, the same
     bits as |F| times a weight array.  Block-sized arrays fault in every
-    4 KiB page each time they are mapped: after import hexsum.cli a warm
-    call at n = 512 or 1024 took 160 minor faults with the two buffers and
-    a weight buffer, and 96 with the two buffers alone (538-742 at
-    n = 1024 with fresh temporaries; 2 cores, numpy 2.4).
+    4 KiB page each time they are mapped, so fresh ones per block would
+    fault on every block; with the two buffers, a warm call at n = 512 or
+    1024 takes 96 minor faults after import hexsum.cli (2 cores, numpy 2.4).
     """
     n, r = grid.n, coeffs.shape[0] - 2
     slices = np.flatnonzero(np.any(coeffs, axis=(0, 2))).tolist()
@@ -459,7 +457,7 @@ def bernstein_integral(rho: float, r: int, grid: HexGrid | None = None) -> Berns
     when the grid is capped below min_resolution(rho).
     """
     _check_rho(rho)  # before _leibniz_tensor reads rho
-    _check_order(r)
+    _check_int("derivative order", r, 0, R_MAX)
     return _kernel_mean(rho, _leibniz_tensor(rho, r), grid)
 
 
@@ -473,7 +471,7 @@ def product_integral(rho: float, orders: Sequence[int], grid: HexGrid | None = N
     if not 1 <= len(orders) <= 3:
         raise ValueError(f"product_integral takes 1 to 3 orders, got {len(orders)}")
     for o in orders:
-        _check_order(o)
+        _check_int("derivative order", o, 0, R_MAX)
     r = max(orders)
     coeffs = np.zeros((r + 2, r + 2, r + 2))
     coeffs[tuple(orders) + (r + 1,) * (3 - len(orders))] = 1.0

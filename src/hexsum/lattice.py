@@ -32,6 +32,19 @@ OMEGA_AREA = 3.0
 _OMEGA_SHIFTS = ((0, 0), (1, 1), (3, 0), (4, 1))
 
 
+def _is_int(value) -> bool:
+    """Python or numpy integer: ``bool`` is an ``int`` subclass but not a number here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_int(name: str, value, least: int = 0, most: int | None = None) -> None:
+    """Raise ValueError naming ``name`` unless value is an integer (_is_int) in
+    least..most: the one check of every degree, shell, order and resolution."""
+    if not (_is_int(value) and least <= value and (most is None or value <= most)):
+        span = f">= {least}" if most is None else f"in {least}..{most}"
+        raise ValueError(f"{name} must be an integer {span}, got {value!r}")
+
+
 def from_cartesian(x1, x2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Map Cartesian coordinate arrays onto homogeneous coordinates.
 
@@ -97,7 +110,7 @@ def fold_arrays(t1: np.ndarray, t2: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return out1, out2, -(out1 + out2)
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=1, typed=True)  # typed: 2.0 and True miss the kept 2 and 1
 def frequency_arrays(
     max_degree: int, min_degree: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -111,9 +124,10 @@ def frequency_arrays(
     the last result is kept, so callers that ask for the same degrees in a row
     (the families of one battery, the spectra of one check) build it once.
     """
-    if max_degree < 0:
-        raise ValueError(f"max degree must be nonnegative, got {max_degree}")
-    nu = np.arange(max(min_degree, 0), max_degree + 1, dtype=np.int64)
+    _check_int("max_degree", max_degree)
+    lowest = max(min_degree, 0)
+    _check_int("min_degree", lowest)
+    nu = np.arange(lowest, max_degree + 1, dtype=np.int64)
     size = np.maximum(6 * nu, 1)
     shell = np.repeat(nu, size)
     j = np.arange(shell.size) - np.repeat(np.cumsum(size) - size, size)  # place in the shell
@@ -131,7 +145,6 @@ def index_shell(nu: int) -> list[tuple[int, int, int]]:
     The shell has 6 * nu elements for nu >= 1 and a single element for
     nu = 0.
     """
-    if nu < 0:
-        raise ValueError(f"shell number must be nonnegative, got {nu}")
+    _check_int("shell index nu", nu)
     k1, k2, _ = frequency_arrays(nu, nu)
     return [(a, b, -a - b) for a, b in zip(k1.tolist(), k2.tolist())]

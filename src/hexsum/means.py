@@ -44,23 +44,8 @@ import numpy as np
 import numpy.polynomial  # noqa: F401 - loaded with the module, not on first use
 
 from .fourier import GridFunction, HexGrid, SpectralFunction, _QUIET, _norm_plan, scale_shells
-from .kernels import _check_rho, _is_int, hex_kernel_closed_values
-
-
-def _check_int(name: str, value, least: int = 1) -> None:
-    """Raise ValueError unless value is a Python or numpy int (no bool) >= least."""
-    if not _is_int(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        bound = "positive" if least == 1 else f"at least {least}"
-        raise ValueError(f"{name} must be {bound}, got {value}")
-
-
-def _check_mean(rho, r: int) -> None:
-    """Raise ValueError unless 0 <= rho < 1 (each radius of an array rho) and int r > 0."""
-    for x in np.ravel(rho).tolist():
-        _check_rho(x)
-    _check_int("order r", r)
+from .kernels import _check_rho, hex_kernel_closed_values
+from .lattice import _check_int
 
 
 # --------------------------------------------------------------------------
@@ -77,7 +62,8 @@ def lambda_shells(shells: np.ndarray, r: int, rho) -> tuple[np.ndarray, np.ndarr
     shells, and their complements P[Bin(nu, 1-rho) >= r]; both in [0, 1], each
     accurate down to underflow, and each entry independent of the others.  A
     1-D array of radii rho gives one row per radius, its own call bit for bit."""
-    _check_mean(rho, r)
+    _check_rho(rho, (0, 1))
+    _check_int("order r", r, 1)
     if shells.dtype.kind not in "iu":  # bool is kind "b"
         raise ValueError(f"shell indices must be integers, got dtype {shells.dtype}")
     if shells.min(initial=0) < 0:
@@ -199,6 +185,7 @@ def apply_operator(f: SpectralFunction, rho: float, r: int) -> SpectralFunction:
     Shells with multiplier exactly 1 pass through bitwise unchanged;
     rho=0 zeroes every shell nu >= r, leaving the partial sum S_{r-1}.
     """
+    _check_rho(rho)  # one radius: lambda_shells also takes a ladder's
     return scale_shells(f, lambda shells: lambda_shells(shells, r, rho)[0])
 
 
@@ -210,7 +197,8 @@ def apply_operator_derivative_form(f: SpectralFunction, rho: float, r: int) -> S
     apply_operator; numerically an independent association of the same
     binomial terms (agreement within 1e-12 is a library contract).
     """
-    _check_mean(rho, r)
+    _check_rho(rho)
+    _check_int("order r", r, 1)
 
     def multiplier(nu: int) -> float:
         terms = []
@@ -225,7 +213,7 @@ def apply_operator_derivative_form(f: SpectralFunction, rho: float, r: int) -> S
 
 def radial_derivative(f: SpectralFunction, n: int) -> SpectralFunction:
     """Order-n radial derivative: shell nu scaled by nu!/(nu-n)!, low shells dropped."""
-    _check_int("derivative order", n)
+    _check_int("derivative order n", n, 1)
     return scale_shells(f, lambda shells: _perm_shells(shells, n))
 
 
@@ -270,7 +258,8 @@ def deviation_ladder(
     """||f - A_{rho,r}(f)||_p at each rho of rhos from one norm plan and one
     lambda_shells call; exact L2 when grid is None.  Formed with the
     complement multipliers, so there is no 1 - lambda cancellation."""
-    _check_mean(rhos, r)
+    _check_rho(rhos, (1,), "rhos")
+    _check_int("order r", r, 1)
     shells, norm, _ = _norm_plan(f, p, grid)
     return [norm(comp) for comp in lambda_shells(shells, r, np.array(rhos, dtype=float))[1]]
 
@@ -285,7 +274,8 @@ def m_p(
     rho-derivative multipliers); exact L2 when grid is None, else on the
     grid.
     """
-    _check_mean(rho, r)
+    _check_rho(rho)
+    _check_int("order r", r, 1)
     shells, norm, _ = _norm_plan(f, p, grid)
     return norm(_perm_shells(shells, r) * rho**shells)
 
@@ -330,7 +320,7 @@ def kfun_ladder(
     for delta in deltas:
         if not 0.0 < delta <= 0.5:
             raise ValueError(f"delta must lie in (0, 1/2], got {delta}")
-    _check_int("order n", n)
+    _check_int("order n", n, 1)
     shells, norm, cut_norms = _norm_plan(f, p, grid)
     perm = _perm_shells(shells, n)
     zeros, ones = np.zeros(len(shells)), np.ones(len(shells))
@@ -378,7 +368,8 @@ def remainder_coefficient_check(nu: int, r: int, rho: float) -> tuple[float, flo
     """
     _check_int("order r", r, 2)
     _check_int("shell index nu", nu, r)
-    lhs = float(lambda_shells(np.array([nu]), r, rho)[1][0])  # raises ValueError on a bad rho
+    _check_rho(rho)
+    lhs = float(lambda_shells(np.array([nu]), r, rho)[1][0])
     x = Fraction(rho)
     integral = sum(
         Fraction((-1) ** j * math.comb(r - 1, j), m) * (1 - x**m)

@@ -52,6 +52,8 @@ def test_shell_decay_validation():
         shell_decay_family(0.5)
     with pytest.raises(ValueError):
         shell_decay_family(0.4)
+    with pytest.raises(ValueError, match="decay exponent must exceed 1/2, got nan"):
+        shell_decay_family(float("nan"))
 
 
 def test_polynomial_family_is_real_symmetric():

@@ -31,7 +31,14 @@ from hexsum.fourier import (
     spectral_to_json_dict,
     synthesize,
 )
-from hexsum.families import builtin_families, kernel_family, random_spectrum
+from hexsum.families import (
+    basis_family,
+    builtin_families,
+    kernel_family,
+    polynomial_family,
+    random_spectrum,
+    shell_decay_family,
+)
 from hexsum.lattice import _omega_mask, frequency_arrays, index_shell
 
 
@@ -164,7 +171,7 @@ def test_grid_basics():
 @pytest.mark.parametrize("n", [64.7, 64.0, math.inf, math.nan, "64", True, np.float64(64), None])
 def test_grid_resolution_must_be_an_integer(n):
     # a fractional resolution would be truncated to a coarser grid
-    with pytest.raises(ValueError, match="grid resolution must be an integer of at least 4"):
+    with pytest.raises(ValueError, match="grid resolution n must be an integer >= 4"):
         HexGrid(n)
 
 
@@ -678,11 +685,31 @@ def test_analyze_warns_below_threshold():
         analyze(samples, max_degree=4)
 
 
-@pytest.mark.parametrize("max_degree", [1.5, 2.0, True, "2", None, -1])
+@pytest.mark.parametrize("max_degree", [1.5, 2.0, True, "2", None, -1, 2.5])
 def test_analyze_degree_must_be_a_nonnegative_integer(max_degree):
+    # so must every degree and shell index of the lattice and the families,
+    # and the store's declared bound, where None means "the largest shell":
+    # 2.5 once built degree 3 under its own name, and max_degree=True stored 1
     samples = synthesize(_sample_spectrum(2, seed=1), make_grid(16))
-    with pytest.raises(ValueError, match="max_degree must be a nonnegative integer"):
-        analyze(samples, max_degree)
+    calls = [
+        ("max_degree", lambda d: analyze(samples, d)),
+        ("max_degree", frequency_arrays),
+        ("shell index nu", index_shell),
+        ("max_degree", lambda d: kernel_family(0.5, d)),
+        ("max_degree", lambda d: shell_decay_family(2.0, d)),
+        ("max_degree", lambda d: random_spectrum(d, np.random.default_rng(0))),
+        ("max_degree", builtin_families),
+        ("degree", polynomial_family),
+        ("shell index nu", basis_family),
+    ]
+    if max_degree is not None:
+        calls += [
+            ("max_degree", lambda d: SpectralFunction.from_arrays([0], [0], [1.0], d)),
+            ("max_degree", lambda d: SpectralFunction({(0, 0, 0): 1.0}, d)),
+        ]
+    for name, call in calls:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0, got "):
+            call(max_degree)
 
 
 def test_gridfunction_shape_validated():

@@ -230,7 +230,7 @@ def test_series_cutoff_must_be_a_nonnegative_integer(cutoff):
         lambda: hex_deriv_series_values(0.5, *t, 0, cutoff),
         lambda: hex_deriv_series_values(0.5, *t, 1, cutoff),
     ):
-        with pytest.raises(ValueError, match="cutoff must be a nonnegative integer"):
+        with pytest.raises(ValueError, match="cutoff must be an integer >= 0"):
             call()
 
 

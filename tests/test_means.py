@@ -204,7 +204,9 @@ def test_lambda_radius_vectors_at_the_edges():
     for radii in ([0.5, 1.0], [-0.1, 0.5]):
         with pytest.raises(ValueError, match="rho must lie in"):
             lambda_shells(np.arange(5), 2, np.array(radii))
-    with pytest.raises(ValueError, match="order r must be positive"):
+    with pytest.raises(ValueError, match="^rho must be one radius or a 1-D array of radii, got a 2-D"):
+        lambda_shells(np.arange(5), 2, np.array([[0.5, 0.25]]))
+    with pytest.raises(ValueError, match="order r must be an integer >= 1, got 0"):
         lambda_shells(np.arange(5), 0, np.array([]))
 
 
@@ -285,24 +287,34 @@ def test_lambda_matches_exact_binomial_tails_wide():
 
 
 def test_summation_params_validation():
-    # every function of (rho, r) rejects rho outside [0, 1) and r < 1 alike
+    # every function of (rho, r) rejects rho outside [0, 1) and r < 1 alike,
+    # and a radius argument of the wrong shape, naming the argument
     f = _random_f(0, degree=2)
     calls = (
-        lambda rho, r: apply_operator(f, rho, r),
-        lambda rho, r: apply_operator_derivative_form(f, rho, r),
-        lambda rho, r: deviation_ladder(f, [rho], r, 2.0, None),
-        lambda rho, r: m_p(f, rho, r, 2.0, None),
+        ("rho", lambda rho, r: apply_operator(f, rho, r)),
+        ("rho", lambda rho, r: apply_operator_derivative_form(f, rho, r)),
+        ("rhos", lambda rho, r: deviation_ladder(f, [rho], r, 2.0, None)),
+        ("rho", lambda rho, r: m_p(f, rho, r, 2.0, None)),
     )
-    for call in calls:
+    for name, call in calls:
         call(0.0, 1)
         for rho, r, message in (
-            (1.0, 1, "rho must lie in [0, 1), got 1.0"),
-            (-0.2, 1, "rho must lie in [0, 1), got -0.2"),
-            (0.5, 0, "order r must be positive, got 0"),
+            (1.0, 1, f"{name} must lie in [0, 1), got 1.0"),
+            (-0.2, 1, f"{name} must lie in [0, 1), got -0.2"),
+            (0.5, 0, "order r must be an integer >= 1, got 0"),
         ):
             with pytest.raises(ValueError) as error:
                 call(rho, r)
             assert str(error.value) == message
+    # m_p took a list of two radii for one, and deviation_ladder a bare
+    # radius for a ladder, each returning a wrong number
+    for _, call in calls[:2] + calls[3:]:
+        with pytest.raises(ValueError) as error:
+            call([0.3, 0.5], 1)
+        assert str(error.value) == "rho must be one radius, got a 1-D list"
+    with pytest.raises(ValueError) as error:
+        deviation_ladder(f, 0.5, 1, 2.0, None)
+    assert str(error.value) == "rhos must be a 1-D array of radii, got a 0-D float"
 
 
 _ORDER_CALLS = {
@@ -324,7 +336,7 @@ def test_orders_must_be_integers(call, r):
     # a fractional order gave a mean between two orders, and True read as 1
     f = _random_f(0, degree=3)
     call(f, 2)
-    with pytest.raises(ValueError, match="order( [rn])? must be an integer, got "):
+    with pytest.raises(ValueError, match="order( [rn])? must be an integer >= [12], got "):
         call(f, r)
 
 
@@ -544,6 +556,8 @@ def test_remainder_coefficient_validation():
         remainder_coefficient_check(1, 2, 0.5)
     with pytest.raises(ValueError):
         remainder_coefficient_check(4, 2, 1.0)
+    with pytest.raises(ValueError, match="rho must be one radius"):
+        remainder_coefficient_check(4, 2, [0.5])
 
 
 def test_remainder_coefficient_check_takes_integer_shells_only():

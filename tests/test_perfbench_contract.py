@@ -5,16 +5,24 @@ The benchmark's worker writes its inputs with the public API (the
 every public hexsum function plus the ``SpectralFunction`` methods named in
 ``perfbench/spans.py``.  A name it uses that goes missing makes a step fail.
 The worker runs in a subprocess, as the benchmark starts it, because a
-traced step rewrites hexsum's module namespaces.
+traced step rewrites hexsum's module namespaces.  The steps whose rows the
+benchmark compares with ``perfbench/references.json`` are replayed here
+too, so a change that moves one of those rows fails in the suite first.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from hexsum.cli import main
+
 ROOT = Path(__file__).resolve().parents[1]
+
+#: perfbench/workloads.py's RTOL, the relative tolerance of a recorded float
+RECORDED_RTOL = 1e-9
 
 
 def test_worker_generates_inputs_and_runs_traced_steps(tmp_path):
@@ -61,3 +69,25 @@ def test_worker_generates_inputs_and_runs_traced_steps(tmp_path):
     # BernsteinResult.grid_n**2: rho = 1/2, 3/4, 7/8 take the auto grids 64, 128, 256
     bernstein = steps[-1]["trace"]["functions"]["kernels.bernstein_integral"]
     assert (bernstein["calls"], bernstein["work"]) == (3, 64**2 + 128**2 + 256**2)
+
+
+def test_recorded_steps_replay_their_references(tmp_path):
+    # compared as perfbench/workloads.py's recorded() compares them: the row
+    # count, each recorded float within RECORDED_RTOL relative (finite), and
+    # every other recorded field exactly; fields not recorded are not compared
+    references = json.loads((ROOT / "perfbench" / "references.json").read_text())
+    for workload, steps in references.items():
+        for label, want in steps.items():
+            out = tmp_path / "report.json"
+            assert main(label.split() + ["--format", "json", "--out", str(out)]) == 0, label
+            rows = json.loads(out.read_text())["rows"]
+            assert len(rows) == len(want), (workload, label)
+            for i, (row, ref) in enumerate(zip(rows, want)):
+                for key, value in ref.items():
+                    got = row.get(key)
+                    if isinstance(value, float):
+                        got = float(got)
+                        ok = math.isfinite(got) and abs(got - value) <= RECORDED_RTOL * abs(value)
+                    else:
+                        ok = got == value
+                    assert ok, (workload, label, i, key, got, value)
