@@ -468,6 +468,8 @@ def product_integral(rho: float, orders: Sequence[int], grid: HexGrid | None = N
     three all three coordinates; ``orders`` gives the derivative order of
     each factor.
     """
+    if np.ndim(orders) != 1:
+        raise ValueError(f"orders must be a sequence of derivative orders, got {orders!r}")
     if not 1 <= len(orders) <= 3:
         raise ValueError(f"product_integral takes 1 to 3 orders, got {len(orders)}")
     for o in orders:

@@ -28,7 +28,8 @@ _norm_plan, which turns multipliers into norms, and the ladder functions
 build one plan for all their radii or scales.  Deviations admit an exact
 integral representation integrating the r-th derivative of the Poisson
 integral against (1-zeta)^{r-1} from rho to 1; remainder_integral_norm
-takes its norm from the plan too.
+evaluates it shell by shell in exact rational arithmetic, rounded once,
+and takes its norm from the plan too.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import numpy.polynomial  # noqa: F401 - loaded with the module, not on first use
 
 from .fourier import GridFunction, HexGrid, SpectralFunction, _QUIET, _norm_plan, scale_shells
 from .kernels import _check_rho, hex_kernel_closed_values
@@ -64,6 +64,7 @@ def lambda_shells(shells: np.ndarray, r: int, rho) -> tuple[np.ndarray, np.ndarr
     1-D array of radii rho gives one row per radius, its own call bit for bit."""
     _check_rho(rho, (0, 1))
     _check_int("order r", r, 1)
+    shells = np.asarray(shells)
     if shells.dtype.kind not in "iu":  # bool is kind "b"
         raise ValueError(f"shell indices must be integers, got dtype {shells.dtype}")
     if shells.min(initial=0) < 0:
@@ -317,9 +318,10 @@ def kfun_ladder(
     once, and only the lower proxy per delta.  For p=2 with grid=None both
     sides are exact from shell masses; otherwise a grid is required.
     """
-    for delta in deltas:
-        if not 0.0 < delta <= 0.5:
-            raise ValueError(f"delta must lie in (0, 1/2], got {delta}")
+    scales = np.asarray(deltas, dtype=float)
+    if scales.ndim != 1 or not np.all((0.0 < scales) & (scales <= 0.5)):  # NaN fails too
+        raise ValueError(f"deltas must be a 1-D array of scales in (0, 1/2], got {deltas!r}")
+    deltas = scales.tolist()
     _check_int("order n", n, 1)
     shells, norm, cut_norms = _norm_plan(f, p, grid)
     perm = _perm_shells(shells, n)
@@ -353,40 +355,39 @@ def kfun_ladder(
 # remainder-integral identity
 # --------------------------------------------------------------------------
 
+def _remainder_integral(nu: int, r: int, rho: float) -> float:
+    """(nu!/(nu-r)!)/(r-1)! * int_rho^1 zeta^{nu-r} (1-zeta)^{r-1} dzeta, 0.0 for nu < r.
+
+    Evaluated exactly in rational arithmetic and rounded once.  A float rho
+    is a dyadic rational, and with m_j = nu-r+j+1 the binomial expansion of
+    (1-zeta)^{r-1} integrates to sum_j C(r-1, j) (-1)^j (1 - rho^{m_j}) / m_j,
+    so the result is the exact integral correctly rounded, independent of
+    the tail sum of lambda_shells and of any quadrature.
+    """
+    if nu < r:
+        return 0.0
+    x = Fraction(rho)
+    integral = sum(
+        Fraction((-1) ** j * math.comb(r - 1, j), m) * (1 - x**m)
+        for j, m in enumerate(range(nu - r + 1, nu + 1))
+    )
+    return float(math.perm(nu, r) * integral / math.factorial(r - 1))
+
+
 def remainder_coefficient_check(nu: int, r: int, rho: float) -> tuple[float, float]:
     """Both sides of the shell-wise deviation identity.
 
     lhs: the complement multiplier 1 - lambda_{nu,r}(rho), the binomial
     tail of lambda_shells.  rhs: the integral
     (nu!/(nu-r)!)/(r-1)! * int_rho^1 zeta^{nu-r} (1-zeta)^{r-1} dzeta,
-    evaluated exactly in rational arithmetic and rounded once.  A float
-    rho is a dyadic rational, and with m_j = nu-r+j+1 the binomial
-    expansion of (1-zeta)^{r-1} integrates to
-    sum_j C(r-1, j) (-1)^j (1 - rho^{m_j}) / m_j, so rhs is the exact
-    integral correctly rounded, independent of the tail sum and of any
-    quadrature.  The two sides agree to 1e-10 or better.
+    exact and rounded once (_remainder_integral).  The two sides agree to
+    1e-10 or better.
     """
     _check_int("order r", r, 2)
     _check_int("shell index nu", nu, r)
     _check_rho(rho)
     lhs = float(lambda_shells(np.array([nu]), r, rho)[1][0])
-    x = Fraction(rho)
-    integral = sum(
-        Fraction((-1) ** j * math.comb(r - 1, j), m) * (1 - x**m)
-        for j, m in enumerate(range(nu - r + 1, nu + 1))
-    )
-    rhs = float(math.perm(nu, r) * integral / math.factorial(r - 1))
-    return (lhs, rhs)
-
-
-@functools.lru_cache(maxsize=4)
-def _unit_gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The count-node Gauss-Legendre rule moved to [0, 1]: read-only nodes and
-    weights, built once per count (numpy's leggauss takes milliseconds at 64)."""
-    x, w = np.polynomial.legendre.leggauss(count)
-    u, wu = 0.5 * (x + 1.0), 0.5 * w
-    u.flags.writeable = wu.flags.writeable = False
-    return u, wu
+    return (lhs, _remainder_integral(nu, r, rho))
 
 
 @_QUIET
@@ -396,27 +397,14 @@ def remainder_integral_norm(
     """||integral form of f - A_{rho,r}(f)||_p.
 
     Integrates the r-th rho-derivative of the Poisson integral of f
-    against (1-zeta)^{r-1}/(r-1)! over [rho, 1], shell by shell, with
-    Gauss-Legendre nodes after the substitution zeta = 1 - (1-rho) u
-    (u in [0, 1]).  The integrand is then a polynomial of degree nu - 1
-    in u, so N nodes are exact for every shell nu <= 2 N; N is
-    max(64, ceil(top / 2)) for the top shell carrying a nonzero
-    coefficient.  Requires r >= 2 (at r = 1 the identity degenerates to
-    the plain Poisson deviation).  The norm comes from the norm plan, so
-    a grid that aliases two coefficients raises ValueError.
+    against (1-zeta)^{r-1}/(r-1)! over [rho, 1], shell by shell: each
+    shell's integral is the exact rational one of _remainder_integral,
+    rounded once, so one unit coefficient gives remainder_coefficient_check's
+    rhs bit for bit.  Requires r >= 2 (at r = 1 the identity degenerates
+    to the plain Poisson deviation).  The norm comes from the norm plan,
+    so a grid that aliases two coefficients raises ValueError.
     """
     _check_rho(rho)
     _check_int("order r", r, 2)
-    top = int(f.shell[f.coeffs != 0].max(initial=0))
-    u, wu = _unit_gauss_legendre(max(64, (top + 1) // 2))
-    one = 1.0 - rho
-    prefactor = one**r / math.factorial(r - 1)
-
-    def multiplier(nu: int) -> float:
-        if nu < r:
-            return 0.0
-        vals = wu * u ** (r - 1) * (1.0 - one * u) ** (nu - r)
-        return prefactor * math.perm(nu, r) * math.fsum(vals.tolist())
-
     shells, norm, _ = _norm_plan(f, p, grid)
-    return norm(np.array([multiplier(nu) for nu in shells.tolist()]))
+    return norm(np.array([_remainder_integral(nu, r, rho) for nu in shells.tolist()]))

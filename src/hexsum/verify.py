@@ -577,7 +577,7 @@ def check_remainder_coefficients(rng) -> CheckResult:
 
 
 def check_remainder_norm(rng) -> CheckResult:
-    """Gauss-Legendre remainder norm reproduces the direct deviation."""
+    """Exact remainder-integral norm reproduces the direct deviation."""
     f = families.random_spectrum(8, rng)
     grid = make_grid(64)
     worst = 0.0
@@ -585,7 +585,7 @@ def check_remainder_norm(rng) -> CheckResult:
         a = means.remainder_integral_norm(f, rho, r, 2.0, grid)
         b = means.deviation_ladder(f, [rho], r, 2.0, grid)[0]
         worst = max(worst, abs(a - b))
-    return _result("means.remainder_norm", worst, 1e-8, "64 nodes")
+    return _result("means.remainder_norm", worst, 1e-8, "exact integral vs tails")
 
 
 def check_kfun(rng) -> CheckResult:

@@ -1046,6 +1046,25 @@ def test_cli_import_leaves_argparse_and_gettext_unloaded(tmp_path):
     assert "--config PATH" in proc.stdout
 
 
+def test_cli_import_adds_no_numpy_polynomial(tmp_path):
+    # no hexsum code uses numpy.polynomial: importing hexsum.cli after numpy
+    # leaves it as loaded as numpy alone does (numpy 2 does not load it)
+    code = (
+        "import sys, numpy\n"
+        "bare = 'numpy.polynomial' in sys.modules\n"
+        "import hexsum.cli\n"
+        "print(bare, 'numpy.polynomial' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hexsum.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    bare, with_cli = proc.stdout.split()
+    assert with_cli == bare
+
+
 def test_cli_runs_with_scipy_blocked(tmp_path):
     # the runtime needs numpy only: with scipy made unimportable, the CLI
     # imports without numpy.f2py or numpy.testing, and every command runs

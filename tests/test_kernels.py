@@ -447,6 +447,9 @@ def test_product_integral_validation():
         product_integral(0.5, [])
     with pytest.raises(ValueError, match="1 to 3 orders, got 4"):
         product_integral(0.5, [0, 0, 0, 0])
+    for orders in (2, 0.5, [[0, 1]]):
+        with pytest.raises(ValueError, match="orders must be a sequence"):
+            product_integral(0.5, orders)
     with pytest.raises(ValueError):
         product_integral(0.5, [R_MAX + 1])
     # the orders are checked before rho, and rho before any grid is built

@@ -134,6 +134,11 @@ def test_lambda_validation():
             lambda_shells(np.array(shells), r, rho)
     lam, comp = lambda_shells(np.array([], dtype=np.int64), 2, 0.5)
     assert lam.size == comp.size == 0
+    # a list is taken as the array it makes, integer-checked like any other
+    got = lambda_shells([4, 5], 2, 0.5)
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in lambda_shells(np.array([4, 5]), 2, 0.5)]
+    with pytest.raises(ValueError, match="shell indices must be integers"):
+        lambda_shells([4.0, 5.0], 2, 0.5)
 
 
 def test_lambda_shells_must_be_integers():
@@ -594,50 +599,29 @@ def test_remainder_integral_refuses_an_aliasing_grid():
             remainder_integral_norm(f, 0.5, 2, 2.0, make_grid(n))
         with pytest.raises(ValueError, match=f"grid n={n} aliases degree 8"):
             deviation_ladder(f, [0.5], 2, 2.0, make_grid(n))
-    assert remainder_integral_norm(f, 0.5, 2, 2.0, make_grid(64)) == 0.8435908323800154
+    assert remainder_integral_norm(f, 0.5, 2, 2.0, make_grid(64)) == 0.8435908323800145
 
 
-def _recorded_node_counts(monkeypatch):
-    """Node counts of every Gauss-Legendre rule asked for from now on, whether
-    the memo builds it or already holds it."""
-    counts = []
-    rule = means._unit_gauss_legendre
-    monkeypatch.setattr(means, "_unit_gauss_legendre", lambda deg: counts.append(deg) or rule(deg))
-    return counts
-
-
-def test_remainder_integral_exact_shells_only(monkeypatch):
-    # N Gauss-Legendre nodes are exact up to shell 2N; N is at least 64
-    counts = _recorded_node_counts(monkeypatch)
+def test_remainder_integral_exact_shells_only():
+    # every shell's integral is exact, whatever its degree
     grid = make_grid(16)
     edge = basis_family(128).function
     got = remainder_integral_norm(edge, 0.5, 2, 2.0, grid)
     assert got == pytest.approx(lambda_shells(np.array([128]), 2, 0.5)[1][0], rel=1e-12)
-    # an exact zero stored on shell 400 carries no shell, and takes no more nodes
+    # an exact zero stored on shell 400 carries no shell
     padded = SpectralFunction(edge.items() + [((400, -400, 0), 0.0)])
     assert remainder_integral_norm(padded, 0.5, 2, 2.0, grid) == got
-    assert counts == [64, 64]
 
 
-def test_unit_gauss_legendre_is_a_read_only_copy_of_a_fresh_rule():
-    for count in (64, 100, 64):
-        u, wu = means._unit_gauss_legendre(count)
-        x, w = np.polynomial.legendre.leggauss(count)
-        assert u.tobytes() == (0.5 * (x + 1.0)).tobytes()
-        assert wu.tobytes() == (0.5 * w).tobytes()
-        assert not (u.flags.writeable or wu.flags.writeable)
-    assert means._unit_gauss_legendre(64)[0] is means._unit_gauss_legendre(64)[0]
-
-
-def test_remainder_integral_nodes_follow_the_top_shell(monkeypatch):
-    # ceil(200 / 2) = 100 nodes for one coefficient on shell 200
-    counts = _recorded_node_counts(monkeypatch)
-    for r, rho in ((2, 0.5), (3, 0.9), (5, 0.97)):
-        got = remainder_integral_norm(
-            basis_family(200).function, rho, r, 2.0, make_grid(16)
-        )
-        assert got == pytest.approx(lambda_shells(np.array([200]), r, rho)[1][0], abs=1e-12)
-    assert counts == [100] * 3
+def test_remainder_integral_nodes_follow_the_top_shell():
+    # one coefficient on shell nu: the norm is the shell's exact integral,
+    # remainder_coefficient_check's rhs bit for bit, on a grid within 1e-12
+    for nu, r, rho in ((200, 2, 0.5), (200, 3, 0.9), (200, 5, 0.97), (2, 2, 0.3), (61, 4, 0.99)):
+        f = basis_family(nu).function
+        _, rhs = remainder_coefficient_check(nu, r, rho)
+        assert remainder_integral_norm(f, rho, r, 2.0, None) == rhs, (nu, r, rho)
+        got = remainder_integral_norm(f, rho, r, 2.0, make_grid(16))
+        assert got == pytest.approx(lambda_shells(np.array([nu]), r, rho)[1][0], abs=1e-12)
 
 
 # ------------------------------------------------------------- K-functional
@@ -653,6 +637,10 @@ def test_kfun_validation():
         kfun_ladder(f, [0.25], 0, 2.0)
     with pytest.raises(ValueError):
         kfun_ladder(f, [0.25], 1, 3.0)  # p != 2 needs a grid
+    for deltas in (0.25, np.array([[0.25]]), [math.nan], [0.25, math.nan], np.array([-0.1])):
+        with pytest.raises(ValueError, match="deltas must be a 1-D array"):
+            kfun_ladder(f, deltas, 1, 2.0)
+    assert kfun_ladder(f, np.array([0.25]), 1, 2.0) == kfun_ladder(f, [0.25], 1, 2.0)
 
 
 def test_kfun_polynomial_saturates():
