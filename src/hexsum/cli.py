@@ -23,6 +23,10 @@ format and config; a flag or config-file key it does not read is rejected.
 The command may come before, between or after the flags, each written
 --KEY VALUE or --KEY=VALUE with KEY in full; a repeated flag's last value wins.
 
+Each argument's range has one home, the library.  validate_config keeps
+only what the library cannot know, each ladder's radii or scales pass the
+library's own check before any rung runs, and a library ValueError exits 2.
+
 Exit codes: 0 all assertions pass (or --help); 1 an assertion failed (the
 report is still written); 2 the run was rejected, with one "error: ..."
 line on stderr, no usage block and no traceback: an unknown command or
@@ -44,6 +48,7 @@ from .families import FamilySpec, builtin_families
 from .fourier import (
     HexGrid,
     SpectralFormatError,
+    _check_p,
     make_grid,
     load_spectral,
     max_coeff_diff,
@@ -51,23 +56,19 @@ from .fourier import (
     spectral_to_json_dict,
 )
 from .kernels import (
-    R_MAX,
+    _check_rho,
     bernstein_integral,
     hex_deriv_series_values,
     hex_kernel_closed_values,
     series_tail_bound,
 )
-from .means import deviation_ladder, kfun_ladder
+from .means import _check_deltas, deviation_ladder, kfun_ladder
 from .verify import CheckResult, run_all_checks
 
 #: largest rho-kmax of the kernel command, whose series cutoff grows like
 #: k 2^k: 5068 terms at k = 7, 40685 at k = 10
 KERNEL_KMAX = 10
 
-#: largest k with rho = 1 - 2^-k < 1.0 in binary64; 1 - 2^-54 rounds to 1.0
-RHO_KMAX = sys.float_info.mant_dig
-#: largest k with kfun's delta = 2^-k > 0.0; 2^-1074 is the smallest subnormal
-DELTA_KMAX = 1074
 #: bernstein's last-two scaled ratio is settled within [0.9, 1.1] from this
 #: rung on (0.73-0.83 at k = 2, 0.895-0.928 at k = 3 for r = 1..6)
 _RATIO_KMIN = 4
@@ -110,19 +111,13 @@ def _coerce_int(key: str, value) -> int:
 
 
 def _coerce_p(key: str, value) -> float:
-    p = float(_parse(key, value, (int, float), float, "a number or 'inf'"))
-    if not p >= 1.0:
-        raise ConfigError(f"p must satisfy p >= 1, got {p}")
-    return p
+    return float(_parse(key, value, (int, float), float, "a number or 'inf'"))
 
 
 def _coerce_grid(key: str, value) -> int | str:
     if isinstance(value, str) and value.strip().lower() == "auto":
         return "auto"
-    n = _parse(key, value, int, int, "an integer or 'auto'")
-    if n < 4:
-        raise ConfigError(f"grid resolution must be at least 4, got {n}")
-    return n
+    return _parse(key, value, int, int, "an integer or 'auto'")
 
 
 def _coerce_str(key: str, value) -> str:
@@ -165,42 +160,23 @@ def _load_config_file(path: str) -> dict:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
+    """The checks the library cannot make; p's range is fourier's own check."""
     if cfg.command not in COMMANDS:
         raise ConfigError(f"unknown command {cfg.command!r}")
     if cfg.k_min > cfg.k_max:
         raise ConfigError(f"rho-kmin {cfg.k_min} exceeds rho-kmax {cfg.k_max}")
-    if cfg.k_min < 0:
+    if cfg.k_min < 0:  # 2^-k overflows from k = -1024 on
         raise ConfigError(f"rho-kmin must be nonnegative, got {cfg.k_min}")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
     if cfg.fmt not in ("csv", "json"):
         raise ConfigError(f"format must be 'csv' or 'json', got {cfg.fmt!r}")
-    if cfg.command == "bernstein" and not 0 <= cfg.r <= R_MAX:
-        raise ConfigError(f"bernstein needs 0 <= r <= {R_MAX}, got {cfg.r}")
-    if cfg.command in ("approximate", "rates") and cfg.r < 1:
-        raise ConfigError(f"{cfg.command} needs r >= 1, got {cfg.r}")
-    if cfg.command == "kfun":
-        if cfg.n < 1:
-            raise ConfigError(f"kfun needs n >= 1, got {cfg.n}")
-        if cfg.k_min < 1:
-            raise ConfigError(
-                "kfun needs rho-kmin >= 1 so every delta = 2^-k stays in (0, 1/2]"
-            )
-        if cfg.k_max > DELTA_KMAX:
-            raise ConfigError(
-                f"kfun needs rho-kmax <= {DELTA_KMAX} so delta = 2^-k stays "
-                f"positive, got {cfg.k_max}"
-            )
     if cfg.command == "kernel" and cfg.k_max > KERNEL_KMAX:
         raise ConfigError(
             f"kernel needs rho-kmax <= {KERNEL_KMAX} so its series cutoff stays "
             f"affordable, got {cfg.k_max}"
         )
-    if cfg.command in ("bernstein", "approximate", "rates") and cfg.k_max > RHO_KMAX:
-        raise ConfigError(
-            f"{cfg.command} needs rho-kmax <= {RHO_KMAX} so rho = 1 - 2^-k stays "
-            f"below 1, got {cfg.k_max}"
-        )
+    _check_p(cfg.p)
     if cfg.command in ("approximate", "kfun") and cfg.p != 2.0 and cfg.grid_n == "auto":
         raise ConfigError("p != 2 requires an explicit --grid N")
 
@@ -225,7 +201,11 @@ def build_config(command: str, flags: dict, config_path: str | None) -> Experime
 
 
 def rho_ladder(cfg: ExperimentConfig) -> list[tuple[int, float]]:
-    return [(k, 1.0 - 2.0**-k) for k in range(cfg.k_min, cfg.k_max + 1)]
+    """(k, 1 - 2^-k) for k = rho-kmin..rho-kmax.  The radii grow with k, so the library's
+    check of the two ends covers every rung, before a ladder far past rho < 1 is built."""
+    ends = [1.0 - math.ldexp(1.0, -k) for k in (cfg.k_min, cfg.k_max)]
+    _check_rho(ends, (1,), "the radii 1 - 2^-k for k in --rho-kmin..--rho-kmax")
+    return [(k, 1.0 - math.ldexp(1.0, -k)) for k in range(cfg.k_min, cfg.k_max + 1)]
 
 
 def _explicit_grid(cfg: ExperimentConfig) -> HexGrid | None:
@@ -506,11 +486,15 @@ def run_kfun(cfg: ExperimentConfig):
     rows = []
     assertions = []
     ks = range(cfg.k_min, cfg.k_max + 1)
+    # the scales 2^-k fall with k, so the check of the two ends covers the ladder
+    ends = [math.ldexp(1.0, -k) for k in (cfg.k_min, cfg.k_max)]
+    _check_deltas(ends, "the scales 2^-k for k in --rho-kmin..--rho-kmax")
+    deltas = [math.ldexp(1.0, -k) for k in ks]
     for fam in _sweep_families(cfg):
         ratios = []
         violated = False
         finite = True
-        ests = kfun_ladder(fam.function, [2.0**-k for k in ks], cfg.n, cfg.p, grid)
+        ests = kfun_ladder(fam.function, deltas, cfg.n, cfg.p, grid)
         for k, est in zip(ks, ests):
             finite &= math.isfinite(est.upper) and math.isfinite(est.lower_proxy)
             if est.upper == 0.0:

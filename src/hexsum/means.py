@@ -28,7 +28,7 @@ _norm_plan, which turns multipliers into norms, and the ladder functions
 build one plan for all their radii or scales.  Deviations admit an exact
 integral representation integrating the r-th derivative of the Poisson
 integral against (1-zeta)^{r-1} from rho to 1; remainder_integral_norm
-evaluates it shell by shell in exact rational arithmetic, rounded once,
+evaluates it shell by shell in exact integer arithmetic, rounded once,
 and takes its norm from the plan too.
 """
 
@@ -39,7 +39,6 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -296,6 +295,19 @@ class KfunEstimate:
     argmin_candidate: str
 
 
+def _check_deltas(deltas, name: str = "deltas") -> list[float]:
+    """deltas as a list of floats if they are a 1-D array of scales in (0, 1/2];
+    else ValueError naming ``name`` and the first entry outside, or the dimension."""
+    scales = np.asarray(deltas, dtype=float)
+    if scales.ndim != 1:
+        got = f"a {scales.ndim}-D array"
+    elif len(outside := scales[~((0.0 < scales) & (scales <= 0.5))]):  # NaN is outside too
+        got = float(outside[0])
+    else:
+        return scales.tolist()
+    raise ValueError(f"{name} must be a 1-D array of scales in (0, 1/2], got {got}")
+
+
 @_QUIET
 def kfun_ladder(
     f: SpectralFunction, deltas: list[float], n: int, p: float, grid: HexGrid | None = None
@@ -318,10 +330,7 @@ def kfun_ladder(
     once, and only the lower proxy per delta.  For p=2 with grid=None both
     sides are exact from shell masses; otherwise a grid is required.
     """
-    scales = np.asarray(deltas, dtype=float)
-    if scales.ndim != 1 or not np.all((0.0 < scales) & (scales <= 0.5)):  # NaN fails too
-        raise ValueError(f"deltas must be a 1-D array of scales in (0, 1/2], got {deltas!r}")
-    deltas = scales.tolist()
+    deltas = _check_deltas(deltas)
     _check_int("order n", n, 1)
     shells, norm, cut_norms = _norm_plan(f, p, grid)
     perm = _perm_shells(shells, n)
@@ -358,20 +367,24 @@ def kfun_ladder(
 def _remainder_integral(nu: int, r: int, rho: float) -> float:
     """(nu!/(nu-r)!)/(r-1)! * int_rho^1 zeta^{nu-r} (1-zeta)^{r-1} dzeta, 0.0 for nu < r.
 
-    Evaluated exactly in rational arithmetic and rounded once.  A float rho
-    is a dyadic rational, and with m_j = nu-r+j+1 the binomial expansion of
-    (1-zeta)^{r-1} integrates to sum_j C(r-1, j) (-1)^j (1 - rho^{m_j}) / m_j,
-    so the result is the exact integral correctly rounded, independent of
-    the tail sum of lambda_shells and of any quadrature.
+    Evaluated exactly in integers and rounded once.  A float rho is a dyadic
+    rational a/b, and with m = nu-r+1+j the binomial expansion of
+    (1-zeta)^{r-1} integrates to sum_j C(r-1, j) (-1)^j (b^m - a^m) / (m b^m):
+    over the common denominator L b^nu, L = lcm(m), the numerator is one
+    integer, and int / int rounds the quotient correctly.  So the result is
+    the exact integral correctly rounded, independent of the tail sum of
+    lambda_shells and of any quadrature.
     """
     if nu < r:
         return 0.0
-    x = Fraction(rho)
-    integral = sum(
-        Fraction((-1) ** j * math.comb(r - 1, j), m) * (1 - x**m)
-        for j, m in enumerate(range(nu - r + 1, nu + 1))
+    a, b = float(rho).as_integer_ratio()
+    ms = range(nu - r + 1, nu + 1)
+    lcm = math.lcm(*ms)
+    num = sum(
+        (-1) ** j * math.comb(r - 1, j) * (b**m - a**m) * b ** (nu - m) * (lcm // m)
+        for j, m in enumerate(ms)
     )
-    return float(math.perm(nu, r) * integral / math.factorial(r - 1))
+    return math.perm(nu, r) * num / (lcm * b**nu * math.factorial(r - 1))
 
 
 def remainder_coefficient_check(nu: int, r: int, rho: float) -> tuple[float, float]:
@@ -392,9 +405,9 @@ def remainder_coefficient_check(nu: int, r: int, rho: float) -> tuple[float, flo
 
 @_QUIET
 def remainder_integral_norm(
-    f: SpectralFunction, rho: float, r: int, p: float, grid: HexGrid
+    f: SpectralFunction, rho: float, r: int, p: float, grid: HexGrid | None
 ) -> float:
-    """||integral form of f - A_{rho,r}(f)||_p.
+    """||integral form of f - A_{rho,r}(f)||_p; exact L2 when grid is None.
 
     Integrates the r-th rho-derivative of the Poisson integral of f
     against (1-zeta)^{r-1}/(r-1)! over [rho, 1], shell by shell: each

@@ -40,6 +40,15 @@ def _cfg(argv):
     return build_config(*parse_argv(argv))
 
 
+def _error_line(argv, capsys):
+    """The one stderr line of a rejected run, which exits 2 and prints nothing else."""
+    assert main(argv) == 2, argv
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    return line
+
+
 def _write_input(tmp_path, degree=3, seed=0, name="f.json"):
     f = random_spectrum(degree, np.random.default_rng(seed))
     path = tmp_path / name
@@ -143,39 +152,50 @@ def test_main_fuzzed_config_file(tmp_path_factory, doc):
         assert err.getvalue() == ""
 
 
-def test_p_coercion():
+def test_p_coercion(tmp_path, monkeypatch, capsys):
     assert _cfg(["approximate", "--p", "inf", "--grid", "32"]).p == math.inf
     assert _cfg(["approximate", "--p", "1.5", "--grid", "32"]).p == 1.5
-    with pytest.raises(ConfigError):
-        _cfg(["approximate", "--p", "0.5"])
-    with pytest.raises(ConfigError):
-        _cfg(["approximate", "--p", "two"])
+    # the range is fourier's own check, run before the "p != 2 needs --grid" rule
+    monkeypatch.chdir(tmp_path)
+    for argv, line in (
+        (["approximate", "--p", "0.5"], "error: order p must satisfy p >= 1, got 0.5"),
+        (["approximate", "--p", "two"], "error: p must be a number or 'inf', got 'two'"),
+    ):
+        assert _error_line(argv, capsys) == line
 
 
-def test_grid_coercion():
+def test_grid_coercion(tmp_path, monkeypatch, capsys):
     assert _cfg(["approximate", "--grid", "auto"]).grid_n == "auto"
     assert _cfg(["approximate", "--grid", "48"]).grid_n == 48
-    with pytest.raises(ConfigError):
-        _cfg(["approximate", "--grid", "3"])
-    with pytest.raises(ConfigError):
-        _cfg(["approximate", "--grid", "big"])
+    # the resolution range is HexGrid's own check
+    monkeypatch.chdir(tmp_path)
+    for argv, line in (
+        (["approximate", "--grid", "3"], "error: grid resolution n must be an integer >= 4, got 3"),
+        (["approximate", "--grid", "big"], "error: grid must be an integer or 'auto', got 'big'"),
+    ):
+        assert _error_line(argv, capsys) == line
 
 
-def test_validate_config_rules():
+def test_validate_config_rules(tmp_path, monkeypatch, capsys):
     with pytest.raises(ConfigError):
         validate_config(ExperimentConfig("bernstein", k_min=5, k_max=2))
     with pytest.raises(ConfigError):
         validate_config(ExperimentConfig("bernstein", k_min=-1, k_max=2))
     with pytest.raises(ConfigError):
-        validate_config(ExperimentConfig("bernstein", r=99))
-    with pytest.raises(ConfigError):
-        validate_config(ExperimentConfig("approximate", r=0))
-    with pytest.raises(ConfigError):
-        validate_config(ExperimentConfig("kfun", n=0))
-    with pytest.raises(ConfigError):
-        validate_config(ExperimentConfig("kfun", k_min=0))
-    with pytest.raises(ConfigError):
         validate_config(ExperimentConfig("bernstein", fmt="xml"))
+    # the library's ranges are the library's checks, each run before any rung
+    monkeypatch.chdir(tmp_path)
+    for argv, line in (
+        (["bernstein", "--r", "99"], "error: derivative order must be an integer in 0..6, got 99"),
+        (["approximate", "--r", "0"], "error: order r must be an integer >= 1, got 0"),
+        (["kfun", "--n", "0"], "error: order n must be an integer >= 1, got 0"),
+        (
+            ["kfun", "--rho-kmin", "0"],
+            "error: the scales 2^-k for k in --rho-kmin..--rho-kmax must be a 1-D array "
+            "of scales in (0, 1/2], got 1.0",
+        ),
+    ):
+        assert _error_line(argv, capsys) == line
 
 
 def test_rho_ladder_values():
@@ -393,17 +413,21 @@ def test_main_declared_degree_far_above_data(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["kernel", "bernstein", "approximate", "rates"])
 def test_main_rho_ladder_beyond_float_precision_is_exit_2(tmp_path, monkeypatch, capsys, command):
-    # rho = 1 - 2^-54 rounds to 1.0; the kernel command stops at k = 10 already
+    # rho = 1 - 2^-54 rounds to 1.0; the kernel command stops at k = 10 already.
+    # The whole ladder is checked before its first rung runs.
     monkeypatch.chdir(tmp_path)
-    assert main([command, "--rho-kmin", "59", "--rho-kmax", "60"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    if command == "kernel":
-        why, top = "so its series cutoff stays affordable", 10
-    else:
-        why, top = "so rho = 1 - 2^-k stays below 1", 53
-    assert captured.err.splitlines() == [f"error: {command} needs rho-kmax <= {top} {why}, got 60"]
-    validate_config(ExperimentConfig(command, k_min=top, k_max=top))
+    for name in ("bernstein_integral", "deviation_ladder"):
+        monkeypatch.setattr(cli, name, lambda *args: pytest.fail("computed a rung of a rejected ladder"))
+    for k_min in ("59", "50"):
+        if command == "kernel":
+            line = "error: kernel needs rho-kmax <= 10 so its series cutoff stays affordable, got 60"
+        else:
+            line = "error: the radii 1 - 2^-k for k in --rho-kmin..--rho-kmax must lie in [0, 1), got 1.0"
+        assert _error_line([command, "--rho-kmin", k_min, "--rho-kmax", "60"], capsys) == line
+    top = 10 if command == "kernel" else 53
+    cfg = ExperimentConfig(command, k_min=top, k_max=top)
+    validate_config(cfg)
+    assert rho_ladder(cfg) == [(top, 1.0 - 2.0**-top)]
 
 
 @pytest.mark.parametrize("command", ["verify", "kernel"])
@@ -455,8 +479,15 @@ def test_main_kfun_delta_underflow_is_exit_2(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     inp = _write_input(tmp_path)
     assert main(["kfun", "--input", inp, "--rho-kmin", "1074", "--rho-kmax", "1074"]) == 0
-    assert main(["kfun", "--input", inp, "--rho-kmin", "1075", "--rho-kmax", "1075"]) == 2
-    assert "rho-kmax <= 1074" in capsys.readouterr().err
+    capsys.readouterr()
+    # the line names the first scale out of range, not the whole ladder
+    for argv in (["--rho-kmin", "1075", "--rho-kmax", "1075"], ["--rho-kmax", "2000"]):
+        line = _error_line(["kfun", "--input", inp, *argv], capsys)
+        assert line == (
+            "error: the scales 2^-k for k in --rho-kmin..--rho-kmax must be a 1-D array "
+            "of scales in (0, 1/2], got 0.0"
+        )
+        assert len(line) < 200
 
 
 def test_main_argparse_error_is_exit_2(capsys):
@@ -1047,13 +1078,15 @@ def test_cli_import_leaves_argparse_and_gettext_unloaded(tmp_path):
 
 
 def test_cli_import_adds_no_numpy_polynomial(tmp_path):
-    # no hexsum code uses numpy.polynomial: importing hexsum.cli after numpy
-    # leaves it as loaded as numpy alone does (numpy 2 does not load it)
+    # no hexsum code uses numpy.polynomial, fractions or decimal: importing
+    # hexsum.cli after numpy leaves each as loaded as numpy alone does (numpy 2
+    # loads none of them)
     code = (
         "import sys, numpy\n"
-        "bare = 'numpy.polynomial' in sys.modules\n"
+        "names = ('numpy.polynomial', 'fractions', 'decimal')\n"
+        "bare = [name in sys.modules for name in names]\n"
         "import hexsum.cli\n"
-        "print(bare, 'numpy.polynomial' in sys.modules)\n"
+        "print([name for name, was in zip(names, bare) if (name in sys.modules) != was])\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hexsum.__file__)))
     proc = subprocess.run(
@@ -1061,8 +1094,7 @@ def test_cli_import_adds_no_numpy_polynomial(tmp_path):
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    bare, with_cli = proc.stdout.split()
-    assert with_cli == bare
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_runs_with_scipy_blocked(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -29,6 +30,7 @@ from hexsum.lattice import index_shell
 from hexsum.means import (
     KfunEstimate,
     _perm_shells,
+    _remainder_integral,
     apply_operator,
     apply_operator_derivative_form,
     deviation_ladder,
@@ -554,6 +556,30 @@ def test_remainder_coefficient_rhs_matches_high_precision_beta():
     assert worst <= 4 * np.finfo(float).eps
 
 
+def _remainder_integral_fraction(nu, r, rho):
+    """The same exact integral summed in Fraction, the reference of the integer sum."""
+    x = Fraction(rho)
+    integral = sum(
+        Fraction((-1) ** j * math.comb(r - 1, j), m) * (1 - x**m)
+        for j, m in enumerate(range(nu - r + 1, nu + 1))
+    )
+    return float(math.perm(nu, r) * integral / math.factorial(r - 1))
+
+
+def test_remainder_integral_matches_a_fraction_reference():
+    # one integer numerator over one denominator, rounded once: the Fraction
+    # sum's correctly rounded value, bit for bit
+    rng = np.random.default_rng(36)
+    cases = [(512, 5, 0.99), (200, 5, 0.97), (8, 2, 0.5), (8, 3, 0.8), (6, 6, 0.0), (40, 3, 1 - 2.0**-53)]
+    cases += [
+        (int(nu), int(r), float(rho))
+        for nu, r, rho in zip(rng.integers(6, 300, 40), rng.integers(2, 7, 40), rng.random(40))
+    ]
+    for nu, r, rho in cases:
+        assert _remainder_integral(nu, r, rho) == _remainder_integral_fraction(nu, r, rho), (nu, r, rho)
+    assert _remainder_integral(4, 5, 0.5) == 0.0
+
+
 def test_remainder_coefficient_validation():
     with pytest.raises(ValueError):
         remainder_coefficient_check(4, 1, 0.5)
@@ -625,6 +651,17 @@ def test_remainder_integral_nodes_follow_the_top_shell():
 
 
 # ------------------------------------------------------------- K-functional
+
+def test_kfun_deltas_error_names_the_first_bad_scale():
+    # a long ladder is not echoed: the message names the first scale outside (0, 1/2]
+    f = _random_f(9, degree=3)
+    deltas = [2.0**-k for k in range(1, 2001)]
+    with pytest.raises(ValueError) as info:
+        kfun_ladder(f, deltas, 1, 2.0)
+    assert str(info.value) == "deltas must be a 1-D array of scales in (0, 1/2], got 0.0"
+    with pytest.raises(ValueError, match=r"got a 2-D array$"):
+        kfun_ladder(f, np.array([[0.25]]), 1, 2.0)
+
 
 
 def test_kfun_validation():
