@@ -8,7 +8,7 @@ truncation is negligible.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ def kernel_family(rho0: float = 0.5, max_degree: int = 64) -> FamilySpec:
     default (0.5, 64) it is ~2e-20, machine-negligible.
     """
     _check_rho(rho0, name="rho0")
-    _check_int("max_degree", max_degree)
-    f = _shell_weighted([rho0**nu for nu in range(max_degree + 1)])
+    f = _shell_weighted(max_degree, lambda nu: rho0**nu)
     tail = math.sqrt(series_tail_bound(rho0 * rho0, max_degree)) if rho0 else 0.0
     return FamilySpec(f"kernel(rho0={rho0:g})", f, tail)
 
@@ -47,11 +46,10 @@ def shell_decay_family(s: float, max_degree: int = 64) -> FamilySpec:
     """
     if not s > 0.5:  # NaN fails too
         raise ValueError(f"decay exponent must exceed 1/2, got {s}")
-    _check_int("max_degree", max_degree)
-    weights = [1.0] + [(1.0 + nu) ** (-s) / math.sqrt(6.0 * nu) for nu in range(1, max_degree + 1)]
+    f = _shell_weighted(max_degree, lambda nu: (1.0 + nu) ** (-s) / math.sqrt(6.0 * nu))
     # sum_{m >= D+2} m^{-2s} <= integral_{D+1}^inf x^{-2s} dx
     tail = math.sqrt((1.0 + max_degree) ** (1.0 - 2.0 * s) / (2.0 * s - 1.0))
-    return FamilySpec(f"shell_decay(s={s:g})", _shell_weighted(weights), tail)
+    return FamilySpec(f"shell_decay(s={s:g})", f, tail)
 
 
 def polynomial_family(degree: int = 2) -> FamilySpec:
@@ -71,15 +69,15 @@ def polynomial_family(degree: int = 2) -> FamilySpec:
     coeffs = np.empty(len(shell), dtype=complex)
     coeffs.real, coeffs.imag = mag * cos, np.where(upper, 1.0, -1.0) * (mag * sin)
     coeffs[0] = 1.0
-    f = SpectralFunction.from_arrays(k1, k2, coeffs)
+    f = SpectralFunction._built(k1, k2, shell, coeffs, degree)
     return FamilySpec(f"polynomial(degree={degree})", f, 0.0)
 
 
 def basis_family(nu: int) -> FamilySpec:
     """A single unit coefficient on one shell-nu frequency."""
     _check_int("shell index nu", nu)
-    k1, k2, _ = frequency_arrays(nu, nu)
-    f = SpectralFunction.from_arrays(k1[:1], k2[:1], np.ones(1, dtype=complex))
+    k1, k2, shell = frequency_arrays(nu, nu)
+    f = SpectralFunction._built(k1[:1], k2[:1], shell[:1], np.ones(1, dtype=complex), nu)
     return FamilySpec(f"basis(nu={nu})", f, 0.0)
 
 
@@ -106,13 +104,15 @@ def random_spectrum(max_degree: int, rng: np.random.Generator) -> SpectralFuncti
         re, im = re / norm, im / norm
     coeffs = np.empty(re.size, dtype=complex)
     coeffs.real, coeffs.imag = re, im
-    return SpectralFunction.from_arrays(k1, k2, coeffs, max_degree)
+    return SpectralFunction._built(k1, k2, shell, coeffs, max_degree)
 
 
-def _shell_weighted(weights: list[float]) -> SpectralFunction:
-    """weights[nu] on every frequency of shell nu, for nu <= len(weights) - 1."""
-    k1, k2, shell = frequency_arrays(len(weights) - 1)
-    return SpectralFunction.from_arrays(k1, k2, np.array(weights, dtype=complex)[shell])
+def _shell_weighted(max_degree: int, weight: Callable[[int], float]) -> SpectralFunction:
+    """1 at the origin and weight(nu) on every frequency of shell nu, 1 <= nu <= max_degree."""
+    _check_int("max_degree", max_degree)
+    k1, k2, shell = frequency_arrays(max_degree)
+    weights = np.array([1.0] + [weight(nu) for nu in range(1, max_degree + 1)], dtype=complex)
+    return SpectralFunction._built(k1, k2, shell, weights[shell], max_degree)
 
 
 def builtin_families(max_degree: int = 64) -> list[FamilySpec]:

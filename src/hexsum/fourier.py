@@ -15,7 +15,8 @@ The transforms are 2-D DFTs, since phi_k(m) = exp(2 pi i ((k1 - k3) m1 +
 2008); numpy's pocketfft is deterministic, so reruns agree bit for bit.
 
 A SpectralFunction is read through its canonical support arrays f.k1, f.k2,
-f.shell and f.coeffs, and built from arrays by SpectralFunction.from_arrays.
+f.shell and f.coeffs.  Supports from outside pass _support_checks once; the
+library's own spectra on frequency_arrays' tables are stored as built.
 
 Every norm of f with its shells rescaled comes from one norm plan,
 _norm_plan(f, p, grid): the exact L2 norm from the shell masses when grid
@@ -139,7 +140,12 @@ class HexGrid:
     def __init__(self, n: int):
         _check_int("grid resolution n", n, 4)
         self.n = int(n)
-        self.weight = 1.0 / (self.n * self.n)
+        try:
+            self.weight = 1.0 / (self.n * self.n)
+        except OverflowError:  # n named by its size: all its digits would swamp the line
+            raise ValueError(
+                f"grid resolution n of {self.n.bit_length()} bits has n^2 past the float range"
+            ) from None
 
     @property
     def size(self) -> int:
@@ -194,6 +200,16 @@ def _repeats(*keys: np.ndarray) -> np.ndarray:
     """Mask of positions 1.. of sorted key arrays whose keys all equal the
     previous position's."""
     return np.logical_and.reduce([a[1:] == a[:-1] for a in keys])
+
+
+def _support_checks(k1, k2, shell, max_degree: int):
+    """The masks, in input order, of entries with shell <= max_degree and of entries that
+    repeat an earlier (shell, k1, k2), and the canonical order (None if already canonical)."""
+    repeat = np.zeros(len(shell), dtype=bool)
+    order = _canonical_order(k1, k2, shell)
+    if order is not None:
+        repeat[order[1:][_repeats(shell[order], k1[order], k2[order])]] = True
+    return shell <= max_degree, repeat, order
 
 
 def _integer_columns(columns, label: str) -> list[np.ndarray]:
@@ -258,14 +274,14 @@ class SpectralFunction:
     """Finite map from zero-sum frequency triples to coefficients.
 
     The support is stored once, as the read-only canonical arrays ``f.k1``,
-    ``f.k2``, ``f.shell`` and ``f.coeffs`` (k3 is implied), which the library
-    reads and ``from_arrays(k1, k2, coeffs)`` builds; the mapping constructor
-    and items() are per-entry views of them.
-    ``max_degree`` is a declared bound: every stored key must satisfy
-    degree(k) <= max_degree.  Iteration order is canonical (shell by
-    shell, lexicographic within a shell), which downstream code relies on
-    for reproducible rounding.  Input already in canonical order, such as
-    ``frequency_arrays`` or a file written by ``save_spectral``, is stored
+    ``f.k2``, ``f.shell`` and ``f.coeffs`` (k3 is implied); items() is a
+    per-entry view of them.  ``from_arrays(k1, k2, coeffs)``, the mapping
+    constructor and the JSON reader check a support from outside once;
+    spectra the library builds on frequency_arrays' tables are stored as
+    built.  ``max_degree`` is a declared bound on degree(k) of every stored
+    key.  Iteration order is canonical (shell by shell, lexicographic within
+    a shell), which downstream code relies on for reproducible rounding.
+    Canonical input, such as a file written by ``save_spectral``, is stored
     in time linear in its length, without a sort.
     """
 
@@ -290,13 +306,16 @@ class SpectralFunction:
         in any order; entries that are not integers, duplicates, |k1| or
         |k2| >= 2^62, a max_degree that is not an integer >= 0 and keys above
         it raise ValueError."""
-        f = cls.__new__(cls)
-        f._set_support(k1, k2, coeffs, max_degree)
-        return f
+        return cls.__new__(cls)._set_support(k1, k2, coeffs, max_degree)
 
-    def _set_support(self, k1, k2, coeffs, max_degree) -> None:
-        """Check lengths, the frequency bound, duplicates and max_degree in one
-        place, then store the support once as read-only canonical arrays.
+    @classmethod
+    def _built(cls, k1, k2, shell, coeffs, max_degree: int) -> "SpectralFunction":
+        """The spectrum on a canonical support the library built: stored unchecked."""
+        return cls.__new__(cls)._store(k1, k2, shell, coeffs, max_degree)
+
+    def _set_support(self, k1, k2, coeffs, max_degree) -> "SpectralFunction":
+        """Check lengths, the frequency bound, duplicates and max_degree, in
+        that order, then store the support once as read-only canonical arrays.
 
         Input whose (shell, k1, k2) strictly increases is canonical and free
         of duplicates, so it is only copied: linear time.  Other input is
@@ -315,27 +334,26 @@ class SpectralFunction:
             a, b = int(k1[i]), int(k2[i])
             raise ValueError(f"frequency ({a}, {b}, {-a - b}) lies outside |k1|, |k2| < 2^62")
         shell = np.maximum(np.maximum(np.abs(k1), np.abs(k2)), np.abs(k1 + k2))
-        order = _canonical_order(k1, k2, shell)
+        deg = int(shell.max(initial=0))
+        bound = deg if max_degree is None else max_degree
+        inside, repeat, order = _support_checks(k1, k2, shell, bound)
+        if repeat.any():
+            i = order[repeat[order].argmax()]  # the repeat that comes first in canonical order
+            raise ValueError(f"duplicate frequency ({k1[i]}, {k2[i]}, {-k1[i] - k2[i]})")
+        if not inside.all():
+            raise ValueError(f"coefficient at degree {deg} exceeds declared max_degree {max_degree}")
         if order is not None:
             k1, k2, shell, coeffs = k1[order], k2[order], shell[order], coeffs[order]
-            dup = np.flatnonzero(_repeats(k1, k2))
-            if dup.size:
-                i = dup[0]
-                raise ValueError(f"duplicate frequency ({k1[i]}, {k2[i]}, {-k1[i] - k2[i]})")
-        deg = int(shell.max(initial=0))
-        if max_degree is not None and deg > max_degree:
-            raise ValueError(
-                f"coefficient at degree {deg} exceeds declared max_degree {max_degree}"
-            )
-        self._store(k1, k2, shell, coeffs, deg if max_degree is None else int(max_degree))
+        return self._store(k1, k2, shell, coeffs, bound)
 
-    def _store(self, k1, k2, shell, coeffs, max_degree: int) -> None:
-        """Keep arrays that already form a canonical support, made read-only;
-        no other object may hold them."""
+    def _store(self, k1, k2, shell, coeffs, max_degree: int) -> "SpectralFunction":
+        """Keep arrays that already form a canonical support within max_degree, made
+        read-only; spectra may share read-only tables, such as frequency_arrays'."""
         for a in (k1, k2, shell, coeffs):
             a.flags.writeable = False
         self.k1, self.k2, self.shell, self.coeffs = k1, k2, shell, coeffs
-        self.max_degree = max_degree
+        self.max_degree = int(max_degree)
+        return self
 
     # -- access ------------------------------------------------------------
 
@@ -378,10 +396,7 @@ class SpectralFunction:
         return max_coeff_diff(self, reflection) <= _SYMMETRY_TOL
 
     def __repr__(self) -> str:
-        return (
-            f"SpectralFunction(support={self.support_size}, "
-            f"max_degree={self.max_degree})"
-        )
+        return f"SpectralFunction(support={self.support_size}, max_degree={self.max_degree})"
 
 
 def scale_shells(
@@ -399,10 +414,8 @@ def scale_shells(
     v.real = m.real * f.coeffs.real - m.imag * f.coeffs.imag
     v.imag = m.real * f.coeffs.imag + m.imag * f.coeffs.real
     keep = v != 0
-    out = SpectralFunction.__new__(SpectralFunction)
     # any subsequence of a canonical support is canonical: no checks, no sort
-    out._store(f.k1[keep], f.k2[keep], f.shell[keep], v[keep], f.max_degree)
-    return out
+    return SpectralFunction._built(f.k1[keep], f.k2[keep], f.shell[keep], v[keep], f.max_degree)
 
 
 def max_coeff_diff(f: SpectralFunction, g: SpectralFunction) -> float:
@@ -451,19 +464,13 @@ def analyze(g: GridFunction, max_degree: int) -> SpectralFunction:
     ResolutionWarning is emitted.
     """
     _check_int("max_degree", max_degree)
-    n = g.grid.n
-    if n < exactness_threshold(max_degree):
-        warnings.warn(
-            f"grid n={n} is below the exactness threshold "
-            f"{exactness_threshold(max_degree)} for degree {max_degree}; "
-            "coefficients may alias",
-            ResolutionWarning,
-            stacklevel=2,
-        )
+    n, least = g.grid.n, exactness_threshold(max_degree)
+    if n < least:
+        message = f"grid n={n} is below the exactness threshold {least} for degree {max_degree}"
+        warnings.warn(message + "; coefficients may alias", ResolutionWarning, stacklevel=2)
     spectrum = np.fft.fft2(g.values.reshape(n, n), norm="forward").ravel()
-    k1, k2, _ = frequency_arrays(max_degree)
-    coeffs = spectrum[_dft_bins(k1, k2, n)]
-    return SpectralFunction.from_arrays(k1, k2, coeffs, max_degree)
+    k1, k2, shell = frequency_arrays(max_degree)
+    return SpectralFunction._built(k1, k2, shell, spectrum[_dft_bins(k1, k2, n)], max_degree)
 
 
 def _check_p(p: float) -> None:
@@ -629,12 +636,12 @@ def spectral_from_json_dict(doc: dict) -> SpectralFunction:
     """Parse the output of spectral_to_json_dict, raising SpectralFormatError.
 
     One pass checks each entry's structure and collects k and re/im; the
-    zero-sum, max_degree, duplicate and finiteness checks then run on arrays.
-    The message names the first entry with any fault, and at that entry the
-    first failed check in the order structure, zero sum, max_degree,
-    duplicate, finiteness.  Entries in canonical order, as save_spectral
-    writes them, are stored without a sort; others are sorted once, by the
-    duplicate check's order.
+    zero-sum, max_degree and duplicate (by _support_checks) and finiteness
+    checks then run on arrays.  The message names the first entry with any
+    fault, and at that entry the first failed check in the order structure,
+    zero sum, max_degree, duplicate, finiteness.  The checked arrays are
+    stored directly: as they are when canonical, as save_spectral writes
+    them, else after one sort by the duplicate check's order.
     """
     if not isinstance(doc, dict):
         raise SpectralFormatError("spectral document must be a JSON object")
@@ -651,13 +658,13 @@ def spectral_from_json_dict(doc: dict) -> SpectralFunction:
     if not isinstance(entries, list):
         raise SpectralFormatError("entries must be a list")
 
-    def fault(pos: int, zero_sum: bool, inside: bool, unique: bool) -> SpectralFormatError:
+    def fault(pos: int, zero_sum: bool, inside: bool, repeat: bool) -> SpectralFormatError:
         k = tuple(entries[pos]["k"])
         if not zero_sum:
             return SpectralFormatError(f"entry {pos}: frequency {k} does not sum to zero")
         if not inside:
             return SpectralFormatError(f"entry {pos}: frequency {k} exceeds max_degree {max_degree}")
-        if not unique:
+        if repeat:
             return SpectralFormatError(f"entry {pos}: duplicate frequency {k}")
         return SpectralFormatError(f"entry {pos}: re/im must be finite numbers")
 
@@ -688,25 +695,22 @@ def spectral_from_json_dict(doc: dict) -> SpectralFunction:
     if ks and not -_K_BOUND < min(ks) <= max(ks) < _K_BOUND:
         # an entry with |k_i| >= 2^62 fails its zero sum or max_degree: the first ends the arrays
         pos = int(np.flatnonzero(np.abs(np.array(ks, dtype=object)) >= _K_BOUND)[0]) // 3
-        stop = fault(pos, sum(ks[3 * pos:3 * pos + 3]) == 0, False, True)
+        stop = fault(pos, sum(ks[3 * pos:3 * pos + 3]) == 0, False, False)
         del ks[3 * pos:], parts[2 * pos:]
-    k1, k2, k3 = np.array(ks, dtype=np.int64).reshape(-1, 3).T
+    k1, k2, k3 = np.array(ks, dtype=np.int64).reshape(-1, 3).T.copy()  # contiguous rows
     coeffs = np.array(parts, dtype=float).view(complex)
     shell = np.maximum(np.maximum(np.abs(k1), np.abs(k2)), np.abs(k3))
-    zero_sum, inside = k1 + k2 + k3 == 0, shell <= max_degree
-    unique = np.ones(len(shell), dtype=bool)  # no earlier entry with the same shell, k1, k2
-    order = _canonical_order(k1, k2, shell)
-    if order is not None:
-        unique[order[1:][_repeats(shell[order], k1[order], k2[order])]] = False
-    bad = np.flatnonzero(~(zero_sum & inside & unique & np.isfinite(coeffs)))
+    zero_sum = k1 + k2 + k3 == 0
+    inside, repeat, order = _support_checks(k1, k2, shell, max_degree)
+    bad = np.flatnonzero(~(zero_sum & inside & ~repeat & np.isfinite(coeffs)))
     if bad.size:
         pos = int(bad[0])
-        raise fault(pos, zero_sum[pos], inside[pos], unique[pos])
+        raise fault(pos, zero_sum[pos], inside[pos], repeat[pos])
     if stop is not None:
         raise stop
-    if order is not None:  # sorted once here; the store then only copies
-        k1, k2, coeffs = k1[order], k2[order], coeffs[order]
-    return SpectralFunction.from_arrays(k1, k2, coeffs, max_degree)
+    if order is not None:  # the one sort, by the duplicate check's order
+        k1, k2, shell, coeffs = k1[order], k2[order], shell[order], coeffs[order]
+    return SpectralFunction._built(k1, k2, shell, coeffs, max_degree)
 
 
 def load_spectral(path) -> SpectralFunction:

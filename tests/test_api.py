@@ -105,13 +105,17 @@ def test_the_norm_plan_is_the_only_user_of_the_fourier_bin_privates():
 
 def test_the_store_is_entered_through_from_arrays_and_read_through_its_fields():
     # fourier alone writes the support arrays; every other module and test builds
-    # a spectrum with from_arrays and reads the k1, k2, shell and coeffs fields
+    # a spectrum with from_arrays and reads the k1, k2, shell and coeffs fields,
+    # except the families, which store spectra built on frequency_arrays unchecked
     src = sorted(Path(hexsum.__file__).parent.glob("*.py"))
     tests = sorted(Path(__file__).parent.glob("*.py"))
     named = {path: _named(ast.parse(path.read_text(encoding="utf-8"))) for path in src + tests}
     for path in src:
         if path.name != "fourier.py":
             assert not named[path] & {"_set_support", "_store"}, path.name
+    assert {path.name for path in src + tests if "_built" in named[path]} == {
+        "fourier.py", "families.py"
+    }
     for path in src + tests:
         assert not named[path] & {"_support", "_from_arrays", "_arrays"}, path.name
     params = inspect.signature(hexsum.SpectralFunction.from_arrays).parameters

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hexsum import fourier
 from hexsum.fourier import (
+    _canonical_order,
     _norm_plan,
     _shell_groups,
     GridFunction,
@@ -166,6 +168,10 @@ def test_grid_basics():
     assert g.weight == pytest.approx(1.0 / 36.0)
     with pytest.raises(ValueError):
         make_grid(3)
+    # n^2 past the float range has no weight 1/n^2: named by its size, not its digits
+    with pytest.raises(ValueError) as err:
+        HexGrid(10**400)
+    assert str(err.value) == "grid resolution n of 1329 bits has n^2 past the float range"
 
 
 @pytest.mark.parametrize("n", [64.7, 64.0, math.inf, math.nan, "64", True, np.float64(64), None])
@@ -306,17 +312,22 @@ def test_lookups_agree_between_constructors(real_symmetric):
 
 
 @pytest.mark.parametrize(
-    "keys, max_degree",
+    "keys, max_degree, message",
     [
-        ([(1, 0, -1), (0, 0, 0), (1, 0, -1)], None),  # duplicate
-        ([(0, 0, 0), (1, 1, 1)], None),  # non-zero sum
-        ([(0, 0, 0), (3, 0, -3)], 2),  # above max_degree
+        ([(1, 0, -1), (0, 0, 0), (1, 0, -1)], None, "duplicate frequency (1, 0, -1)"),
+        ([(0, 0, 0), (1, 1, 1)], None, "frequency triple must sum to 0, got (1, 1, 1)"),
+        ([(0, 0, 0), (3, 0, -3)], 2, "coefficient at degree 3 exceeds declared max_degree 2"),
+        # several faults: duplicates are checked before max_degree, and the
+        # repeat named is the one first in canonical order, not in input order
+        ([(3, 0, -3), (1, 0, -1), (0, 0, 0), (1, 0, -1)], 2, "duplicate frequency (1, 0, -1)"),
+        ([(2, 0, -2), (2, 0, -2), (1, 0, -1), (1, 0, -1)], None, "duplicate frequency (1, 0, -1)"),
     ],
-    ids=["duplicate", "zero-sum", "max-degree"],
+    ids=["duplicate", "zero-sum", "max-degree", "duplicate-and-max-degree", "two-duplicates"],
 )
-def test_bulk_construction_rejects_what_init_rejects(keys, max_degree):
+def test_bulk_construction_rejects_what_init_rejects(keys, max_degree, message):
     with pytest.raises(ValueError) as init_error:
         SpectralFunction([(k, 1.0) for k in keys], max_degree=max_degree)
+    assert str(init_error.value) == message
     k1, k2, k3 = np.array(keys).T
     if (k1 + k2 + k3).any():  # from_arrays implies k3 = -k1 - k2: only a triple can miss 0
         assert str(init_error.value) == "frequency triple must sum to 0, got (1, 1, 1)"
@@ -345,9 +356,14 @@ def test_from_arrays_rejects_arrays_of_other_shapes(k1, k2, coeffs):
     (lambda: SpectralFunction.from_arrays([0], [-2**63 - 1], [1.0]), (0, -2**63 - 1, 2**63 + 1)),
     (lambda: SpectralFunction({(1, -1, 0): 1.0, (2**63, 0, -2**63): 2.0}), (2**63, 0, -2**63)),
     (lambda: SpectralFunction({(0, -2**63 - 1, 2**63 + 1): 1.0}), (0, -2**63 - 1, 2**63 + 1)),
+    # a duplicate too: the bound is checked first
+    (lambda: SpectralFunction.from_arrays([1, 1, 2**62], [0, 0, 0], [1.0, 2.0, 3.0]), (2**62, 0, -2**62)),
+    (lambda: SpectralFunction([((1, -1, 0), 1.0), ((1, -1, 0), 2.0), ((2**62, -2**62, 0), 3.0)]),
+     (2**62, -2**62, 0)),
 ], ids=[
     "arrays-min-int64", "arrays-shell-2^63", "mapping-shell-2^63",
     "arrays-2^63", "arrays-below-int64", "mapping-2^63", "mapping-below-int64",
+    "arrays-duplicate-and-2^62", "mapping-duplicate-and-2^62",
 ])
 def test_store_rejects_frequencies_at_or_past_2_pow_62(make, frequency):
     # at the bound an int64 shell can wrap: the first three were stored with
@@ -1062,6 +1078,48 @@ def test_canonical_input_is_stored_without_a_sort(monkeypatch):
     doc["entries"].reverse()
     assert _bits(spectral_from_json_dict(doc)) == _bits(f)
     assert sorts == [f.support_size]  # the duplicate check's sort; the store only copies
+
+
+@pytest.mark.parametrize("order", ["canonical", "reversed"])
+def test_load_spectral_checks_once_and_stores_what_it_checked(tmp_path, monkeypatch, order):
+    f = random_spectrum(4, np.random.default_rng(5))
+    doc = spectral_to_json_dict(f)
+    if order == "reversed":
+        doc["entries"].reverse()
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(doc))
+    calls = []
+    checks = fourier._support_checks
+    monkeypatch.setattr(fourier, "_support_checks", lambda *args: calls.append(1) or checks(*args))
+
+    def no_second_pass(*args, **kwargs):
+        raise AssertionError("load_spectral passed its checked arrays to from_arrays")
+
+    monkeypatch.setattr(SpectralFunction, "from_arrays", no_second_pass)
+    assert _bits(load_spectral(path)) == _bits(f)
+    assert calls == [1]
+
+
+@given(st.integers(0, 10), st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_library_built_spectra_are_canonical_and_read_only(tmp_path_factory, degree, seed):
+    # these spectra are stored as built, with no check at run time
+    f = random_spectrum(degree, np.random.default_rng(seed))
+    path = tmp_path_factory.mktemp("built") / "f.json"
+    save_spectral(f, path)
+    grid = make_grid(max(4, exactness_threshold(degree)))
+    built = [
+        f, load_spectral(path), analyze(synthesize(f, grid), degree),
+        basis_family(degree).function, polynomial_family(degree).function,
+        *(family.function for family in builtin_families(degree)),
+    ]
+    for g in built:
+        assert not any(a.flags.writeable for a in _fields(g))
+        assert g.k1.dtype == g.k2.dtype == g.shell.dtype == np.int64
+        assert _canonical_order(g.k1, g.k2, g.shell) is None
+        degrees = np.maximum(np.maximum(np.abs(g.k1), np.abs(g.k2)), np.abs(g.k1 + g.k2))
+        assert np.array_equal(g.shell, degrees)
+        assert g.max_degree >= g.degree()
 
 
 def test_reversed_grid_file_loads_as_the_canonical_one(tmp_path):
