@@ -50,7 +50,11 @@ order r its termwise r-th rho-derivative.  It sums every
 frequency of every shell term by term, ring by ring: shell nu is the six
 edges k = nu c_i + j c_{i+2}, 0 <= j < nu, of the unit-shell corners
 c_0..c_5, so its sum is sum_i phi_{nu c_i} sum_{j < nu} phi_{j c_{i+2}},
-one cumsum along nu of the corner exponentials: O(cutoff) work per point.
+one cumsum along nu of the corner exponentials: O(cutoff) additions and
+products per point.  The corner exponentials e^{i nu theta} come from two
+tables of direct exponentials, coarse steps nu = q B and fine offsets
+s < B with B = isqrt(cutoff) + 1, one complex product per entry: about
+2 sqrt(cutoff) exponentials per point and corner, in place of cutoff + 1.
 """
 
 from __future__ import annotations
@@ -196,23 +200,52 @@ def series_tail_bound(rho: float, cutoff: int) -> float:
     return 6.0 * rho ** (cutoff + 1) * ((cutoff + 1) * one + rho) / (one * one)
 
 
-#: most entries in one (6, cutoff + 1, points) corner table
-_RING_ENTRIES = 1 << 14
+#: most entries in one (6, cutoff + 1, points) corner table: 2^13 complex
+#: entries are 128 KiB, glibc's default mmap threshold, so the tables come from
+#: the heap and do not fault in fresh pages per chunk.  In children forked after
+#: import hexsum.cli, as a verify run is, the two series checks took a median
+#: 9.0 ms with 790 minor faults at 2^13 and 11.2 ms with 3470 at 2^14 (2 cores,
+#: numpy 2.4.6), though a warm loop of calls favours 2^15
+_RING_ENTRIES = 1 << 13
+
+
+def _corner_table(cutoff: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """phi_{nu c_l} = e^{i nu theta_l}, theta_l = c_l . (x, y), for l = 0..5 and
+    nu = 0..cutoff at the phases (x, y): shape (6, cutoff + 1, len(x)).
+
+    The unit-shell corners, in order, are c_0..c_5 = (1, 0), (0, 1), (-1, 1),
+    (-1, 0), (0, -1), (1, -1).  Rows 0..2 are products of two tables of direct
+    exponentials: with B = isqrt(cutoff) + 1 and nu = q B + s, 0 <= s < B,
+    e^{i nu theta} = e^{i q B theta} e^{i s theta}.  That is about
+    2 sqrt(cutoff) exponentials per point and corner, in place of cutoff + 1,
+    and one complex product per entry; each factor, like the direct
+    e^{i nu theta}, is off by the rounding of its angle.  c_{i+3} = -c_i
+    makes rows 3..5 the conjugates of rows 0..2 (the phases are real).
+    """
+    step = math.isqrt(cutoff) + 1
+    fine = np.arange(step, dtype=float)
+    coarse = step * fine[: cutoff // step + 1]
+    theta = np.array([x, y, y - x])[:, None, None, :]  # (corner, q, s, point)
+    # cutoff + 1 rows rounded up to whole coarse steps; the rows past it go unused
+    table = np.empty((6, len(coarse) * step, len(x)), dtype=complex)
+    np.multiply(
+        np.exp(1j * (coarse[:, None, None] * theta)),
+        np.exp(1j * (fine[:, None] * theta)),
+        out=table[:3].reshape(3, len(coarse), step, len(x)),
+    )
+    table = table[:, : cutoff + 1]
+    np.conjugate(table[:3], out=table[3:])
+    return table
 
 
 def _shell_sums(cutoff: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """S[nu] = sum_{k in J_nu} phi_k at the phases (x, y), for nu = 0..cutoff.
 
-    phi_k = e^{i (k1 x + k2 y)}.  The unit-shell corners, in order, are
-    c_0..c_5 = (1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1), so
-    c_{i+1} - c_i = c_{i+2}, and c_{i+3} = -c_i makes rows 3..5 of the corner
-    table phi_{nu c_i} the conjugates of rows 0..2 (the phases are real).
+    phi_k = e^{i (k1 x + k2 y)}.  The corners of _corner_table satisfy
+    c_{i+1} - c_i = c_{i+2}, so shell nu is the six edges nu c_i + j c_{i+2},
+    0 <= j < nu, and its sum is sum_i phi_{nu c_i} sum_{j < nu} phi_{j c_{i+2}}.
     """
-    nu = np.arange(cutoff + 1, dtype=float)
-    table = np.zeros((6, cutoff + 1, len(x)), dtype=complex)
-    np.multiply(nu[:, None], np.array([x, y, y - x])[:, None, :], out=table[:3].imag)
-    np.exp(table[:3], out=table[:3])
-    np.conjugate(table[:3], out=table[3:])
+    table = _corner_table(cutoff, x, y)
     edges = np.cumsum(table, axis=1)  # edges[l, nu - 1] = sum_{j < nu} phi_{j c_l}
     sums = np.empty((cutoff + 1, len(x)), dtype=complex)
     sums[0] = 1.0

@@ -42,7 +42,10 @@ def _check_int(name: str, value, least: int = 0, most: int | None = None) -> Non
     least..most: the one check of every degree, shell, order and resolution."""
     if not (_is_int(value) and least <= value and (most is None or value <= most)):
         span = f">= {least}" if most is None else f"in {least}..{most}"
-        raise ValueError(f"{name} must be an integer {span}, got {value!r}")
+        # an integer past 64 bits is named by its size: all its digits would swamp the line
+        bits = int(value).bit_length() if _is_int(value) else 0
+        got = f"an integer of {bits} bits" if bits > 64 else repr(value)
+        raise ValueError(f"{name} must be an integer {span}, got {got}")
 
 
 def from_cartesian(x1, x2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -60,7 +60,9 @@ def lambda_shells(shells: np.ndarray, r: int, rho) -> tuple[np.ndarray, np.ndarr
     """Shell multipliers lambda_{nu,r}(rho) = P[Bin(nu, 1-rho) <= r-1] at each of
     shells, and their complements P[Bin(nu, 1-rho) >= r]; both in [0, 1], each
     accurate down to underflow, and each entry independent of the others.  A
-    1-D array of radii rho gives one row per radius, its own call bit for bit."""
+    1-D array of radii rho gives one row per radius, its own call bit for bit.
+    When no shell reaches r, every row is exactly (1, 0), with no term search
+    and no float of r, so any order r past the shells costs nothing."""
     _check_rho(rho, (0, 1))
     _check_int("order r", r, 1)
     shells = np.asarray(shells)
@@ -69,8 +71,11 @@ def lambda_shells(shells: np.ndarray, r: int, rho) -> tuple[np.ndarray, np.ndarr
     if shells.min(initial=0) < 0:
         raise ValueError("shell index must be nonnegative")
     radii = np.atleast_1d(np.asarray(rho, dtype=float))
+    lam, comp = np.ones((len(radii), len(shells))), np.zeros((len(radii), len(shells)))
     high = shells >= r
     n_high = np.count_nonzero(high)
+    if not n_high:
+        return (lam, comp) if np.ndim(rho) else (lam[0], comp[0])
     nu, at = np.tile(shells[high], len(radii)), np.repeat(radii, n_high)
     lower = nu >= (r - 0.5) / (1.0 - at)  # the mean nu (1-rho) is past r - 1/2
     tail = np.empty(len(nu))
@@ -79,7 +84,6 @@ def lambda_shells(shells: np.ndarray, r: int, rho) -> tuple[np.ndarray, np.ndarr
         block = slice(s, s + step)
         tail[block] = _binomial_tail(nu[block], r, at[block], lower[block])
     other = 1.0 - tail
-    lam, comp = np.ones((len(radii), len(shells))), np.zeros((len(radii), len(shells)))
     lam[:, high] = np.where(lower, tail, other).reshape(len(radii), n_high)
     comp[:, high] = np.where(lower, other, tail).reshape(len(radii), n_high)
     return (lam, comp) if np.ndim(rho) else (lam[0], comp[0])
@@ -344,7 +348,7 @@ def kfun_ladder(
     mean_norms = dict(zip(zetas, zip(map(norm, comp), map(norm, perm * lam))))
     estimates = []
     for delta, row in zip(deltas, ladder):
-        dn = delta**n
+        dn = delta**n if n < 1075 else 0.0  # delta <= 1/2: 0.0 from n = 1075 on, no float of n
         scored = [(name, err + dn * rough) for name, err, rough in fixed]
         for zeta in row:
             if zeta in mean_norms:

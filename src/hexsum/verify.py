@@ -28,6 +28,7 @@ import numpy.random  # noqa: F401 - loaded with the module, not on first use
 
 from . import families, fourier, kernels, means
 from .fourier import (
+    TWO_PI_OVER_3,
     GridFunction,
     SpectralFormatError,
     analyze,
@@ -107,18 +108,31 @@ def check_fold(rng) -> CheckResult:
 
 
 def check_fold_phase_invariance(rng) -> CheckResult:
-    """Basis monomials cannot tell a point from its fold."""
+    """Basis monomials cannot tell a point from its fold.
+
+    Evaluates phi_k = e1^k1 e2^k2, with e1 = e^{i (2 pi/3)(t1 - t3)} and
+    e2 = e^{i (2 pi/3)(t2 - t3)}, for the 91 frequencies of degree <= 5 at
+    1000 points and at their folds.  The powers 1..5 of e1 and e2 are direct
+    exponentials, 20,000 in all, the powers -5..-1 their conjugates, and each
+    phi_k is one product of two powers.
+    """
     t1, t2 = _random_points(rng, 1000)
     t3 = -(t1 + t2)
     f1, f2, f3 = fold_arrays(t1, t2)
+    power = np.arange(1, 6)[:, None]
+    tables = []  # (e1, e2) at the points, then at the folds: row j holds the power j - 5
+    for a, c in ((t1, t3), (t2, t3), (f1, f3), (f2, f3)):
+        up = np.exp(1j * (TWO_PI_OVER_3 * (power * (a - c))))
+        tables.append(np.concatenate([up[::-1].conj(), np.ones((1, len(a))), up]))
+    e1, e2, g1, g2 = tables
     k1, k2, _ = frequency_arrays(5)
     worst = 0.0
     # 8 frequencies at a time: each 8 x 1000 table (128 kB) stays under glibc's
     # mmap threshold, so a forked process does not fault in fresh pages per
     # block; one table of all 91 would add ~4 MB to peak memory
     for s in range(0, len(k1), 8):
-        a, b = k1[s:s + 8], k2[s:s + 8]
-        d = np.abs(phi_values(a, b, f1, f2, f3) - phi_values(a, b, t1, t2, t3)).max()
+        a, b = k1[s:s + 8] + 5, k2[s:s + 8] + 5
+        d = np.abs(g1[a] * g2[b] - e1[a] * e2[b]).max()
         worst = max(worst, float(d))
     return _result("lattice.fold_phase_invariance", worst, 1e-10, "deg <= 5, 1000 points")
 
@@ -464,16 +478,25 @@ def check_lambda_multipliers(rng) -> CheckResult:
 
 
 def check_operator_equivalence(rng) -> CheckResult:
-    """Spectral multipliers vs the derivative-form assembly."""
+    """Spectral multipliers vs the derivative-form assembly.
+
+    Both operators scale each shell by one multiplier, so the check tests
+    the (nu, r, rho) triples it meets.  It applies both to one spectrum with
+    a random coefficient on one random frequency of every shell 0..60, at
+    every order r = 1..4 and both radii.
+    """
+    k1, k2, shell = frequency_arrays(60)
+    first = np.searchsorted(shell, np.arange(61))  # where each shell starts
+    pick = first + rng.integers(0, np.bincount(shell))
+    re, im = rng.standard_normal((2, 61))
+    f = fourier.SpectralFunction.from_arrays(k1[pick], k2[pick], re + 1j * im)
     worst = 0.0
-    for _ in range(30):
-        f = families.random_spectrum(10, rng)
-        r = int(rng.integers(1, 5))
+    for r in range(1, 5):
         for rho in (0.3, 0.7):
             a = means.apply_operator(f, rho, r)
             b = means.apply_operator_derivative_form(f, rho, r)
             worst = max(worst, max_coeff_diff(a, b))
-    return _result("means.operator_equivalence", worst, 1e-12, "30 spectra, r <= 4")
+    return _result("means.operator_equivalence", worst, 1e-12, "shells 0..60, r <= 4")
 
 
 def check_saturation(rng) -> CheckResult:

@@ -191,6 +191,10 @@ def test_validate_config_rules(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for argv, line in (
         (["bernstein", "--r", "99"], "error: derivative order must be an integer in 0..6, got 99"),
+        (  # the line names a 401-digit order by its size, not its digits
+            ["bernstein", "--rho-kmax", "2", "--r", "1" + "0" * 400],
+            "error: derivative order must be an integer in 0..6, got an integer of 1329 bits",
+        ),
         (["approximate", "--r", "0"], "error: order r must be an integer >= 1, got 0"),
         (["kfun", "--n", "0"], "error: order n must be an integer >= 1, got 0"),
         (
@@ -697,6 +701,26 @@ def test_main_kfun_order_past_170_fails_before_the_exact_product(tmp_path, monke
 def _json_report(tmp_path, argv):
     rc = main(argv + ["--format", "json", "--out", "r.json"])
     return rc, json.loads((tmp_path / "r.json").read_text())["rows"]
+
+
+@pytest.mark.parametrize("command, option", [("rates", "--r"), ("approximate", "--r"), ("kfun", "--n")])
+@pytest.mark.parametrize("order", ["10000000000000", "1" + "0" * 400], ids=["1e13", "1e400"])
+def test_main_order_past_every_shell_reports_zero_deviation(tmp_path, monkeypatch, command, option, order):
+    # A_{rho,r} fixes every polynomial of degree < r, so each deviation and
+    # K-functional bracket is 0, with no term search of about 9 sqrt(r)
+    # steps and no float of a 401-digit order
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    rc, rows = _json_report(tmp_path, [command, option, order])
+    assert time.perf_counter() - start < 5.0
+    assert rc == 0
+    points = [row for row in rows if row["row_type"] == "point"]
+    assert points and all(row["n" if command == "kfun" else "r"] == int(order) for row in points)
+    for row in points:
+        if command == "kfun":
+            assert row["upper"] == row["lower_proxy"] == 0.0
+        else:
+            assert row["deviation"] == 0.0
 
 
 def test_main_exact_norm_beyond_squared_range(tmp_path, monkeypatch, capsys):

@@ -262,15 +262,44 @@ def test_deriv_series_matches_frequency_sum(cutoff):
 
 
 def test_deriv_series_orders_match_single_calls_in_every_chunk():
-    # 150 points at cutoff 40 take three chunks of the corner table
+    # two full chunks of the corner table at cutoff 40 and part of a third
+    points = 2 * (kernels._RING_ENTRIES // (6 * 41)) + 18
     rng = np.random.default_rng(3)
-    t1, t2 = rng.uniform(-2, 2, size=(2, 150))
+    t1, t2 = rng.uniform(-2, 2, size=(2, points))
     t3 = -(t1 + t2)
     orders = (0, 2, 0, 1)
     got = hex_deriv_series_values(0.6, t1, t2, t3, orders, 40)
-    assert got.shape == (4, 150)
+    assert got.shape == (4, points)
     for row, r in zip(got, orders):
         assert np.array_equal(row, hex_deriv_series_values(0.6, t1, t2, t3, r, 40))
+
+
+def test_corner_table_is_as_accurate_as_direct_exponentials():
+    # e^{i nu theta} as a coarse times a fine factor, against 50 digits at the
+    # kernel command's largest cutoff; both forms are off by the rounding of
+    # their angles, so the products stay within twice the direct form's error
+    cutoff = 40685
+    rng = np.random.default_rng(8)
+    t1, t2 = rng.uniform(-3, 3, size=(2, 3))
+    t3 = -(t1 + t2)
+    x, y = TWO_PI_OVER_3 * (t1 - t3), TWO_PI_OVER_3 * (t2 - t3)
+    table = kernels._corner_table(cutoff, x, y)
+    assert table.shape == (6, cutoff + 1, 3)
+    assert np.array_equal(table[3:], table[:3].conj())
+    # B = 202: 201 is the last fine offset and 202 the first coarse step
+    nus = np.concatenate([[0, 1, 201, 202], rng.integers(0, cutoff + 1, 200), [cutoff]])
+    worst = {"table": 0.0, "direct": 0.0}
+    with mpmath.workdps(50):
+        for row, theta in enumerate((x, y, y - x)):
+            direct = np.exp(1j * (nus[:, None] * theta))
+            for j, nu in enumerate(nus.tolist()):
+                for p, angle in enumerate(theta.tolist()):
+                    exact = mpmath.expj(nu * mpmath.mpf(angle))
+                    worst["table"] = max(worst["table"], abs(table[row, nu, p] - exact))
+                    worst["direct"] = max(worst["direct"], abs(direct[j, p] - exact))
+    assert table[:3, 0].tolist() == [[1.0] * 3] * 3
+    assert 0.0 < worst["direct"] < 1e-10
+    assert worst["table"] <= 2.0 * worst["direct"], worst
 
 
 def test_deriv_series_memory_stays_small():

@@ -54,11 +54,22 @@ def test_lambda_frozen_value():
     assert (lam.tolist(), comp.tolist()) == ([0.75], [0.25])
 
 
-def test_lambda_below_order_is_one():
-    for r in (1, 2, 5):
-        lam, comp = lambda_shells(np.arange(r), r, 0.37)
-        assert lam.tolist() == [1.0] * r
-        assert comp.tolist() == [0.0] * r
+def test_lambda_below_order_is_one(monkeypatch):
+    # every multiplier is exactly 1: no _orders(r), whose term search takes
+    # about 9 sqrt(r) steps, and no float of r, which overflows past 1024 bits
+    def no_search(r):
+        raise AssertionError(f"_orders({r}) called")
+
+    monkeypatch.setattr(means, "_orders", no_search)
+    for r in (1, 2, 5, 10**13, 10**400):
+        m = min(r, 7)
+        lam, comp = lambda_shells(np.arange(m), r, 0.37)
+        assert lam.tolist() == [1.0] * m
+        assert comp.tolist() == [0.0] * m
+        lam, comp = lambda_shells(np.arange(m), r, np.array([0.0, 0.5, 0.99]))
+        assert lam.tolist() == [[1.0] * m] * 3 and comp.tolist() == [[0.0] * m] * 3
+    f = builtin_families()[0].function  # degree 64
+    assert deviation_ladder(f, [0.5, 0.75], 10**400, 2.0, None) == [0.0, 0.0]
 
 
 def test_lambda_order_one_is_poisson():
@@ -688,6 +699,15 @@ def test_kfun_polynomial_saturates():
     assert est.upper == 0.0
     assert est.argmin_candidate in ("identity", "partial_sum(2)")
     assert est.lower_proxy == 0.0
+
+
+@pytest.mark.parametrize("n", [1074, 1075, 10**400], ids=["1074", "1075", "1e400"])
+def test_kfun_order_past_every_shell_is_zero(n):
+    # delta <= 1/2, so delta^n is 0.0 from n = 1075 on, taken with no float of n
+    assert 0.5**1075 == 0.0 < 0.5**1074
+    f = builtin_families()[0].function  # degree 64
+    for est in kfun_ladder(f, [0.5, 0.25], n, 2.0):
+        assert est.n == n and est.upper == est.lower_proxy == 0.0
 
 
 def test_kfun_basis_cap():

@@ -6,7 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from hexsum import verify
+from hexsum import means, verify
+from hexsum.fourier import SpectralFunction
 from hexsum.lattice import _omega_mask
 from hexsum.verify import _TILING_SHIFTS, ALL_CHECKS, CheckResult, _tiling_hits, run_all_checks
 
@@ -87,6 +88,41 @@ def test_tiling_hits_match_scalar_membership():
     origin = np.flatnonzero((_TILING_SHIFTS[0] == 0) & (_TILING_SHIFTS[1] == 0))[0]
     assert hits[40:, origin].tolist() == [True, False, True, False]
     assert np.all(hits.sum(axis=1) == 1)
+
+
+def test_fold_phase_check_fails_on_a_shift_that_is_not_a_period(monkeypatch):
+    # (1, 0) is not a lattice period: phi_k moves by e^{i (2 pi/3)(2 k1 + k2)}
+    fold = verify.fold_arrays
+
+    def shifted(t1, t2):
+        f1, f2, _ = fold(t1, t2)
+        return f1 + 1.0, f2, -(f1 + 1.0 + f2)
+
+    assert verify.check_fold_phase_invariance(np.random.default_rng(0)).passed
+    monkeypatch.setattr(verify, "fold_arrays", shifted)
+    result = verify.check_fold_phase_invariance(np.random.default_rng(0))
+    assert not result.passed and result.residual > 1.0
+
+
+@pytest.mark.parametrize("shell, order", [(0, 1), (11, 4), (60, 2)])
+def test_operator_check_fails_on_one_perturbed_shell(monkeypatch, shell, order):
+    # 1e-9 on the coefficient of one shell at one order, three orders of
+    # magnitude past the tolerance; shells 11..60 lie past the ten the
+    # check covered with its random spectra
+    derivative_form = means.apply_operator_derivative_form
+
+    def perturbed(f, rho, r):
+        out = derivative_form(f, rho, r)
+        if r != order:
+            return out
+        return SpectralFunction.from_arrays(
+            out.k1, out.k2, out.coeffs + 1e-9 * (out.shell == shell), out.max_degree
+        )
+
+    assert verify.check_operator_equivalence(np.random.default_rng(0)).passed
+    monkeypatch.setattr(means, "apply_operator_derivative_form", perturbed)
+    result = verify.check_operator_equivalence(np.random.default_rng(0))
+    assert not result.passed and result.residual >= 1e-9 * (1 - 1e-6)
 
 
 def _no_child_left():
