@@ -37,6 +37,7 @@ or OverflowError, memory exhaustion, or a report that cannot be written.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import sys
@@ -661,7 +662,11 @@ def main(argv: list[str] | None = None) -> int:
             print(_HELP)
             return 0
         cfg = build_config(*parsed)
-        rows, assertions = COMMANDS[cfg.command][0](cfg)
+        gc.freeze()  # a full collection inside the command skips the heap it starts with
+        try:
+            rows, assertions = COMMANDS[cfg.command][0](cfg)
+        finally:
+            gc.unfreeze()
     except SpectralFormatError as exc:
         return _reject(f"invalid spectral input: {exc}")
     except (ConfigError, OSError, ValueError, OverflowError, MemoryError) as exc:

@@ -506,14 +506,6 @@ def lp_norm(g: GridFunction, p: float) -> float:
 _NORMAL = range(2**52, (2**1024 - 2**970) << 1074)
 
 
-def _from_units(s: int) -> float:
-    """s 2^-1074 for s in _NORMAL, correctly rounded: float() rounds the top 64
-    bits once, their last bit set if any bit below them is (a sticky bit)."""
-    k = max(s.bit_length() - 64, 0)
-    top = s >> k
-    return math.ldexp(float(top | (top << k != s)), k - 1074)
-
-
 def _norm_plan(
     f: SpectralFunction, p: float, grid: HexGrid | None
 ) -> tuple[np.ndarray, Callable[[np.ndarray], float], Callable[[np.ndarray, bool], np.ndarray]]:
@@ -591,7 +583,7 @@ def _norm_plan(
             ))
             sums = sums if upto else [sums[-1] - s for s in sums]
         return np.array([
-            math.sqrt(_from_units(s)) if s in _NORMAL
+            math.sqrt(s / (1 << 1074)) if s in _NORMAL  # int / int rounds once
             else norm(w * ((shells <= m) if upto else (shells > m)))
             for m, s in zip(shells.tolist(), sums)
         ])

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import io
 import json
 import math
@@ -350,6 +351,27 @@ def test_main_library_error_in_runner_is_exit_2(tmp_path, monkeypatch, capsys, e
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [line]
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+def test_main_runs_the_command_on_a_frozen_heap(tmp_path, monkeypatch, raises):
+    # a full collection inside the command never walks the objects that exist
+    # when it starts; main leaves the freeze count as it found it, also when
+    # the runner raises, since one process may call main many times
+    monkeypatch.chdir(tmp_path)
+    seen = []
+
+    def spy(cfg):
+        seen.append(gc.get_freeze_count())
+        if raises:
+            raise ValueError("no such number")
+        return [{"check": "spy"}], [("spy", True)]
+
+    monkeypatch.setitem(cli.COMMANDS, "verify", (spy, cli.COMMANDS["verify"][1]))
+    before = gc.get_freeze_count()
+    assert main(["verify"]) == (2 if raises else 0)
+    assert len(seen) == 1 and seen[0] > 0
+    assert gc.get_freeze_count() == before
 
 
 def test_main_one_coefficient_on_a_huge_shell(tmp_path, monkeypatch):

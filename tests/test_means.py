@@ -819,8 +819,8 @@ def _hard_sums(seed):
         # masses 1 + 2^-52, 2^-53, 2^-53: sums 1 + 3 2^-53 and 1 + 2^-52 + 2^-53
         # are ties, rounded to even
         SpectralFunction(
-            {(0, 0, 0): 1.0 + 2.0**-26j, (1, -1, 0): 2.0**-27 + 2.0**-27j,
-             (2, -2, 0): 2.0**-27 - 2.0**-27j, (3, -3, 0): 0.0, (4, -4, 0): 1e-320}
+            {(0, 0, 0): 1.0 + 1j * 2.0**-26, (1, -1, 0): (1 + 1j) * 2.0**-27,
+             (2, -2, 0): (1 - 1j) * 2.0**-27, (3, -3, 0): 0.0, (4, -4, 0): 1e-320}
         ),
         # an infinite mass: every cut goes through norm, which sums 0 * inf = nan
         SpectralFunction({(0, 0, 0): 1.7e308, (2, -2, 0): 3.0 - 4.0j, (3, -3, 0): 1e-300}),
@@ -837,6 +837,36 @@ def test_cut_norms_equal_the_norm_of_each_cut(f):
             for upto in (True, False):
                 want = [norm(w * ((shells <= m) if upto else (shells > m))) for m in shells.tolist()]
                 assert cut_norms(w, upto).tolist() == want
+
+
+#: |c|^2 = (1 + 26 2^-26)^2 + 1 is a float M in [2, 4) with an even last bit
+#: whose roots of M, M + u and M + 2u (u = 2^-51, its ulp) are three floats,
+#: so a sum rounded the wrong way shows in its cut norm
+_TIE_BASE = (1 + 26 * 2.0**-26) + 1j
+
+
+@pytest.mark.parametrize(
+    "coeffs, ulps",
+    [
+        # masses M, u/2, 2^-1060: M + u/2 is a tie, rounded to even M, and the
+        # last bit 2^-1060 takes it past the tie, up to M + u
+        ([_TIE_BASE, 2.0**-26, 2.0**-530], [0, 0, 1]),
+        # masses M, u, u/2: M + 3u/2 is a tie, rounded to even M + 2u
+        ([_TIE_BASE, (1 + 1j) * 2.0**-26, 2.0**-26], [0, 1, 2]),
+    ],
+)
+def test_cut_norms_round_halfway_sums_as_fraction_does(coeffs, ulps):
+    f = SpectralFunction({(nu, -nu, 0): c for nu, c in enumerate(coeffs)})
+    shells, _, cut_norms = _norm_plan(f, 2.0, None)
+    masses = [Fraction(c.real) ** 2 + Fraction(c.imag) ** 2 for c in map(complex, coeffs)]
+    for w in (np.ones(len(shells)), np.full(len(shells), 2.0**300)):  # a power of 2 keeps ties
+        terms = [Fraction(float(x)) ** 2 * m for x, m in zip(w, masses)]
+        for upto in (True, False):
+            cuts = [sum(terms[: i + 1] if upto else terms[i + 1:]) for i in range(len(terms))]
+            assert cut_norms(w, upto).tolist() == [math.sqrt(float(cut)) for cut in cuts]
+    roots = [math.sqrt(float(masses[0]) + i * 2.0**-51) for i in range(3)]
+    assert len(set(roots)) == 3
+    assert cut_norms(np.ones(len(shells)), True).tolist() == [roots[i] for i in ulps]
 
 
 def test_exact_norm_of_the_zero_multiplier():

@@ -1,7 +1,11 @@
+import ast
+import inspect
 import math
 import os
+import re
 import signal
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +46,21 @@ def test_check_names_unique_and_namespaced(battery):
         module, _, rest = name.partition(".")
         assert module in ("lattice", "fourier", "kernels", "means")
         assert rest
+
+
+def test_all_checks_are_the_module_check_functions_in_source_order():
+    # a check is registered by defining it: the battery is every module-level
+    # def check_*, read here from the source, in line order, and no other
+    # module-level name (an assignment or an import) starts with check_
+    tree = ast.parse(inspect.getsource(verify))
+    defined = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
+    checks = [name for name in defined if name.startswith("check_")]
+    assert [fn.__name__ for fn in ALL_CHECKS] == checks
+    assert ALL_CHECKS == [getattr(verify, name) for name in checks]
+    assert [name for name in vars(verify) if name.startswith("check_")] == checks
+    # the count the benchmark's verify steps require
+    workloads = (Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py").read_text()
+    assert len(ALL_CHECKS) == int(re.search(r"^VERIFY_CHECKS = (\d+)$", workloads, re.M)[1]) == 31
 
 
 def test_check_result_fields(battery):
